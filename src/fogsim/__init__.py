@@ -14,7 +14,6 @@ from .calibration import (
     FringeFit,
     FringeParams,
     LinearCalibration,
-    alpha_from_inflection,
     combine_inflection,
     contrast_points_from_scan,
     delay_from_contrast,
@@ -22,7 +21,6 @@ from .calibration import (
     fit_fringe,
     fit_linear_calibration,
     ideal_linear_calibration,
-    normalize_counts,
 )
 from .config import ExperimentConfig, config_from_dict, default_config_dict, load_config
 from .geometry import (
@@ -33,7 +31,6 @@ from .geometry import (
     rotation_to_delay,
 )
 from .model import (
-    DelayEstimate,
     ModulatorMap,
     Spectrum,
     click_probabilities,
@@ -46,7 +43,6 @@ from .model import (
 from .simulate import (
     BrightScan,
     CalibrationScan,
-    CountRecord,
     CountSeries,
     DriftModel,
     NoiseModel,
@@ -61,15 +57,15 @@ from .stability import (
     CrbCurve,
     DelaySeries,
     SaturationCurve,
-    StabilityReport,
     adjacent_average,
     crb_curve,
     default_m_grid,
     detection_limit,
     even_odd_split,
-    make_stability_report,
     overlapping_allan_deviation,
     saturation_curve,
+    series_from_delay_table,
+    stability_report,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ParameterError
-from .model import DelayEstimate, ModulatorMap, Spectrum, click_probabilities
+from .model import ModulatorMap, Spectrum, click_probabilities
 
 __all__ = [
     "FringeParams",
@@ -25,8 +25,6 @@ __all__ = [
     "CalibrationSet",
     "fit_fringe",
     "combine_inflection",
-    "alpha_from_inflection",
-    "normalize_counts",
     "normalize_count_arrays",
     "contrast_points_from_scan",
     "fit_linear_calibration",
@@ -80,10 +78,6 @@ class FringeFit:
     def __post_init__(self):
         if not (self.a > 0 and self.w > 0):
             raise ParameterError("fringe fit requires a > 0 and w > 0")
-
-    @property
-    def params(self) -> FringeParams:
-        return FringeParams(self.f0, self.a, self.w, self.v0i)
 
 
 @dataclass(frozen=True)
@@ -220,17 +214,14 @@ def _canonicalize(p: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:
 def fit_fringe(scan, sigma_power: float) -> FringeFit:
     """Fit f0 + a sin(pi (V - v0i) / w) to a bright scan by damped Gauss-Newton.
 
-    ``scan`` is a sequence of (voltage, power) pairs (or a pair of arrays);
+    ``scan`` is a sequence of (voltage, power) pairs, e.g. an (N, 2) array;
     ``sigma_power`` the per-point measurement noise (W), scalar or array.
     Convergence requires the relative parameter change to drop below 1e-10
     within 200 iterations.  Parameter errors come from the covariance
     (J^T W J)^-1 at the optimum with the supplied sigma taken as exact.
     """
     arr = np.asarray(scan, dtype=np.float64)
-    if arr.ndim == 2 and arr.shape[0] == 2 and arr.shape[1] != 2:
-        v, y = arr[0], arr[1]
-    else:
-        v, y = arr[:, 0], arr[:, 1]
+    v, y = arr[:, 0], arr[:, 1]
     if len(v) < 8:
         raise ParameterError(f"need at least 8 scan points, got {len(v)}")
     sigma = np.broadcast_to(np.asarray(sigma_power, dtype=np.float64), v.shape)
@@ -314,55 +305,17 @@ def combine_inflection(estimates) -> tuple[float, float]:
     return float((weights * values).sum() / total), float(1.0 / math.sqrt(total))
 
 
-def alpha_from_inflection(v0i: float, v0i_err: float,
-                          spectrum: Spectrum) -> tuple[float, float]:
-    """Delay-per-volt constant alpha = (lambda0 / 4c) / v0i and its error.
-
-    The relative error of v0i propagates directly: alpha_err = alpha * v0i_err / v0i.
-    """
-    if not v0i > 0:
-        raise ParameterError(f"v0i must be positive, got {v0i}")
-    if v0i_err < 0:
-        raise ParameterError(f"v0i_err must be non-negative, got {v0i_err}")
-    alpha = spectrum.quarter_wave_delay / v0i
-    return alpha, alpha * v0i_err / v0i
-
-
 # ---------------------------------------------------------------------------
 # stage two: contrast normalization and linear calibration
 # ---------------------------------------------------------------------------
 
-def normalize_counts(record, dark: tuple[float, float], integration: float) -> ContrastPoint:
-    """Dark-correct one count record and normalize by the total.
-
-    c_i' = max(c_i - dark_i * T, 0); x1 = c1' / (c1' + c2'); the contrast
-    error follows Poisson propagation: sqrt(4 c1' c2' / (c1' + c2')^3).
-    Bins where either corrected channel is empty are returned with the
-    ``degenerate`` flag set (their contrast carries no information and the
-    error estimate collapses); callers exclude them downstream.
-    """
-    c1 = float(record.c1) if hasattr(record, "c1") else float(record[0])
-    c2 = float(record.c2) if hasattr(record, "c2") else float(record[1])
-    if not integration > 0:
-        raise ParameterError(f"integration must be positive, got {integration}")
-    c1p = max(c1 - dark[0] * integration, 0.0)
-    c2p = max(c2 - dark[1] * integration, 0.0)
-    total = c1p + c2p
-    if c1p <= 0.0 or c2p <= 0.0:
-        return ContrastPoint(x1=math.nan, x2=math.nan, dx=math.nan,
-                             dx_err=math.nan, degenerate=True)
-    x1 = c1p / total
-    x2 = c2p / total
-    return ContrastPoint(
-        x1=x1, x2=x2, dx=x1 - x2,
-        dx_err=math.sqrt(4.0 * c1p * c2p / total**3),
-    )
-
-
 def normalize_count_arrays(c1, c2, dark: tuple[float, float], integration: float):
-    """Vectorized :func:`normalize_counts` over count arrays.
+    """Dark-correct count arrays, c' = max(c - dark * T, 0), and normalize.
 
-    Returns (x1, dx, dx_err, degenerate_mask); degenerate entries are nan.
+    x1 = c1' / (c1' + c2'), dx = x1 - x2, and dx_err = sqrt(4 c1' c2' /
+    (c1' + c2')^3) by Poisson propagation.  Returns (x1, dx, dx_err,
+    degenerate_mask); bins with an empty corrected channel are degenerate
+    and nan.
     """
     if not integration > 0:
         raise ParameterError(f"integration must be positive, got {integration}")
@@ -457,60 +410,42 @@ def fit_linear_calibration(points, window_volt: tuple[float, float] | None = Non
     )
 
 
-def delay_from_contrast(dx: float, dx_err: float, calib: LinearCalibration,
-                        include_calibration_error: bool = True,
-                        n_photons: float = 0.0) -> DelayEstimate:
-    """Invert the calibration line: tau = (dx - k2) / k1, in seconds.
+def delay_from_contrast(dx, dx_err, calib: LinearCalibration):
+    """Invert the calibration line elementwise: tau = (dx - k2) / k1, in seconds.
 
-    The uncertainty propagates dx_err through 1/k1 and, unless
-    ``include_calibration_error`` is off (appropriate for relative series
-    sharing one calibration), the (k1, k2) covariance as well.  Estimates
-    beyond the calibrated delay window stretched by 10% of its span are
-    flagged ``"window"`` rather than rejected.
+    The uncertainty propagates dx_err through 1/k1 and the (k1, k2)
+    covariance; a calibration with zero covariance gives the statistical
+    error alone (appropriate for relative series sharing one calibration).
+    Returns (tau, sigma_tau, outside), where ``outside`` marks estimates
+    beyond the calibrated delay window stretched by 10% of its span; they
+    are flagged rather than rejected.
     """
     tau_fs = (dx - calib.k2) / calib.k1
-    var_fs2 = (dx_err / calib.k1) ** 2
-    if include_calibration_error:
-        (v11, v12), (_, v22) = calib.covariance
-        var_fs2 += (tau_fs / calib.k1) ** 2 * v11 \
-            + v22 / calib.k1**2 \
-            + 2.0 * tau_fs * v12 / calib.k1**2
-    tau = tau_fs / _FS
-    flag = "ok"
-    if calib.tau_window is not None:
-        lo, hi = calib.tau_window
-        slack = _WINDOW_SLACK * (hi - lo)
-        if not (lo - slack <= tau <= hi + slack):
-            flag = "window"
-    return DelayEstimate(tau=tau, sigma_tau=math.sqrt(max(var_fs2, 0.0)) / _FS,
-                         n_photons=n_photons, flag=flag)
-
-
-def estimate_delays(counts, calset: "CalibrationSet",
-                    include_calibration_error: bool = True):
-    """Convert a count series into per-bin delay estimates (vectorized).
-
-    ``counts`` needs ``c1``, ``c2`` and ``integration_time`` attributes.
-    Returns (tau, sigma_tau, flags): seconds, seconds, and one of
-    "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan.
-    """
-    calib = calset.linear
-    _, dx, dx_err, degenerate = normalize_count_arrays(
-        counts.c1, counts.c2, calset.dark_rates, counts.integration_time)
-    tau_fs = (dx - calib.k2) / calib.k1
-    var_fs2 = (dx_err / calib.k1) ** 2
-    if include_calibration_error:
-        (v11, v12), (_, v22) = calib.covariance
-        var_fs2 = var_fs2 + (tau_fs / calib.k1) ** 2 * v11 \
-            + v22 / calib.k1**2 + 2.0 * tau_fs * v12 / calib.k1**2
+    (v11, v12), (_, v22) = calib.covariance
+    var_fs2 = (dx_err / calib.k1) ** 2 + (tau_fs / calib.k1) ** 2 * v11 \
+        + v22 / calib.k1**2 + 2.0 * tau_fs * v12 / calib.k1**2
     tau = tau_fs / _FS
     sigma = np.sqrt(np.maximum(var_fs2, 0.0)) / _FS
-    flags = np.full(len(tau), "ok", dtype=object)
+    outside = np.zeros(np.shape(tau), dtype=bool)
     if calib.tau_window is not None:
         lo, hi = calib.tau_window
         slack = _WINDOW_SLACK * (hi - lo)
         outside = (tau < lo - slack) | (tau > hi + slack)
-        flags[outside & ~degenerate] = "window"
+    return tau, sigma, outside
+
+
+def estimate_delays(counts, calset: "CalibrationSet"):
+    """Convert a count series into per-bin delay estimates.
+
+    ``counts`` needs ``c1``, ``c2`` and ``integration_time`` attributes.
+    Returns (tau, sigma_tau, flags): seconds, seconds, and a list with one
+    of "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan.
+    """
+    _, dx, dx_err, degenerate = normalize_count_arrays(
+        counts.c1, counts.c2, calset.dark_rates, counts.integration_time)
+    tau, sigma, outside = delay_from_contrast(dx, dx_err, calset.linear)
+    flags = np.full(len(tau), "ok", dtype=object)
+    flags[outside & ~degenerate] = "window"
     flags[degenerate] = "degenerate"
     return tau, sigma, flags.tolist()
 

@@ -20,21 +20,18 @@ from . import __version__
 from .calibration import (CalibrationSet, combine_inflection, contrast_points_from_scan,
                           estimate_delays, fit_fringe, fit_linear_calibration)
 from .config import ExperimentConfig, config_from_dict, load_config
-from .constants import EARTH_RATE_RAD_PER_S, rad_per_s_to_deg_per_hour
-from .errors import ConfigError, DataError, FitError, FogsimError, ParameterError
-from .geometry import delay_to_rotation, figure_of_merit, rotation_to_delay
+from .errors import ConfigError, FitError, FogsimError, ParameterError
 from .io_formats import (RunManifest, file_digest, read_bright_scan,
                          read_calibration_scan, read_calibration_set, read_count_series,
                          read_delay_series, write_allan_curves, write_bright_scan,
                          write_calibration_scan, write_calibration_set,
-                         write_count_series, write_delay_series, write_manifest,
-                         write_report)
+                         write_count_series, write_delay_series, write_fisher_curve,
+                         write_manifest, write_report)
 from .model import ModulatorMap, fisher_information
 from .simulate import (RNG_ALGORITHM, RunConfig, simulate_bright_scan,
                        simulate_calibration_scan, simulate_run)
-from .stability import (CrbCurve, DelaySeries, crb_curve, default_m_grid,
-                        detection_limit, even_odd_split,
-                        overlapping_allan_deviation, saturation_curve)
+from .stability import (default_m_grid, even_odd_split, overlapping_allan_deviation,
+                        series_from_delay_table, stability_report)
 
 _USAGE_EXIT = 2
 _DATA_EXIT = 3
@@ -79,18 +76,12 @@ def _cmd_fisher(args) -> int:
         raise ParameterError(f"n-points must be >= 1, got {args.n_points}")
     if args.tau_min < 0 or not math.isfinite(args.tau_min):
         raise ParameterError(f"tau-min must be >= 0, got {args.tau_min}")
-    if args.n_points == 1:
-        grid = np.array([args.tau_min])
-    else:
-        if not args.tau_max > args.tau_min:
-            raise ParameterError("tau-max must exceed tau-min")
-        grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
+    if args.n_points > 1 and not args.tau_max > args.tau_min:
+        raise ParameterError("tau-max must exceed tau-min")
+    grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
     values = fisher_information(grid, config.spectrum)
     out = _out_path(args, args.out)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("tau_s,fisher_s^-2\n")
-        for tau, f in zip(grid, np.atleast_1d(values)):
-            fh.write(f"{float(tau)!r},{float(f)!r}\n")
+    write_fisher_curve(out, grid, values)
     print(f"wrote {out} ({len(grid)} points)")
     return 0
 
@@ -207,86 +198,18 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _curve_json(curve) -> dict:
-    return {"t_s": curve.t.tolist(), "value": curve.value.tolist()}
-
-
 def _cmd_stability(args) -> int:
     config = _load_config(args)
     t, tau, _, flags = read_delay_series(args.delays)
-    if len(tau) == 0:
-        raise ParameterError(f"{args.delays}: no delay samples")
-    # window flags are warning-grade; only degenerate bins are unusable
-    keep = np.array([f != "degenerate" for f in flags]) & np.isfinite(tau)
-    dropped = int((~keep).sum())
-    tau_clean = tau[keep]
-    if len(tau_clean) < 8:
-        raise ParameterError(
-            f"delay series too short after dropping {dropped} flagged bins "
-            f"({len(tau_clean)} < 8)")
-    t0 = float(np.median(np.diff(t))) if len(t) > 1 else config.run.integration_time
-
-    raw = DelaySeries(t0, tau_clean, "raw")
-    even, odd, diff = even_odd_split(raw)
-    ppd = config.analysis.points_per_decade
+    raw, dropped = series_from_delay_table(t, tau, flags)
     curves = {}
-    for series in (raw, even, odd, diff):
-        grid = default_m_grid(len(series), ppd)
+    for series in (raw, *even_odd_split(raw)):
+        series, _ = series.drop_nonfinite()
+        grid = default_m_grid(len(series), config.analysis.points_per_decade)
         curves[series.origin] = overlapping_allan_deviation(series, grid,
                                                             workers=args.workers)
-
-    rate = config.run.rate_total
-    update_period = 2.0 * t0
-    crb_even = crb_curve(rate, update_period, config.spectrum, curves["even"].t)
-    crb_diff = crb_curve(rate, update_period, config.spectrum, curves["differential"].t)
-
-    dls = {origin: detection_limit(curve) for origin, curve in curves.items()}
-    dl_tau = min((dls["even"], dls["odd"]), key=lambda d: d[1])
-    dl_diff = dls["differential"]
-
-    sat_even = saturation_curve(curves["even"], crb_even)
-    sat_odd = saturation_curve(curves["odd"], crb_even)
-    sat_diff = saturation_curve(curves["differential"], crb_diff)
-    sat_diff_sqrt2 = saturation_curve(
-        curves["differential"],
-        CrbCurve(t=crb_diff.t, sigma=crb_diff.sigma * math.sqrt(2.0)))
-
-    area = config.geometry.total_area
-    rotation_equivalent = rad_per_s_to_deg_per_hour(
-        delay_to_rotation(dl_diff[1], area))
-    earth_delay = rotation_to_delay(EARTH_RATE_RAD_PER_S, area)
-
-    report = {
-        "series": {"n_samples": int(len(tau_clean)), "t0_s": t0,
-                   "dropped_bins": dropped},
-        "detection_limit": {
-            origin: {"t_s": dl[0], "sigma_s": dl[1]} for origin, dl in dls.items()
-        },
-        "detection_limit_tau": {"t_s": dl_tau[0], "sigma_s": dl_tau[1]},
-        "detection_limit_differential": {"t_s": dl_diff[0], "sigma_s": dl_diff[1]},
-        "detection_limit_differential_over_sqrt2_s": dl_diff[1] / math.sqrt(2.0),
-        "crb": {"rate_total_hz": rate, "update_period_s": update_period,
-                "formula": "sqrt(2/(omega0^2*R*t))"},
-        "saturation": {
-            "even": _curve_json(sat_even),
-            "odd": _curve_json(sat_odd),
-            "differential": _curve_json(sat_diff),
-            "differential_vs_sqrt2_bound": _curve_json(sat_diff_sqrt2),
-        },
-        "figure_of_merit_s_per_km2": figure_of_merit(dl_tau[1], area),
-        "equivalent_rotation_deg_per_h": rotation_equivalent,
-        "earth_rate": {
-            "rate_rad_per_s": EARTH_RATE_RAD_PER_S,
-            "delay_s": earth_delay,
-            "detectable_at_detection_limit": bool(earth_delay > dl_tau[1]),
-        },
-        "geometry": {
-            "total_area_m2": area,
-            "n_coils": config.geometry.n_coils,
-            "serrodyne_rate_hz_computed": config.geometry.serrodyne_rate,
-            "serrodyne_rate_hz_override": config.serrodyne_rate_override,
-        },
-    }
+    report = stability_report(curves, dropped, config.run.rate_total, config.spectrum,
+                              config.geometry, config.serrodyne_rate_override)
 
     allan_path = _out_path(args, args.out_prefix + "_allan.csv")
     report_path = _out_path(args, args.out_prefix + "_report.json")
@@ -295,8 +218,9 @@ def _cmd_stability(args) -> int:
     write_manifest(Path(str(report_path) + ".manifest.json"), _manifest(
         config, {"delays": Path(args.delays)},
         {allan_path.name: allan_path, report_path.name: report_path}))
+    dl_tau = report["detection_limit_tau"]
     print(f"wrote {allan_path} and {report_path}; "
-          f"DL(tau) = {dl_tau[1]:.3e} s at t = {dl_tau[0]:.0f} s")
+          f"DL(tau) = {dl_tau['sigma_s']:.3e} s at t = {dl_tau['t_s']:.0f} s")
     return 0
 
 
@@ -361,9 +285,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         _report_error(args, exc)
         return _USAGE_EXIT
-    except (FitError, DataError) as exc:
-        _report_error(args, exc)
-        return _DATA_EXIT
     except FogsimError as exc:
         _report_error(args, exc)
         return _DATA_EXIT

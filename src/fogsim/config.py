@@ -26,7 +26,7 @@ __all__ = ["ExperimentConfig", "AnalysisSettings", "BrightSourceSettings",
            "CalibrationProtocol", "default_config_dict", "load_config",
            "config_from_dict", "config_hash"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def default_config_dict() -> dict:
@@ -49,7 +49,6 @@ def default_config_dict() -> dict:
             "v0i_err_volt": 0.0095,
             "alpha_s_per_v": None,
             "alpha_err_s_per_v": 0.0,
-            "from_calibration": None,
         },
         "run": {
             "rate_total_hz": 631.6e3,
@@ -73,7 +72,6 @@ def default_config_dict() -> dict:
         },
         "analysis": {
             "points_per_decade": 29,
-            "adjacent_average_window": 71,
         },
         "bright_source": {
             # ch2's scan is noisier by the same 3:1 ratio as the reference
@@ -127,10 +125,15 @@ def _require_number(value, where: str, allow_none: bool = False):
     return float(value)
 
 
+def _require_int(value, where: str, minimum: int = 0) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AnalysisSettings:
     points_per_decade: int
-    adjacent_average_window: int
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,7 @@ class ExperimentConfig:
     spectrum: Spectrum
     geometry: GyroGeometry
     serrodyne_rate_override: float | None
-    modulator: ModulatorMap | None
-    modulator_from_calibration: str | None
+    modulator: ModulatorMap
     run: RunConfig
     noise: NoiseModel
     analysis: AnalysisSettings
@@ -233,30 +235,23 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
             "geometry.serrodyne_rate_override_hz", allow_none=True)
 
         mod_node = document["modulator"]
-        from_calibration = mod_node["from_calibration"]
-        modulator = None
-        if from_calibration is None:
-            alpha = _require_number(mod_node["alpha_s_per_v"],
-                                    "modulator.alpha_s_per_v", allow_none=True)
-            v0i = _require_number(mod_node["v0i_volt"], "modulator.v0i_volt")
-            if alpha is None:
-                modulator = ModulatorMap.from_inflection(
-                    v0i, _require_number(mod_node["v0i_err_volt"],
-                                         "modulator.v0i_err_volt"), spectrum)
-            else:
-                modulator = ModulatorMap(
-                    alpha=alpha, v0i=v0i,
-                    alpha_err=_require_number(mod_node["alpha_err_s_per_v"],
-                                              "modulator.alpha_err_s_per_v"))
-                modulator.check_consistency(spectrum)
+        alpha = _require_number(mod_node["alpha_s_per_v"],
+                                "modulator.alpha_s_per_v", allow_none=True)
+        v0i = _require_number(mod_node["v0i_volt"], "modulator.v0i_volt")
+        if alpha is None:
+            modulator = ModulatorMap.from_inflection(
+                v0i, _require_number(mod_node["v0i_err_volt"],
+                                     "modulator.v0i_err_volt"), spectrum)
+        else:
+            modulator = ModulatorMap(
+                alpha=alpha, v0i=v0i,
+                alpha_err=_require_number(mod_node["alpha_err_s_per_v"],
+                                          "modulator.alpha_err_s_per_v"))
+            modulator.check_consistency(spectrum)
 
         run_node = document["run"]
         tau0 = _require_number(run_node["tau0_s"], "run.tau0_s", allow_none=True)
         if tau0 is None:
-            if modulator is None:
-                raise ConfigError(
-                    "run.tau0_s is required when the modulator comes from a "
-                    "calibration file")
             tau0 = modulator.alpha * _require_number(run_node["v0_volt"], "run.v0_volt")
         run = RunConfig(
             rate_total=_require_number(run_node["rate_total_hz"], "run.rate_total_hz"),
@@ -264,7 +259,7 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
                                              "run.integration_time_s"),
             duration=_require_number(run_node["duration_s"], "run.duration_s"),
             tau0=tau0,
-            seed=int(run_node["seed"]),
+            seed=_require_int(run_node["seed"], "run.seed"),
         )
 
         noise_node = document["noise"]
@@ -275,11 +270,8 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
                                            "noise.pump_rel_sigma"),
             drift=_build_drift(noise_node["drift"]),
         )
-        analysis_node = document["analysis"]
-        analysis = AnalysisSettings(
-            points_per_decade=int(analysis_node["points_per_decade"]),
-            adjacent_average_window=int(analysis_node["adjacent_average_window"]),
-        )
+        analysis = AnalysisSettings(points_per_decade=_require_int(
+            document["analysis"]["points_per_decade"], "analysis.points_per_decade", 1))
         bright_node = document["bright_source"]
         bright = BrightSourceSettings(
             power_noise=(
@@ -292,7 +284,8 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
                                        "bright_source.scan_v_min"),
             scan_v_max=_require_number(bright_node["scan_v_max"],
                                        "bright_source.scan_v_max"),
-            scan_points=int(bright_node["scan_points"]),
+            scan_points=_require_int(bright_node["scan_points"],
+                                     "bright_source.scan_points"),
             ch1=_fringe_params(bright_node["ch1"], "bright_source.ch1"),
             ch2=_fringe_params(bright_node["ch2"], "bright_source.ch2"),
         )
@@ -302,8 +295,8 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
                                      "calibration_protocol.v_a_volt"),
             v_b_volt=_require_number(proto_node["v_b_volt"],
                                      "calibration_protocol.v_b_volt"),
-            n_steps=int(proto_node["n_steps"]),
-            repeats=int(proto_node["repeats"]),
+            n_steps=_require_int(proto_node["n_steps"], "calibration_protocol.n_steps"),
+            repeats=_require_int(proto_node["repeats"], "calibration_protocol.repeats"),
             integration_time_s=_require_number(
                 proto_node["integration_time_s"],
                 "calibration_protocol.integration_time_s"),
@@ -319,7 +312,6 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
         geometry=geometry,
         serrodyne_rate_override=serrodyne_override,
         modulator=modulator,
-        modulator_from_calibration=from_calibration,
         run=run,
         noise=noise,
         analysis=analysis,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +25,7 @@ from .stability import AllanCurve
 
 __all__ = [
     "RunManifest",
+    "write_fisher_curve",
     "write_count_series", "read_count_series",
     "write_bright_scan", "read_bright_scan",
     "write_calibration_scan", "read_calibration_scan",
@@ -35,6 +37,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+FISHER_HEADER = "tau_s,fisher_s^-2"
 COUNT_HEADER = "t_s,c1,c2"
 BRIGHT_HEADER = "v0_volt,power1_w,power2_w"
 CAL_SCAN_HEADER = "v0_volt,t_s,c1,c2"
@@ -69,19 +72,13 @@ def _read_table(path, header: str) -> list[list[str]]:
     return rows
 
 
-class _parsing:
-    """Context manager turning value-parsing failures into DataError."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None and issubclass(exc_type, ValueError):
-            raise DataError(f"{self.path}: unparseable value: {exc}") from exc
-        return False
+@contextmanager
+def _parsing(path):
+    """Turn value failures, in parsing or in validation, into DataError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"{path}: bad value: {exc}") from exc
 
 
 def file_digest(path) -> str:
@@ -89,8 +86,13 @@ def file_digest(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# count / power series
+# Fisher curve, count / power series
 # ---------------------------------------------------------------------------
+
+def write_fisher_curve(path, tau, fisher) -> None:
+    _write_lines(path, FISHER_HEADER,
+                 (f"{_f(a)},{_f(b)}" for a, b in zip(tau, fisher)))
+
 
 def write_count_series(path, series: CountSeries) -> None:
     _write_lines(path, COUNT_HEADER,
@@ -106,7 +108,7 @@ def read_count_series(path, integration_time: float) -> CountSeries:
         t = np.array([float(r[0]) for r in rows])
         c1 = np.array([int(r[1]) for r in rows])
         c2 = np.array([int(r[2]) for r in rows])
-    return CountSeries(t, c1, c2, integration_time)
+        return CountSeries(t, c1, c2, integration_time)
 
 
 def write_bright_scan(path, scan: BrightScan) -> None:
@@ -152,12 +154,13 @@ def read_calibration_scan(path, integration_time: float,
         raise DataError(f"{path}: unequal repeat counts across voltage steps")
     v0 = np.array(v_groups)
     block = np.array(grouped, dtype=np.float64)
-    return CalibrationScan(
-        v0=v0, tau_set=modulator.alpha * v0,
-        t=block[:, :, 0], c1=block[:, :, 1].astype(np.int64),
-        c2=block[:, :, 2].astype(np.int64),
-        integration_time=integration_time,
-    )
+    with _parsing(path):
+        return CalibrationScan(
+            v0=v0, tau_set=modulator.alpha * v0,
+            t=block[:, :, 0], c1=block[:, :, 1].astype(np.int64),
+            c2=block[:, :, 2].astype(np.int64),
+            integration_time=integration_time,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +215,35 @@ def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
 # calibration set JSON
 # ---------------------------------------------------------------------------
 
+# FringeFit field -> calibration JSON key, in file order
+_FRINGE_KEYS = {
+    "f0": "f0_w", "a": "a_w", "w": "w_volt", "v0i": "v0i_volt",
+    "f0_err": "f0_err_w", "a_err": "a_err_w",
+    "w_err": "w_err_volt", "v0i_err": "v0i_err_volt",
+    "chi2": "chi2", "dof": "dof", "n_iterations": "n_iterations",
+}
+
+
 def _fringe_to_dict(fit: FringeFit) -> dict:
-    return {
-        "f0_w": fit.f0, "a_w": fit.a, "w_volt": fit.w, "v0i_volt": fit.v0i,
-        "f0_err_w": fit.f0_err, "a_err_w": fit.a_err,
-        "w_err_volt": fit.w_err, "v0i_err_volt": fit.v0i_err,
-        "chi2": fit.chi2, "dof": fit.dof, "n_iterations": fit.n_iterations,
-    }
+    return {key: getattr(fit, name) for name, key in _FRINGE_KEYS.items()}
 
 
 def _fringe_from_dict(d: dict) -> FringeFit:
-    return FringeFit(
-        f0=d["f0_w"], a=d["a_w"], w=d["w_volt"], v0i=d["v0i_volt"],
-        f0_err=d["f0_err_w"], a_err=d["a_err_w"],
-        w_err=d["w_err_volt"], v0i_err=d["v0i_err_volt"],
-        chi2=d["chi2"], dof=d["dof"], n_iterations=d["n_iterations"],
-    )
+    return FringeFit(**{name: _num(d[key], key) for name, key in _FRINGE_KEYS.items()})
+
+
+def _num(value, where: str):
+    """A JSON number, unchanged; TypeError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _pair(value, where: str, item=_num) -> tuple:
+    """A JSON list of two entries, each checked by ``item``."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"{where} must be a list of two entries, got {value!r}")
+    return tuple(item(x, where) for x in value)
 
 
 def write_calibration_set(path, calset: CalibrationSet) -> None:
@@ -266,29 +282,38 @@ def read_calibration_set(path) -> CalibrationSet:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read calibration set {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
-    linear = doc["linear"]
-    return CalibrationSet(
-        fringe_fits={name: _fringe_from_dict(d)
-                     for name, d in doc["fringe_fits"].items()},
-        v0i=doc["v0i_volt"],
-        v0i_err=doc["v0i_err_volt"],
-        modulator=ModulatorMap(
-            alpha=doc["modulator"]["alpha_s_per_v"],
-            v0i=doc["modulator"]["v0i_volt"],
-            alpha_err=doc["modulator"]["alpha_err_s_per_v"],
-        ),
-        linear=LinearCalibration(
-            k1=linear["k1_per_fs"], k2=linear["k2"],
-            covariance=tuple(tuple(row) for row in linear["covariance"]),
-            tau_window=tuple(linear["tau_window_s"]) if linear["tau_window_s"] else None,
-            window_volt=tuple(linear["window_volt"]) if linear["window_volt"] else None,
-            chi2=linear["chi2"], dof=linear["dof"],
-        ),
-        dark_rates=tuple(doc["dark_rates_hz"]),
-        extras=doc.get("extras", {}),
-    )
+    try:
+        linear = doc["linear"]
+        return CalibrationSet(
+            fringe_fits={name: _fringe_from_dict(d)
+                         for name, d in doc["fringe_fits"].items()},
+            v0i=_num(doc["v0i_volt"], "v0i_volt"),
+            v0i_err=_num(doc["v0i_err_volt"], "v0i_err_volt"),
+            modulator=ModulatorMap(
+                alpha=_num(doc["modulator"]["alpha_s_per_v"], "alpha_s_per_v"),
+                v0i=_num(doc["modulator"]["v0i_volt"], "modulator.v0i_volt"),
+                alpha_err=_num(doc["modulator"]["alpha_err_s_per_v"],
+                               "alpha_err_s_per_v"),
+            ),
+            linear=LinearCalibration(
+                k1=_num(linear["k1_per_fs"], "k1_per_fs"),
+                k2=_num(linear["k2"], "k2"),
+                covariance=_pair(linear["covariance"], "covariance", _pair),
+                tau_window=None if linear["tau_window_s"] is None
+                else _pair(linear["tau_window_s"], "tau_window_s"),
+                window_volt=None if linear["window_volt"] is None
+                else _pair(linear["window_volt"], "window_volt"),
+                chi2=_num(linear["chi2"], "chi2"), dof=_num(linear["dof"], "dof"),
+            ),
+            dark_rates=_pair(doc["dark_rates_hz"], "dark_rates_hz"),
+            extras=doc.get("extras", {}),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"{path}: missing or ill-typed field: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .errors import EstimatorInconsistencyWarning, OracleAccuracyError, Paramete
 __all__ = [
     "Spectrum",
     "ModulatorMap",
-    "DelayEstimate",
     "click_probabilities",
     "fisher_information",
     "fisher_information_numeric",
@@ -120,22 +119,6 @@ class ModulatorMap:
                 f"alpha*v0i = {self.alpha * self.v0i!r} deviates from lambda0/4c = "
                 f"{target!r} by more than {tol!r}"
             )
-
-
-@dataclass(frozen=True)
-class DelayEstimate:
-    """A delay estimate with its 1-sigma uncertainty and photon budget."""
-
-    tau: float
-    sigma_tau: float
-    n_photons: float
-    flag: str = "ok"
-
-    def __post_init__(self):
-        if self.sigma_tau < 0.0:
-            raise ParameterError(f"sigma_tau must be non-negative, got {self.sigma_tau}")
-        if self.n_photons < 0.0:
-            raise ParameterError(f"n_photons must be non-negative, got {self.n_photons}")
 
 
 def click_probabilities(tau, spectrum: Spectrum):

@@ -26,7 +26,6 @@ from .errors import ParameterError
 from .model import ModulatorMap, Spectrum, click_probabilities
 
 __all__ = [
-    "CountRecord",
     "CountSeries",
     "DriftModel",
     "NoiseModel",
@@ -44,17 +43,8 @@ __all__ = [
 _CHUNK = 16384
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Photon counts of both channels in one integration bin starting at t."""
-
-    t: float
-    c1: int
-    c2: int
-
-
 class CountSeries:
-    """Column-oriented sequence of CountRecord with a common integration time."""
+    """Per-bin photon counts of both channels (columns t, c1, c2), one integration time."""
 
     def __init__(self, t: np.ndarray, c1: np.ndarray, c2: np.ndarray,
                  integration_time: float):
@@ -73,13 +63,6 @@ class CountSeries:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i: int) -> CountRecord:
-        return CountRecord(float(self.t[i]), int(self.c1[i]), int(self.c2[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CountSeries)
@@ -278,8 +261,7 @@ def simulate_bright_scan(v_range: tuple[float, float], n_steps: int,
     u = block_uniforms(key, np.arange(n_steps))
     powers = []
     for channel, params in enumerate(fringe):
-        clean = params.evaluate(v0) if hasattr(params, "evaluate") \
-            else FringeParams(params.f0, params.a, params.w, params.v0i).evaluate(v0)
+        clean = params.evaluate(v0)
         sigma = sigmas[channel]
         noise = sigma * ndtri(u[:, channel]) if sigma > 0 else 0.0
         powers.append(clean + noise)
@@ -312,6 +294,8 @@ class CalibrationScan:
             raise ParameterError("t, c1, c2 must have identical shapes")
         if self.t.shape[0] != len(self.v0):
             raise ParameterError("per-step arrays must match the voltage grid")
+        if np.any(self.c1 < 0) or np.any(self.c2 < 0):
+            raise ParameterError("counts must be non-negative")
 
     @property
     def n_steps(self) -> int:
@@ -328,15 +312,6 @@ class CalibrationScan:
         for i in range(self.n_steps):
             yield CalibrationStep(float(self.v0[i]), float(self.tau_set[i]),
                                   self.t[i], self.c1[i], self.c2[i])
-
-    def step_statistics(self) -> dict[str, np.ndarray]:
-        """Per-step mean and standard deviation of the raw channel counts."""
-        return {
-            "c1_mean": self.c1.mean(axis=1),
-            "c1_std": self.c1.std(axis=1, ddof=1),
-            "c2_mean": self.c2.mean(axis=1),
-            "c2_std": self.c2.std(axis=1, ddof=1),
-        }
 
 
 def simulate_calibration_scan(v_a: float, v_b: float, n_steps: int, repeats: int,

@@ -2,7 +2,8 @@
 
 Overlapping Allan deviation with O(N) per averaging time via prefix sums,
 even/odd differential splitting, detection-limit extraction, the
-shot-noise Cramér-Rao reference curve and saturation against it.
+shot-noise Cramér-Rao reference curve, saturation against it, and the
+stability report that gathers them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .constants import EARTH_RATE_RAD_PER_S, rad_per_s_to_deg_per_hour
+from .errors import DataError, ParameterError
+from .geometry import GyroGeometry, delay_to_rotation, figure_of_merit, rotation_to_delay
 from .model import Spectrum
 
 __all__ = [
@@ -21,7 +24,7 @@ __all__ = [
     "AllanCurve",
     "CrbCurve",
     "SaturationCurve",
-    "StabilityReport",
+    "series_from_delay_table",
     "default_m_grid",
     "overlapping_allan_deviation",
     "even_odd_split",
@@ -29,7 +32,7 @@ __all__ = [
     "detection_limit",
     "crb_curve",
     "saturation_curve",
-    "make_stability_report",
+    "stability_report",
 ]
 
 _ORIGINS = ("raw", "even", "odd", "differential")
@@ -118,14 +121,32 @@ class SaturationCurve:
     value: np.ndarray
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Detection limit with its references for one analyzed series."""
+def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
+    """The delay table as one series with its unusable bins set to nan.
 
-    detection_limit: tuple[float, float]
-    crb_reference: CrbCurve
-    saturation: SaturationCurve
-    figure_of_merit: float | None = None
+    Degenerate and non-finite bins stay in place, so position is bin index
+    and the even/odd split keeps parity across gaps (NIST SP 1065); window
+    flags are warning-grade.  Returns the series and the unusable-bin count.
+    A missing or repeated row (uneven t) raises DataError.
+    """
+    if len(tau) == 0:
+        raise ParameterError("no delay samples")
+    values = np.where([f == "degenerate" for f in flags], np.nan, tau)
+    usable = int(np.isfinite(values).sum())
+    dropped = len(values) - usable
+    if usable < 8:
+        raise ParameterError(
+            f"delay series too short after dropping {dropped} flagged bins "
+            f"({usable} < 8)")
+    t = np.asarray(t, dtype=np.float64)
+    t0 = float(np.median(np.diff(t)))
+    if not t0 > 0:
+        raise DataError(f"bin times do not increase (median step {t0})")
+    skipped = np.flatnonzero(np.rint((t - t[0]) / t0) != np.arange(len(t)))
+    if len(skipped):
+        raise DataError(f"bin times are not one step of {t0} s per row from row "
+                        f"{skipped[0]} on (missing or repeated rows)")
+    return DelaySeries(t0, values, "raw"), dropped
 
 
 def default_m_grid(n_samples: int, points_per_decade: int = 29) -> np.ndarray:
@@ -267,14 +288,64 @@ def saturation_curve(allan: AllanCurve, crb: CrbCurve) -> SaturationCurve:
     return SaturationCurve(t=allan.t.copy(), value=reference / allan.adev)
 
 
-def make_stability_report(curve: AllanCurve, crb: CrbCurve,
-                          total_area: float | None = None) -> StabilityReport:
-    """Bundle detection limit, CRB overlay, saturation and figure of merit."""
-    dl = detection_limit(curve)
-    fom = dl[1] / (total_area * 1e-6) if total_area else None
-    return StabilityReport(
-        detection_limit=dl,
-        crb_reference=crb,
-        saturation=saturation_curve(curve, crb),
-        figure_of_merit=fom,
-    )
+def _curve_json(curve: SaturationCurve) -> dict:
+    return {"t_s": curve.t.tolist(), "value": curve.value.tolist()}
+
+
+def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
+                     rate_total: float, spectrum: Spectrum, geometry: GyroGeometry,
+                     serrodyne_rate_override: float | None) -> dict:
+    """Report on the raw, even, odd and differential Allan curves.
+
+    Detection limits (the delay limit is the better of even and odd), the
+    shot-noise CRB at update period 2 t0 and saturation against it, figure
+    of merit, equivalent rotation, Earth rate and coil geometry.
+    """
+    raw = curves["raw"]
+    update_period = 2.0 * raw.t0
+    crb_even = crb_curve(rate_total, update_period, spectrum, curves["even"].t)
+    crb_diff = crb_curve(rate_total, update_period, spectrum, curves["differential"].t)
+
+    dls = {origin: detection_limit(curve) for origin, curve in curves.items()}
+    dl_tau = min((dls["even"], dls["odd"]), key=lambda d: d[1])
+    dl_diff = dls["differential"]
+
+    sat_diff_sqrt2 = saturation_curve(
+        curves["differential"],
+        CrbCurve(t=crb_diff.t, sigma=crb_diff.sigma * math.sqrt(2.0)))
+
+    area = geometry.total_area
+    earth_delay = rotation_to_delay(EARTH_RATE_RAD_PER_S, area)
+    return {
+        "series": {"n_samples": raw.n_samples, "t0_s": raw.t0,
+                   "dropped_bins": dropped_bins},
+        "detection_limit": {
+            origin: {"t_s": dl[0], "sigma_s": dl[1]} for origin, dl in dls.items()
+        },
+        "detection_limit_tau": {"t_s": dl_tau[0], "sigma_s": dl_tau[1]},
+        "detection_limit_differential": {"t_s": dl_diff[0], "sigma_s": dl_diff[1]},
+        "detection_limit_differential_over_sqrt2_s": dl_diff[1] / math.sqrt(2.0),
+        "crb": {"rate_total_hz": rate_total, "update_period_s": update_period,
+                "formula": "sqrt(2/(omega0^2*R*t))"},
+        "saturation": {
+            "even": _curve_json(saturation_curve(curves["even"], crb_even)),
+            "odd": _curve_json(saturation_curve(curves["odd"], crb_even)),
+            "differential": _curve_json(saturation_curve(curves["differential"],
+                                                         crb_diff)),
+            "differential_vs_sqrt2_bound": _curve_json(sat_diff_sqrt2),
+        },
+        "figure_of_merit_s_per_km2": figure_of_merit(dl_tau[1], area),
+        "equivalent_rotation_deg_per_h": rad_per_s_to_deg_per_hour(
+            delay_to_rotation(dl_diff[1], area)),
+        "earth_rate": {
+            "rate_rad_per_s": EARTH_RATE_RAD_PER_S,
+            "delay_s": earth_delay,
+            "detectable_at_detection_limit": bool(earth_delay > dl_tau[1]),
+        },
+        "geometry": {
+            "total_area_m2": area,
+            "n_coils": geometry.n_coils,
+            "serrodyne_rate_hz_computed": geometry.serrodyne_rate,
+            "serrodyne_rate_hz_override": serrodyne_rate_override,
+        },
+    }

@@ -18,7 +18,6 @@ from fogsim import (
     NoiseModel,
     RunConfig,
     Spectrum,
-    alpha_from_inflection,
     click_probabilities,
     combine_inflection,
     delay_to_rotation,
@@ -115,7 +114,8 @@ def test_criterion_03_calibration_numbers(spectrum):
     v0i, v0i_err = combine_inflection([(3.85, 0.01), (3.93, 0.03)])
     assert abs(v0i_err - 0.0095) < 1e-4
     assert abs(v0i - 3.8596) < 2e-3
-    alpha, alpha_err = alpha_from_inflection(3.8596, 0.0095, spectrum)
+    modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
+    alpha, alpha_err = modulator.alpha, modulator.alpha_err
     assert abs(alpha - 3.35e-16) < 0.005e-16  # rounds to the reference 3.35
     assert 0.0 < alpha_err <= 0.03e-16
     elapsed = time.perf_counter() - start

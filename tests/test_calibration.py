@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,23 +6,20 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from fogsim import (
-    CountRecord,
     FringeParams,
     LinearCalibration,
     ModulatorMap,
     NoiseModel,
     RunConfig,
-    alpha_from_inflection,
     combine_inflection,
     contrast_points_from_scan,
     delay_from_contrast,
     fit_fringe,
     fit_linear_calibration,
     ideal_linear_calibration,
-    normalize_counts,
     simulate_calibration_scan,
 )
-from fogsim.calibration import ContrastPoint
+from fogsim.calibration import ContrastPoint, normalize_count_arrays
 from fogsim.errors import FitError, ParameterError
 
 TABLE1 = {
@@ -123,7 +121,8 @@ class TestCombineInflection:
 
 class TestAlphaFromInflection:
     def test_reference_value(self, spectrum):
-        alpha, alpha_err = alpha_from_inflection(3.8596, 0.0095, spectrum)
+        modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
+        alpha, alpha_err = modulator.alpha, modulator.alpha_err
         assert abs(alpha - 3.35e-16) < 0.005e-16  # rounds to 3.35e-16
         assert alpha_err == pytest.approx(alpha * 0.0095 / 3.8596, rel=1e-12)
         assert 0 < alpha_err <= 0.03e-16  # within the reference uncertainty
@@ -132,35 +131,34 @@ class TestAlphaFromInflection:
         assert spectrum.quarter_wave_delay == pytest.approx(1.2924e-15, rel=2e-4)
 
     def test_inverse_scaling(self, spectrum):
-        alpha1, _ = alpha_from_inflection(3.8596, 0.0, spectrum)
-        alpha2, _ = alpha_from_inflection(2 * 3.8596, 0.0, spectrum)
+        alpha1 = ModulatorMap.from_inflection(3.8596, 0.0, spectrum).alpha
+        alpha2 = ModulatorMap.from_inflection(2 * 3.8596, 0.0, spectrum).alpha
         assert alpha2 == pytest.approx(alpha1 / 2, rel=1e-14)
 
 
 class TestNormalizeCounts:
     def test_balanced(self):
-        point = normalize_counts(CountRecord(0.0, 1000, 1000), (0.0, 0.0), 1.0)
-        assert point.x1 == 0.5
-        assert point.x2 == 0.5
-        assert point.dx == 0.0
-        assert not point.degenerate
+        x1, dx, _, degenerate = normalize_count_arrays([1000], [1000], (0.0, 0.0), 1.0)
+        assert x1[0] == 0.5
+        assert dx[0] == 0.0
+        assert not degenerate[0]
 
     def test_contrast_and_error(self):
-        point = normalize_counts(CountRecord(0.0, 300, 100), (0.0, 0.0), 1.0)
-        assert point.dx == pytest.approx(0.5, rel=1e-14)
-        assert point.dx_err == pytest.approx(math.sqrt(4 * 300 * 100 / 400**3),
-                                             rel=1e-12)
-        assert point.dx_err == pytest.approx(0.0433, abs=1e-4)
+        _, dx, dx_err, _ = normalize_count_arrays([300], [100], (0.0, 0.0), 1.0)
+        assert dx[0] == pytest.approx(0.5, rel=1e-14)
+        assert dx_err[0] == pytest.approx(math.sqrt(4 * 300 * 100 / 400**3), rel=1e-12)
+        assert dx_err[0] == pytest.approx(0.0433, abs=1e-4)
 
     def test_dark_dominated_bin_flagged(self):
-        point = normalize_counts(CountRecord(0.0, 30, 25), (25.0, 25.0), 1.0)
-        assert point.degenerate
+        x1, dx, dx_err, degenerate = normalize_count_arrays(
+            [30, 300], [25, 100], (25.0, 25.0), 1.0)
+        assert degenerate.tolist() == [True, False]
+        assert np.isnan([x1[0], dx[0], dx_err[0]]).all()
 
     def test_scaling_invariance(self):
-        a = normalize_counts(CountRecord(0.0, 300, 100), (0.0, 0.0), 1.0)
-        b = normalize_counts(CountRecord(0.0, 2100, 700), (0.0, 0.0), 1.0)
-        assert b.x1 == pytest.approx(a.x1, rel=1e-14)
-        assert b.dx == pytest.approx(a.dx, rel=1e-14)
+        x1, dx, _, _ = normalize_count_arrays([300, 2100], [100, 700], (0.0, 0.0), 1.0)
+        assert x1[1] == pytest.approx(x1[0], rel=1e-14)
+        assert dx[1] == pytest.approx(dx[0], rel=1e-14)
 
 
 class TestFitLinearCalibration:
@@ -245,10 +243,10 @@ class TestDelayFromContrast:
 
     def test_inverts_the_line(self):
         calib = self.calib()
-        estimate = delay_from_contrast(calib.k2 + calib.k1 * 1.0, 1e-3, calib)
-        assert estimate.tau == pytest.approx(1e-15, rel=1e-12)
-        assert delay_from_contrast(calib.k2, 1e-3, calib).tau == \
-            pytest.approx(0.0, abs=1e-30)
+        tau, _, _ = delay_from_contrast(np.array([calib.k2 + calib.k1 * 1.0, calib.k2]),
+                                        1e-3, calib)
+        assert tau[0] == pytest.approx(1e-15, rel=1e-12)
+        assert tau[1] == pytest.approx(0.0, abs=1e-30)
 
     def test_round_trip_composition(self, spectrum):
         """voltage -> tau -> contrast -> tau reproduces alpha * V to 1e-12."""
@@ -256,25 +254,25 @@ class TestDelayFromContrast:
         tau_true = modulator.alpha * 3.86
         calib = ideal_linear_calibration(spectrum, tau_true)
         dx_forward = calib.k1 * (tau_true * 1e15) + calib.k2
-        estimate = delay_from_contrast(dx_forward, 0.0, calib,
-                                       include_calibration_error=False)
-        assert estimate.tau == pytest.approx(tau_true, rel=1e-12)
-        assert estimate.tau == pytest.approx(1.294e-15, rel=1e-3)
+        tau, sigma, _ = delay_from_contrast(dx_forward, 0.0, calib)
+        assert tau == pytest.approx(tau_true, rel=1e-12)
+        assert tau == pytest.approx(1.294e-15, rel=1e-3)
+        assert sigma == 0.0  # the ideal calibration has zero covariance
 
     def test_error_propagation_modes(self):
+        """A calibration with zero covariance gives the statistical error alone."""
         calib = self.calib()
-        with_cal = delay_from_contrast(0.12, 1e-3, calib)
-        without = delay_from_contrast(0.12, 1e-3, calib,
-                                      include_calibration_error=False)
-        assert without.sigma_tau == pytest.approx(1e-3 / TABLE2_K1 * 1e-15, rel=1e-12)
-        assert with_cal.sigma_tau > without.sigma_tau
+        exact = dataclasses.replace(calib, covariance=((0.0, 0.0), (0.0, 0.0)))
+        _, with_cal, _ = delay_from_contrast(0.12, 1e-3, calib)
+        _, without, _ = delay_from_contrast(0.12, 1e-3, exact)
+        assert without == pytest.approx(1e-3 / TABLE2_K1 * 1e-15, rel=1e-12)
+        assert with_cal > without
 
     def test_window_flagging(self):
         calib = self.calib()
-        inside = delay_from_contrast(calib.k2 + calib.k1 * 1.35, 1e-3, calib)
-        assert inside.flag == "ok"
-        outside = delay_from_contrast(calib.k2 + calib.k1 * 2.0, 1e-3, calib)
-        assert outside.flag == "window"
+        dx = calib.k2 + calib.k1 * np.array([1.35, 2.0, np.nan])
+        _, _, outside = delay_from_contrast(dx, 1e-3, calib)
+        assert outside.tolist() == [False, True, False]
 
 
 class TestContrastPointsFromScan:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fogsim import Spectrum
+from fogsim import Spectrum, overnight_drift
 from fogsim.cli import main
 from fogsim.io_formats import (
     file_digest,
@@ -229,16 +229,20 @@ class TestEstimateCommand:
         assert all(f == "degenerate" for f in flags)
 
 
+def write_delays(path: Path, t, tau, sigma, flags) -> None:
+    rows = ["t_s,tau_s,sigma_tau_s,flag"]
+    rows += [f"{float(a)!r},{float(b)!r},{float(sigma)!r},{f}"
+             for a, b, f in zip(t, tau, flags)]
+    path.write_text("\n".join(rows) + "\n")
+
+
 class TestStabilityCommand:
     @staticmethod
     def white_noise_delays(path: Path, n: int, seed: int = 8080):
         rng = np.random.default_rng(seed)
         sigma_point = 1.0 / (OMEGA0 * math.sqrt(RATE))
         tau = 1.294e-15 + sigma_point * rng.standard_normal(n)
-        rows = ["t_s,tau_s,sigma_tau_s,flag"]
-        rows += [f"{float(i)!r},{float(tau[i])!r},{sigma_point!r},ok"
-                 for i in range(n)]
-        path.write_text("\n".join(rows) + "\n")
+        write_delays(path, np.arange(n), tau, sigma_point, ["ok"] * n)
         return sigma_point
 
     def test_white_noise_tracks_crb(self, tmp_path):
@@ -307,6 +311,119 @@ class TestStabilityCommand:
         delays.write_text("t_s,tau_s,sigma_tau_s,flag\n")
         assert run("stability", "--delays", delays,
                    "--out-prefix", tmp_path / "stab") == 2
+
+
+class TestStabilityGaps:
+    N = 32_400
+
+    def stability(self, tmp_path: Path, name: str, tau, flags):
+        delays = tmp_path / f"{name}.csv"
+        sigma_point = 1.0 / (OMEGA0 * math.sqrt(RATE))
+        write_delays(delays, np.arange(self.N), tau, sigma_point, flags)
+        assert run("stability", "--delays", delays, "--out-prefix", tmp_path / name) == 0
+        report = json.loads((tmp_path / f"{name}_report.json").read_text())
+        return read_allan_curves(tmp_path / f"{name}_allan.csv"), report
+
+    def test_degenerate_odd_bin_keeps_parity(self, tmp_path):
+        """A 9 h overnight-drift series with an even/odd offset: dropping one
+        odd bin mid-run leaves the even curve untouched and every detection
+        limit within 10 % of the gap-free analysis."""
+        rng = np.random.default_rng(2402)
+        t = np.arange(self.N, dtype=np.float64)
+        tau = 1.294e-15 + overnight_drift().deterministic(t) \
+            + rng.standard_normal(self.N) / (OMEGA0 * math.sqrt(RATE))
+        tau[0::2] += 5e-19
+        flags = ["ok"] * self.N
+        full_curves, full_report = self.stability(tmp_path, "full", tau, flags)
+        gap = self.N // 2 + 1  # an odd bin, written as estimate writes it
+        tau[gap], flags[gap] = math.nan, "degenerate"
+        gap_curves, gap_report = self.stability(tmp_path, "gap", tau, flags)
+
+        assert gap_report["series"]["dropped_bins"] == 1
+        for key in ("m", "adev", "ci"):
+            np.testing.assert_array_equal(gap_curves["even"][key],
+                                          full_curves["even"][key])
+        for origin, limit in full_report["detection_limit"].items():
+            assert gap_report["detection_limit"][origin]["sigma_s"] == \
+                pytest.approx(limit["sigma_s"], rel=0.10), origin
+
+    def test_missing_row_is_data_error(self, tmp_path):
+        delays = tmp_path / "delays.csv"
+        t = np.delete(np.arange(40.0), 17)
+        write_delays(delays, t, np.full(len(t), 1.294e-15), 1e-18, ["ok"] * len(t))
+        assert run("stability", "--delays", delays,
+                   "--out-prefix", tmp_path / "stab") == 3
+
+
+def _counts_csv(path: Path, counts) -> Path:
+    rows = ["t_s,c1,c2"] + [f"{float(i)!r},{c1},{c2}" for i, (c1, c2) in enumerate(counts)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def _calibration_with(tmp_path: Path, calibrated: Path, edit) -> Path:
+    doc = json.loads(Path(calibrated).read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _config_case(key, value):
+    def argv(tmp_path, calibrated):
+        return ["--config", write_config(tmp_path, **{key: value}),
+                "fisher", "--n-points", 1, "--out", tmp_path / "f.csv"]
+    return argv
+
+
+def _estimate_case(edit):
+    def argv(tmp_path, calibrated):
+        counts = _counts_csv(tmp_path / "counts.csv", [(500, 400)] * 4)
+        return ["estimate", "--counts", counts,
+                "--calibration", _calibration_with(tmp_path, calibrated, edit),
+                "--out", tmp_path / "delays.csv"]
+    return argv
+
+
+def _negative_counts(tmp_path, calibrated):
+    counts = _counts_csv(tmp_path / "counts.csv", [(500, 400), (-3, 400)])
+    return ["estimate", "--counts", counts, "--calibration", calibrated,
+            "--out", tmp_path / "delays.csv"]
+
+
+def _negative_scan_counts(tmp_path, calibrated):
+    scan = tmp_path / "scan.csv"
+    rows = ["v0_volt,t_s,c1,c2"]
+    for step, v in enumerate(np.linspace(3.6, 4.4, 10)):
+        rows += [f"{float(v)!r},{0.1 * (3 * step + r)!r},{-1 if r else 500},400"
+                 for r in range(3)]
+    scan.write_text("\n".join(rows) + "\n")
+    return ["calibrate", "--simulate-bright", "--counts", scan,
+            "--out", tmp_path / "cal.json"]
+
+
+BAD_INPUTS = {
+    "seed_fraction": (_config_case("run.seed", 1.9), 2),
+    "seed_bool": (_config_case("run.seed", True), 2),
+    "scan_points_string": (_config_case("bright_source.scan_points", "3"), 2),
+    "points_per_decade_zero": (_config_case("analysis.points_per_decade", 0), 2),
+    "calibration_without_linear": (_estimate_case(lambda d: d.pop("linear")), 3),
+    "calibration_k1_string": (
+        _estimate_case(lambda d: d["linear"].update(k1_per_fs="1.09")), 3),
+    "calibration_fit_without_chi2": (
+        _estimate_case(lambda d: d["fringe_fits"]["ch1"].pop("chi2")), 3),
+    "negative_counts": (_negative_counts, 3),
+    "negative_scan_counts": (_negative_scan_counts, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(case, tmp_path, calibrated, capsys):
+    argv, expected = BAD_INPUTS[case]
+    assert run(*argv(tmp_path, calibrated)) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("fogsim: error:")
+    assert "Traceback" not in err
 
 
 class TestConfigHandling:

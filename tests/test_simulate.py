@@ -154,12 +154,6 @@ class TestCountSeries:
             CountSeries(np.array([1.0, 0.0]), np.array([1, 2]),
                         np.array([1, 2]), 1.0)
 
-    def test_record_access(self):
-        series = CountSeries(np.array([0.0, 1.0]), np.array([3, 4]),
-                             np.array([5, 6]), 1.0)
-        assert series[1].c1 == 4
-        assert [r.c2 for r in series] == [5, 6]
-
 
 class TestBrightScan:
     def test_noiseless_value_at_own_inflection(self):
@@ -220,14 +214,6 @@ class TestCalibrationScan:
         p1, p2 = np.mean(x1), 1 - np.mean(x1)
         predicted = p1 * p2 / (RATE * 0.1)
         assert measured_var == pytest.approx(predicted, rel=0.5)
-
-    def test_step_statistics_shapes(self, spectrum):
-        modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
-        scan = simulate_calibration_scan(3.6, 4.4, 10, 5, self.scan_config(),
-                                         spectrum, modulator, quiet_noise())
-        stats = scan.step_statistics()
-        assert stats["c1_mean"].shape == (10,)
-        assert np.all(stats["c1_std"] >= 0)
 
     def test_equal_bounds_rejected(self, spectrum):
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)

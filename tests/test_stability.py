@@ -12,9 +12,9 @@ from fogsim import (
     default_m_grid,
     detection_limit,
     even_odd_split,
-    make_stability_report,
     overlapping_allan_deviation,
     saturation_curve,
+    stability_report,
 )
 from fogsim.errors import ParameterError
 
@@ -297,15 +297,19 @@ class TestSaturationCurve:
         assert np.all(np.diff(sat.value) < 0)
 
 
-class TestStabilityReport:
-    def test_detection_limit_consistency(self, rng, spectrum):
+class TestReport:
+    def test_detection_limit_consistency(self, rng, spectrum, geometry):
         x = 1e-18 * rng.standard_normal(20_000)
-        curve = overlapping_allan_deviation(DelaySeries(1.0, x))
-        crb = crb_curve(631.6e3, 2.0, spectrum, curve.t)
-        report = make_stability_report(curve, crb, total_area=125.0)
-        assert report.detection_limit[1] == curve.adev.min()
-        assert report.figure_of_merit == pytest.approx(
-            curve.adev.min() / 1.25e-4, rel=1e-12)
+        raw = DelaySeries(1.0, x)
+        curves = {series.origin: overlapping_allan_deviation(series)
+                  for series in (raw, *even_odd_split(raw))}
+        report = stability_report(curves, 0, 631.6e3, spectrum, geometry, None)
+        assert report["detection_limit"]["raw"]["sigma_s"] == curves["raw"].adev.min()
+        best = min(curves["even"].adev.min(), curves["odd"].adev.min())
+        assert report["detection_limit_tau"]["sigma_s"] == best
+        assert report["figure_of_merit_s_per_km2"] == pytest.approx(
+            best / (geometry.total_area * 1e-6), rel=1e-12)
+        assert report["crb"]["update_period_s"] == 2.0
 
 
 class TestDelaySeries:
