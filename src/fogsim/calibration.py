@@ -367,19 +367,20 @@ def fit_linear_calibration(points, window_volt: tuple[float, float] | None = Non
     """Weighted linear least squares of dX against tau (closed form).
 
     Degenerate points are skipped; at least three usable points with
-    positive errors are required.  The covariance of (k1, k2) comes from
-    the normal equations with the supplied errors taken as exact.
+    positive errors are required, else FitError.  The covariance of
+    (k1, k2) comes from the normal equations with the supplied errors taken
+    as exact.
     """
     usable = [p for p in points if not p.degenerate]
     if len(usable) < 3:
-        raise ParameterError(f"need at least 3 usable calibration points, got {len(usable)}")
+        raise FitError(f"need at least 3 usable calibration points, got {len(usable)}")
     tau = np.array([p.tau for p in usable], dtype=np.float64)
     dx = np.array([p.dx for p in usable], dtype=np.float64)
     err = np.array([p.dx_err for p in usable], dtype=np.float64)
     if not np.all(np.isfinite(tau)):
-        raise ParameterError("all calibration points must have tau set")
+        raise FitError("all calibration points must have tau set")
     if not np.all(err > 0):
-        raise ParameterError("all dx_err must be positive")
+        raise FitError("all dx_err must be positive")
 
     x = tau * _FS  # delays in fs keep the normal equations well scaled
     w = 1.0 / err**2

@@ -182,21 +182,24 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# drift config key -> DriftModel field
+_DRIFT_TERMS = {"linear_s_per_s": "linear", "sine_amplitude_s": "sine_amplitude",
+                "sine_period_s": "sine_period", "random_walk_s_per_sqrt_s": "random_walk"}
+
+
 def _build_drift(node: dict) -> DriftModel:
-    preset = node.get("preset", "none")
-    if preset == "overnight":
-        return overnight_drift()
-    if preset not in ("none", "custom"):
+    """A drift preset, or the four drift terms under preset "custom"."""
+    terms = {key: _require_number(node[key], f"noise.drift.{key}") for key in _DRIFT_TERMS}
+    preset = node["preset"]
+    if preset == "custom":
+        return DriftModel(**{_DRIFT_TERMS[key]: value for key, value in terms.items()})
+    if preset not in ("none", "overnight"):
         raise ConfigError(f"unknown drift preset {preset!r}")
-    if preset == "none":
-        return DriftModel()
-    return DriftModel(
-        linear=_require_number(node["linear_s_per_s"], "drift.linear_s_per_s"),
-        sine_amplitude=_require_number(node["sine_amplitude_s"], "drift.sine_amplitude_s"),
-        sine_period=_require_number(node["sine_period_s"], "drift.sine_period_s"),
-        random_walk=_require_number(node["random_walk_s_per_sqrt_s"],
-                                    "drift.random_walk_s_per_sqrt_s"),
-    )
+    nonzero = [key for key, value in terms.items() if value]
+    if nonzero:
+        raise ConfigError(f"noise.drift terms {nonzero} apply only with preset "
+                          f"'custom', got preset {preset!r}")
+    return overnight_drift() if preset == "overnight" else DriftModel()
 
 
 def _fringe_params(node: dict, where: str) -> FringeParams:
@@ -218,7 +221,11 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
 
     spec_node = document["spectrum"]
     sigma_omega = _require_number(spec_node["sigma_omega"], "spectrum.sigma_omega")
-    if not spec_node["sigma_omega_is_angular"]:
+    angular = spec_node["sigma_omega_is_angular"]
+    if not isinstance(angular, bool):
+        raise ConfigError("spectrum.sigma_omega_is_angular must be true or false, "
+                          f"got {angular!r}")
+    if not angular:
         sigma_omega *= 2.0 * math.pi
     try:
         spectrum = Spectrum.from_wavelength(

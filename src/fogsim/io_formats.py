@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -21,7 +22,7 @@ from .calibration import CalibrationSet, FringeFit, LinearCalibration
 from .errors import DataError
 from .model import ModulatorMap
 from .simulate import BrightScan, CalibrationScan, CountSeries
-from .stability import AllanCurve
+from .stability import ORIGINS, AllanCurve
 
 __all__ = [
     "RunManifest",
@@ -44,37 +45,66 @@ CAL_SCAN_HEADER = "v0_volt,t_s,c1,c2"
 DELAY_HEADER = "t_s,tau_s,sigma_tau_s,flag"
 ALLAN_HEADER = "origin,m,t_s,adev_s,ci_s,n_terms"
 
+DELAY_FLAGS = ("ok", "degenerate", "window")
+
 
 def _f(x) -> str:
     """Shortest decimal that round-trips the float exactly."""
     return repr(float(x))
 
 
-def _write_lines(path, header: str, rows) -> None:
+def _write_table(path, header: str, *columns) -> None:
+    """One CSV row per entry of the columns: floats via repr, the rest via str."""
+    cells = [map(_f if len(c) and isinstance(c[0], (float, np.floating)) else str, c)
+             for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        for row in zip(*cells):
+            fh.write(",".join(row) + "\n")
 
 
-def _read_table(path, header: str) -> list[list[str]]:
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump({"schema_version": SCHEMA_VERSION, **doc}, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
+    """The columns of a CSV table, typed by ``dtype`` (e.g. "f8,i8,i8").
+
+    Integer cells must be plain integers and no line is a comment.  String
+    fields are sized one character past the longest valid value, because
+    loadtxt truncates longer strings to the field size.
+    """
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        with open(path) as fh:
+            found = fh.readline().rstrip("\n")
+            if found == header:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # header-only file
+                    return np.loadtxt(fh, delimiter=",", dtype=np.dtype(dtype),
+                                      comments=None, ndmin=1, unpack=True)
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != header:
-        raise DataError(f"{path}: expected header {header!r}, got "
-                        f"{lines[0]!r}" if lines else f"{path}: empty file")
-    n_cols = header.count(",") + 1
-    rows = [line.split(",") for line in lines[1:] if line]
-    if any(len(r) != n_cols for r in rows):
-        raise DataError(f"{path}: malformed row (expected {n_cols} columns)")
-    return rows
+    raise DataError(f"{path}: expected header {header!r}, got {found!r}")
+
+
+def _nonempty(path, columns: list[np.ndarray]) -> list[np.ndarray]:
+    if len(columns[0]) == 0:
+        raise DataError(f"{path}: no data rows")
+    return columns
+
+
+def _check_labels(path, name: str, values: np.ndarray, allowed: tuple[str, ...]) -> None:
+    bad = np.flatnonzero(~np.isin(values, allowed))
+    if len(bad):
+        raise DataError(f"{path}: data row {bad[0] + 1} has {name} "
+                        f"{str(values[bad[0]])!r}, expected one of {allowed}")
 
 
 @contextmanager
 def _parsing(path):
-    """Turn value failures, in parsing or in validation, into DataError."""
+    """Turn validation failures of the values read into DataError."""
     try:
         yield
     except ValueError as exc:
@@ -90,75 +120,47 @@ def file_digest(path) -> str:
 # ---------------------------------------------------------------------------
 
 def write_fisher_curve(path, tau, fisher) -> None:
-    _write_lines(path, FISHER_HEADER,
-                 (f"{_f(a)},{_f(b)}" for a, b in zip(tau, fisher)))
+    _write_table(path, FISHER_HEADER, tau, fisher)
 
 
 def write_count_series(path, series: CountSeries) -> None:
-    _write_lines(path, COUNT_HEADER,
-                 (f"{_f(t)},{c1},{c2}"
-                  for t, c1, c2 in zip(series.t, series.c1, series.c2)))
+    _write_table(path, COUNT_HEADER, series.t, series.c1, series.c2)
 
 
 def read_count_series(path, integration_time: float) -> CountSeries:
-    rows = _read_table(path, COUNT_HEADER)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    t, c1, c2 = _nonempty(path, _read_table(path, COUNT_HEADER, "f8,i8,i8"))
     with _parsing(path):
-        t = np.array([float(r[0]) for r in rows])
-        c1 = np.array([int(r[1]) for r in rows])
-        c2 = np.array([int(r[2]) for r in rows])
         return CountSeries(t, c1, c2, integration_time)
 
 
 def write_bright_scan(path, scan: BrightScan) -> None:
-    _write_lines(path, BRIGHT_HEADER,
-                 (f"{_f(v)},{_f(a)},{_f(b)}"
-                  for v, a, b in zip(scan.v0, scan.power1, scan.power2)))
+    _write_table(path, BRIGHT_HEADER, scan.v0, scan.power1, scan.power2)
 
 
 def read_bright_scan(path) -> BrightScan:
-    rows = _read_table(path, BRIGHT_HEADER)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    with _parsing(path):
-        data = np.array([[float(x) for x in r] for r in rows])
-    return BrightScan(v0=data[:, 0], power1=data[:, 1], power2=data[:, 2])
+    v0, power1, power2 = _nonempty(path, _read_table(path, BRIGHT_HEADER, "f8,f8,f8"))
+    return BrightScan(v0=v0, power1=power1, power2=power2)
 
 
 def write_calibration_scan(path, scan: CalibrationScan) -> None:
-    def rows():
-        for step in scan.steps():
-            for t, c1, c2 in zip(step.t, step.c1, step.c2):
-                yield f"{_f(step.v0)},{_f(t)},{c1},{c2}"
-    _write_lines(path, CAL_SCAN_HEADER, rows())
+    _write_table(path, CAL_SCAN_HEADER, np.repeat(scan.v0, scan.repeats),
+                 scan.t.ravel(), scan.c1.ravel(), scan.c2.ravel())
 
 
 def read_calibration_scan(path, integration_time: float,
                           modulator: ModulatorMap) -> CalibrationScan:
     """Rebuild a grouped scan; repeats are consecutive rows sharing a voltage."""
-    rows = _read_table(path, CAL_SCAN_HEADER)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    v_groups: list[float] = []
-    grouped: list[list[list[float]]] = []
-    with _parsing(path):
-        for r in rows:
-            v = float(r[0])
-            if not v_groups or v != v_groups[-1]:
-                v_groups.append(v)
-                grouped.append([])
-            grouped[-1].append([float(r[1]), int(r[2]), int(r[3])])
-    repeats = len(grouped[0])
-    if any(len(g) != repeats for g in grouped):
+    v, t, c1, c2 = _nonempty(path, _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8"))
+    starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
+    sizes = np.diff(np.append(starts, len(v)))
+    if np.any(sizes != sizes[0]):
         raise DataError(f"{path}: unequal repeat counts across voltage steps")
-    v0 = np.array(v_groups)
-    block = np.array(grouped, dtype=np.float64)
+    v0 = v[starts]
+    shape = (len(starts), int(sizes[0]))
     with _parsing(path):
         return CalibrationScan(
-            v0=v0, tau_set=modulator.alpha * v0,
-            t=block[:, :, 0], c1=block[:, :, 1].astype(np.int64),
-            c2=block[:, :, 2].astype(np.int64),
+            v0=v0, tau_set=modulator.alpha * v0, t=t.reshape(shape),
+            c1=c1.reshape(shape), c2=c2.reshape(shape),
             integration_time=integration_time,
         )
 
@@ -168,47 +170,35 @@ def read_calibration_scan(path, integration_time: float,
 # ---------------------------------------------------------------------------
 
 def write_delay_series(path, t, tau, sigma_tau, flags) -> None:
-    _write_lines(path, DELAY_HEADER,
-                 (f"{_f(a)},{_f(b)},{_f(c)},{d}"
-                  for a, b, c, d in zip(t, tau, sigma_tau, flags)))
+    _write_table(path, DELAY_HEADER, t, tau, sigma_tau, flags)
 
 
 def read_delay_series(path):
-    """Returns (t, tau, sigma_tau, flags) arrays; flags is a list of str.
+    """Returns (t, tau, sigma_tau, flags) arrays; flags is a str array.
 
     An empty table is returned as empty arrays so length preconditions can
     surface as usage errors downstream.
     """
-    rows = _read_table(path, DELAY_HEADER)
-    with _parsing(path):
-        t = np.array([float(r[0]) for r in rows])
-        tau = np.array([float(r[1]) for r in rows])
-        sigma = np.array([float(r[2]) for r in rows])
-    flags = [r[3] for r in rows]
+    t, tau, sigma, flags = _read_table(path, DELAY_HEADER, "f8,f8,f8,U11")
+    _check_labels(path, "flag", flags, DELAY_FLAGS)
     return t, tau, sigma, flags
 
 
 def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
-    def rows():
-        for origin, curve in curves.items():
-            for m, t, adev, ci, n in zip(curve.m, curve.t, curve.adev,
-                                         curve.ci, curve.n_terms):
-                yield f"{origin},{m},{_f(t)},{_f(adev)},{_f(ci)},{n}"
-    _write_lines(path, ALLAN_HEADER, rows())
+    def stacked(name):  # no curves: header only
+        return np.concatenate([getattr(c, name) for c in curves.values()] or [()])
+    _write_table(path, ALLAN_HEADER,
+                 np.repeat(list(curves), [len(c.m) for c in curves.values()]),
+                 *map(stacked, ("m", "t", "adev", "ci", "n_terms")))
 
 
 def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
-    rows = _read_table(path, ALLAN_HEADER)
-    out: dict[str, dict[str, list]] = {}
-    for r in rows:
-        entry = out.setdefault(r[0], {"m": [], "t": [], "adev": [], "ci": [], "n_terms": []})
-        entry["m"].append(int(r[1]))
-        entry["t"].append(float(r[2]))
-        entry["adev"].append(float(r[3]))
-        entry["ci"].append(float(r[4]))
-        entry["n_terms"].append(int(r[5]))
-    return {origin: {k: np.array(v) for k, v in entry.items()}
-            for origin, entry in out.items()}
+    origin, *columns = _read_table(path, ALLAN_HEADER, "U13,i8,f8,f8,f8,i8")
+    _check_labels(path, "origin", origin, ORIGINS)
+    names, first = np.unique(origin, return_index=True)
+    return {str(name): {key: column[origin == name] for key, column in
+                        zip(("m", "t", "adev", "ci", "n_terms"), columns)}
+            for name in names[np.argsort(first)]}
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +237,7 @@ def _pair(value, where: str, item=_num) -> tuple:
 
 
 def write_calibration_set(path, calset: CalibrationSet) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    _write_json(path, {
         "fringe_fits": {name: _fringe_to_dict(fit)
                         for name, fit in calset.fringe_fits.items()},
         "v0i_volt": calset.v0i,
@@ -271,10 +260,7 @@ def write_calibration_set(path, calset: CalibrationSet) -> None:
         },
         "dark_rates_hz": list(calset.dark_rates),
         "extras": calset.extras,
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def read_calibration_set(path) -> CalibrationSet:
@@ -321,10 +307,7 @@ def read_calibration_set(path) -> CalibrationSet:
 # ---------------------------------------------------------------------------
 
 def write_report(path, report: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **report}
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, report)
 
 
 @dataclass
@@ -346,7 +329,4 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **asdict(manifest)}
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, asdict(manifest))

@@ -35,7 +35,7 @@ __all__ = [
     "stability_report",
 ]
 
-_ORIGINS = ("raw", "even", "odd", "differential")
+ORIGINS = ("raw", "even", "odd", "differential")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class DelaySeries:
             raise ParameterError(f"t0 must be positive, got {self.t0}")
         if len(self.values) < 2:
             raise ParameterError("a delay series needs at least 2 samples")
-        if self.origin not in _ORIGINS:
-            raise ParameterError(f"origin must be one of {_ORIGINS}, got {self.origin!r}")
+        if self.origin not in ORIGINS:
+            raise ParameterError(f"origin must be one of {ORIGINS}, got {self.origin!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -131,7 +131,7 @@ def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
     """
     if len(tau) == 0:
         raise ParameterError("no delay samples")
-    values = np.where([f == "degenerate" for f in flags], np.nan, tau)
+    values = np.where(np.asarray(flags) == "degenerate", np.nan, tau)
     usable = int(np.isfinite(values).sum())
     dropped = len(values) - usable
     if usable < 8:
@@ -299,7 +299,8 @@ def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
 
     Detection limits (the delay limit is the better of even and odd), the
     shot-noise CRB at update period 2 t0 and saturation against it, figure
-    of merit, equivalent rotation, Earth rate and coil geometry.
+    of merit, equivalent rotation, Earth rate and coil geometry.  A zero
+    detection limit (constant delays) raises DataError.
     """
     raw = curves["raw"]
     update_period = 2.0 * raw.t0
@@ -307,6 +308,9 @@ def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
     crb_diff = crb_curve(rate_total, update_period, spectrum, curves["differential"].t)
 
     dls = {origin: detection_limit(curve) for origin, curve in curves.items()}
+    flat = [origin for origin, dl in dls.items() if not dl[1] > 0]
+    if flat:
+        raise DataError(f"zero Allan deviation in {flat}: the usable delays do not vary")
     dl_tau = min((dls["even"], dls["odd"]), key=lambda d: d[1])
     dl_diff = dls["differential"]
 

@@ -230,8 +230,9 @@ class TestFitLinearCalibration:
             fit_linear_calibration(points)
 
     def test_too_few_points(self):
-        with pytest.raises(ParameterError):
-            fit_linear_calibration(self.points_from_line(1.0, 0.0, [1.2, 1.3], 1e-3))
+        points = self.points_from_line(TABLE2_K1, TABLE2_K2, [1.2, 1.3], 1e-3)
+        with pytest.raises(FitError):
+            fit_linear_calibration(points)
 
 
 class TestDelayFromContrast:

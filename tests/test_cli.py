@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,17 @@ class TestCalibrateCommand:
     def test_missing_inputs_usage_error(self, tmp_path):
         assert run("calibrate", "--out", tmp_path / "cal.json") == 2
 
+    def test_kept_scans_reproduce_the_calibration(self, tmp_path):
+        assert run("--out-dir", tmp_path, "calibrate", "--simulate-bright",
+                   "--simulate-counts", "--keep-intermediate",
+                   "--out", "simulated.json") == 0
+        assert run("--out-dir", tmp_path, "calibrate",
+                   "--bright", tmp_path / "bright_scan.csv",
+                   "--counts", tmp_path / "calibration_scan.csv",
+                   "--out", "from_files.json") == 0
+        assert (tmp_path / "from_files.json").read_bytes() == \
+            (tmp_path / "simulated.json").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def calibrated(tmp_path_factory):
@@ -309,8 +321,10 @@ class TestStabilityCommand:
     def test_empty_input_usage_error(self, tmp_path):
         delays = tmp_path / "delays.csv"
         delays.write_text("t_s,tau_s,sigma_tau_s,flag\n")
-        assert run("stability", "--delays", delays,
-                   "--out-prefix", tmp_path / "stab") == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the header-only table reads quietly
+            assert run("stability", "--delays", delays,
+                       "--out-prefix", tmp_path / "stab") == 2
 
 
 class TestStabilityGaps:
@@ -402,6 +416,24 @@ def _negative_scan_counts(tmp_path, calibrated):
             "--out", tmp_path / "cal.json"]
 
 
+def _identical_scan_repeats(tmp_path, calibrated):
+    scan = tmp_path / "scan.csv"
+    rows = ["v0_volt,t_s,c1,c2"]
+    for step, v in enumerate(np.linspace(3.6, 4.4, 20)):
+        rows += [f"{float(v)!r},{0.1 * (3 * step + r)!r},1000,900" for r in range(3)]
+    scan.write_text("\n".join(rows) + "\n")
+    return ["calibrate", "--simulate-bright", "--counts", scan,
+            "--out", tmp_path / "cal.json"]
+
+
+def _stability_case(tau, flag):
+    def argv(tmp_path, calibrated):
+        delays = tmp_path / "delays.csv"
+        write_delays(delays, np.arange(len(tau)), tau, 1e-18, [flag] * len(tau))
+        return ["stability", "--delays", delays, "--out-prefix", tmp_path / "stab"]
+    return argv
+
+
 BAD_INPUTS = {
     "seed_fraction": (_config_case("run.seed", 1.9), 2),
     "seed_bool": (_config_case("run.seed", True), 2),
@@ -414,16 +446,26 @@ BAD_INPUTS = {
         _estimate_case(lambda d: d["fringe_fits"]["ch1"].pop("chi2")), 3),
     "negative_counts": (_negative_counts, 3),
     "negative_scan_counts": (_negative_scan_counts, 3),
+    "identical_scan_repeats": (_identical_scan_repeats, 3),
+    "constant_delays": (_stability_case(np.full(11, 1e-15), "ok"), 3),
+    "unknown_delay_flag": (_stability_case(1e-15 + 1e-18 * np.arange(11), "bogus"), 3),
+    "angular_flag_string": (_config_case("spectrum.sigma_omega_is_angular", "false"), 2),
+    "drift_term_string": (_config_case("noise.drift.linear_s_per_s", "abc"), 2),
+    "drift_term_without_custom": (_config_case("noise.drift.linear_s_per_s", 1e-18), 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exit_code(case, tmp_path, calibrated, capsys):
     argv, expected = BAD_INPUTS[case]
-    assert run(*argv(tmp_path, calibrated)) == expected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv(tmp_path, calibrated)) == expected
     err = capsys.readouterr().err
     assert err.startswith("fogsim: error:")
     assert "Traceback" not in err
+    # on the command line each warning would be printed to stderr
+    assert [str(w.message) for w in caught] == []
 
 
 class TestConfigHandling:
