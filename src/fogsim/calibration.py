@@ -342,14 +342,13 @@ def contrast_points_from_scan(scan, dark: tuple[float, float],
     if error_mode not in ("sem", "std"):
         raise ParameterError(f"error_mode must be 'sem' or 'std', got {error_mode!r}")
     points = []
-    for step in scan.steps():
-        x1, dx, _, degenerate = normalize_count_arrays(
-            step.c1, step.c2, dark, scan.integration_time)
+    for tau, c1, c2 in zip(scan.tau_set.tolist(), scan.c1, scan.c2):
+        x1, dx, _, degenerate = normalize_count_arrays(c1, c2, dark, scan.integration_time)
         good = ~degenerate
         n_good = int(good.sum())
         if n_good < 2:
             points.append(ContrastPoint(x1=math.nan, x2=math.nan, dx=math.nan,
-                                        dx_err=math.nan, tau=step.tau, degenerate=True))
+                                        dx_err=math.nan, tau=tau, degenerate=True))
             continue
         dx_good = dx[good]
         spread = float(np.std(dx_good, ddof=1))
@@ -357,7 +356,7 @@ def contrast_points_from_scan(scan, dark: tuple[float, float],
         x1_mean = float(np.mean(x1[good]))
         points.append(ContrastPoint(
             x1=x1_mean, x2=1.0 - x1_mean, dx=float(np.mean(dx_good)),
-            dx_err=err, tau=step.tau,
+            dx_err=err, tau=tau,
         ))
     return points
 

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import poisson
 
-from ._philox import RNG_ALGORITHM, block_uniforms, derive_keys
 from .calibration import FringeParams
 from .errors import ParameterError
 from .model import ModulatorMap, Spectrum, click_probabilities
@@ -31,7 +30,6 @@ __all__ = [
     "NoiseModel",
     "RunConfig",
     "BrightScan",
-    "CalibrationStep",
     "CalibrationScan",
     "overnight_drift",
     "simulate_run",
@@ -41,6 +39,32 @@ __all__ = [
 ]
 
 _CHUNK = 16384
+MAX_BINS = 10**9  # a larger run's counts CSV alone would take tens of GB
+
+RNG_ALGORITHM = "philox4x64-10"
+
+
+def derive_keys(seed: int, n_keys: int) -> np.ndarray:
+    """Expand one user seed into ``n_keys`` independent 128-bit Philox keys."""
+    state = np.random.SeedSequence(seed).generate_state(2 * n_keys, np.uint64)
+    return state.reshape(n_keys, 2)
+
+
+def block_uniforms(key: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Four open-interval (0, 1) doubles for each index start, ..., start + n - 1.
+
+    Index k's doubles come from the Philox4x64-10 block at counter
+    [k, 0, 0, 0] under ``key``.  numpy increments the counter before it
+    produces a block, so the generator is set to start - 1; for start 0
+    that is the all-ones counter, which wraps to 0.  Each call builds its
+    own bit generator, so threads share no state and chunk order cannot
+    matter.
+    The half-ulp offset keeps 0 and 1 unreachable, so inverse-CDF
+    transforms of the output are always finite.
+    """
+    bits = np.random.Philox(key=key, counter=(start - 1) % 2**256)
+    words = bits.random_raw(4 * n).reshape(n, 4)
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 class CountSeries:
@@ -56,6 +80,8 @@ class CountSeries:
             raise ParameterError("t, c1, c2 must have equal length")
         if np.any(self.c1 < 0) or np.any(self.c2 < 0):
             raise ParameterError("counts must be non-negative")
+        if not np.all(np.isfinite(self.t)):
+            raise ParameterError("bin times must be finite")
         if np.any(np.diff(self.t) < 0):
             raise ParameterError("bin times must be non-decreasing")
         if not self.integration_time > 0:
@@ -145,8 +171,14 @@ class RunConfig:
             raise ParameterError("rate_total must be non-negative")
         if not self.integration_time > 0:
             raise ParameterError("integration_time must be positive")
+        if not math.isfinite(self.duration):
+            raise ParameterError(f"duration must be finite, got {self.duration}")
         if self.duration < self.integration_time:
             raise ParameterError("duration must cover at least one integration bin")
+        bins = self.duration / self.integration_time
+        if bins > MAX_BINS:
+            raise ParameterError(f"a run may have at most {MAX_BINS:.0e} bins, "
+                                 f"got duration / integration_time = {bins:.3g}")
         if not math.isfinite(self.tau0):
             raise ParameterError("tau0 must be finite")
         if not 0 <= int(self.seed) < 2**64:
@@ -162,17 +194,17 @@ def _delay_track(t: np.ndarray, tau0, noise: NoiseModel,
     """Per-bin delay: set point plus deterministic drift plus random walk."""
     tau = np.asarray(tau0, dtype=np.float64) + noise.drift.deterministic(t)
     if noise.drift.random_walk > 0.0 and len(t) > 1:
-        u = block_uniforms(key_drift, np.arange(len(t) - 1))
+        u = block_uniforms(key_drift, 0, len(t) - 1)
         steps = noise.drift.random_walk * math.sqrt(integration_time) * ndtri(u[:, 0])
         tau = tau + np.concatenate([[0.0], np.cumsum(steps)])
     return tau
 
 
-def _draw_counts(indices: np.ndarray, key_counts: np.ndarray, p1: np.ndarray,
+def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
                  p2: np.ndarray, mean_total: float, dark_counts: tuple[float, float],
                  pump_rel_sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts for a slice of bins; a pure function of (key, bin index)."""
-    u = block_uniforms(key_counts, indices)
+    """Counts for bins start, start + 1, ...; a pure function of (key, bin index)."""
+    u = block_uniforms(key_counts, start, len(p1))
     if pump_rel_sigma > 0.0:
         gain = np.maximum(1.0 + pump_rel_sigma * ndtri(u[:, 0]), 0.0)
     else:
@@ -199,8 +231,7 @@ def _generate_counts(tau: np.ndarray, rate_total: float, integration_time: float
     slices = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
     def fill(sl: slice) -> None:
-        idx = np.arange(sl.start, sl.stop)
-        c1[sl], c2[sl] = _draw_counts(idx, key_counts, p1[sl], p2[sl],
+        c1[sl], c2[sl] = _draw_counts(sl.start, key_counts, p1[sl], p2[sl],
                                       mean_total, dark_counts, noise.pump_rel_sigma)
 
     if workers > 1 and len(slices) > 1:
@@ -258,7 +289,7 @@ def simulate_bright_scan(v_range: tuple[float, float], n_steps: int,
         raise ParameterError("power_noise_sigma must be non-negative")
     v0 = np.linspace(v_range[0], v_range[1], n_steps)
     key = derive_keys(seed, 1)[0]
-    u = block_uniforms(key, np.arange(n_steps))
+    u = block_uniforms(key, 0, n_steps)
     powers = []
     for channel, params in enumerate(fringe):
         clean = params.evaluate(v0)
@@ -266,17 +297,6 @@ def simulate_bright_scan(v_range: tuple[float, float], n_steps: int,
         noise = sigma * ndtri(u[:, channel]) if sigma > 0 else 0.0
         powers.append(clean + noise)
     return BrightScan(v0=v0, power1=powers[0], power2=powers[1])
-
-
-@dataclass(frozen=True)
-class CalibrationStep:
-    """All repeats acquired at one calibration voltage."""
-
-    v0: float
-    tau: float
-    t: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
 
 
 class CalibrationScan:
@@ -307,11 +327,6 @@ class CalibrationScan:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def steps(self):
-        for i in range(self.n_steps):
-            yield CalibrationStep(float(self.v0[i]), float(self.tau_set[i]),
-                                  self.t[i], self.c1[i], self.c2[i])
 
 
 def simulate_calibration_scan(v_a: float, v_b: float, n_steps: int, repeats: int,

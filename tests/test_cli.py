@@ -399,6 +399,22 @@ def _estimate_case(edit):
     return argv
 
 
+def _simulate_case(*options, **config):
+    def argv(tmp_path, calibrated):
+        return ["--config", write_config(tmp_path, **config), "simulate", *options,
+                "--out", tmp_path / "counts.csv"]
+    return argv
+
+
+def _counts_time_case(bad):
+    def argv(tmp_path, calibrated):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"t_s,c1,c2\n0.0,500,400\n{bad},500,400\n{bad},500,400\n")
+        return ["estimate", "--counts", counts, "--calibration", calibrated,
+                "--out", tmp_path / "delays.csv"]
+    return argv
+
+
 def _negative_counts(tmp_path, calibrated):
     counts = _counts_csv(tmp_path / "counts.csv", [(500, 400), (-3, 400)])
     return ["estimate", "--counts", counts, "--calibration", calibrated,
@@ -452,6 +468,13 @@ BAD_INPUTS = {
     "angular_flag_string": (_config_case("spectrum.sigma_omega_is_angular", "false"), 2),
     "drift_term_string": (_config_case("noise.drift.linear_s_per_s", "abc"), 2),
     "drift_term_without_custom": (_config_case("noise.drift.linear_s_per_s", 1e-18), 2),
+    "duration_nan": (_simulate_case("--duration", "nan"), 2),
+    "duration_inf": (_simulate_case("--duration", "inf"), 2),
+    "duration_1e30": (_simulate_case("--duration", "1e30"), 2),
+    "bins_over_cap": (_simulate_case(**{"run.integration_time_s": 1e-9,
+                                        "run.duration_s": 1e9}), 2),
+    "counts_time_inf": (_counts_time_case("inf"), 3),
+    "counts_time_nan": (_counts_time_case("nan"), 3),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from fogsim import (
     simulate_calibration_scan,
     simulate_run,
 )
-from fogsim._philox import block_uniforms, philox4x64
 from fogsim.calibration import fit_fringe, normalize_count_arrays
 from fogsim.errors import ParameterError
+from fogsim.simulate import MAX_BINS, block_uniforms
 
 RATE = 631.6e3
 TABLE1_CH1 = FringeParams(f0=482e-9, a=364e-9, w=7.84, v0i=3.85)
@@ -28,30 +30,34 @@ def quiet_noise():
 
 
 class TestPhilox:
-    def test_matches_numpy_with_counter_offset(self, rng):
-        """numpy's Philox increments the counter before producing a block, so
-        its output at counter c equals ours at c + 1 (with carry)."""
-        for _ in range(20):
-            key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-            counter = rng.integers(0, 2**64, size=4, dtype=np.uint64)
-            reference = np.random.Philox(key=key, counter=counter).random_raw(4)
-            bumped = counter.copy()
-            for word in range(4):
-                bumped[word] = bumped[word] + np.uint64(1)
-                if bumped[word] != 0:
-                    break
-            mine = philox4x64(key, bumped[None, :])[0]
-            np.testing.assert_array_equal(mine, reference)
+    def test_matches_numpy_with_counter_offset(self):
+        """Pinned blocks for key [1, 2] at indices 0, 16384 and 2**40: every
+        simulated data file depends on this stream staying the same."""
+        key = np.array([1, 2], dtype=np.uint64)
+        expected = {
+            0: ["0x1.1bf7cca708927p-2", "0x1.27af628a3a7b1p-2",
+                "0x1.4a38fbc1f98c3p-2", "0x1.a695e1ded7149p-2"],
+            16384: ["0x1.b31ac20e1f882p-1", "0x1.d75807245a9aep-1",
+                    "0x1.399820fadf790p-6", "0x1.72e545cc908b0p-1"],
+            2**40: ["0x1.a6846000457fdp-2", "0x1.fefa40b252094p-1",
+                    "0x1.49e16df9134dep-1", "0x1.2422b76de567dp-2"],
+        }
+        for index, block in expected.items():
+            assert block_uniforms(key, index, 1)[0].tolist() == [
+                float.fromhex(x) for x in block]
 
     def test_carry_across_words(self):
+        """Any slice of the stream equals its blocks drawn one at a time,
+        also where the counter's low word carries into the next."""
         key = np.array([123, 456], dtype=np.uint64)
-        counter = np.array([2**64 - 1, 7, 0, 0], dtype=np.uint64)
-        reference = np.random.Philox(key=key, counter=counter).random_raw(4)
-        mine = philox4x64(key, np.array([[0, 8, 0, 0]], dtype=np.uint64))[0]
-        np.testing.assert_array_equal(mine, reference)
+        for start in (0, 1, 16383, 2**40, 2**64 - 5):
+            block = block_uniforms(key, start, 10)
+            assert block.shape == (10, 4)
+            for i in range(10):
+                np.testing.assert_array_equal(block[i], block_uniforms(key, start + i, 1)[0])
 
     def test_uniforms_open_interval(self):
-        u = block_uniforms(np.array([1, 2], dtype=np.uint64), np.arange(100_000))
+        u = block_uniforms(np.array([1, 2], dtype=np.uint64), 0, 100_000)
         assert u.shape == (100_000, 4)
         assert u.min() > 0.0
         assert u.max() < 1.0
@@ -140,9 +146,16 @@ class TestSimulateRun:
         with pytest.raises(ParameterError):
             RunConfig(rate_total=-1.0, integration_time=1.0, duration=10.0,
                       tau0=0.0, seed=1)
-        with pytest.raises(ParameterError):
-            RunConfig(rate_total=1e3, integration_time=1.0, duration=0.5,
-                      tau0=0.0, seed=1)
+        for integration, duration in [(1.0, 0.5), (1.0, math.nan), (1.0, math.inf),
+                                      (1.0, 1e30), (1e-9, 1e9), (1.0, MAX_BINS + 2.0)]:
+            with pytest.raises(ParameterError):
+                RunConfig(rate_total=1e3, integration_time=integration,
+                          duration=duration, tau0=0.0, seed=1)
+
+    def test_largest_run_accepted(self):
+        config = RunConfig(rate_total=1e3, integration_time=1.0, duration=float(MAX_BINS),
+                           tau0=0.0, seed=1)
+        assert config.n_bins == MAX_BINS
 
 
 class TestCountSeries:
@@ -153,6 +166,10 @@ class TestCountSeries:
         with pytest.raises(ParameterError):
             CountSeries(np.array([1.0, 0.0]), np.array([1, 2]),
                         np.array([1, 2]), 1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                CountSeries(np.array([0.0, bad]), np.array([1, 2]),
+                            np.array([1, 2]), 1.0)
 
 
 class TestBrightScan:
