@@ -228,8 +228,26 @@ def _cmd_stability(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are reported like every other usage error."""
+
+    def error(self, message):
+        raise ParameterError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _worker_count(text: str) -> int:
+    """The --workers value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fogsim",
         description="Photon-counting gyroscope simulator and stability analysis")
     parser.add_argument("--config", help="JSON configuration file")
@@ -237,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="directory for relative output paths")
     parser.add_argument("--json-errors", action="store_true",
                         help="emit errors as JSON on stderr")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_worker_count, default=1,
                         help="worker threads for bin generation / Allan analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -278,9 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParameterError) as exc:
         _report_error(args, exc)

@@ -17,8 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import poisson
+from scipy.special import ndtri, pdtr
 
 from .calibration import FringeParams
 from .errors import ParameterError
@@ -40,6 +39,7 @@ __all__ = [
 
 _CHUNK = 16384
 MAX_BINS = 10**9  # a larger run's counts CSV alone would take tens of GB
+MAX_MEAN_COUNT = 1e15  # per bin; keeps k and k +- 1 exact in float64
 
 RNG_ALGORITHM = "philox4x64-10"
 
@@ -59,12 +59,20 @@ def block_uniforms(key: np.ndarray, start: int, n: int) -> np.ndarray:
     that is the all-ones counter, which wraps to 0.  Each call builds its
     own bit generator, so threads share no state and chunk order cannot
     matter.
-    The half-ulp offset keeps 0 and 1 unreachable, so inverse-CDF
-    transforms of the output are always finite.
     """
     bits = np.random.Philox(key=key, counter=(start - 1) % 2**256)
-    words = bits.random_raw(4 * n).reshape(n, 4)
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _uniforms_from_words(bits.random_raw(4 * n).reshape(n, 4))
+
+
+def _uniforms_from_words(words: np.ndarray) -> np.ndarray:
+    """((w >> 11) + 0.5) 2^-53 for each 64-bit word, strictly inside (0, 1).
+
+    The half-ulp offset keeps 0 unreachable.  The top word rounds up to
+    exactly 1.0 in float64, so it is clamped to the largest double below 1;
+    inverse-CDF transforms of the output are therefore always finite.
+    """
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
 
 
 class CountSeries:
@@ -200,6 +208,34 @@ def _delay_track(t: np.ndarray, tau0, noise: NoiseModel,
     return tau
 
 
+def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Smallest integer k >= 0 with pdtr(k, lam) >= u, elementwise.
+
+    This is the definition SciPy's poisson.ppf implements; lam = 0 gives
+    0.  The search starts from the Cornish-Fisher guess
+    lam + sqrt(lam) z + (z^2 - 1) / 6 with z = ndtri(u), then steps down
+    while the count below still reaches u and up while k falls short; each
+    step evaluates pdtr only where k is still moving, about 2.5 calls per
+    draw.  u must lie in (0, 1); u = 1 would never stop stepping, and
+    neither would a mean so large that k - 1 == k in float64.
+    """
+    if not np.all(lam <= MAX_MEAN_COUNT):  # also rejects NaN
+        raise ParameterError(f"the mean count per bin must be at most "
+                             f"{MAX_MEAN_COUNT:.0e}, got {np.max(lam):.3g}")
+    z = ndtri(u)
+    k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0), 0.0)
+    down = np.flatnonzero(k > 0)
+    while down.size:
+        down = down[pdtr(k[down] - 1.0, lam[down]) >= u[down]]
+        k[down] -= 1.0
+        down = down[k[down] > 0]
+    up = np.flatnonzero(pdtr(k, lam) < u)
+    while up.size:
+        k[up] += 1.0
+        up = up[pdtr(k[up], lam[up]) < u[up]]
+    return k.astype(np.int64)
+
+
 def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
                  p2: np.ndarray, mean_total: float, dark_counts: tuple[float, float],
                  pump_rel_sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +247,7 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
         gain = 1.0
     lam1 = gain * mean_total * p1 + dark_counts[0]
     lam2 = gain * mean_total * p2 + dark_counts[1]
-    c1 = poisson.ppf(u[:, 1], lam1).astype(np.int64)
-    c2 = poisson.ppf(u[:, 2], lam2).astype(np.int64)
-    return c1, c2
+    return _poisson_quantile(u[:, 1], lam1), _poisson_quantile(u[:, 2], lam2)
 
 
 def _generate_counts(tau: np.ndarray, rate_total: float, integration_time: float,

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fogsim
 from fogsim import Spectrum, overnight_drift
 from fogsim.cli import main
 from fogsim.io_formats import (
@@ -450,6 +454,12 @@ def _stability_case(tau, flag):
     return argv
 
 
+def _workers_case(value, *command):
+    def argv(tmp_path, calibrated):
+        return ["--workers", value, *command, tmp_path / "out"]
+    return argv
+
+
 BAD_INPUTS = {
     "seed_fraction": (_config_case("run.seed", 1.9), 2),
     "seed_bool": (_config_case("run.seed", True), 2),
@@ -473,8 +483,12 @@ BAD_INPUTS = {
     "duration_1e30": (_simulate_case("--duration", "1e30"), 2),
     "bins_over_cap": (_simulate_case(**{"run.integration_time_s": 1e-9,
                                         "run.duration_s": 1e9}), 2),
+    "rate_over_count_cap": (_simulate_case(**{"run.rate_total_hz": 1e300,
+                                              "run.duration_s": 5.0}), 2),
     "counts_time_inf": (_counts_time_case("inf"), 3),
     "counts_time_nan": (_counts_time_case("nan"), 3),
+    "workers_zero": (_workers_case(0, "simulate", "--out"), 2),
+    "workers_negative": (_workers_case(-3, "stability", "--delays"), 2),
 }
 
 
@@ -489,6 +503,16 @@ def test_bad_input_exit_code(case, tmp_path, calibrated, capsys):
     assert "Traceback" not in err
     # on the command line each warning would be printed to stderr
     assert [str(w.message) for w in caught] == []
+
+
+def test_import_leaves_out_scipy_stats():
+    """scipy.stats takes about a second to import, and no command needs it."""
+    src = str(Path(fogsim.__file__).resolve().parents[1])
+    code = ("import fogsim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestConfigHandling:

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import pdtr
+from scipy.stats import poisson
 
 from fogsim import (
     CountSeries,
@@ -18,7 +21,7 @@ from fogsim import (
 )
 from fogsim.calibration import fit_fringe, normalize_count_arrays
 from fogsim.errors import ParameterError
-from fogsim.simulate import MAX_BINS, block_uniforms
+from fogsim.simulate import MAX_BINS, _poisson_quantile, _uniforms_from_words, block_uniforms
 
 RATE = 631.6e3
 TABLE1_CH1 = FringeParams(f0=482e-9, a=364e-9, w=7.84, v0i=3.85)
@@ -62,6 +65,75 @@ class TestPhilox:
         assert u.min() > 0.0
         assert u.max() < 1.0
         assert abs(u.mean() - 0.5) < 5e-3
+
+    def test_extreme_words_stay_inside(self):
+        """The lowest and highest 64-bit words map strictly inside (0, 1);
+        without the clamp the highest would round to exactly 1.0."""
+        u = _uniforms_from_words(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert u.tolist() == [2.0**-54, 1.0 - 2.0**-53]
+
+
+def quantile_corpus():
+    """1,081,344 (u, lam) pairs: 2**20 Philox uniforms spread over 256 rates
+    (0 and 1e-3 ... 1.3e6), plus 128 tail values of u at every rate, from
+    1e-16 up to the double nearest 1 - 1e-14."""
+    lam_grid = np.concatenate([[0.0], np.logspace(-3, np.log10(1.3e6), 255)])
+    u_bulk = block_uniforms(np.array([2016, 955], dtype=np.uint64), 0, 2**18).ravel()
+    u_tail = np.concatenate([np.logspace(-16, -1, 64), 1.0 - np.logspace(-1, -14, 64)])
+    lam_tail, u_tail = (a.ravel() for a in np.meshgrid(lam_grid, u_tail))
+    return (np.concatenate([u_bulk, u_tail]),
+            np.concatenate([np.tile(lam_grid, len(u_bulk) // len(lam_grid)), lam_tail]))
+
+
+class TestPoissonQuantile:
+    """The count draw against its oracle: the smallest k >= 0 with
+    pdtr(k, lam) >= u, which scipy.stats.poisson.ppf also computes."""
+
+    def test_matches_scipy_ppf(self):
+        rng = np.random.default_rng(955)
+        u = np.concatenate([[2.0**-54, 1e-16, 1e-12, 1e-6, 1e-3],
+                            np.linspace(0.01, 0.99, 21),
+                            1.0 - np.array([1e-3, 1e-6, 1e-10, 1e-13, 1e-14])])
+        for lam0 in (0.0, 2.5, 1e2, 1e4, 3.2e5):
+            for _ in range(3):
+                lam = lam0 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, u.shape))
+                np.testing.assert_array_equal(_poisson_quantile(u, lam),
+                                              poisson.ppf(u, lam).astype(np.int64))
+
+    def test_corpus_digest(self):
+        """SHA-256 of the little-endian int64 counts on the corpus.  The pinned
+        value is the digest of scipy.stats.poisson.ppf on the same corpus, so
+        every one of its draws agrees with scipy's quantile."""
+        u, lam = quantile_corpus()
+        assert len(u) >= 10**6
+        k = _poisson_quantile(u, lam)
+        assert hashlib.sha256(k.astype("<i8").tobytes()).hexdigest() == (
+            "74eef688c9fca2f8c02de0f8a85eef151ea06cb2a4962e9edc0b2f16750200b7")
+
+    def test_deep_tail_follows_pdtr_definition(self):
+        """Within 100 ulps of 1 pdtr saturates and scipy's root finder can
+        return a count whose predecessor already reaches u; the draw keeps to
+        pdtr(k - 1, lam) < u <= pdtr(k, lam)."""
+        u = 1.0 - 2.0**-53 * np.arange(1, 101)
+        for lam0 in (0.0, 2.5, 1e2, 1e4, 3.2e5, 1.3e6):
+            lam = np.full(u.shape, lam0)
+            k = _poisson_quantile(u, lam)
+            assert np.all(u <= pdtr(k, lam))
+            assert np.all(pdtr(k - 1, lam)[k > 0] < u[k > 0])
+
+    def test_largest_uniform_gives_finite_count(self):
+        lam = np.array([0.0, 2.5, 3.2e5])
+        k = _poisson_quantile(np.full(3, 1.0 - 2.0**-53), lam)
+        assert k[0] == 0
+        assert np.all(k[1:] > lam[1:])
+        assert np.all(k < lam + 20.0 * np.sqrt(lam) + 50.0)
+
+    def test_mean_beyond_exact_counts_rejected(self):
+        """Above 2**53 a step of one count is lost in rounding and the search
+        would never end."""
+        for lam in (1e300, math.nan):
+            with pytest.raises(ParameterError):
+                _poisson_quantile(np.array([0.5]), np.array([lam]))
 
 
 class TestSimulateRun:
