@@ -26,7 +26,6 @@ from .config import ExperimentConfig, config_from_dict, default_config_dict, loa
 from .geometry import (
     GyroGeometry,
     delay_to_rotation,
-    derived_geometry,
     figure_of_merit,
     rotation_to_delay,
 )
@@ -34,11 +33,8 @@ from .model import (
     ModulatorMap,
     Spectrum,
     click_probabilities,
-    cramer_rao_bound,
-    delay_from_voltage,
     fisher_information,
     fisher_information_numeric,
-    saturation,
 )
 from .simulate import (
     BrightScan,
@@ -54,16 +50,12 @@ from .simulate import (
 )
 from .stability import (
     AllanCurve,
-    CrbCurve,
     DelaySeries,
-    SaturationCurve,
-    adjacent_average,
     crb_curve,
     default_m_grid,
     detection_limit,
     even_odd_split,
     overlapping_allan_deviation,
-    saturation_curve,
     series_from_delay_table,
     stability_report,
 )

@@ -105,25 +105,19 @@ class LinearCalibration:
 
 @dataclass(frozen=True)
 class ContrastPoint:
-    """Normalized per-bin contrast: x1 = c1/(c1+c2), dx = x1 - x2.
+    """Normalized per-bin contrast dx = (c1 - c2) / (c1 + c2) and its error.
 
     ``tau`` is the applied delay when known (nan otherwise); ``degenerate``
     marks bins whose dark-corrected counts carry no usable contrast.
     """
 
-    x1: float
-    x2: float
     dx: float
     dx_err: float
     tau: float = math.nan
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.degenerate:
-            return
-        if abs(self.x1 + self.x2 - 1.0) > 1e-12:
-            raise ParameterError("x1 + x2 must equal 1")
-        if not -1.0 <= self.dx <= 1.0:
+        if not self.degenerate and not -1.0 <= self.dx <= 1.0:
             raise ParameterError(f"dx must lie in [-1, 1], got {self.dx}")
 
 
@@ -154,11 +148,6 @@ def _fringe_jacobian(v: np.ndarray, p: np.ndarray) -> np.ndarray:
         -a * cos * arg / w,
         -a * cos * np.pi / w,
     ])
-
-
-def _fringe_model(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    f0, a, w, v0i = p
-    return f0 + a * np.sin(np.pi * (v - v0i) / w)
 
 
 def _initial_guess(v: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -236,14 +225,14 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     rel_change = math.inf
     iterations = 0
     for iterations in range(1, _GN_MAX_ITER + 1):
-        residual = (y - _fringe_model(v, p)) * weights
+        residual = (y - FringeParams(*p).evaluate(v)) * weights
         jac = _fringe_jacobian(v, p) * weights[:, None]
         step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
         cost = residual @ residual
         damping = 1.0
         while damping >= 1e-12:
             p_try = p + damping * step
-            r_try = (y - _fringe_model(v, p_try)) * weights
+            r_try = (y - FringeParams(*p_try).evaluate(v)) * weights
             if r_try @ r_try <= cost * (1.0 + 1e-15):
                 break
             damping *= 0.5
@@ -277,7 +266,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
         raise FitError("singular fringe-fit covariance", {"params": p.tolist()}) from exc
-    residual = (y - _fringe_model(v, p)) * weights
+    residual = (y - FringeParams(*p).evaluate(v)) * weights
     errors = np.sqrt(np.diag(cov))
     return FringeFit(
         f0=float(p[0]), a=float(p[1]), w=float(p[2]), v0i=float(p[3]),
@@ -312,8 +301,8 @@ def combine_inflection(estimates) -> tuple[float, float]:
 def normalize_count_arrays(c1, c2, dark: tuple[float, float], integration: float):
     """Dark-correct count arrays, c' = max(c - dark * T, 0), and normalize.
 
-    x1 = c1' / (c1' + c2'), dx = x1 - x2, and dx_err = sqrt(4 c1' c2' /
-    (c1' + c2')^3) by Poisson propagation.  Returns (x1, dx, dx_err,
+    dx = (c1' - c2') / (c1' + c2') and dx_err = sqrt(4 c1' c2' /
+    (c1' + c2')^3) by Poisson propagation.  Returns (dx, dx_err,
     degenerate_mask); bins with an empty corrected channel are degenerate
     and nan.
     """
@@ -323,10 +312,9 @@ def normalize_count_arrays(c1, c2, dark: tuple[float, float], integration: float
     c2p = np.maximum(np.asarray(c2, dtype=np.float64) - dark[1] * integration, 0.0)
     degenerate = (c1p <= 0.0) | (c2p <= 0.0)
     total = np.where(degenerate, 1.0, c1p + c2p)
-    x1 = np.where(degenerate, np.nan, c1p / total)
     dx = np.where(degenerate, np.nan, (c1p - c2p) / total)
     dx_err = np.where(degenerate, np.nan, np.sqrt(4.0 * c1p * c2p / total**3))
-    return x1, dx, dx_err, degenerate
+    return dx, dx_err, degenerate
 
 
 def contrast_points_from_scan(scan, dark: tuple[float, float],
@@ -343,21 +331,17 @@ def contrast_points_from_scan(scan, dark: tuple[float, float],
         raise ParameterError(f"error_mode must be 'sem' or 'std', got {error_mode!r}")
     points = []
     for tau, c1, c2 in zip(scan.tau_set.tolist(), scan.c1, scan.c2):
-        x1, dx, _, degenerate = normalize_count_arrays(c1, c2, dark, scan.integration_time)
+        dx, _, degenerate = normalize_count_arrays(c1, c2, dark, scan.integration_time)
         good = ~degenerate
         n_good = int(good.sum())
         if n_good < 2:
-            points.append(ContrastPoint(x1=math.nan, x2=math.nan, dx=math.nan,
-                                        dx_err=math.nan, tau=tau, degenerate=True))
+            points.append(ContrastPoint(dx=math.nan, dx_err=math.nan, tau=tau,
+                                        degenerate=True))
             continue
         dx_good = dx[good]
         spread = float(np.std(dx_good, ddof=1))
         err = spread / math.sqrt(n_good) if error_mode == "sem" else spread
-        x1_mean = float(np.mean(x1[good]))
-        points.append(ContrastPoint(
-            x1=x1_mean, x2=1.0 - x1_mean, dx=float(np.mean(dx_good)),
-            dx_err=err, tau=tau,
-        ))
+        points.append(ContrastPoint(dx=float(np.mean(dx_good)), dx_err=err, tau=tau))
     return points
 
 
@@ -441,7 +425,7 @@ def estimate_delays(counts, calset: "CalibrationSet"):
     Returns (tau, sigma_tau, flags): seconds, seconds, and a list with one
     of "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan.
     """
-    _, dx, dx_err, degenerate = normalize_count_arrays(
+    dx, dx_err, degenerate = normalize_count_arrays(
         counts.c1, counts.c2, calset.dark_rates, counts.integration_time)
     tau, sigma, outside = delay_from_contrast(dx, dx_err, calset.linear)
     flags = np.full(len(tau), "ok", dtype=object)

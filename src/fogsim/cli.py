@@ -296,20 +296,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = None
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse fails before it sets any flag, so a usage error reads this one
+    # from the raw arguments.
+    json_errors = "--json-errors" in argv
     try:
         args = _build_parser().parse_args(argv)
+        json_errors = args.json_errors
         return args.func(args)
     except (ConfigError, ParameterError) as exc:
-        _report_error(args, exc)
+        _report_error(json_errors, exc)
         return _USAGE_EXIT
     except FogsimError as exc:
-        _report_error(args, exc)
+        _report_error(json_errors, exc)
         return _DATA_EXIT
 
 
-def _report_error(args, exc: Exception) -> None:
-    if getattr(args, "json_errors", False):
+def _report_error(json_errors: bool, exc: Exception) -> None:
+    if json_errors:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
     else:

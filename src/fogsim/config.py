@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .calibration import FringeParams
 from .errors import ConfigError
-from .geometry import GyroGeometry, derived_geometry
+from .geometry import GyroGeometry
 from .model import ModulatorMap, Spectrum
 from .simulate import DriftModel, NoiseModel, RunConfig, overnight_drift
 
@@ -232,7 +232,7 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
             _require_number(spec_node["lambda0_m"], "spectrum.lambda0_m"), sigma_omega)
 
         geo_node = document["geometry"]
-        geometry = derived_geometry(
+        geometry = GyroGeometry(
             _require_number(geo_node["fiber_length_m"], "geometry.fiber_length_m"),
             _require_number(geo_node["coil_radius_m"], "geometry.coil_radius_m"),
             _require_number(geo_node["refractive_index"], "geometry.refractive_index"),

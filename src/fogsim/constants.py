@@ -14,9 +14,5 @@ EARTH_RATE_RAD_PER_S = 7.292e-5
 KM2_PER_M2 = 1e-6
 
 
-def deg_per_hour_to_rad_per_s(omega_deg_h: float) -> float:
-    return omega_deg_h * RAD_PER_S_PER_DEG_PER_H
-
-
 def rad_per_s_to_deg_per_hour(omega_rad_s: float) -> float:
     return omega_rad_s / RAD_PER_S_PER_DEG_PER_H

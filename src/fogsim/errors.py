@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories."""
+"""Exception hierarchy."""
 
 
 class FogsimError(Exception):
@@ -30,7 +30,3 @@ class ConfigError(FogsimError, ValueError):
 
 class DataError(FogsimError, ValueError):
     """An input data file is malformed or unusable."""
-
-
-class EstimatorInconsistencyWarning(UserWarning):
-    """An estimator statistic is outside its theoretically allowed range."""

@@ -1,6 +1,6 @@
 """Fiber-coil geometry and Sagnac kinematics.
 
-Coil count, enclosed area and round-trip timing derived from the fiber
+Coil count, enclosed area and serrodyne rate derived from the fiber
 parameters, plus the rotation-rate/delay conversions and the area-normalized
 figure of merit used to compare delay sensors.
 """
@@ -15,79 +15,44 @@ from .errors import ParameterError
 
 __all__ = [
     "GyroGeometry",
-    "derived_geometry",
     "rotation_to_delay",
     "delay_to_rotation",
     "figure_of_merit",
 ]
-
-# Tolerance of the internal-consistency checks between the stored coil
-# count / area and the values implied by fiber length and radius.
-_CONSISTENCY_REL = 0.02
 
 
 @dataclass(frozen=True)
 class GyroGeometry:
     """Geometry of a multi-turn fiber coil interferometer.
 
-    fiber_length: m; coil_radius: m; refractive_index: dimensionless;
-    n_coils: number of turns; total_area: m^2; serrodyne_rate: Hz
-    (sawtooth repetition rate, one ramp per two round trips).
+    fiber_length: m; coil_radius: m; refractive_index: dimensionless.  The
+    coil count, total area and serrodyne rate follow from these.
     """
 
     fiber_length: float
     coil_radius: float
     refractive_index: float
-    n_coils: int
-    total_area: float
-    serrodyne_rate: float
 
     def __post_init__(self):
-        for name in ("fiber_length", "coil_radius", "refractive_index",
-                     "n_coils", "total_area", "serrodyne_rate"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        implied_coils = self.fiber_length / (2.0 * math.pi * self.coil_radius)
-        if abs(self.n_coils - implied_coils) / implied_coils > _CONSISTENCY_REL:
-            raise ParameterError(
-                f"n_coils={self.n_coils} inconsistent with L/(2 pi r)={implied_coils:.1f}"
-            )
-        implied_area = self.n_coils * math.pi * self.coil_radius**2
-        if abs(self.total_area - implied_area) / implied_area > _CONSISTENCY_REL:
-            raise ParameterError(
-                f"total_area={self.total_area} inconsistent with "
-                f"n_coils*pi*r^2={implied_area:.3f}"
-            )
+        if not (self.fiber_length > 0 and self.coil_radius > 0 and self.refractive_index > 0):
+            raise ParameterError("fiber_length, coil_radius and refractive_index must be positive")
+        if self.n_coils < 1:
+            raise ParameterError("fiber shorter than a single coil circumference")
 
     @property
-    def round_trip_time(self) -> float:
-        """Optical round-trip time n L / c, s."""
-        return self.refractive_index * self.fiber_length / C_VACUUM
+    def n_coils(self) -> int:
+        """Number of turns, round(L / (2 pi r))."""
+        return int(round(self.fiber_length / (2.0 * math.pi * self.coil_radius)))
 
+    @property
+    def total_area(self) -> float:
+        """Enclosed area of all turns, n_coils * pi * r^2, m^2."""
+        return self.n_coils * math.pi * self.coil_radius**2
 
-def derived_geometry(fiber_length: float, coil_radius: float,
-                     refractive_index: float) -> GyroGeometry:
-    """Derive coil count, area and serrodyne rate from the fiber parameters.
-
-    n_coils = round(L / (2 pi r)); total_area = n_coils * pi * r^2;
-    serrodyne_rate = 1 / (2 n L / c), the sawtooth period being twice the
-    round-trip time.
-    """
-    if not (fiber_length > 0 and coil_radius > 0 and refractive_index > 0):
-        raise ParameterError("fiber_length, coil_radius and refractive_index must be positive")
-    n_coils = int(round(fiber_length / (2.0 * math.pi * coil_radius)))
-    if n_coils < 1:
-        raise ParameterError("fiber shorter than a single coil circumference")
-    total_area = n_coils * math.pi * coil_radius**2
-    round_trip = refractive_index * fiber_length / C_VACUUM
-    return GyroGeometry(
-        fiber_length=fiber_length,
-        coil_radius=coil_radius,
-        refractive_index=refractive_index,
-        n_coils=n_coils,
-        total_area=total_area,
-        serrodyne_rate=1.0 / (2.0 * round_trip),
-    )
+    @property
+    def serrodyne_rate(self) -> float:
+        """Sawtooth repetition rate 1 / (2 n L / c), Hz: one ramp per two round trips."""
+        return 1.0 / (2.0 * (self.refractive_index * self.fiber_length / C_VACUUM))
 
 
 def rotation_to_delay(omega: float, total_area: float) -> float:

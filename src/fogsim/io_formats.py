@@ -9,7 +9,9 @@ reproduces every floating value bit for bit.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -76,7 +78,8 @@ def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
 
     Integer cells must be plain integers and no line is a comment.  String
     fields are sized one character past the longest valid value, because
-    loadtxt truncates longer strings to the field size.
+    loadtxt truncates longer strings to the field size.  A bad row is
+    reported by its line number in the file, the header being line 1.
     """
     try:
         with open(path) as fh:
@@ -86,9 +89,33 @@ def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
                     warnings.simplefilter("ignore", UserWarning)  # header-only file
                     return np.loadtxt(fh, delimiter=",", dtype=np.dtype(dtype),
                                       comments=None, ndmin=1, unpack=True)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"cannot read {path}: {_with_line_number(path, str(exc))}") from exc
     raise DataError(f"{path}: expected header {header!r}, got {found!r}")
+
+
+_LOADTXT_ROW = re.compile(r" at row (\d+)")
+
+
+def _with_line_number(path, message: str) -> str:
+    """loadtxt's error message with its row number replaced by the file line.
+
+    loadtxt skips empty lines and counts the rows it reads after the header
+    from 0 in a bad-value message but from 1 in a column-count message.
+    """
+    match = _LOADTXT_ROW.search(message)
+    if match is None:
+        return message
+    row = int(match[1]) - (not message.startswith("could not convert"))
+    with open(path, errors="replace") as fh:
+        fh.readline()  # the header, line 1
+        lines = (n for n, line in enumerate(fh, start=2) if line != "\n")
+        line = next(itertools.islice(lines, row, None), None)
+    if line is None:
+        return message
+    return f"{message[:match.start()]} at line {line}{message[match.end():]}"
 
 
 def _nonempty(path, columns: list[np.ndarray]) -> list[np.ndarray]:

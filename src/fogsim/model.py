@@ -1,21 +1,20 @@
 """Closed-form single-photon measurement model.
 
 Click probabilities of the two interferometer outputs as a function of the
-inter-path delay, the Fisher information they carry about that delay, the
-resulting Cramér-Rao bound, and the modulator voltage-to-delay map.
+inter-path delay, the Fisher information they carry about that delay, and
+the modulator voltage-to-delay map.
 All functions are pure and accept scalars or numpy arrays for the delay.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_VACUUM
-from .errors import EstimatorInconsistencyWarning, OracleAccuracyError, ParameterError
+from .errors import OracleAccuracyError, ParameterError
 
 __all__ = [
     "Spectrum",
@@ -23,9 +22,6 @@ __all__ = [
     "click_probabilities",
     "fisher_information",
     "fisher_information_numeric",
-    "cramer_rao_bound",
-    "saturation",
-    "delay_from_voltage",
 ]
 
 # Relative agreement demanded between omega0 and 2*pi*c/lambda0.
@@ -197,37 +193,3 @@ def fisher_information_numeric(tau, spectrum: Spectrum, step: float = 1e-20):
     if np.isscalar(tau):
         return float(out)
     return out
-
-
-def cramer_rao_bound(n_photons: float, fisher: float) -> float:
-    """Minimum unbiased delay uncertainty: 1 / sqrt(n_photons * fisher)."""
-    if not n_photons > 0.0:
-        raise ParameterError(f"n_photons must be positive, got {n_photons}")
-    if not fisher > 0.0:
-        raise ParameterError(f"fisher must be positive, got {fisher}")
-    return 1.0 / math.sqrt(n_photons * fisher)
-
-
-def saturation(sigma_measured: float, n_photons: float, fisher: float) -> float:
-    """Cramér-Rao saturation S = 1 / (sqrt(n * F) * sigma_measured).
-
-    S = 1 means the estimator extracts all available information.  Values
-    above 1 are statistically inconsistent for an unbiased estimator; they
-    are returned unchanged but trigger an EstimatorInconsistencyWarning.
-    """
-    if not sigma_measured > 0.0:
-        raise ParameterError(f"sigma_measured must be positive, got {sigma_measured}")
-    s = cramer_rao_bound(n_photons, fisher) / sigma_measured
-    if s > 1.0:
-        warnings.warn(
-            f"saturation {s:.4f} > 1 exceeds the Cramér-Rao bound "
-            "(statistical fluctuation or inconsistent inputs)",
-            EstimatorInconsistencyWarning,
-            stacklevel=2,
-        )
-    return s
-
-
-def delay_from_voltage(v0: float, modulator: ModulatorMap) -> float:
-    """Inter-path delay produced by peak-peak voltage v0: tau = alpha * v0."""
-    return modulator.alpha * v0

@@ -2,8 +2,8 @@
 
 Overlapping Allan deviation with O(N) per averaging time via prefix sums,
 even/odd differential splitting, detection-limit extraction, the
-shot-noise Cramér-Rao reference curve, saturation against it, and the
-stability report that gathers them.
+shot-noise Cramér-Rao bound, and the stability report that gathers them
+with the saturation of each curve against that bound.
 """
 
 from __future__ import annotations
@@ -22,16 +22,12 @@ from .model import Spectrum
 __all__ = [
     "DelaySeries",
     "AllanCurve",
-    "CrbCurve",
-    "SaturationCurve",
     "series_from_delay_table",
     "default_m_grid",
     "overlapping_allan_deviation",
     "even_odd_split",
-    "adjacent_average",
     "detection_limit",
     "crb_curve",
-    "saturation_curve",
     "stability_report",
 ]
 
@@ -103,22 +99,6 @@ class AllanCurve:
             raise ParameterError("every entry needs n_terms > 0")
         if not np.allclose(self.t, m * self.t0, rtol=1e-12, atol=0.0):
             raise ParameterError("t must equal m * t0")
-
-
-@dataclass(frozen=True)
-class CrbCurve:
-    """Cramér-Rao reference sigma(t) on a grid of averaging times."""
-
-    t: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
-class SaturationCurve:
-    """Saturation fraction CRB(t)/adev(t) on a grid of averaging times."""
-
-    t: np.ndarray
-    value: np.ndarray
 
 
 def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
@@ -234,22 +214,6 @@ def even_odd_split(series: DelaySeries) -> tuple[DelaySeries, DelaySeries, Delay
     )
 
 
-def adjacent_average(series: DelaySeries, window: int) -> DelaySeries:
-    """Centered moving average with an odd window; edges are truncated.
-
-    The output has N - window + 1 samples at the unchanged t0.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ParameterError(f"window must be odd and >= 1, got {window}")
-    if window == 1:
-        return series
-    if window > len(series):
-        raise ParameterError(f"window {window} exceeds series length {len(series)}")
-    kernel = np.full(window, 1.0 / window)
-    smoothed = np.convolve(series.values, kernel, mode="valid")
-    return DelaySeries(series.t0, smoothed, series.origin)
-
-
 def detection_limit(curve: AllanCurve) -> tuple[float, float]:
     """(t, sigma) of the minimum Allan deviation; ties go to the smaller t."""
     if len(curve.adev) == 0:
@@ -258,38 +222,19 @@ def detection_limit(curve: AllanCurve) -> tuple[float, float]:
     return float(curve.t[i]), float(curve.adev[i])
 
 
-def crb_curve(rate_total: float, update_period: float, spectrum: Spectrum,
-              t_grid) -> CrbCurve:
-    """Shot-noise Cramér-Rao reference sigma(t) = sqrt(2 / (omega0^2 R t)).
+def crb_curve(rate_total: float, spectrum: Spectrum, t) -> np.ndarray:
+    """Shot-noise Cramér-Rao bound sigma(t) = sqrt(2 / (omega0^2 R t)), s.
 
-    With estimates refreshed every ``update_period`` and photons split
-    between the interleaved sub-series, the cadence cancels out of the
-    bound; the parameter is kept for reporting the analysis convention
-    (2 s for the even/odd cadence at 1 s bins).
+    The bound on an even or odd sub-series: each holds half of the photons
+    detected at total rate R over averaging time t, and one photon carries
+    Fisher information omega0^2.  The cadence of the sub-series cancels out.
     """
-    if not (rate_total > 0 and update_period > 0):
-        raise ParameterError("rate_total and update_period must be positive")
-    t = np.asarray(t_grid, dtype=np.float64)
+    if not rate_total > 0:
+        raise ParameterError(f"rate_total must be positive, got {rate_total}")
+    t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0):
         raise ParameterError("averaging times must be positive")
-    sigma = np.sqrt(2.0 / (spectrum.omega0**2 * rate_total * t))
-    return CrbCurve(t=t, sigma=sigma)
-
-
-def saturation_curve(allan: AllanCurve, crb: CrbCurve) -> SaturationCurve:
-    """Saturation fraction crb(t) / adev(t) on the Allan curve's grid.
-
-    When the grids differ the reference is interpolated linearly in log t.
-    """
-    if len(crb.t) == len(allan.t) and np.array_equal(crb.t, allan.t):
-        reference = crb.sigma
-    else:
-        reference = np.interp(np.log(allan.t), np.log(crb.t), crb.sigma)
-    return SaturationCurve(t=allan.t.copy(), value=reference / allan.adev)
-
-
-def _curve_json(curve: SaturationCurve) -> dict:
-    return {"t_s": curve.t.tolist(), "value": curve.value.tolist()}
+    return np.sqrt(2.0 / (spectrum.omega0**2 * rate_total * t))
 
 
 def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
@@ -298,15 +243,12 @@ def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
     """Report on the raw, even, odd and differential Allan curves.
 
     Detection limits (the delay limit is the better of even and odd), the
-    shot-noise CRB at update period 2 t0 and saturation against it, figure
-    of merit, equivalent rotation, Earth rate and coil geometry.  A zero
-    detection limit (constant delays) raises DataError.
+    saturation crb_curve(t) / adev(t) of each sub-series curve on its own t
+    grid (and of the differential curve against the sqrt(2)-scaled bound),
+    figure of merit, equivalent rotation, Earth rate and coil geometry.  A
+    zero detection limit (constant delays) raises DataError.
     """
     raw = curves["raw"]
-    update_period = 2.0 * raw.t0
-    crb_even = crb_curve(rate_total, update_period, spectrum, curves["even"].t)
-    crb_diff = crb_curve(rate_total, update_period, spectrum, curves["differential"].t)
-
     dls = {origin: detection_limit(curve) for origin, curve in curves.items()}
     flat = [origin for origin, dl in dls.items() if not dl[1] > 0]
     if flat:
@@ -314,9 +256,10 @@ def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
     dl_tau = min((dls["even"], dls["odd"]), key=lambda d: d[1])
     dl_diff = dls["differential"]
 
-    sat_diff_sqrt2 = saturation_curve(
-        curves["differential"],
-        CrbCurve(t=crb_diff.t, sigma=crb_diff.sigma * math.sqrt(2.0)))
+    def saturation(origin: str, bound_scale: float = 1.0) -> dict:
+        curve = curves[origin]
+        bound = crb_curve(rate_total, spectrum, curve.t) * bound_scale
+        return {"t_s": curve.t.tolist(), "value": (bound / curve.adev).tolist()}
 
     area = geometry.total_area
     earth_delay = rotation_to_delay(EARTH_RATE_RAD_PER_S, area)
@@ -329,14 +272,13 @@ def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
         "detection_limit_tau": {"t_s": dl_tau[0], "sigma_s": dl_tau[1]},
         "detection_limit_differential": {"t_s": dl_diff[0], "sigma_s": dl_diff[1]},
         "detection_limit_differential_over_sqrt2_s": dl_diff[1] / math.sqrt(2.0),
-        "crb": {"rate_total_hz": rate_total, "update_period_s": update_period,
+        "crb": {"rate_total_hz": rate_total, "update_period_s": 2.0 * raw.t0,
                 "formula": "sqrt(2/(omega0^2*R*t))"},
         "saturation": {
-            "even": _curve_json(saturation_curve(curves["even"], crb_even)),
-            "odd": _curve_json(saturation_curve(curves["odd"], crb_even)),
-            "differential": _curve_json(saturation_curve(curves["differential"],
-                                                         crb_diff)),
-            "differential_vs_sqrt2_bound": _curve_json(sat_diff_sqrt2),
+            "even": saturation("even"),
+            "odd": saturation("odd"),
+            "differential": saturation("differential"),
+            "differential_vs_sqrt2_bound": saturation("differential", math.sqrt(2.0)),
         },
         "figure_of_merit_s_per_km2": figure_of_merit(dl_tau[1], area),
         "equivalent_rotation_deg_per_h": rad_per_s_to_deg_per_hour(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fogsim import Spectrum, derived_geometry
+from fogsim import GyroGeometry, Spectrum
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +13,7 @@ def spectrum():
 @pytest.fixture(scope="session")
 def geometry():
     """2 km coil, 12.5 cm radius, n = 1.471."""
-    return derived_geometry(2000.0, 0.125, 1.471)
+    return GyroGeometry(2000.0, 0.125, 1.471)
 
 
 @pytest.fixture()

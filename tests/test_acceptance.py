@@ -20,6 +20,7 @@ from fogsim import (
     Spectrum,
     click_probabilities,
     combine_inflection,
+    crb_curve,
     delay_to_rotation,
     estimate_delays,
     figure_of_merit,
@@ -192,8 +193,7 @@ def test_criterion_06_crb_tracking(spectrum, shot_noise_curves):
     for curve in shot_noise_curves.values():
         usable = curve.n_terms >= 100
         t = curve.t[usable]
-        crb = np.sqrt(2.0 / (spectrum.omega0**2 * RATE * t))
-        saturation = crb / curve.adev[usable]
+        saturation = crb_curve(RATE, spectrum, t) / curve.adev[usable]
         worst_sat = min(worst_sat, float(saturation.min()))
     assert worst_sat >= 0.9
     elapsed = time.perf_counter() - start
@@ -230,7 +230,7 @@ def test_criterion_07_differential_drift_immunity(spectrum):
         overnight_drift().__class__())  # all-zero drift
 
     late = raw_drift.t >= 2000.0
-    crb_raw = np.sqrt(2.0 / (spectrum.omega0**2 * RATE * raw_drift.t[late]))
+    crb_raw = crb_curve(RATE, spectrum, raw_drift.t[late])
     departure = float((raw_drift.adev[late] / crb_raw).min())
     assert departure > 3.0
 

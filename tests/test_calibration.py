@@ -138,34 +138,32 @@ class TestAlphaFromInflection:
 
 class TestNormalizeCounts:
     def test_balanced(self):
-        x1, dx, _, degenerate = normalize_count_arrays([1000], [1000], (0.0, 0.0), 1.0)
-        assert x1[0] == 0.5
+        dx, _, degenerate = normalize_count_arrays([1000], [1000], (0.0, 0.0), 1.0)
         assert dx[0] == 0.0
         assert not degenerate[0]
 
     def test_contrast_and_error(self):
-        _, dx, dx_err, _ = normalize_count_arrays([300], [100], (0.0, 0.0), 1.0)
+        dx, dx_err, _ = normalize_count_arrays([300], [100], (0.0, 0.0), 1.0)
         assert dx[0] == pytest.approx(0.5, rel=1e-14)
         assert dx_err[0] == pytest.approx(math.sqrt(4 * 300 * 100 / 400**3), rel=1e-12)
         assert dx_err[0] == pytest.approx(0.0433, abs=1e-4)
 
     def test_dark_dominated_bin_flagged(self):
-        x1, dx, dx_err, degenerate = normalize_count_arrays(
+        dx, dx_err, degenerate = normalize_count_arrays(
             [30, 300], [25, 100], (25.0, 25.0), 1.0)
         assert degenerate.tolist() == [True, False]
-        assert np.isnan([x1[0], dx[0], dx_err[0]]).all()
+        assert np.isnan([dx[0], dx_err[0]]).all()
 
     def test_scaling_invariance(self):
-        x1, dx, _, _ = normalize_count_arrays([300, 2100], [100, 700], (0.0, 0.0), 1.0)
-        assert x1[1] == pytest.approx(x1[0], rel=1e-14)
+        dx, dx_err, _ = normalize_count_arrays([300, 2100], [100, 700], (0.0, 0.0), 1.0)
+        assert dx_err[1] == pytest.approx(dx_err[0] / math.sqrt(7), rel=1e-14)
         assert dx[1] == pytest.approx(dx[0], rel=1e-14)
 
 
 class TestFitLinearCalibration:
     @staticmethod
     def points_from_line(k1, k2, tau_fs, err):
-        return [ContrastPoint(x1=0.5 * (1 + k1 * t + k2), x2=0.5 * (1 - k1 * t - k2),
-                              dx=k1 * t + k2, dx_err=err, tau=t * 1e-15)
+        return [ContrastPoint(dx=k1 * t + k2, dx_err=err, tau=t * 1e-15)
                 for t in tau_fs]
 
     def test_exact_recovery_of_table_line(self):
@@ -196,8 +194,7 @@ class TestFitLinearCalibration:
                 # noiseless estimand: weighted fit through the exact model contrasts
                 from fogsim import click_probabilities
                 p1, p2 = click_probabilities(scan.tau_set, spectrum)
-                noiseless = [ContrastPoint(x1=float(a), x2=float(b),
-                                           dx=float(a - b), dx_err=1e-6, tau=float(t))
+                noiseless = [ContrastPoint(dx=float(a - b), dx_err=1e-6, tau=float(t))
                              for a, b, t in zip(p1, p2, scan.tau_set)]
                 ideal_truth = fit_linear_calibration(noiseless)
             calib = fit_linear_calibration(
@@ -215,8 +212,7 @@ class TestFitLinearCalibration:
         for _ in range(100):
             sigma = 2e-3
             dx = TABLE2_K1 * tau_fs + TABLE2_K2 + sigma * rng.standard_normal(60)
-            points = [ContrastPoint(x1=0.5 * (1 + d), x2=0.5 * (1 - d), dx=d,
-                                    dx_err=sigma, tau=t * 1e-15)
+            points = [ContrastPoint(dx=d, dx_err=sigma, tau=t * 1e-15)
                       for d, t in zip(dx, tau_fs)]
             calib = fit_linear_calibration(points)
             p_value = chi2_dist.sf(calib.chi2, calib.dof)
@@ -224,7 +220,7 @@ class TestFitLinearCalibration:
         assert ok >= 90
 
     def test_collinear_design_rejected(self):
-        points = [ContrastPoint(x1=0.55, x2=0.45, dx=0.1, dx_err=1e-3, tau=1.3e-15)
+        points = [ContrastPoint(dx=0.1, dx_err=1e-3, tau=1.3e-15)
                   for _ in range(5)]
         with pytest.raises(FitError):
             fit_linear_calibration(points)

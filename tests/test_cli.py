@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fogsim
-from fogsim import Spectrum, overnight_drift
+from fogsim import Spectrum, crb_curve, overnight_drift
 from fogsim.cli import main
 from fogsim.io_formats import (
     file_digest,
@@ -19,7 +19,8 @@ from fogsim.io_formats import (
     read_delay_series,
 )
 
-OMEGA0 = Spectrum.from_wavelength(1550e-9, 0.25e12).omega0
+SPECTRUM = Spectrum.from_wavelength(1550e-9, 0.25e12)
+OMEGA0 = SPECTRUM.omega0
 RATE = 631.6e3
 
 
@@ -270,7 +271,7 @@ class TestStabilityCommand:
         curves = read_allan_curves(tmp_path / "stab_allan.csv")
         assert set(curves) == {"raw", "even", "odd", "differential"}
         even = curves["even"]
-        crb = np.sqrt(2.0 / (OMEGA0**2 * RATE * even["t"]))
+        crb = crb_curve(RATE, SPECTRUM, even["t"])
         # small m keeps the Allan estimator itself tight enough for a 10% band
         well_estimated = even["m"] <= 30
         assert well_estimated.sum() >= 10
@@ -529,6 +530,11 @@ class TestConfigHandling:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"]["type"] == "ConfigError"
+        # a usage error is caught while the arguments are parsed
+        assert run("--json-errors", "--workers", 0, "stability", "--delays", "x") == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"]["type"] == "ParameterError"
+        assert "--workers" in payload["error"]["message"]
 
     def test_sigma_omega_unit_convention_flag(self, tmp_path):
         angular = write_config(tmp_path, **{"spectrum.sigma_omega": 0.25e12})

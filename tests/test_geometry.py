@@ -6,13 +6,13 @@ import pytest
 from fogsim import (
     GyroGeometry,
     delay_to_rotation,
-    derived_geometry,
     figure_of_merit,
     rotation_to_delay,
 )
 from fogsim.constants import (
+    C_VACUUM,
     EARTH_RATE_RAD_PER_S,
-    deg_per_hour_to_rad_per_s,
+    RAD_PER_S_PER_DEG_PER_H,
     rad_per_s_to_deg_per_hour,
 )
 from fogsim.errors import ParameterError
@@ -25,45 +25,50 @@ class TestDerivedGeometry:
 
     def test_single_loop(self):
         r = 0.125
-        geo = derived_geometry(2 * math.pi * r, r, 1.471)
+        geo = GyroGeometry(2 * math.pi * r, r, 1.471)
         assert geo.n_coils == 1
         assert geo.total_area == pytest.approx(math.pi * r**2, rel=1e-12)
 
     def test_round_trip_and_serrodyne(self, geometry):
-        assert geometry.round_trip_time == pytest.approx(9.813e-6, rel=1e-3)
+        # one sawtooth ramp per two optical round trips of n L / c = 9.813 us
+        round_trip = geometry.refractive_index * geometry.fiber_length / C_VACUUM
+        assert round_trip == pytest.approx(9.813e-6, rel=1e-3)
         assert geometry.serrodyne_rate == pytest.approx(50.95e3, rel=1e-3)
+        assert geometry.serrodyne_rate == pytest.approx(1 / (2 * round_trip), rel=1e-15)
 
     def test_non_positive_rejected(self):
         with pytest.raises(ParameterError):
-            derived_geometry(-1.0, 0.125, 1.471)
+            GyroGeometry(-1.0, 0.125, 1.471)
         with pytest.raises(ParameterError):
-            derived_geometry(2000.0, 0.0, 1.471)
+            GyroGeometry(2000.0, 0.0, 1.471)
+        with pytest.raises(ParameterError):
+            GyroGeometry(2000.0, 0.125, 0.0)
 
-    def test_consistency_invariants_enforced(self):
+    def test_consistency_invariants_enforced(self, rng):
+        """Coil count and area are derived, so they cannot disagree with the
+        fiber: n_coils is the nearest whole turn count and the area is that
+        many loops of radius r."""
+        for length, radius in zip(rng.uniform(1.0, 1e4, 20), rng.uniform(0.01, 0.15, 20)):
+            geo = GyroGeometry(float(length), float(radius), 1.471)
+            assert abs(geo.n_coils - length / (2 * math.pi * radius)) <= 0.5
+            assert geo.total_area == geo.n_coils * math.pi * radius**2
         with pytest.raises(ParameterError):
-            GyroGeometry(fiber_length=2000.0, coil_radius=0.125,
-                         refractive_index=1.471, n_coils=3000,
-                         total_area=125.0, serrodyne_rate=5e4)
-        with pytest.raises(ParameterError):
-            GyroGeometry(fiber_length=2000.0, coil_radius=0.125,
-                         refractive_index=1.471, n_coils=2546,
-                         total_area=200.0, serrodyne_rate=5e4)
+            GyroGeometry(0.4 * 2 * math.pi * 0.125, 0.125, 1.471)  # under half a turn
 
 
 class TestUnitConversions:
     def test_deg_per_hour_constant(self):
-        assert deg_per_hour_to_rad_per_s(1.0) == \
-            pytest.approx(4.8481368e-6, rel=1e-7)
+        assert RAD_PER_S_PER_DEG_PER_H == pytest.approx(4.8481368e-6, rel=1e-7)
 
     def test_round_trip(self, rng):
         for omega in rng.uniform(-10, 10, size=20):
             assert rad_per_s_to_deg_per_hour(
-                deg_per_hour_to_rad_per_s(omega)) == pytest.approx(omega, rel=1e-14)
+                omega * RAD_PER_S_PER_DEG_PER_H) == pytest.approx(omega, rel=1e-14)
 
 
 class TestSagnacConversions:
     def test_bias_instability_equivalence(self):
-        omega = deg_per_hour_to_rad_per_s(0.96)
+        omega = 0.96 * RAD_PER_S_PER_DEG_PER_H
         assert omega == pytest.approx(4.654e-6, rel=1e-3)
         tau = rotation_to_delay(omega, 125.0)
         assert tau == pytest.approx(26e-21, rel=2e-2)

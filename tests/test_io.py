@@ -305,3 +305,19 @@ def test_malformed_table_is_data_error(tmp_path, case):
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(DataError):
         READERS[header](path)
+
+
+@pytest.mark.parametrize("third_row,reason", [
+    ("2.0,x,5", "could not convert string 'x' to int64 at line {line}, column 2."),
+    ("2.0,5", "the dtype passed requires 3 columns but 2 were found at line {line};"),
+])
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_bad_row_named_by_file_line(tmp_path, third_row, reason, blank_lines):
+    """A bad value and a wrong cell count both name the row's line in the
+    file (the header is line 1), counting the empty lines loadtxt skips."""
+    path = tmp_path / "counts.csv"
+    rows = [COUNT_HEADER, "0.0,1,2"] + [""] * blank_lines + ["1.0,3,4", third_row]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError) as info:
+        read_count_series(path, 1.0)
+    assert f"cannot read {path}: {reason.format(line=4 + blank_lines)}" in str(info.value)

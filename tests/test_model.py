@@ -7,17 +7,12 @@ from fogsim import (
     ModulatorMap,
     Spectrum,
     click_probabilities,
-    cramer_rao_bound,
-    delay_from_voltage,
+    config_from_dict,
+    crb_curve,
     fisher_information,
     fisher_information_numeric,
-    saturation,
 )
-from fogsim.errors import (
-    EstimatorInconsistencyWarning,
-    OracleAccuracyError,
-    ParameterError,
-)
+from fogsim.errors import OracleAccuracyError, ParameterError
 
 QUARTER_WAVE = 1.294e-15  # delay giving a pi/2 dephasing at 1550 nm
 
@@ -121,72 +116,70 @@ class TestFisherInformation:
 
 
 class TestCramerRaoBound:
+    """crb_curve is 1 / sqrt(n F) for n = R t / 2 photons per sub-series and
+    F = omega0^2, the Fisher information of one photon near tau = 0."""
+
     def test_single_photon(self, spectrum):
-        sigma = cramer_rao_bound(1, spectrum.omega0**2)
+        # R t = 2: one photon in each sub-series
+        sigma = crb_curve(2.0, spectrum, [1.0])[0]
         assert sigma == pytest.approx(8.228e-16, rel=1e-3)
+        assert sigma == pytest.approx(
+            1.0 / math.sqrt(fisher_information(0.0, spectrum)), rel=1e-3)
 
     def test_reference_rate_at_72s(self, spectrum):
-        # factor-2 update cadence applied by the caller: n = R * t / 2
-        n = 631.6e3 * 72.0 / 2.0
-        sigma = cramer_rao_bound(n, spectrum.omega0**2)
+        sigma = crb_curve(631.6e3, spectrum, [72.0])[0]
         assert sigma == pytest.approx(1.7e-19, rel=2.5e-2)
 
     def test_inverse_sqrt_scaling(self, spectrum):
-        f = spectrum.omega0**2
-        assert cramer_rao_bound(4e6, f) == pytest.approx(cramer_rao_bound(1e6, f) / 2)
+        sigma = crb_curve(1e6, spectrum, [1.0, 4.0])
+        assert sigma[1] == pytest.approx(sigma[0] / 2, rel=1e-12)
+        assert crb_curve(4e6, spectrum, [1.0])[0] == pytest.approx(sigma[0] / 2, rel=1e-12)
 
     def test_strictly_decreasing(self, spectrum, rng):
-        f = spectrum.omega0**2
-        n = np.sort(rng.uniform(1, 1e9, size=50))
-        sigmas = [cramer_rao_bound(x, f) for x in n]
-        assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
-        fishers = np.sort(rng.uniform(1e20, 1e31, size=50))
-        sigmas = [cramer_rao_bound(1e6, x) for x in fishers]
+        t = np.sort(rng.uniform(1, 1e9, size=50))
+        assert np.all(np.diff(crb_curve(631.6e3, spectrum, t)) < 0)
+        rates = np.sort(rng.uniform(1e3, 1e9, size=50))
+        sigmas = [crb_curve(rate, spectrum, [72.0])[0] for rate in rates]
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
-    @pytest.mark.parametrize("n,f", [(0, 1.0), (-1, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_domain_errors(self, n, f):
+    @pytest.mark.parametrize("rate,t", [(0, 1.0), (-1, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    def test_domain_errors(self, spectrum, rate, t):
         with pytest.raises(ParameterError):
-            cramer_rao_bound(n, f)
+            crb_curve(rate, spectrum, [t])
 
 
 class TestSaturation:
+    """Saturation is crb_curve(t) / sigma(t), as the stability report writes it."""
+
     def test_at_the_bound(self, spectrum):
-        f = spectrum.omega0**2
-        crb = cramer_rao_bound(1e6, f)
-        assert saturation(crb, 1e6, f) == pytest.approx(1.0, rel=1e-12)
-        assert saturation(2 * crb, 1e6, f) == pytest.approx(0.5, rel=1e-12)
+        crb = crb_curve(631.6e3, spectrum, [2.0, 72.0])
+        np.testing.assert_array_equal(crb / crb, 1.0)
+        np.testing.assert_allclose(crb / (2 * crb), 0.5, rtol=1e-12)
 
     def test_reference_regime(self, spectrum):
-        n = 631.6e3 * 72.0 / 2.0
-        s = saturation(249e-21, n, spectrum.omega0**2)
+        s = crb_curve(631.6e3, spectrum, [72.0])[0] / 249e-21
         assert 0.6 <= s <= 0.8
-
-    def test_warns_above_one(self, spectrum):
-        f = spectrum.omega0**2
-        crb = cramer_rao_bound(1e6, f)
-        with pytest.warns(EstimatorInconsistencyWarning):
-            s = saturation(0.5 * crb, 1e6, f)
-        assert s == pytest.approx(2.0, rel=1e-12)
 
     def test_domain_errors(self, spectrum):
         with pytest.raises(ParameterError):
-            saturation(0.0, 1e6, spectrum.omega0**2)
+            crb_curve(631.6e3, spectrum, [0.0, 72.0])
 
 
 class TestModulatorMap:
+    @staticmethod
+    def set_point_delay(v0_volt: float) -> float:
+        """The run's delay tau0 = alpha * v0 for the default modulator."""
+        return config_from_dict({"run": {"v0_volt": v0_volt}}).run.tau0
+
     def test_reference_value(self):
-        modulator = ModulatorMap(alpha=3.353e-16, v0i=3.8596)
-        assert delay_from_voltage(3.8596, modulator) == pytest.approx(1.294e-15, rel=1e-3)
+        assert self.set_point_delay(3.8596) == pytest.approx(1.294e-15, rel=1e-3)
 
     def test_zero_voltage(self):
-        modulator = ModulatorMap(alpha=3.353e-16, v0i=3.8596)
-        assert delay_from_voltage(0.0, modulator) == 0.0
+        assert self.set_point_delay(0.0) == 0.0
 
-    def test_linearity_to_dark_fringe(self):
-        modulator = ModulatorMap(alpha=3.353e-16, v0i=3.8596)
-        tau = delay_from_voltage(2 * modulator.v0i, modulator)
-        assert tau == pytest.approx(2.588e-15, rel=1e-3)
+    def test_linearity_to_dark_fringe(self, spectrum):
+        assert self.set_point_delay(2 * 3.8596) == \
+            pytest.approx(2 * spectrum.quarter_wave_delay, rel=1e-12)
 
     def test_from_inflection_consistency(self, spectrum):
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)

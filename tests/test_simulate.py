@@ -202,7 +202,7 @@ class TestSimulateRun:
         series = simulate_run(config, spectrum,
                               NoiseModel(drift=DriftModel(linear=drift_rate)))
         calib = ideal_linear_calibration(spectrum, config.tau0)
-        _, dx, _, _ = normalize_count_arrays(series.c1, series.c2, (0, 0), 1.0)
+        dx, _, _ = normalize_count_arrays(series.c1, series.c2, (0, 0), 1.0)
         tau_hat = ((dx - calib.k2) / calib.k1) * 1e-15
         slope = np.polyfit(series.t, tau_hat, 1)[0]
         assert slope == pytest.approx(drift_rate, rel=0.05)

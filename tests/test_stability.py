@@ -1,19 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim import (
     AllanCurve,
-    CrbCurve,
     DelaySeries,
-    adjacent_average,
     crb_curve,
     default_m_grid,
     detection_limit,
     even_odd_split,
     overlapping_allan_deviation,
-    saturation_curve,
     stability_report,
 )
 from fogsim.errors import ParameterError
@@ -41,6 +41,21 @@ class TestOverlappingAllanDeviation:
             curve = overlapping_allan_deviation(series, np.unique(m_values))
             for m, adev in zip(curve.m, curve.adev):
                 assert adev == pytest.approx(oadev_brute_force(x, int(m)), rel=1e-12)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_prefix_sum_equals_brute_force_everywhere(self, data):
+        """Every valid m of random series up to N = 400, at delay, unit and
+        large scales, riding on offsets of up to 1000 times their spread."""
+        n = data.draw(st.integers(3, 400), label="N")
+        scale = data.draw(st.sampled_from([1e-21, 1e-15, 1.0, 1e6]), label="scale")
+        offset = data.draw(st.floats(-1e3, 1e3), label="offset")
+        unit = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        x = scale * (offset + np.array(unit))
+        m_all = np.arange(1, (n - 1) // 2 + 1)
+        curve = overlapping_allan_deviation(DelaySeries(1.0, x), m_all)
+        brute = [oadev_brute_force(x, int(m)) for m in m_all]
+        np.testing.assert_allclose(curve.adev, brute, rtol=1e-12, atol=0.0)
 
     def test_constant_series_zero(self):
         series = DelaySeries(1.0, np.full(1000, 3.7e-15))
@@ -164,29 +179,6 @@ class TestDifferentialImmunity:
         np.testing.assert_allclose(adev_pert, adev_base, rtol=1e-2)
 
 
-class TestAdjacentAverage:
-    def test_window_one_is_identity(self, rng):
-        series = DelaySeries(1.0, rng.standard_normal(100))
-        assert adjacent_average(series, 1) is series
-
-    def test_constant_unchanged(self):
-        series = DelaySeries(1.0, np.full(500, 2.5))
-        out = adjacent_average(series, 71)
-        np.testing.assert_allclose(out.values, 2.5, rtol=1e-14)
-        assert out.t0 == 1.0
-        assert len(out) == 500 - 71 + 1
-
-    def test_averaging_law(self, rng):
-        x = rng.standard_normal(100_000)
-        out = adjacent_average(DelaySeries(1.0, x), 71)
-        assert out.values.std() == pytest.approx(1.0 / math.sqrt(71), rel=5e-2)
-
-    def test_even_window_rejected(self, rng):
-        series = DelaySeries(1.0, rng.standard_normal(100))
-        with pytest.raises(ParameterError):
-            adjacent_average(series, 72)
-
-
 class TestDetectionLimit:
     def test_monotone_curve_ends_at_last_point(self, rng):
         x = rng.standard_normal(50_000)
@@ -253,48 +245,71 @@ class TestDriftedRunDetectionLimit:
 
 class TestCrbCurve:
     def test_reference_point(self, spectrum):
-        curve = crb_curve(631.6e3, 2.0, spectrum, [72.0])
-        assert curve.sigma[0] == pytest.approx(1.7e-19, rel=2.5e-2)
+        sigma = crb_curve(631.6e3, spectrum, [72.0])
+        assert sigma[0] == pytest.approx(1.7e-19, rel=2.5e-2)
 
     def test_time_scaling(self, spectrum):
-        curve = crb_curve(631.6e3, 2.0, spectrum, [10.0, 40.0])
-        assert curve.sigma[0] == pytest.approx(2 * curve.sigma[1], rel=1e-12)
+        sigma = crb_curve(631.6e3, spectrum, [10.0, 40.0])
+        assert sigma[0] == pytest.approx(2 * sigma[1], rel=1e-12)
 
     def test_rate_scaling(self, spectrum):
-        slow = crb_curve(631.6e3, 2.0, spectrum, [72.0]).sigma[0]
-        fast = crb_curve(2 * 631.6e3, 2.0, spectrum, [72.0]).sigma[0]
+        slow = crb_curve(631.6e3, spectrum, [72.0])[0]
+        fast = crb_curve(2 * 631.6e3, spectrum, [72.0])[0]
         assert fast == pytest.approx(slow / math.sqrt(2), rel=1e-12)
 
     def test_domain(self, spectrum):
         with pytest.raises(ParameterError):
-            crb_curve(0.0, 2.0, spectrum, [72.0])
+            crb_curve(0.0, spectrum, [72.0])
+
+
+def report_curves(x: np.ndarray) -> dict[str, AllanCurve]:
+    """The four Allan curves of a delay series, built as `fogsim stability` does."""
+    curves = {}
+    for series in (DelaySeries(1.0, x), *even_odd_split(DelaySeries(1.0, x))):
+        series, _ = series.drop_nonfinite()
+        curves[series.origin] = overlapping_allan_deviation(series)
+    return curves
 
 
 class TestSaturationCurve:
-    def test_equal_curves_give_unity(self, rng):
-        x = rng.standard_normal(10_000)
-        allan = overlapping_allan_deviation(DelaySeries(1.0, x))
-        crb = CrbCurve(t=allan.t.copy(), sigma=allan.adev.copy())
-        sat = saturation_curve(allan, crb)
-        np.testing.assert_allclose(sat.value, 1.0, rtol=1e-14)
+    def test_equal_curves_give_unity(self, rng, spectrum, geometry):
+        """Curves sitting exactly on the bound saturate it: 1, and sqrt(2)
+        for the differential curve against the sqrt(2)-scaled bound."""
+        curves = {origin: dataclasses.replace(
+            curve, adev=crb_curve(631.6e3, spectrum, curve.t))
+            for origin, curve in report_curves(rng.standard_normal(10_000)).items()}
+        saturation = stability_report(curves, 0, 631.6e3, spectrum, geometry,
+                                      None)["saturation"]
+        for origin in ("even", "odd", "differential"):
+            np.testing.assert_array_equal(saturation[origin]["value"], 1.0)
+        np.testing.assert_allclose(
+            saturation["differential_vs_sqrt2_bound"]["value"], math.sqrt(2.0),
+            rtol=1e-15)
 
-    def test_interpolation_in_log_t(self, rng):
-        x = rng.standard_normal(10_000)
-        allan = overlapping_allan_deviation(DelaySeries(1.0, x), np.array([2, 8]))
-        crb = CrbCurve(t=np.array([1.0, 4.0, 16.0]), sigma=np.array([3.0, 2.0, 1.0]))
-        sat = saturation_curve(allan, crb)
-        # t = 2 and t = 8 sit midway between the reference nodes in log t
-        assert sat.value[0] == pytest.approx(2.5 / allan.adev[0], rel=1e-12)
-        assert sat.value[1] == pytest.approx(1.5 / allan.adev[1], rel=1e-12)
+    def test_each_curve_on_its_own_grid(self, rng, spectrum, geometry):
+        """Degenerate bins at even indices leave the odd series the longer
+        one; its saturation still uses the bound at its own averaging times,
+        with no extrapolation from the even grid."""
+        x = 1e-18 * rng.standard_normal(20_000)
+        x[rng.choice(np.arange(0, 20_000, 2), 3_000, replace=False)] = np.nan
+        curves = report_curves(x)
+        assert curves["odd"].t[-1] > curves["even"].t[-1]
+        saturation = stability_report(curves, 3_000, 631.6e3, spectrum, geometry,
+                                      None)["saturation"]
+        for origin in ("even", "odd", "differential"):
+            curve = curves[origin]
+            np.testing.assert_array_equal(saturation[origin]["t_s"], curve.t)
+            np.testing.assert_array_equal(
+                saturation[origin]["value"],
+                crb_curve(631.6e3, spectrum, curve.t) / curve.adev)
 
     def test_drift_dominated_saturation_decreases(self, spectrum):
         c = 1e-21
         x = c * np.arange(10_000) + 1e-19
         allan = overlapping_allan_deviation(DelaySeries(1.0, x),
                                             np.array([10, 100, 1000]))
-        crb = crb_curve(631.6e3, 2.0, spectrum, allan.t)
-        sat = saturation_curve(allan, crb)
-        assert np.all(np.diff(sat.value) < 0)
+        saturation = crb_curve(631.6e3, spectrum, allan.t) / allan.adev
+        assert np.all(np.diff(saturation) < 0)
 
 
 class TestReport:
