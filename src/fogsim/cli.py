@@ -21,7 +21,7 @@ from .calibration import (CalibrationSet, combine_inflection, contrast_points_fr
                           estimate_delays, fit_fringe, fit_linear_calibration)
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, FitError, FogsimError, ParameterError
-from .io_formats import (RunManifest, file_digest, read_bright_scan,
+from .io_formats import (RunManifest, about_file, file_digest, read_bright_scan,
                          read_calibration_scan, read_calibration_set, read_count_series,
                          read_delay_series, write_allan_curves, write_bright_scan,
                          write_calibration_scan, write_calibration_set,
@@ -201,7 +201,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_stability(args) -> int:
     config = _load_config(args)
     t, tau, _, flags = read_delay_series(args.delays)
-    raw, dropped = series_from_delay_table(t, tau, flags)
+    with about_file(args.delays):
+        raw, dropped = series_from_delay_table(t, tau, flags)
     curves = {}
     for series in (raw, *even_odd_split(raw)):
         series, _ = series.drop_nonfinite()

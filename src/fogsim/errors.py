@@ -29,4 +29,11 @@ class ConfigError(FogsimError, ValueError):
 
 
 class DataError(FogsimError, ValueError):
-    """An input data file is malformed or unusable."""
+    """An input data file is malformed or unusable.
+
+    Carries the 0-based index of the bad data row as ``row``, if there is one.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row

@@ -13,6 +13,7 @@ import itertools
 import json
 import re
 import warnings
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -35,7 +36,7 @@ __all__ = [
     "write_delay_series", "read_delay_series",
     "write_allan_curves", "read_allan_curves",
     "write_calibration_set", "read_calibration_set",
-    "write_report", "write_manifest", "file_digest",
+    "write_report", "write_manifest", "file_digest", "about_file",
 ]
 
 SCHEMA_VERSION = 1
@@ -50,21 +51,42 @@ ALLAN_HEADER = "origin,m,t_s,adev_s,ci_s,n_terms"
 DELAY_FLAGS = ("ok", "degenerate", "window")
 
 _WRITE_ROWS = 65536
+# A numeric chunk with at most this share of distinct values is formatted
+# once per distinct value; one with more (bin times) cell by cell.
+_DISTINCT_SHARE = 0.25
 
 
 def _write_table(path, header: str, *columns) -> None:
     """One CSV row per entry of the columns: floats via repr, the rest via str.
 
     repr of a Python float is the shortest decimal that round-trips it.  The
-    columns become Python scalars (``tolist``) _WRITE_ROWS rows at a time,
-    which formats faster than numpy scalars and keeps the copies small.
+    columns are written _WRITE_ROWS rows at a time, which keeps the copies
+    small.  Within a chunk, a numeric column that repeats its values is
+    formatted once per distinct value and the strings are looked up by
+    index; floats are keyed on their bits, so -0.0, 0.0 and every nan stay
+    apart.  The bytes are those of formatting each cell on its own.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), _WRITE_ROWS):
-            chunks = [np.asarray(c[lo:lo + _WRITE_ROWS]) for c in columns]
-            cells = [map(repr if c.dtype.kind == "f" else str, c.tolist()) for c in chunks]
+            cells = [_cells(np.asarray(c[lo:lo + _WRITE_ROWS])) for c in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _cells(chunk: np.ndarray) -> Iterable[str]:
+    """The chunk's cells as strings: floats via repr, the rest via str.
+
+    Cell by cell, the strings are made as the rows are written, so that only
+    one row's strings are held at a time."""
+    kind = chunk.dtype.kind
+    text = repr if kind == "f" else str
+    if kind in "fiu":
+        keys = chunk.view(f"u{chunk.dtype.itemsize}") if kind == "f" else chunk
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        if len(distinct) <= _DISTINCT_SHARE * len(chunk):
+            values = distinct.view(chunk.dtype).tolist()
+            return np.array(list(map(text, values)), dtype=object)[inverse].tolist()
+    return map(text, chunk.tolist())
 
 
 def _write_json(path, doc: dict) -> None:
@@ -97,25 +119,45 @@ def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
 
 
 _LOADTXT_ROW = re.compile(r" at row (\d+)")
+_LOADTXT_ADVICE = "; use `usecols` to select a subset and avoid this error"
 
 
 def _with_line_number(path, message: str) -> str:
-    """loadtxt's error message with its row number replaced by the file line.
+    """loadtxt's error message with its row number replaced by the file line
+    and without its advice on ``usecols``.
 
-    loadtxt skips empty lines and counts the rows it reads after the header
-    from 0 in a bad-value message but from 1 in a column-count message.
+    loadtxt counts the rows it reads after the header from 0 in a bad-value
+    message but from 1 in a column-count message.
     """
+    message = message.replace(_LOADTXT_ADVICE, "")
     match = _LOADTXT_ROW.search(message)
     if match is None:
         return message
-    row = int(match[1]) - (not message.startswith("could not convert"))
-    with open(path, errors="replace") as fh:
-        fh.readline()  # the header, line 1
-        lines = (n for n, line in enumerate(fh, start=2) if line != "\n")
-        line = next(itertools.islice(lines, row, None), None)
+    line = _file_line(path, int(match[1]) - (not message.startswith("could not convert")))
     if line is None:
         return message
     return f"{message[:match.start()]} at line {line}{message[match.end():]}"
+
+
+def _file_line(path, row: int) -> int | None:
+    """The line number in the file of data row ``row`` (from 0), the header
+    being line 1; the empty lines that the reader skips are counted.  None if
+    the file has fewer rows."""
+    with open(path, errors="replace") as fh:
+        fh.readline()  # the header, line 1
+        lines = (n for n, line in enumerate(fh, start=2) if line != "\n")
+        return next(itertools.islice(lines, row, None), None)
+
+
+@contextmanager
+def about_file(path):
+    """Name ``path``, and the file line of the bad row if known, in every
+    DataError raised about the data read from it."""
+    try:
+        yield
+    except DataError as exc:
+        where = path if exc.row is None else f"{path}: line {_file_line(path, exc.row)}"
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def _nonempty(path, columns: list[np.ndarray]) -> list[np.ndarray]:
@@ -127,8 +169,8 @@ def _nonempty(path, columns: list[np.ndarray]) -> list[np.ndarray]:
 def _check_labels(path, name: str, values: np.ndarray, allowed: tuple[str, ...]) -> None:
     bad = np.flatnonzero(~np.isin(values, allowed))
     if len(bad):
-        raise DataError(f"{path}: data row {bad[0] + 1} has {name} "
-                        f"{str(values[bad[0]])!r}, expected one of {allowed}")
+        raise DataError(f"{path}: line {_file_line(path, bad[0])}: {name} "
+                        f"{str(values[bad[0]])!r} is not one of {allowed}")
 
 
 @contextmanager

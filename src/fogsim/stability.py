@@ -107,7 +107,7 @@ def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
     Degenerate and non-finite bins stay in place, so position is bin index
     and the even/odd split keeps parity across gaps (NIST SP 1065); window
     flags are warning-grade.  Returns the series and the unusable-bin count.
-    A missing or repeated row (uneven t) raises DataError.
+    A missing or repeated row (uneven t) raises DataError naming its row.
     """
     if len(tau) == 0:
         raise ParameterError("no delay samples")
@@ -124,8 +124,8 @@ def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
         raise DataError(f"bin times do not increase (median step {t0})")
     skipped = np.flatnonzero(np.rint((t - t[0]) / t0) != np.arange(len(t)))
     if len(skipped):
-        raise DataError(f"bin times are not one step of {t0} s per row from row "
-                        f"{skipped[0]} on (missing or repeated rows)")
+        raise DataError(f"bin times are not one step of {t0} s per row from this "
+                        f"row on (missing or repeated rows)", row=int(skipped[0]))
     return DelaySeries(t0, values, "raw"), dropped
 
 

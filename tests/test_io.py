@@ -15,15 +15,19 @@ from fogsim import (
     ModulatorMap,
     overlapping_allan_deviation,
 )
+from fogsim import io_formats
 from fogsim.calibration import FringeFit
+from fogsim.cli import main
 from fogsim.errors import DataError
 from fogsim.io_formats import (
     BRIGHT_HEADER,
     CAL_SCAN_HEADER,
     COUNT_HEADER,
     DELAY_FLAGS,
+    DELAY_HEADER,
     FISHER_HEADER,
     _read_table,
+    _write_table,
     read_allan_curves,
     read_bright_scan,
     read_calibration_scan,
@@ -309,15 +313,95 @@ def test_malformed_table_is_data_error(tmp_path, case):
 
 @pytest.mark.parametrize("third_row,reason", [
     ("2.0,x,5", "could not convert string 'x' to int64 at line {line}, column 2."),
-    ("2.0,5", "the dtype passed requires 3 columns but 2 were found at line {line};"),
+    ("2.0,5", "the dtype passed requires 3 columns but 2 were found at line {line}"),
 ])
 @pytest.mark.parametrize("blank_lines", [0, 2])
 def test_bad_row_named_by_file_line(tmp_path, third_row, reason, blank_lines):
     """A bad value and a wrong cell count both name the row's line in the
-    file (the header is line 1), counting the empty lines loadtxt skips."""
+    file (the header is line 1), counting the empty lines loadtxt skips, and
+    nothing else: no advice of numpy's follows."""
     path = tmp_path / "counts.csv"
     rows = [COUNT_HEADER, "0.0,1,2"] + [""] * blank_lines + ["1.0,3,4", third_row]
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(DataError) as info:
         read_count_series(path, 1.0)
-    assert f"cannot read {path}: {reason.format(line=4 + blank_lines)}" in str(info.value)
+    assert str(info.value) == f"cannot read {path}: {reason.format(line=4 + blank_lines)}"
+
+
+@pytest.mark.parametrize("third_row,reason", [
+    ("2.0,1e-15,1e-18,bogus", "flag 'bogus' is not one of ('ok', 'degenerate', 'window')"),
+    ("3.0,1e-15,1e-18,ok", "bin times are not one step of 1.0 s per row from this row "
+                           "on (missing or repeated rows)"),
+])
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
+                                          blank_lines):
+    """fogsim stability names a bad flag and a missing row of a 20-row delay
+    table by the file and the row's line in it."""
+    path = tmp_path / "delays.csv"
+    rows = [f"{float(i)!r},1e-15,1e-18,ok" for i in range(20)]
+    rows[2] = third_row
+    path.write_text("\n".join([DELAY_HEADER, rows[0]] + [""] * blank_lines + rows[1:]) + "\n")
+    assert main(["stability", "--delays", str(path),
+                 "--out-prefix", str(tmp_path / "stab")]) == 3
+    error = capsys.readouterr().err
+    assert error == f"fogsim: error: {path}: line {4 + blank_lines}: {reason}\n"
+
+
+def _per_cell_table(header: str, *columns) -> str:
+    """The oracle: each cell formatted on its own, one join per row."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "".join([header + "\n"] + [
+        ",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in rows])
+
+
+NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64) \
+    .view(np.float64).tolist()
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, *NAN_PAYLOAD, math.inf, -math.inf,
+                  5e-324, -2.225073858507201e-308, 0.1, 1.294e-15]
+SPECIAL_INTS = [0, -1, 7, 2**63 - 1, -2**63]
+# values that compare equal, or are all nan, yet differ in their bits
+FLOAT_POOLS = st.one_of(
+    st.sampled_from([[0.0, -0.0], [math.nan, -math.nan, *NAN_PAYLOAD]]),
+    st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+             min_size=1, max_size=3))
+INT_POOLS = st.lists(st.one_of(st.sampled_from(SPECIAL_INTS),
+                               st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=3)
+
+
+def _pool_column(data, pools, n):
+    """A column that repeats a few values, mostly special ones."""
+    return data.draw(st.lists(st.sampled_from(data.draw(pools)), min_size=n, max_size=n))
+
+
+def _oracle_column(data, n):
+    kind = data.draw(st.sampled_from(["float_pool", "float", "strided", "int_pool",
+                                      "int", "flag_list"]))
+    if kind == "float_pool":
+        return np.array(_pool_column(data, FLOAT_POOLS, n), dtype=np.float64)
+    if kind == "float":
+        return _column(data, st.floats(), n).astype(np.float64)
+    if kind == "strided":  # a non-contiguous view
+        return np.array(_pool_column(data, FLOAT_POOLS, 2 * n), dtype=np.float64)[::2]
+    if kind == "int_pool":
+        return np.array(_pool_column(data, INT_POOLS, n), dtype=np.int64)
+    if kind == "int":
+        return _column(data, st.integers(-2**63, 2**63 - 1), n).astype(np.int64)
+    return data.draw(st.lists(st.sampled_from(DELAY_FLAGS), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch, data):
+    """_write_table writes the bytes of formatting every cell on its own,
+    whether a chunk of a column is formatted per distinct value or per cell,
+    and with chunks that split the table anywhere."""
+    monkeypatch.setattr(io_formats, "_WRITE_ROWS", 8)
+    n = data.draw(st.integers(0, 40))
+    columns = [_oracle_column(data, n) for _ in range(data.draw(st.integers(1, 4)))]
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    path = tmp_path / "table.csv"
+    _write_table(path, header, *columns)
+    assert path.read_text() == _per_cell_table(header, *columns)
