@@ -227,7 +227,11 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     for iterations in range(1, _GN_MAX_ITER + 1):
         residual = (y - FringeParams(*p).evaluate(v)) * weights
         jac = _fringe_jacobian(v, p) * weights[:, None]
-        step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
+        try:
+            step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"fringe fit step failed: {exc}",
+                           {"params": p.tolist(), "iteration": iterations}) from exc
         cost = residual @ residual
         damping = 1.0
         while damping >= 1e-12:

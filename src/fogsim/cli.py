@@ -1,7 +1,9 @@
 """Command-line front end tying the pipeline together.
 
 Subcommands: fisher, simulate, calibrate, estimate, stability.  Exit codes:
-0 success, 2 usage or configuration error, 3 data or fit error.  With
+0 success, 2 usage or configuration error, 3 data or fit error.  A
+floating-point overflow, invalid operation or division by zero stops a
+command with exit 3, where numpy would warn and go on with inf or nan.  With
 --json-errors failures are also emitted as a machine-readable JSON object
 on stderr.
 """
@@ -304,11 +306,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         json_errors = args.json_errors
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ConfigError, ParameterError) as exc:
         _report_error(json_errors, exc)
         return _USAGE_EXIT
-    except FogsimError as exc:
+    except (FogsimError, FloatingPointError) as exc:
         _report_error(json_errors, exc)
         return _DATA_EXIT
 

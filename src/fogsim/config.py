@@ -3,7 +3,8 @@
 One nested JSON document drives the whole pipeline.  Missing keys fall back
 to the default parameter set of the reference instrument (telecom-band,
 2 km coil); unknown keys are rejected so typos cannot silently change a
-run.  ``pump_rel_sigma`` defaults to 0.01, a modeling choice: the source's
+run, and every value must have the JSON type of its default.
+``pump_rel_sigma`` defaults to 0.01, a modeling choice: the source's
 pump instability is qualitative in origin and only its common-mode
 character matters, since count normalization cancels it.
 """
@@ -13,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import FringeParams
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .geometry import GyroGeometry
 from .model import ModulatorMap, Spectrum
 from .simulate import DriftModel, NoiseModel, RunConfig, overnight_drift
@@ -96,44 +98,66 @@ def default_config_dict() -> dict:
     }
 
 
+# The keys whose value is derived from the others when null.
+_NULLABLE = {"run.tau0_s", "modulator.alpha_s_per_v", "geometry.serrodyne_rate_override_hz"}
+
+# Keeps the Allan m grid small: at most about 9,000 exponents for a run of
+# the 10^9-bin cap.
+_MAX_POINTS_PER_DECADE = 1000
+
+
 def _merge_checked(defaults: dict, override: dict, path: str = "") -> dict:
-    """Defaults overlaid with the user document; unknown keys are fatal."""
+    """Defaults overlaid with the user document, each value checked against
+    the JSON type of its default; unknown keys are fatal."""
     merged = {}
     for key, default_value in defaults.items():
-        if key not in override:
-            merged[key] = default_value
-            continue
-        value = override[key]
-        if isinstance(default_value, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}{key} must be an object, got {value!r}")
-            merged[key] = _merge_checked(default_value, value, f"{path}{key}.")
+        if key in override:
+            merged[key] = _checked(default_value, override[key], path + key)
         else:
-            merged[key] = value
+            merged[key] = default_value
     unknown = set(override) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
     return merged
 
 
-def _require_number(value, where: str, allow_none: bool = False):
-    if value is None and allow_none:
+def _checked(default, value, where: str):
+    """``value`` if it has the JSON type of ``default``.
+
+    A boolean or string default takes a value of its own type, an integer
+    default a JSON integer >= 0, and a float default a finite number, stored
+    as float; only the _NULLABLE keys, floats otherwise, take null.
+    """
+    if isinstance(default, dict):
+        if isinstance(value, dict):
+            return _merge_checked(default, value, where + ".")
+        expected = "an object"
+    elif value is None and where in _NULLABLE:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not math.isfinite(float(value)):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _require_int(value, where: str, minimum: int = 0) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
-    return value
+    elif isinstance(default, (bool, str)):
+        if isinstance(value, type(default)):
+            return value
+        expected = "true or false" if isinstance(default, bool) else "a string"
+    elif isinstance(default, int):
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+            return value
+        expected = "an integer >= 0"
+    elif isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    else:
+        expected = "a finite number"
+    raise ConfigError(f"{where} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class AnalysisSettings:
     points_per_decade: int
+
+    def __post_init__(self):
+        if not 1 <= self.points_per_decade <= _MAX_POINTS_PER_DECADE:
+            raise ParameterError(f"points_per_decade must lie in [1, {_MAX_POINTS_PER_DECADE}], "
+                                 f"got {self.points_per_decade}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +168,10 @@ class BrightSourceSettings:
     scan_points: int
     ch1: FringeParams
     ch2: FringeParams
+
+    def __post_init__(self):
+        if self.ch1.w == 0 or self.ch2.w == 0:
+            raise ParameterError("a bright-source fringe needs w_volt != 0")
 
 
 @dataclass(frozen=True)
@@ -189,26 +217,20 @@ _DRIFT_TERMS = {"linear_s_per_s": "linear", "sine_amplitude_s": "sine_amplitude"
 
 def _build_drift(node: dict) -> DriftModel:
     """A drift preset, or the four drift terms under preset "custom"."""
-    terms = {key: _require_number(node[key], f"noise.drift.{key}") for key in _DRIFT_TERMS}
     preset = node["preset"]
     if preset == "custom":
-        return DriftModel(**{_DRIFT_TERMS[key]: value for key, value in terms.items()})
+        return DriftModel(**{field: node[key] for key, field in _DRIFT_TERMS.items()})
     if preset not in ("none", "overnight"):
         raise ConfigError(f"unknown drift preset {preset!r}")
-    nonzero = [key for key, value in terms.items() if value]
+    nonzero = [key for key in _DRIFT_TERMS if node[key]]
     if nonzero:
         raise ConfigError(f"noise.drift terms {nonzero} apply only with preset "
                           f"'custom', got preset {preset!r}")
     return overnight_drift() if preset == "overnight" else DriftModel()
 
 
-def _fringe_params(node: dict, where: str) -> FringeParams:
-    return FringeParams(
-        f0=_require_number(node["f0_w"], f"{where}.f0_w"),
-        a=_require_number(node["a_w"], f"{where}.a_w"),
-        w=_require_number(node["w_volt"], f"{where}.w_volt"),
-        v0i=_require_number(node["v0i_volt"], f"{where}.v0i_volt"),
-    )
+def _fringe_params(node: dict) -> FringeParams:
+    return FringeParams(f0=node["f0_w"], a=node["a_w"], w=node["w_volt"], v0i=node["v0i_volt"])
 
 
 def config_from_dict(user: dict | None = None) -> ExperimentConfig:
@@ -220,95 +242,49 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
             f"this build reads version {SCHEMA_VERSION}")
 
     spec_node = document["spectrum"]
-    sigma_omega = _require_number(spec_node["sigma_omega"], "spectrum.sigma_omega")
-    angular = spec_node["sigma_omega_is_angular"]
-    if not isinstance(angular, bool):
-        raise ConfigError("spectrum.sigma_omega_is_angular must be true or false, "
-                          f"got {angular!r}")
-    if not angular:
+    sigma_omega = spec_node["sigma_omega"]
+    if not spec_node["sigma_omega_is_angular"]:
         sigma_omega *= 2.0 * math.pi
     try:
-        spectrum = Spectrum.from_wavelength(
-            _require_number(spec_node["lambda0_m"], "spectrum.lambda0_m"), sigma_omega)
+        spectrum = Spectrum.from_wavelength(spec_node["lambda0_m"], sigma_omega)
 
         geo_node = document["geometry"]
-        geometry = GyroGeometry(
-            _require_number(geo_node["fiber_length_m"], "geometry.fiber_length_m"),
-            _require_number(geo_node["coil_radius_m"], "geometry.coil_radius_m"),
-            _require_number(geo_node["refractive_index"], "geometry.refractive_index"),
-        )
-        serrodyne_override = _require_number(
-            geo_node["serrodyne_rate_override_hz"],
-            "geometry.serrodyne_rate_override_hz", allow_none=True)
+        geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],
+                                geo_node["refractive_index"])
 
         mod_node = document["modulator"]
-        alpha = _require_number(mod_node["alpha_s_per_v"],
-                                "modulator.alpha_s_per_v", allow_none=True)
-        v0i = _require_number(mod_node["v0i_volt"], "modulator.v0i_volt")
-        if alpha is None:
-            modulator = ModulatorMap.from_inflection(
-                v0i, _require_number(mod_node["v0i_err_volt"],
-                                     "modulator.v0i_err_volt"), spectrum)
+        if mod_node["alpha_s_per_v"] is None:
+            modulator = ModulatorMap.from_inflection(mod_node["v0i_volt"],
+                                                     mod_node["v0i_err_volt"], spectrum)
         else:
-            modulator = ModulatorMap(
-                alpha=alpha, v0i=v0i,
-                alpha_err=_require_number(mod_node["alpha_err_s_per_v"],
-                                          "modulator.alpha_err_s_per_v"))
+            modulator = ModulatorMap(alpha=mod_node["alpha_s_per_v"], v0i=mod_node["v0i_volt"],
+                                     alpha_err=mod_node["alpha_err_s_per_v"])
             modulator.check_consistency(spectrum)
 
         run_node = document["run"]
-        tau0 = _require_number(run_node["tau0_s"], "run.tau0_s", allow_none=True)
+        tau0 = run_node["tau0_s"]
         if tau0 is None:
-            tau0 = modulator.alpha * _require_number(run_node["v0_volt"], "run.v0_volt")
-        run = RunConfig(
-            rate_total=_require_number(run_node["rate_total_hz"], "run.rate_total_hz"),
-            integration_time=_require_number(run_node["integration_time_s"],
-                                             "run.integration_time_s"),
-            duration=_require_number(run_node["duration_s"], "run.duration_s"),
-            tau0=tau0,
-            seed=_require_int(run_node["seed"], "run.seed"),
-        )
+            tau0 = modulator.alpha * run_node["v0_volt"]
+        run = RunConfig(rate_total=run_node["rate_total_hz"],
+                        integration_time=run_node["integration_time_s"],
+                        duration=run_node["duration_s"], tau0=tau0, seed=run_node["seed"])
 
         noise_node = document["noise"]
-        noise = NoiseModel(
-            dark_rate_1=_require_number(noise_node["dark_rate_1_hz"], "noise.dark_rate_1_hz"),
-            dark_rate_2=_require_number(noise_node["dark_rate_2_hz"], "noise.dark_rate_2_hz"),
-            pump_rel_sigma=_require_number(noise_node["pump_rel_sigma"],
-                                           "noise.pump_rel_sigma"),
-            drift=_build_drift(noise_node["drift"]),
-        )
-        analysis = AnalysisSettings(points_per_decade=_require_int(
-            document["analysis"]["points_per_decade"], "analysis.points_per_decade", 1))
+        noise = NoiseModel(dark_rate_1=noise_node["dark_rate_1_hz"],
+                           dark_rate_2=noise_node["dark_rate_2_hz"],
+                           pump_rel_sigma=noise_node["pump_rel_sigma"],
+                           drift=_build_drift(noise_node["drift"]))
+        analysis = AnalysisSettings(document["analysis"]["points_per_decade"])
         bright_node = document["bright_source"]
         bright = BrightSourceSettings(
-            power_noise=(
-                _require_number(bright_node["power_noise_ch1_w"],
-                                "bright_source.power_noise_ch1_w"),
-                _require_number(bright_node["power_noise_ch2_w"],
-                                "bright_source.power_noise_ch2_w"),
-            ),
-            scan_v_min=_require_number(bright_node["scan_v_min"],
-                                       "bright_source.scan_v_min"),
-            scan_v_max=_require_number(bright_node["scan_v_max"],
-                                       "bright_source.scan_v_max"),
-            scan_points=_require_int(bright_node["scan_points"],
-                                     "bright_source.scan_points"),
-            ch1=_fringe_params(bright_node["ch1"], "bright_source.ch1"),
-            ch2=_fringe_params(bright_node["ch2"], "bright_source.ch2"),
+            power_noise=(bright_node["power_noise_ch1_w"], bright_node["power_noise_ch2_w"]),
+            scan_v_min=bright_node["scan_v_min"],
+            scan_v_max=bright_node["scan_v_max"],
+            scan_points=bright_node["scan_points"],
+            ch1=_fringe_params(bright_node["ch1"]),
+            ch2=_fringe_params(bright_node["ch2"]),
         )
-        proto_node = document["calibration_protocol"]
-        protocol = CalibrationProtocol(
-            v_a_volt=_require_number(proto_node["v_a_volt"],
-                                     "calibration_protocol.v_a_volt"),
-            v_b_volt=_require_number(proto_node["v_b_volt"],
-                                     "calibration_protocol.v_b_volt"),
-            n_steps=_require_int(proto_node["n_steps"], "calibration_protocol.n_steps"),
-            repeats=_require_int(proto_node["repeats"], "calibration_protocol.repeats"),
-            integration_time_s=_require_number(
-                proto_node["integration_time_s"],
-                "calibration_protocol.integration_time_s"),
-            error_mode=str(proto_node["error_mode"]),
-        )
+        protocol = CalibrationProtocol(**document["calibration_protocol"])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -317,7 +293,7 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         spectrum=spectrum,
         geometry=geometry,
-        serrodyne_rate_override=serrodyne_override,
+        serrodyne_rate_override=geo_node["serrodyne_rate_override_hz"],
         modulator=modulator,
         run=run,
         noise=noise,

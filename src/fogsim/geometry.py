@@ -36,6 +36,8 @@ class GyroGeometry:
     def __post_init__(self):
         if not (self.fiber_length > 0 and self.coil_radius > 0 and self.refractive_index > 0):
             raise ParameterError("fiber_length, coil_radius and refractive_index must be positive")
+        if not math.isfinite(self.fiber_length / self.coil_radius):
+            raise ParameterError("fiber_length / coil_radius must be finite")
         if self.n_coils < 1:
             raise ParameterError("fiber shorter than a single coil circumference")
 

@@ -69,15 +69,19 @@ def _write_table(path, header: str, *columns) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), _WRITE_ROWS):
-            cells = [_cells(np.asarray(c[lo:lo + _WRITE_ROWS])) for c in columns]
+            cells = [_cells(c[lo:lo + _WRITE_ROWS]) for c in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _cells(chunk: np.ndarray) -> Iterable[str]:
+def _cells(chunk) -> Iterable[str]:
     """The chunk's cells as strings: floats via repr, the rest via str.
 
     Cell by cell, the strings are made as the rows are written, so that only
-    one row's strings are held at a time."""
+    one row's strings are held at a time.  A list, such as the delay flags,
+    is formatted cell by cell as it stands."""
+    if isinstance(chunk, list):
+        return map(str, chunk)
+    chunk = np.asarray(chunk)
     kind = chunk.dtype.kind
     text = repr if kind == "f" else str
     if kind in "fiu":
@@ -210,6 +214,10 @@ def write_bright_scan(path, scan: BrightScan) -> None:
 
 def read_bright_scan(path) -> BrightScan:
     v0, power1, power2 = _nonempty(path, _read_table(path, BRIGHT_HEADER, "f8,f8,f8"))
+    bad = np.flatnonzero(~np.isfinite(np.column_stack([v0, power1, power2])).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}: line {_file_line(path, bad[0])}: bright-scan cells "
+                        "must be finite")
     return BrightScan(v0=v0, power1=power1, power2=power2)
 
 

@@ -107,7 +107,8 @@ def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
     Degenerate and non-finite bins stay in place, so position is bin index
     and the even/odd split keeps parity across gaps (NIST SP 1065); window
     flags are warning-grade.  Returns the series and the unusable-bin count.
-    A missing or repeated row (uneven t) raises DataError naming its row.
+    A non-finite bin time, or a missing or repeated row (uneven t), raises
+    DataError naming its row.
     """
     if len(tau) == 0:
         raise ParameterError("no delay samples")
@@ -119,6 +120,9 @@ def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
             f"delay series too short after dropping {dropped} flagged bins "
             f"({usable} < 8)")
     t = np.asarray(t, dtype=np.float64)
+    nonfinite = np.flatnonzero(~np.isfinite(t))
+    if len(nonfinite):
+        raise DataError("bin times must be finite", row=int(nonfinite[0]))
     t0 = float(np.median(np.diff(t)))
     if not t0 > 0:
         raise DataError(f"bin times do not increase (median step {t0})")

@@ -87,6 +87,12 @@ class TestFitFringe:
         with pytest.raises(ParameterError):
             fit_fringe(synthetic_scan(TABLE1["ch1"], n=50, v_lo=3.0, v_hi=5.0), 1.0)
 
+    def test_failed_step_is_fit_error(self):
+        scan = synthetic_scan(TABLE1["ch1"])
+        scan[100, 1] = np.nan
+        with pytest.raises(FitError):
+            fit_fringe(scan, 1.0)
+
     def test_half_period_span_fits(self):
         fit = fit_fringe(synthetic_scan(TABLE1["ch1"], n=100, v_lo=0.0, v_hi=8.0), 1.0)
         assert fit.v0i == pytest.approx(3.85, rel=1e-6)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fogsim
 from fogsim import Spectrum, crb_curve, overnight_drift
 from fogsim.cli import main
+from fogsim.config import config_from_dict, default_config_dict
 from fogsim.io_formats import (
     file_digest,
     read_allan_curves,
@@ -447,11 +452,47 @@ def _identical_scan_repeats(tmp_path, calibrated):
             "--out", tmp_path / "cal.json"]
 
 
-def _stability_case(tau, flag):
+def _stability_case(tau, flag, **config):
     def argv(tmp_path, calibrated):
         delays = tmp_path / "delays.csv"
         write_delays(delays, np.arange(len(tau)), tau, 1e-18, [flag] * len(tau))
-        return ["stability", "--delays", delays, "--out-prefix", tmp_path / "stab"]
+        return ["--config", write_config(tmp_path, **config),
+                "stability", "--delays", delays, "--out-prefix", tmp_path / "stab"]
+    return argv
+
+
+def _with_cell(path: Path, row: int, column: int, token: str) -> None:
+    """Replace one cell of a CSV table; row 0 is the first data row."""
+    header, *rows = path.read_text().splitlines()
+    cells = rows[row].split(",")
+    cells[column] = token
+    rows[row] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def _bright_scan_case(token):
+    def argv(tmp_path, calibrated):
+        assert run("--out-dir", tmp_path, "calibrate", "--simulate-bright",
+                   "--simulate-counts", "--keep-intermediate") == 0
+        _with_cell(tmp_path / "bright_scan.csv", 5, 1, token)
+        return ["calibrate", "--bright", tmp_path / "bright_scan.csv", "--simulate-counts",
+                "--out", tmp_path / "cal.json"]
+    return argv
+
+
+def _delay_time_case(token):
+    def argv(tmp_path, calibrated):
+        args = _stability_case(1e-15 + 1e-18 * np.sin(np.arange(20)), "ok")(tmp_path,
+                                                                             calibrated)
+        _with_cell(tmp_path / "delays.csv", 0, 0, token)
+        return args
+    return argv
+
+
+def _calibrate_case(key, value):
+    def argv(tmp_path, calibrated):
+        return ["--config", write_config(tmp_path, **{key: value}), "calibrate",
+                "--simulate-bright", "--simulate-counts", "--out", tmp_path / "cal.json"]
     return argv
 
 
@@ -490,20 +531,131 @@ BAD_INPUTS = {
     "counts_time_nan": (_counts_time_case("nan"), 3),
     "workers_zero": (_workers_case(0, "simulate", "--out"), 2),
     "workers_negative": (_workers_case(-3, "stability", "--delays"), 2),
+    "error_mode_number": (_config_case("calibration_protocol.error_mode", 5), 2),
+    "schema_version_float": (_config_case("schema_version", 2.0), 2),
+    "rate_beyond_float_range": (_config_case("run.rate_total_hz", 10**400), 2),
+    "bright_power_nan": (_bright_scan_case("nan"), 3),
+    "bright_power_inf": (_bright_scan_case("inf"), 3),
+    "bright_fringe_w_zero": (_calibrate_case("bright_source.ch1.w_volt", 0.0), 2),
+    "bright_power_overflow": (_bright_scan_case("1e308"), 3),
+    "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 3),
+    "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2),
+    "delay_time_inf": (_delay_time_case("inf"), 3),
+    "points_per_decade_1e15": (
+        _stability_case(1e-15 + 1e-18 * np.sin(np.arange(200)), "ok",
+                        **{"analysis.points_per_decade": 10**15}), 2),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exit_code(case, tmp_path, calibrated, capsys):
-    argv, expected = BAD_INPUTS[case]
-    with warnings.catch_warnings(record=True) as caught:
+def _run_quietly(argv) -> tuple[int, str]:
+    """The exit code and stderr of a command that raises nothing and warns
+    nothing; on the command line each warning would be printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(*argv(tmp_path, calibrated)) == expected
-    err = capsys.readouterr().err
-    assert err.startswith("fogsim: error:")
-    assert "Traceback" not in err
-    # on the command line each warning would be printed to stderr
+        code = run(*argv)
+    assert "Traceback" not in err.getvalue()
     assert [str(w.message) for w in caught] == []
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(case, tmp_path, calibrated):
+    argv, expected = BAD_INPUTS[case]
+    code, err = _run_quietly(argv(tmp_path, calibrated))
+    assert code == expected
+    assert err.startswith("fogsim: error:")
+
+
+def _leaves(node: dict, path: str = ""):
+    """The dotted keys of a config document's values that are not objects."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+CONFIG_LEAVES = sorted(_leaves(default_config_dict()))
+# The keys that set how much work a command does take only small numbers.
+SIZE_KEYS = {"bright_source.scan_points", "calibration_protocol.n_steps",
+             "calibration_protocol.repeats", "run.duration_s",
+             "analysis.points_per_decade"}
+_NOT_NUMBERS = (st.booleans(), st.none(), st.text(max_size=4),
+                st.lists(st.integers(), max_size=2),
+                st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+ANY_JSON = st.one_of(st.sampled_from([0, -1, 2**70, 1e308, -1e308]),
+                     st.integers(max_value=-1), st.floats(), *_NOT_NUMBERS)
+SMALL_JSON = st.one_of(st.sampled_from([0, -1]), st.integers(-3, 40),
+                       st.floats(-3.0, 40.0), *_NOT_NUMBERS)
+CELL_TOKENS = ["nan", "inf", "-inf", "-1", "0", "2.0", "1e400", "abc", ""]
+
+
+def _exits_cleanly(argv) -> None:
+    """The property: exit 0, 2 or 3, nothing raised, no traceback, no warning."""
+    code, err = _run_quietly(argv)
+    assert code in (0, 2, 3), err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_document_exits_cleanly(tmp_path, data):
+    """fisher and a simulated calibration survive one or two leaves of the
+    default document replaced by any JSON value."""
+    keys = data.draw(st.lists(st.sampled_from(CONFIG_LEAVES), min_size=1, max_size=2,
+                              unique=True))
+    config = write_config(tmp_path, **{
+        key: data.draw(SMALL_JSON if key in SIZE_KEYS else ANY_JSON, label=key)
+        for key in keys})
+    base = ["--config", config, "--out-dir", tmp_path]
+    _exits_cleanly([*base, "fisher", "--n-points", 1])
+    _exits_cleanly([*base, "calibrate", "--simulate-bright", "--simulate-counts"])
+
+
+@pytest.fixture(scope="module")
+def small_tables(tmp_path_factory):
+    """Small valid tables of the four kinds a command reads, and their config."""
+    tmp_path = tmp_path_factory.mktemp("tables")
+    config = write_config(tmp_path, **{"bright_source.scan_points": 40,
+                                       "calibration_protocol.n_steps": 12,
+                                       "calibration_protocol.repeats": 3})
+    base = ["--config", config, "--out-dir", tmp_path]
+    assert run(*base, "simulate", "--duration", 30) == 0
+    assert run(*base, "calibrate", "--simulate-bright", "--simulate-counts",
+               "--keep-intermediate") == 0
+    assert run(*base, "estimate", "--counts", tmp_path / "counts.csv",
+               "--calibration", tmp_path / "calibration.json") == 0
+    return tmp_path, config
+
+
+# table -> the arguments of the command that reads it, given its path
+TABLE_READERS = {
+    "counts.csv": lambda path, d: ["estimate", "--counts", path,
+                                   "--calibration", d / "calibration.json"],
+    "bright_scan.csv": lambda path, d: ["calibrate", "--bright", path, "--simulate-counts"],
+    "calibration_scan.csv": lambda path, d: ["calibrate", "--simulate-bright",
+                                             "--counts", path],
+    "delays.csv": lambda path, d: ["stability", "--delays", path],
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_damaged_cell_exits_cleanly(tmp_path, small_tables, data):
+    """Each command survives one cell of the table it reads replaced."""
+    source, config = small_tables
+    name = data.draw(st.sampled_from(sorted(TABLE_READERS)))
+    path = tmp_path / name
+    path.write_text((source / name).read_text())
+    header, *rows = path.read_text().splitlines()
+    _with_cell(path, data.draw(st.integers(0, len(rows) - 1)),
+               data.draw(st.integers(0, header.count(","))),
+               data.draw(st.sampled_from(CELL_TOKENS)))
+    _exits_cleanly(["--config", config, "--out-dir", tmp_path,
+                    *TABLE_READERS[name](path, source)])
 
 
 def test_import_leaves_out_scipy_stats():
@@ -535,6 +687,12 @@ class TestConfigHandling:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"]["type"] == "ParameterError"
         assert "--workers" in payload["error"]["message"]
+
+    def test_float_key_is_stored_and_hashed_as_float(self):
+        as_int = config_from_dict({"run": {"duration_s": 32400}})
+        as_float = config_from_dict({"run": {"duration_s": 32400.0}})
+        assert type(as_int.document["run"]["duration_s"]) is float
+        assert as_int.hash == as_float.hash
 
     def test_sigma_omega_unit_convention_flag(self, tmp_path):
         angular = write_config(tmp_path, **{"spectrum.sigma_omega": 0.25e12})

@@ -162,8 +162,10 @@ def _counts(data):
 
 
 def _bright(data):
+    # a bright scan's cells must be finite
     n = data.draw(st.integers(1, 12))
-    return [_column(data, FLOATS, n) for _ in range(3)]
+    return [_column(data, st.floats(allow_nan=False, allow_infinity=False), n)
+            for _ in range(3)]
 
 
 def _scan(data):
@@ -293,6 +295,8 @@ MALFORMED = {
     "counts_non_integer": (COUNT_HEADER, ["0.0,2.0,3"]),
     "counts_no_rows": (COUNT_HEADER, []),
     "bright_no_rows": (BRIGHT_HEADER, []),
+    "bright_nan_power": (BRIGHT_HEADER, ["0.0,1e-07,2e-07", "1.0,nan,2e-07"]),
+    "bright_inf_voltage": (BRIGHT_HEADER, ["inf,1e-07,2e-07"]),
     "scan_no_rows": (CAL_SCAN_HEADER, []),
     "scan_unequal_repeats": (CAL_SCAN_HEADER, SCAN_ROWS[:3]),
     "scan_negative_count": (CAL_SCAN_HEADER, SCAN_ROWS[:3] + ["4.4,0.3,-5,4"]),
