@@ -33,6 +33,10 @@ __all__ = [
     "ideal_linear_calibration",
 ]
 
+# A calibration step's contrast error: the standard error of the repeat mean,
+# or the bare standard deviation of the repeats.
+ERROR_MODES = ("sem", "std")
+
 _GN_MAX_ITER = 200
 _GN_REL_TOL = 1e-10
 
@@ -331,8 +335,8 @@ def contrast_points_from_scan(scan, dark: tuple[float, float],
     deviation (``error_mode="std"``).  Steps with fewer than two
     non-degenerate repeats come back flagged degenerate.
     """
-    if error_mode not in ("sem", "std"):
-        raise ParameterError(f"error_mode must be 'sem' or 'std', got {error_mode!r}")
+    if error_mode not in ERROR_MODES:
+        raise ParameterError(f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}")
     points = []
     for tau, c1, c2 in zip(scan.tau_set.tolist(), scan.c1, scan.c2):
         dx, _, degenerate = normalize_count_arrays(c1, c2, dark, scan.integration_time)

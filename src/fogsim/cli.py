@@ -30,7 +30,7 @@ from .io_formats import (RunManifest, about_file, file_digest, read_bright_scan,
                          write_count_series, write_delay_series, write_fisher_curve,
                          write_manifest, write_report)
 from .model import ModulatorMap, fisher_information
-from .simulate import (RNG_ALGORITHM, RunConfig, simulate_bright_scan,
+from .simulate import (MAX_BINS, RNG_ALGORITHM, RunConfig, simulate_bright_scan,
                        simulate_calibration_scan, simulate_run)
 from .stability import (default_m_grid, even_odd_split, overlapping_allan_deviation,
                         series_from_delay_table, stability_report)
@@ -74,10 +74,12 @@ def _manifest(config: ExperimentConfig, inputs: dict[str, Path],
 
 def _cmd_fisher(args) -> int:
     config = _load_config(args)
-    if args.n_points < 1:
-        raise ParameterError(f"n-points must be >= 1, got {args.n_points}")
+    if not 1 <= args.n_points <= MAX_BINS:
+        raise ParameterError(f"n-points must lie in [1, {MAX_BINS:.0e}], got {args.n_points}")
     if args.tau_min < 0 or not math.isfinite(args.tau_min):
         raise ParameterError(f"tau-min must be >= 0, got {args.tau_min}")
+    if not math.isfinite(args.tau_max):
+        raise ParameterError(f"tau-max must be finite, got {args.tau_max}")
     if args.n_points > 1 and not args.tau_max > args.tau_min:
         raise ParameterError("tau-max must exceed tau-min")
     grid = np.linspace(args.tau_min, args.tau_max, args.n_points)

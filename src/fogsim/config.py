@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .calibration import FringeParams
+from .calibration import ERROR_MODES, FringeParams
 from .errors import ConfigError, ParameterError
 from .geometry import GyroGeometry
 from .model import ModulatorMap, Spectrum
@@ -28,7 +28,7 @@ __all__ = ["ExperimentConfig", "AnalysisSettings", "BrightSourceSettings",
            "CalibrationProtocol", "default_config_dict", "load_config",
            "config_from_dict", "config_hash"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def default_config_dict() -> dict:
@@ -48,16 +48,12 @@ def default_config_dict() -> dict:
         },
         "modulator": {
             "v0i_volt": 3.8596,
-            "v0i_err_volt": 0.0095,
-            "alpha_s_per_v": None,
-            "alpha_err_s_per_v": 0.0,
         },
         "run": {
             "rate_total_hz": 631.6e3,
             "integration_time_s": 1.0,
             "duration_s": 7200.0,
             "v0_volt": 3.86,
-            "tau0_s": None,
             "seed": 20250808,
         },
         "noise": {
@@ -98,8 +94,8 @@ def default_config_dict() -> dict:
     }
 
 
-# The keys whose value is derived from the others when null.
-_NULLABLE = {"run.tau0_s", "modulator.alpha_s_per_v", "geometry.serrodyne_rate_override_hz"}
+# The key whose value is derived from the others when null.
+_NULLABLE = {"geometry.serrodyne_rate_override_hz"}
 
 # Keeps the Allan m grid small: at most about 9,000 exponents for a run of
 # the 10^9-bin cap.
@@ -183,6 +179,11 @@ class CalibrationProtocol:
     integration_time_s: float
     error_mode: str
 
+    def __post_init__(self):
+        if self.error_mode not in ERROR_MODES:
+            raise ParameterError(f"error_mode must be one of {ERROR_MODES}, "
+                                 f"got {self.error_mode!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -252,22 +253,14 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
         geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],
                                 geo_node["refractive_index"])
 
-        mod_node = document["modulator"]
-        if mod_node["alpha_s_per_v"] is None:
-            modulator = ModulatorMap.from_inflection(mod_node["v0i_volt"],
-                                                     mod_node["v0i_err_volt"], spectrum)
-        else:
-            modulator = ModulatorMap(alpha=mod_node["alpha_s_per_v"], v0i=mod_node["v0i_volt"],
-                                     alpha_err=mod_node["alpha_err_s_per_v"])
-            modulator.check_consistency(spectrum)
-
+        # The working point only; alpha's uncertainty is measured by calibrate.
+        modulator = ModulatorMap.from_inflection(document["modulator"]["v0i_volt"], 0.0,
+                                                 spectrum)
         run_node = document["run"]
-        tau0 = run_node["tau0_s"]
-        if tau0 is None:
-            tau0 = modulator.alpha * run_node["v0_volt"]
         run = RunConfig(rate_total=run_node["rate_total_hz"],
                         integration_time=run_node["integration_time_s"],
-                        duration=run_node["duration_s"], tau0=tau0, seed=run_node["seed"])
+                        duration=run_node["duration_s"],
+                        tau0=modulator.alpha * run_node["v0_volt"], seed=run_node["seed"])
 
         noise_node = document["noise"]
         noise = NoiseModel(dark_rate_1=noise_node["dark_rate_1_hz"],

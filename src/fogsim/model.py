@@ -106,16 +106,6 @@ class ModulatorMap:
         alpha = spectrum.quarter_wave_delay / v0i
         return cls(alpha=alpha, v0i=v0i, alpha_err=alpha * v0i_err / v0i)
 
-    def check_consistency(self, spectrum: Spectrum, n_sigma: float = 3.0) -> None:
-        """Verify alpha * v0i reproduces lambda0/(4c) within propagated error."""
-        target = spectrum.quarter_wave_delay
-        tol = max(n_sigma * self.alpha_err * self.v0i, 1e-9 * target)
-        if abs(self.alpha * self.v0i - target) > tol:
-            raise ParameterError(
-                f"alpha*v0i = {self.alpha * self.v0i!r} deviates from lambda0/4c = "
-                f"{target!r} by more than {tol!r}"
-            )
-
 
 def click_probabilities(tau, spectrum: Spectrum):
     """Click probabilities (p1, p2) of the two outputs at inter-path delay tau.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri, pdtr
@@ -268,12 +269,9 @@ def _generate_counts(tau: np.ndarray, rate_total: float, integration_time: float
         c1[sl], c2[sl] = _draw_counts(sl.start, key_counts, p1[sl], p2[sl],
                                       mean_total, dark_counts, noise.pump_rel_sigma)
 
-    if workers > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, slices))
-    else:
-        for sl in slices:
-            fill(sl)
+    # Pool threads start under numpy's default error handling; each takes the caller's.
+    with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
+        list(pool.map(fill, slices))
     return c1, c2
 
 

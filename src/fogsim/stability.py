@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -185,12 +186,9 @@ def overlapping_allan_deviation(series: DelaySeries,
         total = float(np.sum(d * d))
         adev[i] = math.sqrt(total / (2.0 * m * m * k))
 
-    if workers > 1 and len(m_arr) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(compute, range(len(m_arr))))
-    else:
-        for i in range(len(m_arr)):
-            compute(i)
+    # Pool threads start under numpy's default error handling; each takes the caller's.
+    with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
+        list(pool.map(compute, range(len(m_arr))))
 
     return AllanCurve(
         m=m_arr, t=m_arr * series.t0, adev=adev,

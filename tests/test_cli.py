@@ -502,6 +502,25 @@ def _workers_case(value, *command):
     return argv
 
 
+def _fisher_case(*options):
+    def argv(tmp_path, calibrated):
+        return ["fisher", *options, "--out", tmp_path / "f.csv"]
+    return argv
+
+
+# At V0 = 2 V0i channel 1 takes almost every photon, so a pump gain above
+# 1.03 takes its mean count past the float64 range.
+_OVERFLOWING_RUN = {"run.rate_total_hz": 1.75e308, "run.duration_s": 40000.0,
+                    "run.v0_volt": 7.7192}
+
+
+def _overflow_case(workers):
+    def argv(tmp_path, calibrated):
+        return ["--workers", workers,
+                *_simulate_case(**_OVERFLOWING_RUN)(tmp_path, calibrated)]
+    return argv
+
+
 BAD_INPUTS = {
     "seed_fraction": (_config_case("run.seed", 1.9), 2),
     "seed_bool": (_config_case("run.seed", True), 2),
@@ -532,7 +551,7 @@ BAD_INPUTS = {
     "workers_zero": (_workers_case(0, "simulate", "--out"), 2),
     "workers_negative": (_workers_case(-3, "stability", "--delays"), 2),
     "error_mode_number": (_config_case("calibration_protocol.error_mode", 5), 2),
-    "schema_version_float": (_config_case("schema_version", 2.0), 2),
+    "schema_version_float": (_config_case("schema_version", 3.0), 2),
     "rate_beyond_float_range": (_config_case("run.rate_total_hz", 10**400), 2),
     "bright_power_nan": (_bright_scan_case("nan"), 3),
     "bright_power_inf": (_bright_scan_case("inf"), 3),
@@ -544,6 +563,11 @@ BAD_INPUTS = {
     "points_per_decade_1e15": (
         _stability_case(1e-15 + 1e-18 * np.sin(np.arange(200)), "ok",
                         **{"analysis.points_per_decade": 10**15}), 2),
+    "overflow_one_worker": (_overflow_case(1), 3),
+    "overflow_two_workers": (_overflow_case(2), 3),
+    "error_mode_unknown": (_config_case("calibration_protocol.error_mode", "abc"), 2),
+    "fisher_tau_max_inf": (_fisher_case("--tau-max", "inf"), 2),
+    "fisher_points_over_cap": (_fisher_case("--n-points", 10**11), 2),
 }
 
 
@@ -566,6 +590,26 @@ def test_bad_input_exit_code(case, tmp_path, calibrated):
     code, err = _run_quietly(argv(tmp_path, calibrated))
     assert code == expected
     assert err.startswith("fogsim: error:")
+
+
+# Keys of schema 2 that restated the working point or fed nothing, and the
+# old version itself.
+RETIRED = {"run.tau0_s": 1.3e-15, "modulator.alpha_s_per_v": 3.35e-16,
+           "modulator.alpha_err_s_per_v": 0.0, "modulator.v0i_err_volt": 0.0095,
+           "schema_version": 2}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_retired_config_fails_every_command(key, tmp_path):
+    base = ["--config", write_config(tmp_path, **{key: RETIRED[key]}), "--out-dir", tmp_path]
+    missing = tmp_path / "missing.csv"
+    for command in (["fisher"], ["simulate"],
+                    ["calibrate", "--simulate-bright", "--simulate-counts"],
+                    ["estimate", "--counts", missing, "--calibration", missing],
+                    ["stability", "--delays", missing]):
+        code, err = _run_quietly([*base, *command])
+        assert code == 2
+        assert key in err
 
 
 def _leaves(node: dict, path: str = ""):
@@ -611,7 +655,8 @@ def test_any_config_document_exits_cleanly(tmp_path, data):
         for key in keys})
     base = ["--config", config, "--out-dir", tmp_path]
     _exits_cleanly([*base, "fisher", "--n-points", 1])
-    _exits_cleanly([*base, "calibrate", "--simulate-bright", "--simulate-counts"])
+    _exits_cleanly(["--workers", 2, *base, "calibrate", "--simulate-bright",
+                    "--simulate-counts"])
 
 
 @pytest.fixture(scope="module")
