@@ -1,9 +1,11 @@
 """Command-line front end tying the pipeline together.
 
 Subcommands: fisher, simulate, calibrate, estimate, stability.  Exit codes:
-0 success, 2 usage or configuration error, 3 data or fit error.  A
-floating-point overflow, invalid operation or division by zero stops a
-command with exit 3, where numpy would warn and go on with inf or nan.  With
+0 success, 2 usage or configuration error, 3 data or fit error.  An
+arithmetic error (a floating-point overflow, invalid operation or division
+by zero) stops a command with exit 3, where numpy would warn and go on with
+inf or nan, and names the function it came from; in fisher, whose only
+inputs are its arguments and the config, it is a usage error.  With
 --json-errors failures are also emitted as a machine-readable JSON object
 on stderr.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .calibration import (CalibrationSet, combine_inflection, contrast_points_from_scan,
                           estimate_delays, fit_fringe, fit_linear_calibration)
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, FitError, FogsimError, ParameterError
 from .io_formats import (RunManifest, about_file, file_digest, read_bright_scan,
                          read_calibration_scan, read_calibration_set, read_count_series,
@@ -47,15 +49,6 @@ def _out_path(args, name: str) -> Path:
     return path
 
 
-def _load_config(args) -> ExperimentConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        doc = json.loads(json.dumps(config.document))
-        doc["run"]["seed"] = args.seed
-        config = config_from_dict(doc)
-    return config
-
-
 def _manifest(config: ExperimentConfig, inputs: dict[str, Path],
               outputs: dict[str, Path]) -> RunManifest:
     return RunManifest(
@@ -73,7 +66,7 @@ def _manifest(config: ExperimentConfig, inputs: dict[str, Path],
 # ---------------------------------------------------------------------------
 
 def _cmd_fisher(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config)
     if not 1 <= args.n_points <= MAX_BINS:
         raise ParameterError(f"n-points must lie in [1, {MAX_BINS:.0e}], got {args.n_points}")
     if args.tau_min < 0 or not math.isfinite(args.tau_min):
@@ -83,7 +76,13 @@ def _cmd_fisher(args) -> int:
     if args.n_points > 1 and not args.tau_max > args.tau_min:
         raise ParameterError("tau-max must exceed tau-min")
     grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
-    values = fisher_information(grid, config.spectrum)
+    try:
+        values = fisher_information(grid, config.spectrum)
+    except ArithmeticError as exc:
+        # fisher reads no data file: its arguments and the config are the inputs
+        raise ParameterError(f"the Fisher information failed: {_arithmetic_text(exc)}; "
+                             "check --tau-min, --tau-max, spectrum.lambda0_m and "
+                             "spectrum.sigma_omega") from exc
     out = _out_path(args, args.out)
     write_fisher_curve(out, grid, values)
     print(f"wrote {out} ({len(grid)} points)")
@@ -91,13 +90,8 @@ def _cmd_fisher(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
-    run = config.run
-    if args.duration is not None:
-        run = RunConfig(rate_total=run.rate_total,
-                        integration_time=run.integration_time,
-                        duration=args.duration, tau0=run.tau0, seed=run.seed)
-    series = simulate_run(run, config.spectrum, config.noise, workers=args.workers)
+    config = load_config(args.config)
+    series = simulate_run(config.run, config.spectrum, config.noise, workers=args.workers)
     out = _out_path(args, args.out)
     write_count_series(out, series)
     manifest_path = Path(str(out) + ".manifest.json")
@@ -122,7 +116,7 @@ def _fit_channels(bright, sigmas: tuple[float, float], channels: tuple[str, ...]
 
 
 def _cmd_calibrate(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config)
     inputs: dict[str, Path] = {}
     protocol = config.protocol
     bright_cfg = config.bright_source
@@ -186,7 +180,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config)
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time)
     tau, sigma, flags = estimate_delays(series, calset)
@@ -203,7 +197,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config)
     t, tau, _, flags = read_delay_series(args.delays)
     with about_file(args.delays):
         raw, dropped = series_from_delay_table(t, tau, flags)
@@ -256,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fogsim",
         description="Photon-counting gyroscope simulator and stability analysis")
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--out-dir", help="directory for relative output paths")
     parser.add_argument("--json-errors", action="store_true",
                         help="emit errors as JSON on stderr")
@@ -272,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fisher)
 
     p = sub.add_parser("simulate", help="generate a photon-count time series")
-    p.add_argument("--duration", type=float, help="override run.duration_s")
     p.add_argument("--out", default="counts.csv")
     p.set_defaults(func=_cmd_simulate)
 
@@ -313,17 +305,38 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         _report_error(json_errors, exc)
         return _USAGE_EXIT
-    except (FogsimError, FloatingPointError) as exc:
+    except (FogsimError, ArithmeticError) as exc:
         _report_error(json_errors, exc)
         return _DATA_EXIT
 
 
+def _arithmetic_text(exc: ArithmeticError) -> str:
+    """The message of an arithmetic error; Python's float ** gives (errno, text)."""
+    return str(exc.args[-1]) if exc.args else type(exc).__name__
+
+
+def _raised_in(exc: BaseException) -> str:
+    """module.function of the innermost fogsim frame an exception passed through."""
+    where = ""
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        # this module is __main__ under `python -m fogsim.cli`
+        if module == __name__ or module.startswith("fogsim."):
+            where = f"{module}.{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return where
+
+
 def _report_error(json_errors: bool, exc: Exception) -> None:
+    message = str(exc)
+    if isinstance(exc, ArithmeticError):
+        message = f"{_arithmetic_text(exc)} (in {_raised_in(exc)})"
     if json_errors:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        payload = {"error": {"type": type(exc).__name__, "message": message}}
         print(json.dumps(payload), file=sys.stderr)
     else:
-        print(f"fogsim: error: {exc}", file=sys.stderr)
+        print(f"fogsim: error: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ __all__ = ["ExperimentConfig", "AnalysisSettings", "BrightSourceSettings",
            "CalibrationProtocol", "default_config_dict", "load_config",
            "config_from_dict", "config_hash"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def default_config_dict() -> dict:
@@ -38,7 +37,6 @@ def default_config_dict() -> dict:
         "spectrum": {
             "lambda0_m": 1550e-9,
             "sigma_omega": 0.25e12,
-            "sigma_omega_is_angular": True,
         },
         "geometry": {
             "fiber_length_m": 2000.0,
@@ -120,9 +118,9 @@ def _merge_checked(defaults: dict, override: dict, path: str = "") -> dict:
 def _checked(default, value, where: str):
     """``value`` if it has the JSON type of ``default``.
 
-    A boolean or string default takes a value of its own type, an integer
-    default a JSON integer >= 0, and a float default a finite number, stored
-    as float; only the _NULLABLE keys, floats otherwise, take null.
+    A string default takes a string, an integer default a JSON integer >= 0,
+    and a float default a finite number, stored as float; only the _NULLABLE
+    keys, floats otherwise, take null.
     """
     if isinstance(default, dict):
         if isinstance(value, dict):
@@ -130,10 +128,10 @@ def _checked(default, value, where: str):
         expected = "an object"
     elif value is None and where in _NULLABLE:
         return None
-    elif isinstance(default, (bool, str)):
-        if isinstance(value, type(default)):
+    elif isinstance(default, str):
+        if isinstance(value, str):
             return value
-        expected = "true or false" if isinstance(default, bool) else "a string"
+        expected = "a string"
     elif isinstance(default, int):
         if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
             return value
@@ -242,12 +240,9 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
             f"unsupported schema_version {document['schema_version']!r}; "
             f"this build reads version {SCHEMA_VERSION}")
 
-    spec_node = document["spectrum"]
-    sigma_omega = spec_node["sigma_omega"]
-    if not spec_node["sigma_omega_is_angular"]:
-        sigma_omega *= 2.0 * math.pi
     try:
-        spectrum = Spectrum.from_wavelength(spec_node["lambda0_m"], sigma_omega)
+        spec_node = document["spectrum"]
+        spectrum = Spectrum(spec_node["lambda0_m"], spec_node["sigma_omega"])
 
         geo_node = document["geometry"]
         geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],

@@ -24,9 +24,6 @@ __all__ = [
     "fisher_information_numeric",
 ]
 
-# Relative agreement demanded between omega0 and 2*pi*c/lambda0.
-_WAVELENGTH_CONSISTENCY = 1e-12
-
 # |omega0*tau| and sigma*tau below which the Fisher formula is replaced by
 # its analytic tau -> 0 limit (the raw expression is 0/0 there and loses all
 # precision to cancellation well before that).
@@ -38,39 +35,29 @@ _PROB_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Gaussian photon spectrum in angular-frequency parametrization.
+    """Gaussian photon spectrum.
 
-    omega0: center angular frequency, rad/s.
+    lambda0: center wavelength, m.
     sigma_omega: 1-sigma linewidth of the spectral density, rad/s.
-    lambda0: center wavelength, m (redundant with omega0; consistency enforced).
     """
 
-    omega0: float
-    sigma_omega: float
     lambda0: float
+    sigma_omega: float
 
     def __post_init__(self):
-        if not (self.omega0 > 0.0 and math.isfinite(self.omega0)):
-            raise ParameterError(f"omega0 must be positive and finite, got {self.omega0}")
+        if not self.lambda0 > 0.0:
+            raise ParameterError(f"lambda0 must be positive, got {self.lambda0}")
+        if not math.isfinite(self.omega0):
+            raise ParameterError(f"lambda0 = {self.lambda0!r} gives an infinite omega0")
         if not (self.sigma_omega > 0.0 and math.isfinite(self.sigma_omega)):
             raise ParameterError(f"sigma_omega must be positive and finite, got {self.sigma_omega}")
         if not self.sigma_omega < self.omega0:
             raise ParameterError("sigma_omega must be smaller than omega0")
-        if not self.lambda0 > 0.0:
-            raise ParameterError(f"lambda0 must be positive, got {self.lambda0}")
-        omega_from_lambda = 2.0 * math.pi * C_VACUUM / self.lambda0
-        if abs(self.omega0 - omega_from_lambda) / self.omega0 >= _WAVELENGTH_CONSISTENCY:
-            raise ParameterError(
-                f"omega0={self.omega0!r} inconsistent with lambda0={self.lambda0!r} "
-                f"(expected {omega_from_lambda!r})"
-            )
 
-    @classmethod
-    def from_wavelength(cls, lambda0: float, sigma_omega: float) -> "Spectrum":
-        """Build a spectrum from the center wavelength, deriving omega0 = 2*pi*c/lambda0."""
-        if not lambda0 > 0.0:
-            raise ParameterError(f"lambda0 must be positive, got {lambda0}")
-        return cls(2.0 * math.pi * C_VACUUM / lambda0, sigma_omega, lambda0)
+    @property
+    def omega0(self) -> float:
+        """Center angular frequency 2*pi*c/lambda0, rad/s."""
+        return 2.0 * math.pi * C_VACUUM / self.lambda0
 
     @property
     def quarter_wave_delay(self) -> float:

@@ -7,7 +7,7 @@ from fogsim import GyroGeometry, Spectrum
 @pytest.fixture(scope="session")
 def spectrum():
     """Telecom-band source: 1550 nm center, 0.25e12 rad/s Gaussian linewidth."""
-    return Spectrum.from_wavelength(1550e-9, 0.25e12)
+    return Spectrum(1550e-9, 0.25e12)
 
 
 @pytest.fixture(scope="session")

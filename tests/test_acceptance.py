@@ -49,7 +49,7 @@ def report(number: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def spectrum():
-    return Spectrum.from_wavelength(1550e-9, 0.25e12)
+    return Spectrum(1550e-9, 0.25e12)
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from fogsim.io_formats import (
     read_delay_series,
 )
 
-SPECTRUM = Spectrum.from_wavelength(1550e-9, 0.25e12)
+SPECTRUM = Spectrum(1550e-9, 0.25e12)
 OMEGA0 = SPECTRUM.omega0
 RATE = 631.6e3
 
@@ -106,8 +106,10 @@ class TestSimulateCommand:
         assert file_digest(a) == file_digest(b)
 
     def test_duration_below_bin_is_usage_error(self, tmp_path):
-        assert run("simulate", "--duration", 0.25,
-                   "--out", tmp_path / "x.csv") == 2
+        config = write_config(tmp_path, **{"run.duration_s": 0.25})
+        code, err = _run_quietly(["--config", config, "simulate", "--out", tmp_path / "x.csv"])
+        assert code == 2
+        assert "at least one integration bin" in err
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "counts.csv"
@@ -502,9 +504,10 @@ def _workers_case(value, *command):
     return argv
 
 
-def _fisher_case(*options):
+def _fisher_case(*options, **config):
     def argv(tmp_path, calibrated):
-        return ["fisher", *options, "--out", tmp_path / "f.csv"]
+        return ["--config", write_config(tmp_path, **config), "fisher", *options,
+                "--out", tmp_path / "f.csv"]
     return argv
 
 
@@ -521,53 +524,80 @@ def _overflow_case(workers):
     return argv
 
 
+# case -> (argv builder, exit code, a fragment the error message must contain)
 BAD_INPUTS = {
-    "seed_fraction": (_config_case("run.seed", 1.9), 2),
-    "seed_bool": (_config_case("run.seed", True), 2),
-    "scan_points_string": (_config_case("bright_source.scan_points", "3"), 2),
-    "points_per_decade_zero": (_config_case("analysis.points_per_decade", 0), 2),
-    "calibration_without_linear": (_estimate_case(lambda d: d.pop("linear")), 3),
+    "seed_fraction": (_config_case("run.seed", 1.9), 2, "run.seed"),
+    "seed_bool": (_config_case("run.seed", True), 2, "run.seed"),
+    "scan_points_string": (_config_case("bright_source.scan_points", "3"), 2,
+                           "bright_source.scan_points"),
+    "points_per_decade_zero": (_config_case("analysis.points_per_decade", 0), 2,
+                               "points_per_decade"),
+    "calibration_without_linear": (_estimate_case(lambda d: d.pop("linear")), 3, "linear"),
     "calibration_k1_string": (
-        _estimate_case(lambda d: d["linear"].update(k1_per_fs="1.09")), 3),
+        _estimate_case(lambda d: d["linear"].update(k1_per_fs="1.09")), 3, "k1_per_fs"),
     "calibration_fit_without_chi2": (
-        _estimate_case(lambda d: d["fringe_fits"]["ch1"].pop("chi2")), 3),
-    "negative_counts": (_negative_counts, 3),
-    "negative_scan_counts": (_negative_scan_counts, 3),
-    "identical_scan_repeats": (_identical_scan_repeats, 3),
-    "constant_delays": (_stability_case(np.full(11, 1e-15), "ok"), 3),
-    "unknown_delay_flag": (_stability_case(1e-15 + 1e-18 * np.arange(11), "bogus"), 3),
-    "angular_flag_string": (_config_case("spectrum.sigma_omega_is_angular", "false"), 2),
-    "drift_term_string": (_config_case("noise.drift.linear_s_per_s", "abc"), 2),
-    "drift_term_without_custom": (_config_case("noise.drift.linear_s_per_s", 1e-18), 2),
-    "duration_nan": (_simulate_case("--duration", "nan"), 2),
-    "duration_inf": (_simulate_case("--duration", "inf"), 2),
-    "duration_1e30": (_simulate_case("--duration", "1e30"), 2),
+        _estimate_case(lambda d: d["fringe_fits"]["ch1"].pop("chi2")), 3, "chi2"),
+    "negative_counts": (_negative_counts, 3, "non-negative"),
+    "negative_scan_counts": (_negative_scan_counts, 3, "non-negative"),
+    "identical_scan_repeats": (_identical_scan_repeats, 3, "dx_err"),
+    "constant_delays": (_stability_case(np.full(11, 1e-15), "ok"), 3, "zero Allan deviation"),
+    "unknown_delay_flag": (_stability_case(1e-15 + 1e-18 * np.arange(11), "bogus"), 3,
+                           "'bogus'"),
+    "drift_term_string": (_config_case("noise.drift.linear_s_per_s", "abc"), 2,
+                          "noise.drift.linear_s_per_s"),
+    "drift_term_without_custom": (_config_case("noise.drift.linear_s_per_s", 1e-18), 2,
+                                  "custom"),
+    "duration_nan": (_simulate_case(**{"run.duration_s": math.nan}), 2, "run.duration_s"),
+    "duration_inf": (_simulate_case(**{"run.duration_s": math.inf}), 2, "run.duration_s"),
+    "duration_1e30": (_simulate_case(**{"run.duration_s": 1e30}), 2, "bins"),
     "bins_over_cap": (_simulate_case(**{"run.integration_time_s": 1e-9,
-                                        "run.duration_s": 1e9}), 2),
+                                        "run.duration_s": 1e9}), 2, "bins"),
     "rate_over_count_cap": (_simulate_case(**{"run.rate_total_hz": 1e300,
-                                              "run.duration_s": 5.0}), 2),
-    "counts_time_inf": (_counts_time_case("inf"), 3),
-    "counts_time_nan": (_counts_time_case("nan"), 3),
-    "workers_zero": (_workers_case(0, "simulate", "--out"), 2),
-    "workers_negative": (_workers_case(-3, "stability", "--delays"), 2),
-    "error_mode_number": (_config_case("calibration_protocol.error_mode", 5), 2),
-    "schema_version_float": (_config_case("schema_version", 3.0), 2),
-    "rate_beyond_float_range": (_config_case("run.rate_total_hz", 10**400), 2),
-    "bright_power_nan": (_bright_scan_case("nan"), 3),
-    "bright_power_inf": (_bright_scan_case("inf"), 3),
-    "bright_fringe_w_zero": (_calibrate_case("bright_source.ch1.w_volt", 0.0), 2),
-    "bright_power_overflow": (_bright_scan_case("1e308"), 3),
-    "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 3),
-    "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2),
-    "delay_time_inf": (_delay_time_case("inf"), 3),
+                                              "run.duration_s": 5.0}), 2,
+                            "mean count per bin"),
+    "counts_time_inf": (_counts_time_case("inf"), 3, "bin times must be finite"),
+    "counts_time_nan": (_counts_time_case("nan"), 3, "bin times must be finite"),
+    "workers_zero": (_workers_case(0, "simulate", "--out"), 2, "--workers"),
+    "workers_negative": (_workers_case(-3, "stability", "--delays"), 2, "--workers"),
+    "error_mode_number": (_config_case("calibration_protocol.error_mode", 5), 2,
+                          "calibration_protocol.error_mode"),
+    "schema_version_float": (_config_case("schema_version", 4.0), 2,
+                             "schema_version must be an integer"),
+    "rate_beyond_float_range": (_config_case("run.rate_total_hz", 10**400), 2,
+                                "run.rate_total_hz"),
+    "bright_power_nan": (_bright_scan_case("nan"), 3, "bright-scan cells"),
+    "bright_power_inf": (_bright_scan_case("inf"), 3, "bright-scan cells"),
+    "bright_fringe_w_zero": (_calibrate_case("bright_source.ch1.w_volt", 0.0), 2, "w_volt"),
+    "bright_power_overflow": (_bright_scan_case("1e308"), 3,
+                              "(in fogsim.calibration.fit_fringe)"),
+    "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 3,
+                                   "(in fogsim.calibration.evaluate)"),
+    "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
+                              "coil_radius"),
+    "delay_time_inf": (_delay_time_case("inf"), 3, "bin times must be finite"),
     "points_per_decade_1e15": (
         _stability_case(1e-15 + 1e-18 * np.sin(np.arange(200)), "ok",
-                        **{"analysis.points_per_decade": 10**15}), 2),
-    "overflow_one_worker": (_overflow_case(1), 3),
-    "overflow_two_workers": (_overflow_case(2), 3),
-    "error_mode_unknown": (_config_case("calibration_protocol.error_mode", "abc"), 2),
-    "fisher_tau_max_inf": (_fisher_case("--tau-max", "inf"), 2),
-    "fisher_points_over_cap": (_fisher_case("--n-points", 10**11), 2),
+                        **{"analysis.points_per_decade": 10**15}), 2, "points_per_decade"),
+    "overflow_one_worker": (_overflow_case(1), 3, "(in fogsim.simulate._draw_counts)"),
+    "overflow_two_workers": (_overflow_case(2), 3, "(in fogsim.simulate._draw_counts)"),
+    "error_mode_unknown": (_config_case("calibration_protocol.error_mode", "abc"), 2,
+                           "error_mode"),
+    "fisher_tau_max_inf": (_fisher_case("--tau-max", "inf"), 2, "tau-max"),
+    "fisher_points_over_cap": (_fisher_case("--n-points", 10**11), 2, "n-points"),
+    "crb_overflow": (_stability_case(1e-15 + 1e-18 * np.sin(np.arange(20)), "ok",
+                                     **{"spectrum.lambda0_m": 1e-200}), 3,
+                     "(in fogsim.stability.crb_curve)"),
+    "fisher_tau_max_overflow": (_fisher_case("--tau-max", 1e308, "--n-points", 2), 2,
+                                "--tau-max"),
+    "fisher_tau_range_overflow": (_fisher_case("--tau-min", 1e200, "--tau-max", 2e200,
+                                               "--n-points", 2), 2, "--tau-min"),
+    "fisher_spectrum_overflow": (_fisher_case(**{"spectrum.lambda0_m": 1e-290,
+                                                 "spectrum.sigma_omega": 1e290}), 2,
+                                 "spectrum.lambda0_m"),
+    "seed_flag": (lambda tmp_path, _: ["--seed=1", "fisher", "--out", tmp_path / "f.csv"], 2,
+                  "unrecognized arguments: --seed"),
+    "duration_flag": (_simulate_case("--duration", 10), 2,
+                      "unrecognized arguments: --duration"),
 }
 
 
@@ -586,17 +616,18 @@ def _run_quietly(argv) -> tuple[int, str]:
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exit_code(case, tmp_path, calibrated):
-    argv, expected = BAD_INPUTS[case]
+    argv, expected, fragment = BAD_INPUTS[case]
     code, err = _run_quietly(argv(tmp_path, calibrated))
     assert code == expected
     assert err.startswith("fogsim: error:")
+    assert fragment in err
 
 
-# Keys of schema 2 that restated the working point or fed nothing, and the
-# old version itself.
+# Keys of schemas 2 and 3 that restated another key or fed nothing, and the
+# last old version.
 RETIRED = {"run.tau0_s": 1.3e-15, "modulator.alpha_s_per_v": 3.35e-16,
            "modulator.alpha_err_s_per_v": 0.0, "modulator.v0i_err_volt": 0.0095,
-           "schema_version": 2}
+           "spectrum.sigma_omega_is_angular": False, "schema_version": 3}
 
 
 @pytest.mark.parametrize("key", sorted(RETIRED))
@@ -663,11 +694,12 @@ def test_any_config_document_exits_cleanly(tmp_path, data):
 def small_tables(tmp_path_factory):
     """Small valid tables of the four kinds a command reads, and their config."""
     tmp_path = tmp_path_factory.mktemp("tables")
-    config = write_config(tmp_path, **{"bright_source.scan_points": 40,
+    config = write_config(tmp_path, **{"run.duration_s": 30.0,
+                                       "bright_source.scan_points": 40,
                                        "calibration_protocol.n_steps": 12,
                                        "calibration_protocol.repeats": 3})
     base = ["--config", config, "--out-dir", tmp_path]
-    assert run(*base, "simulate", "--duration", 30) == 0
+    assert run(*base, "simulate") == 0
     assert run(*base, "calibrate", "--simulate-bright", "--simulate-counts",
                "--keep-intermediate") == 0
     assert run(*base, "estimate", "--counts", tmp_path / "counts.csv",
@@ -738,19 +770,3 @@ class TestConfigHandling:
         as_float = config_from_dict({"run": {"duration_s": 32400.0}})
         assert type(as_int.document["run"]["duration_s"]) is float
         assert as_int.hash == as_float.hash
-
-    def test_sigma_omega_unit_convention_flag(self, tmp_path):
-        angular = write_config(tmp_path, **{"spectrum.sigma_omega": 0.25e12})
-        out = tmp_path / "a.csv"
-        assert run("--config", angular, "fisher", "--tau-min", 2.5847e-15,
-                   "--n-points", 1, "--out", out) == 0
-        fisher_angular = float(out.read_text().splitlines()[1].split(",")[1])
-        cyclic_path = tmp_path / "config2.json"
-        cyclic_path.write_text(json.dumps({"spectrum": {
-            "sigma_omega": 0.25e12 / (2 * math.pi),
-            "sigma_omega_is_angular": False}}))
-        out2 = tmp_path / "b.csv"
-        assert run("--config", cyclic_path, "fisher", "--tau-min", 2.5847e-15,
-                   "--n-points", 1, "--out", out2) == 0
-        fisher_cyclic = float(out2.read_text().splitlines()[1].split(",")[1])
-        assert fisher_cyclic == pytest.approx(fisher_angular, rel=1e-9)

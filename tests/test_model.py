@@ -22,16 +22,12 @@ class TestSpectrum:
         assert spectrum.omega0 == pytest.approx(1.2153e15, rel=1e-4)
         assert spectrum.quarter_wave_delay == pytest.approx(1.2926e-15, rel=1e-4)
 
-    def test_inconsistent_wavelength_rejected(self):
+    # a subnormal lambda0 makes omega0 = 2 pi c / lambda0 infinite
+    @pytest.mark.parametrize("lambda0,sigma", [(-1.0, 0.25e12), (1550e-9, -1.0),
+                                               (1550e-9, 2e15), (5e-324, 0.25e12)])
+    def test_invalid_parameters_rejected(self, lambda0, sigma):
         with pytest.raises(ParameterError):
-            Spectrum(omega0=1.2e15, sigma_omega=0.25e12, lambda0=1550e-9)
-
-    @pytest.mark.parametrize("omega0,sigma", [(-1.0, 0.25e12), (1.2153e15, -1.0),
-                                              (1.2153e15, 2e15)])
-    def test_invalid_parameters_rejected(self, omega0, sigma):
-        with pytest.raises(ParameterError):
-            Spectrum.from_wavelength(1550e-9, sigma) if omega0 > 0 else \
-                Spectrum(omega0, sigma, 1550e-9)
+            Spectrum(lambda0, sigma)
 
 
 class TestClickProbabilities:

@@ -224,6 +224,14 @@ class TestSimulateRun:
                 RunConfig(rate_total=1e3, integration_time=integration,
                           duration=duration, tau0=0.0, seed=1)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        # a config document cannot reach this check: its typing rule rejects
+        # a non-finite run.duration_s first
+        with pytest.raises(ParameterError, match="duration must be finite"):
+            RunConfig(rate_total=1e3, integration_time=1.0, duration=duration,
+                      tau0=0.0, seed=1)
+
     def test_largest_run_accepted(self):
         config = RunConfig(rate_total=1e3, integration_time=1.0, duration=float(MAX_BINS),
                            tau0=0.0, seed=1)
