@@ -234,8 +234,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
         try:
             step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
         except np.linalg.LinAlgError as exc:
-            raise FitError(f"fringe fit step failed: {exc}",
-                           {"params": p.tolist(), "iteration": iterations}) from exc
+            raise FitError(f"fringe fit step failed: {exc}") from exc
         cost = residual @ residual
         damping = 1.0
         while damping >= 1e-12:
@@ -245,10 +244,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
                 break
             damping *= 0.5
         else:
-            raise FitError(
-                "fringe fit line search stalled",
-                {"params": p.tolist(), "iteration": iterations},
-            )
+            raise FitError("fringe fit line search stalled")
         rel_change = float(np.max(np.abs(damping * step) /
                                   np.maximum(np.abs(p_try), 1e-30)))
         p = p_try
@@ -258,9 +254,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     if not converged:
         raise FitError(
             f"fringe fit did not converge in {_GN_MAX_ITER} iterations "
-            f"(last relative step {rel_change:.2e})",
-            {"params": p.tolist(), "rel_change": rel_change},
-        )
+            f"(last relative step {rel_change:.2e})")
 
     p = _canonicalize(p, float(v[0]), float(v[-1]))
     span = float(v[-1] - v[0])
@@ -273,7 +267,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
-        raise FitError("singular fringe-fit covariance", {"params": p.tolist()}) from exc
+        raise FitError("singular fringe-fit covariance") from exc
     residual = (y - FringeParams(*p).evaluate(v)) * weights
     errors = np.sqrt(np.diag(cov))
     return FringeFit(
@@ -327,26 +321,29 @@ def normalize_count_arrays(c1, c2, dark: tuple[float, float], integration: float
 
 def contrast_points_from_scan(scan, dark: tuple[float, float],
                               error_mode: str = "sem") -> list[ContrastPoint]:
-    """Per-step contrast points from a grouped calibration scan.
+    """Per-step contrast points from a stepped calibration scan.
 
-    Each step's repeats are normalized individually; the step contrast is
-    their mean and its error the standard deviation of the repeats divided
+    Every bin is normalized on its own; a step's contrast is the mean over
+    its repeats and its error the standard deviation of the repeats divided
     by sqrt(n) (``error_mode="sem"``, default) or the bare standard
     deviation (``error_mode="std"``).  Steps with fewer than two
     non-degenerate repeats come back flagged degenerate.
     """
     if error_mode not in ERROR_MODES:
         raise ParameterError(f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}")
+    counts = scan.counts
+    dx, _, degenerate = normalize_count_arrays(counts.c1, counts.c2, dark,
+                                               counts.integration_time)
+    steps = (len(scan.v0), scan.repeats)
     points = []
-    for tau, c1, c2 in zip(scan.tau_set.tolist(), scan.c1, scan.c2):
-        dx, _, degenerate = normalize_count_arrays(c1, c2, dark, scan.integration_time)
-        good = ~degenerate
-        n_good = int(good.sum())
+    for tau, dx_step, degenerate_step in zip(scan.tau_set.tolist(), dx.reshape(steps),
+                                             degenerate.reshape(steps)):
+        dx_good = dx_step[~degenerate_step]
+        n_good = len(dx_good)
         if n_good < 2:
             points.append(ContrastPoint(dx=math.nan, dx_err=math.nan, tau=tau,
                                         degenerate=True))
             continue
-        dx_good = dx[good]
         spread = float(np.std(dx_good, ddof=1))
         err = spread / math.sqrt(n_good) if error_mode == "sem" else spread
         points.append(ContrastPoint(dx=float(np.mean(dx_good)), dx_err=err, tau=tau))
@@ -383,8 +380,7 @@ def fit_linear_calibration(points, window_volt: tuple[float, float] | None = Non
     delta = s_w * s_xx - s_x**2
     scale = s_w * s_xx
     if not delta > 1e-12 * scale:
-        raise FitError("degenerate calibration design (collinear delays)",
-                       {"n_points": len(usable), "delta": float(delta)})
+        raise FitError("degenerate calibration design (collinear delays)")
     k1 = (s_w * s_xy - s_x * s_y) / delta
     k2 = (s_xx * s_y - s_x * s_xy) / delta
     var_k1 = s_w / delta

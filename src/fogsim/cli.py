@@ -24,7 +24,7 @@ from . import __version__
 from .calibration import (CalibrationSet, combine_inflection, contrast_points_from_scan,
                           estimate_delays, fit_fringe, fit_linear_calibration)
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, FitError, FogsimError, ParameterError
+from .errors import ConfigError, DataError, FitError, FogsimError, ParameterError
 from .io_formats import (RunManifest, about_file, file_digest, read_bright_scan,
                          read_calibration_scan, read_calibration_set, read_count_series,
                          read_delay_series, write_allan_curves, write_bright_scan,
@@ -100,19 +100,32 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_channels(bright, sigmas: tuple[float, float], channels: tuple[str, ...]):
+def _fit_channels(bright, sigmas: tuple[float, float], channels: str):
+    """The fringe fits of the channels that --channels names: ch1, ch2 or both."""
     fits = {}
-    for name in channels:
-        index = 0 if name == "ch1" else 1
-        power = bright.channel(index + 1)
-        sigma = sigmas[index]
+    for name, power, sigma in zip(("ch1", "ch2"), (bright.power1, bright.power2), sigmas):
+        if channels not in ("both", name):
+            continue
         try:
             fits[name] = fit_fringe(np.column_stack([bright.v0, power]),
                                     sigma if sigma > 0 else 1.0)
         except FitError as exc:
-            raise FitError(f"fringe fit failed on {name}: {exc}",
-                           dict(exc.diagnostics, channel=name)) from exc
+            raise FitError(f"fringe fit failed on {name}: {exc}") from exc
     return fits
+
+
+def _check_bin_step(path, counts, key: str) -> None:
+    """A count table's median bin step must be the configured bin length.
+
+    The tolerance covers the rounding of bin times k T, which grows with k:
+    up to about 2e-7 of T at the 10^9-bin cap.
+    """
+    if len(counts) < 2:
+        return
+    step = float(np.median(np.diff(counts.t)))
+    if not math.isclose(step, counts.integration_time, rel_tol=1e-6):
+        raise DataError(f"{path}: the median bin step is {step!r} s, but {key} is "
+                        f"{counts.integration_time!r} s")
 
 
 def _cmd_calibrate(args) -> int:
@@ -136,13 +149,13 @@ def _cmd_calibrate(args) -> int:
     else:
         raise ParameterError("provide --bright PATH or --simulate-bright")
 
-    channels = ("ch1", "ch2") if args.channels == "both" else (args.channels,)
-    fits = _fit_channels(bright, bright_cfg.power_noise, channels)
+    fits = _fit_channels(bright, bright_cfg.power_noise, args.channels)
     v0i, v0i_err = combine_inflection([(f.v0i, f.v0i_err) for f in fits.values()])
     modulator = ModulatorMap.from_inflection(v0i, v0i_err, config.spectrum)
 
     if args.counts is not None:
         scan = read_calibration_scan(args.counts, protocol.integration_time_s, modulator)
+        _check_bin_step(args.counts, scan.counts, "calibration_protocol.integration_time_s")
         inputs["calibration_scan"] = Path(args.counts)
     elif args.simulate_counts:
         scan_run = RunConfig(
@@ -183,6 +196,7 @@ def _cmd_estimate(args) -> int:
     config = load_config(args.config)
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time)
+    _check_bin_step(args.counts, series, "run.integration_time_s")
     tau, sigma, flags = estimate_delays(series, calset)
     out = _out_path(args, args.out)
     write_delay_series(out, series.t, tau, sigma, flags)

@@ -14,14 +14,7 @@ class OracleAccuracyError(ParameterError):
 
 
 class FitError(FogsimError, RuntimeError):
-    """Least-squares fit failed to converge or the design is degenerate.
-
-    Carries a ``diagnostics`` dict with whatever the fitter knew at failure.
-    """
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """Least-squares fit failed to converge or the design is degenerate."""
 
 
 class ConfigError(FogsimError, ValueError):

@@ -17,6 +17,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -222,26 +223,24 @@ def read_bright_scan(path) -> BrightScan:
 
 
 def write_calibration_scan(path, scan: CalibrationScan) -> None:
+    counts = scan.counts
     _write_table(path, CAL_SCAN_HEADER, np.repeat(scan.v0, scan.repeats),
-                 scan.t.ravel(), scan.c1.ravel(), scan.c2.ravel())
+                 counts.t, counts.c1, counts.c2)
 
 
 def read_calibration_scan(path, integration_time: float,
                           modulator: ModulatorMap) -> CalibrationScan:
-    """Rebuild a grouped scan; repeats are consecutive rows sharing a voltage."""
+    """Rebuild a stepped scan; a step's repeats are consecutive rows sharing a
+    voltage, and the bins of all steps read as one count table."""
     v, t, c1, c2 = _nonempty(path, _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8"))
     starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
     sizes = np.diff(np.append(starts, len(v)))
     if np.any(sizes != sizes[0]):
         raise DataError(f"{path}: unequal repeat counts across voltage steps")
     v0 = v[starts]
-    shape = (len(starts), int(sizes[0]))
     with _parsing(path):
-        return CalibrationScan(
-            v0=v0, tau_set=modulator.alpha * v0, t=t.reshape(shape),
-            c1=c1.reshape(shape), c2=c2.reshape(shape),
-            integration_time=integration_time,
-        )
+        return CalibrationScan(v0, modulator.alpha * v0,
+                               CountSeries(t, c1, c2, integration_time))
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +283,6 @@ def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
 # calibration set JSON
 # ---------------------------------------------------------------------------
 
-# FringeFit field -> calibration JSON key, in file order
-_FRINGE_KEYS = {
-    "f0": "f0_w", "a": "a_w", "w": "w_volt", "v0i": "v0i_volt",
-    "f0_err": "f0_err_w", "a_err": "a_err_w",
-    "w_err": "w_err_volt", "v0i_err": "v0i_err_volt",
-    "chi2": "chi2", "dof": "dof", "n_iterations": "n_iterations",
-}
-
-
-def _fringe_to_dict(fit: FringeFit) -> dict:
-    return {key: getattr(fit, name) for name, key in _FRINGE_KEYS.items()}
-
-
-def _fringe_from_dict(d: dict) -> FringeFit:
-    return FringeFit(**{name: _num(d[key], key) for name, key in _FRINGE_KEYS.items()})
-
-
 def _num(value, where: str):
     """A JSON number, unchanged; TypeError for anything else."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -315,31 +297,64 @@ def _pair(value, where: str, item=_num) -> tuple:
     return tuple(item(x, where) for x in value)
 
 
+def _pair_or_null(value, where: str) -> tuple | None:
+    return None if value is None else _pair(value, where)
+
+
+def _record(cls, value, where: str):
+    """The ``cls`` record held by a JSON object, each field checked."""
+    return cls(**{name: read(value[key], key)
+                  for name, (key, read) in _RECORD_KEYS[cls].items()})
+
+
+def _fits(value, where: str) -> dict:
+    return {name: _record(FringeFit, fit, name) for name, fit in value.items()}
+
+
+# record -> {field -> (calibration JSON key, check of the value read)}, in file order
+_RECORD_KEYS = {
+    CalibrationSet: {
+        "fringe_fits": ("fringe_fits", _fits),
+        "v0i": ("v0i_volt", _num), "v0i_err": ("v0i_err_volt", _num),
+        "modulator": ("modulator", partial(_record, ModulatorMap)),
+        "linear": ("linear", partial(_record, LinearCalibration)),
+        "dark_rates": ("dark_rates_hz", _pair),
+        "extras": ("extras", lambda value, where: value),
+    },
+    FringeFit: {
+        "f0": ("f0_w", _num), "a": ("a_w", _num), "w": ("w_volt", _num),
+        "v0i": ("v0i_volt", _num), "f0_err": ("f0_err_w", _num),
+        "a_err": ("a_err_w", _num), "w_err": ("w_err_volt", _num),
+        "v0i_err": ("v0i_err_volt", _num), "chi2": ("chi2", _num), "dof": ("dof", _num),
+        "n_iterations": ("n_iterations", _num),
+    },
+    ModulatorMap: {
+        "alpha": ("alpha_s_per_v", _num), "alpha_err": ("alpha_err_s_per_v", _num),
+        "v0i": ("v0i_volt", _num),
+    },
+    LinearCalibration: {
+        "k1": ("k1_per_fs", _num), "k2": ("k2", _num),
+        "covariance": ("covariance", partial(_pair, item=_pair)),
+        "tau_window": ("tau_window_s", _pair_or_null),
+        "window_volt": ("window_volt", _pair_or_null),
+        "chi2": ("chi2", _num), "dof": ("dof", _num),
+    },
+}
+
+
+def _to_json(value):
+    """A calibration record as its JSON object, a dict entry by entry, and
+    anything else as it is (json writes a tuple as a list)."""
+    if isinstance(value, dict):
+        return {name: _to_json(entry) for name, entry in value.items()}
+    keys = _RECORD_KEYS.get(type(value))
+    if keys is None:
+        return value
+    return {key: _to_json(getattr(value, name)) for name, (key, _) in keys.items()}
+
+
 def write_calibration_set(path, calset: CalibrationSet) -> None:
-    _write_json(path, {
-        "fringe_fits": {name: _fringe_to_dict(fit)
-                        for name, fit in calset.fringe_fits.items()},
-        "v0i_volt": calset.v0i,
-        "v0i_err_volt": calset.v0i_err,
-        "modulator": {
-            "alpha_s_per_v": calset.modulator.alpha,
-            "alpha_err_s_per_v": calset.modulator.alpha_err,
-            "v0i_volt": calset.modulator.v0i,
-        },
-        "linear": {
-            "k1_per_fs": calset.linear.k1,
-            "k2": calset.linear.k2,
-            "covariance": [list(row) for row in calset.linear.covariance],
-            "tau_window_s": list(calset.linear.tau_window)
-            if calset.linear.tau_window else None,
-            "window_volt": list(calset.linear.window_volt)
-            if calset.linear.window_volt else None,
-            "chi2": calset.linear.chi2,
-            "dof": calset.linear.dof,
-        },
-        "dark_rates_hz": list(calset.dark_rates),
-        "extras": calset.extras,
-    })
+    _write_json(path, _to_json(calset))
 
 
 def read_calibration_set(path) -> CalibrationSet:
@@ -352,31 +367,7 @@ def read_calibration_set(path) -> CalibrationSet:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
     try:
-        linear = doc["linear"]
-        return CalibrationSet(
-            fringe_fits={name: _fringe_from_dict(d)
-                         for name, d in doc["fringe_fits"].items()},
-            v0i=_num(doc["v0i_volt"], "v0i_volt"),
-            v0i_err=_num(doc["v0i_err_volt"], "v0i_err_volt"),
-            modulator=ModulatorMap(
-                alpha=_num(doc["modulator"]["alpha_s_per_v"], "alpha_s_per_v"),
-                v0i=_num(doc["modulator"]["v0i_volt"], "modulator.v0i_volt"),
-                alpha_err=_num(doc["modulator"]["alpha_err_s_per_v"],
-                               "alpha_err_s_per_v"),
-            ),
-            linear=LinearCalibration(
-                k1=_num(linear["k1_per_fs"], "k1_per_fs"),
-                k2=_num(linear["k2"], "k2"),
-                covariance=_pair(linear["covariance"], "covariance", _pair),
-                tau_window=None if linear["tau_window_s"] is None
-                else _pair(linear["tau_window_s"], "tau_window_s"),
-                window_volt=None if linear["window_volt"] is None
-                else _pair(linear["window_volt"], "window_volt"),
-                chi2=_num(linear["chi2"], "chi2"), dof=_num(linear["dof"], "dof"),
-            ),
-            dark_rates=_pair(doc["dark_rates_hz"], "dark_rates_hz"),
-            extras=doc.get("extras", {}),
-        )
+        return _record(CalibrationSet, doc, str(path))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"{path}: missing or ill-typed field: {exc}") from exc
 

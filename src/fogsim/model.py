@@ -47,8 +47,9 @@ class Spectrum:
     def __post_init__(self):
         if not self.lambda0 > 0.0:
             raise ParameterError(f"lambda0 must be positive, got {self.lambda0}")
-        if not math.isfinite(self.omega0):
-            raise ParameterError(f"lambda0 = {self.lambda0!r} gives an infinite omega0")
+        if not math.isfinite(self.omega0 * self.omega0):
+            raise ParameterError(f"lambda0 = {self.lambda0!r} gives an omega0 whose square "
+                                 "overflows")
         if not (self.sigma_omega > 0.0 and math.isfinite(self.sigma_omega)):
             raise ParameterError(f"sigma_omega must be positive and finite, got {self.sigma_omega}")
         if not self.sigma_omega < self.omega0:

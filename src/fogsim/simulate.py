@@ -251,19 +251,21 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
     return _poisson_quantile(u[:, 1], lam1), _poisson_quantile(u[:, 2], lam2)
 
 
-def _generate_counts(tau: np.ndarray, rate_total: float, integration_time: float,
-                     noise: NoiseModel, key_counts: np.ndarray, spectrum: Spectrum,
-                     workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    n = len(tau)
+def _count_series(n_bins: int, tau_set, config: RunConfig, spectrum: Spectrum,
+                  noise: NoiseModel, workers: int) -> CountSeries:
+    """Counts of n_bins bins at t_k = k T around the set-point delay tau_set
+    (one value, or one per bin), under the run's seed, rate and bin length."""
+    key_counts, key_drift = derive_keys(config.seed, 2)
+    integration_time = config.integration_time
+    t = np.arange(n_bins, dtype=np.float64) * integration_time
+    tau = _delay_track(t, tau_set, noise, key_drift, integration_time)
     p1, p2 = click_probabilities(tau, spectrum)
-    p1 = np.atleast_1d(p1)
-    p2 = np.atleast_1d(p2)
-    mean_total = rate_total * integration_time
+    mean_total = config.rate_total * integration_time
     dark_counts = (noise.dark_rate_1 * integration_time,
                    noise.dark_rate_2 * integration_time)
-    c1 = np.empty(n, dtype=np.int64)
-    c2 = np.empty(n, dtype=np.int64)
-    slices = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    c1 = np.empty(n_bins, dtype=np.int64)
+    c2 = np.empty(n_bins, dtype=np.int64)
+    slices = [slice(lo, min(lo + _CHUNK, n_bins)) for lo in range(0, n_bins, _CHUNK)]
 
     def fill(sl: slice) -> None:
         c1[sl], c2[sl] = _draw_counts(sl.start, key_counts, p1[sl], p2[sl],
@@ -272,7 +274,7 @@ def _generate_counts(tau: np.ndarray, rate_total: float, integration_time: float
     # Pool threads start under numpy's default error handling; each takes the caller's.
     with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
         list(pool.map(fill, slices))
-    return c1, c2
+    return CountSeries(t, c1, c2, integration_time)
 
 
 def simulate_run(config: RunConfig, spectrum: Spectrum, noise: NoiseModel,
@@ -284,12 +286,7 @@ def simulate_run(config: RunConfig, spectrum: Spectrum, noise: NoiseModel,
     common-mode pump multiplier (clipped at zero).  Identical
     (config, spectrum, noise) give bit-identical output for any ``workers``.
     """
-    key_counts, key_drift = derive_keys(config.seed, 2)
-    t = np.arange(config.n_bins, dtype=np.float64) * config.integration_time
-    tau = _delay_track(t, config.tau0, noise, key_drift, config.integration_time)
-    c1, c2 = _generate_counts(tau, config.rate_total, config.integration_time,
-                              noise, key_counts, spectrum, workers)
-    return CountSeries(t, c1, c2, config.integration_time)
+    return _count_series(config.n_bins, config.tau0, config, spectrum, noise, workers)
 
 
 @dataclass(frozen=True)
@@ -300,65 +297,44 @@ class BrightScan:
     power1: np.ndarray
     power2: np.ndarray
 
-    def channel(self, index: int) -> np.ndarray:
-        return self.power1 if index == 1 else self.power2
-
 
 def simulate_bright_scan(v_range: tuple[float, float], n_steps: int,
                          fringe: tuple[FringeParams, FringeParams],
-                         power_noise_sigma, seed: int) -> BrightScan:
+                         power_noise_sigma: tuple[float, float], seed: int) -> BrightScan:
     """Sweep the modulator voltage under a bright source.
 
     power_i(v) = f0_i + a_i sin(pi (v - v0i_i) / w_i) plus Gaussian noise of
-    the given sigma (W, scalar or one value per channel); deterministic
-    under the seed.
+    the channel's sigma (W); deterministic under the seed.
     """
     if n_steps < 2:
         raise ParameterError(f"n_steps must be at least 2, got {n_steps}")
-    sigmas = ((power_noise_sigma, power_noise_sigma)
-              if np.isscalar(power_noise_sigma) else tuple(power_noise_sigma))
-    if any(s < 0 for s in sigmas):
+    if any(s < 0 for s in power_noise_sigma):
         raise ParameterError("power_noise_sigma must be non-negative")
     v0 = np.linspace(v_range[0], v_range[1], n_steps)
     key = derive_keys(seed, 1)[0]
     u = block_uniforms(key, 0, n_steps)
-    powers = []
-    for channel, params in enumerate(fringe):
-        clean = params.evaluate(v0)
-        sigma = sigmas[channel]
-        noise = sigma * ndtri(u[:, channel]) if sigma > 0 else 0.0
-        powers.append(clean + noise)
-    return BrightScan(v0=v0, power1=powers[0], power2=powers[1])
+    powers = [params.evaluate(v0) + (sigma * ndtri(u[:, channel]) if sigma > 0 else 0.0)
+              for channel, (params, sigma) in enumerate(zip(fringe, power_noise_sigma))]
+    return BrightScan(v0, *powers)
 
 
+@dataclass(frozen=True)
 class CalibrationScan:
-    """Stepped calibration acquisition: n_steps voltages times `repeats` bins."""
+    """Stepped calibration acquisition: the set-point voltage and delay of each
+    step, and the counts of all steps in order, ``repeats`` bins per step."""
 
-    def __init__(self, v0: np.ndarray, tau_set: np.ndarray, t: np.ndarray,
-                 c1: np.ndarray, c2: np.ndarray, integration_time: float):
-        self.v0 = np.asarray(v0, dtype=np.float64)
-        self.tau_set = np.asarray(tau_set, dtype=np.float64)
-        self.t = np.asarray(t, dtype=np.float64)
-        self.c1 = np.asarray(c1, dtype=np.int64)
-        self.c2 = np.asarray(c2, dtype=np.int64)
-        self.integration_time = float(integration_time)
-        if self.t.shape != self.c1.shape or self.c1.shape != self.c2.shape:
-            raise ParameterError("t, c1, c2 must have identical shapes")
-        if self.t.shape[0] != len(self.v0):
-            raise ParameterError("per-step arrays must match the voltage grid")
-        if np.any(self.c1 < 0) or np.any(self.c2 < 0):
-            raise ParameterError("counts must be non-negative")
+    v0: np.ndarray
+    tau_set: np.ndarray
+    counts: CountSeries
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.v0)
+    def __post_init__(self):
+        if len(self.v0) == 0 or len(self.counts) % len(self.v0):
+            raise ParameterError(f"{len(self.counts)} bins do not split evenly over "
+                                 f"{len(self.v0)} voltage steps")
 
     @property
     def repeats(self) -> int:
-        return self.t.shape[1]
-
-    def __len__(self) -> int:
-        return self.t.size
+        return len(self.counts) // len(self.v0)
 
 
 def simulate_calibration_scan(v_a: float, v_b: float, n_steps: int, repeats: int,
@@ -368,7 +344,8 @@ def simulate_calibration_scan(v_a: float, v_b: float, n_steps: int, repeats: int
     """Step the voltage from v_a to v_b, acquiring `repeats` bins per step.
 
     Each step sets tau = alpha * v0 (plus any configured drift over the scan
-    timeline); counting statistics and determinism match
+    timeline).  The scan takes the seed, rate and bin length of ``config``,
+    not its duration or tau0; counting statistics and determinism match
     :func:`simulate_run`.
     """
     if not v_a < v_b:
@@ -377,16 +354,8 @@ def simulate_calibration_scan(v_a: float, v_b: float, n_steps: int, repeats: int
         raise ParameterError(f"n_steps must be at least 2, got {n_steps}")
     if repeats < 2:
         raise ParameterError(f"repeats must be at least 2, got {repeats}")
-    key_counts, key_drift = derive_keys(config.seed, 2)
     v0 = np.linspace(v_a, v_b, n_steps)
     tau_set = modulator.alpha * v0
-    n_total = n_steps * repeats
-    t_flat = np.arange(n_total, dtype=np.float64) * config.integration_time
-    tau_flat = _delay_track(t_flat, np.repeat(tau_set, repeats), noise,
-                            key_drift, config.integration_time)
-    c1, c2 = _generate_counts(tau_flat, config.rate_total, config.integration_time,
-                              noise, key_counts, spectrum, workers)
-    shape = (n_steps, repeats)
-    return CalibrationScan(v0, tau_set, t_flat.reshape(shape),
-                           c1.reshape(shape), c2.reshape(shape),
-                           config.integration_time)
+    counts = _count_series(n_steps * repeats, np.repeat(tau_set, repeats), config,
+                           spectrum, noise, workers)
+    return CalibrationScan(v0, tau_set, counts)

@@ -170,13 +170,14 @@ class TestCalibrateCommand:
         assert calset.linear.k1 == pytest.approx(k1_true, rel=1e-6)
         assert calset.linear.k2 == pytest.approx(k2_true, rel=1e-6)
 
-    def test_single_channel_widens_error(self, tmp_path):
+    @pytest.mark.parametrize("channel", ["ch1", "ch2"])
+    def test_single_channel_widens_error(self, tmp_path, channel):
         config = write_config(tmp_path, **{"run.seed": 2718})
         both, single = tmp_path / "both.json", tmp_path / "single.json"
         assert run("--config", config, "calibrate", "--simulate-bright",
                    "--simulate-counts", "--out", both) == 0
         assert run("--config", config, "calibrate", "--simulate-bright",
-                   "--simulate-counts", "--channels", "ch1",
+                   "--simulate-counts", "--channels", channel,
                    "--out", single) == 0
         assert read_calibration_set(single).v0i_err > \
             read_calibration_set(both).v0i_err
@@ -433,6 +434,14 @@ def _negative_counts(tmp_path, calibrated):
             "--out", tmp_path / "delays.csv"]
 
 
+def _counts_step_case(tmp_path, calibrated):
+    """Counts of 0.01 s bins, estimated under the default 1 s bin length."""
+    counts = tmp_path / "counts.csv"
+    counts.write_text("t_s,c1,c2\n" + "".join(f"{0.01 * i!r},500,400\n" for i in range(4)))
+    return ["estimate", "--counts", counts, "--calibration", calibrated,
+            "--out", tmp_path / "delays.csv"]
+
+
 def _negative_scan_counts(tmp_path, calibrated):
     scan = tmp_path / "scan.csv"
     rows = ["v0_volt,t_s,c1,c2"]
@@ -452,6 +461,15 @@ def _identical_scan_repeats(tmp_path, calibrated):
     scan.write_text("\n".join(rows) + "\n")
     return ["calibrate", "--simulate-bright", "--counts", scan,
             "--out", tmp_path / "cal.json"]
+
+
+def _scan_step_case(tmp_path, calibrated):
+    """A kept scan of 0.1 s bins, calibrated under a 1 s bin length."""
+    assert run("--out-dir", tmp_path, "calibrate", "--simulate-bright", "--simulate-counts",
+               "--keep-intermediate") == 0
+    config = write_config(tmp_path, **{"calibration_protocol.integration_time_s": 1.0})
+    return ["--config", config, "calibrate", "--simulate-bright",
+            "--counts", tmp_path / "calibration_scan.csv", "--out", tmp_path / "cal.json"]
 
 
 def _stability_case(tau, flag, **config):
@@ -540,6 +558,8 @@ BAD_INPUTS = {
     "negative_counts": (_negative_counts, 3, "non-negative"),
     "negative_scan_counts": (_negative_scan_counts, 3, "non-negative"),
     "identical_scan_repeats": (_identical_scan_repeats, 3, "dx_err"),
+    "counts_bin_step": (_counts_step_case, 3, "run.integration_time_s"),
+    "scan_bin_step": (_scan_step_case, 3, "calibration_protocol.integration_time_s"),
     "constant_delays": (_stability_case(np.full(11, 1e-15), "ok"), 3, "zero Allan deviation"),
     "unknown_delay_flag": (_stability_case(1e-15 + 1e-18 * np.arange(11), "bogus"), 3,
                            "'bogus'"),
@@ -585,14 +605,13 @@ BAD_INPUTS = {
     "fisher_tau_max_inf": (_fisher_case("--tau-max", "inf"), 2, "tau-max"),
     "fisher_points_over_cap": (_fisher_case("--n-points", 10**11), 2, "n-points"),
     "crb_overflow": (_stability_case(1e-15 + 1e-18 * np.sin(np.arange(20)), "ok",
-                                     **{"spectrum.lambda0_m": 1e-200}), 3,
-                     "(in fogsim.stability.crb_curve)"),
+                                     **{"spectrum.lambda0_m": 1e-200}), 2, "lambda0"),
     "fisher_tau_max_overflow": (_fisher_case("--tau-max", 1e308, "--n-points", 2), 2,
                                 "--tau-max"),
     "fisher_tau_range_overflow": (_fisher_case("--tau-min", 1e200, "--tau-max", 2e200,
                                                "--n-points", 2), 2, "--tau-min"),
-    "fisher_spectrum_overflow": (_fisher_case(**{"spectrum.lambda0_m": 1e-290,
-                                                 "spectrum.sigma_omega": 1e290}), 2,
+    "fisher_spectrum_overflow": (_fisher_case(**{"spectrum.lambda0_m": 1.5e-145,
+                                                 "spectrum.sigma_omega": 1e154}), 2,
                                  "spectrum.lambda0_m"),
     "seed_flag": (lambda tmp_path, _: ["--seed=1", "fisher", "--out", tmp_path / "f.csv"], 2,
                   "unrecognized arguments: --seed"),
@@ -643,16 +662,16 @@ def test_retired_config_fails_every_command(key, tmp_path):
         assert key in err
 
 
-def _leaves(node: dict, path: str = ""):
-    """The dotted keys of a config document's values that are not objects."""
-    for key, value in node.items():
-        if isinstance(value, dict):
-            yield from _leaves(value, f"{path}{key}.")
+def _leaves(node, path: tuple = ()):
+    """The paths of a JSON document's values that are neither objects nor lists."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, key))
         else:
-            yield path + key
+            yield (*path, key)
 
 
-CONFIG_LEAVES = sorted(_leaves(default_config_dict()))
+CONFIG_LEAVES = sorted(".".join(path) for path in _leaves(default_config_dict()))
 # The keys that set how much work a command does take only small numbers.
 SIZE_KEYS = {"bright_source.scan_points", "calibration_protocol.n_steps",
              "calibration_protocol.repeats", "run.duration_s",
@@ -733,6 +752,25 @@ def test_any_damaged_cell_exits_cleanly(tmp_path, small_tables, data):
                data.draw(st.sampled_from(CELL_TOKENS)))
     _exits_cleanly(["--config", config, "--out-dir", tmp_path,
                     *TABLE_READERS[name](path, source)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_damaged_calibration_exits_cleanly(tmp_path, small_tables, data):
+    """estimate survives one leaf of the calibration document replaced by any
+    JSON value."""
+    source, config = small_tables
+    doc = json.loads((source / "calibration.json").read_text())
+    *parents, leaf = data.draw(st.sampled_from(list(_leaves(doc))))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[leaf] = data.draw(ANY_JSON)
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps(doc))
+    _exits_cleanly(["--config", config, "--out-dir", tmp_path, "estimate",
+                    "--counts", source / "counts.csv", "--calibration", calibration])
 
 
 def test_import_leaves_out_scipy_stats():

@@ -169,12 +169,13 @@ def _bright(data):
 
 
 def _scan(data):
-    # neighbouring steps differ in voltage, so the reader regroups them
+    # neighbouring steps differ in voltage, so the reader regroups them; the
+    # bins follow the count table's rules
     v0 = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=1,
                                      max_size=5, unique=True)))
-    shape = (len(v0), data.draw(st.integers(1, 4)))
-    return [v0] + [_column(data, kind, shape[0] * shape[1]).reshape(shape)
-                   for kind in (FLOATS, COUNTS, COUNTS)]
+    n = len(v0) * data.draw(st.integers(1, 4))
+    return [v0, np.sort(_column(data, st.floats(-1e300, 1e300), n)),
+            _column(data, COUNTS, n), _column(data, COUNTS, n)]
 
 
 def _delays(data):
@@ -196,7 +197,8 @@ def _allan(data):
 
 
 def _scan_write(path, c):
-    write_calibration_scan(path, CalibrationScan(c[0], UNIT_MAP.alpha * c[0], *c[1:], 1.0))
+    write_calibration_scan(path, CalibrationScan(c[0], UNIT_MAP.alpha * c[0],
+                                                 CountSeries(*c[1:], 1.0)))
 
 
 def _counts_read(path):
@@ -211,7 +213,7 @@ def _bright_read(path):
 
 def _scan_read(path):
     scan = read_calibration_scan(path, 1.0, UNIT_MAP)
-    return [scan.v0, scan.t, scan.c1, scan.c2]
+    return [scan.v0, scan.counts.t, scan.counts.c1, scan.counts.c2]
 
 
 def _allan_read(path):

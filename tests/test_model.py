@@ -22,9 +22,11 @@ class TestSpectrum:
         assert spectrum.omega0 == pytest.approx(1.2153e15, rel=1e-4)
         assert spectrum.quarter_wave_delay == pytest.approx(1.2926e-15, rel=1e-4)
 
-    # a subnormal lambda0 makes omega0 = 2 pi c / lambda0 infinite
+    # a subnormal lambda0 makes omega0 = 2 pi c / lambda0 infinite; at 1e-200
+    # omega0 is finite but its square is not
     @pytest.mark.parametrize("lambda0,sigma", [(-1.0, 0.25e12), (1550e-9, -1.0),
-                                               (1550e-9, 2e15), (5e-324, 0.25e12)])
+                                               (1550e-9, 2e15), (5e-324, 0.25e12),
+                                               (1e-200, 0.25e12)])
     def test_invalid_parameters_rejected(self, lambda0, sigma):
         with pytest.raises(ParameterError):
             Spectrum(lambda0, sigma)

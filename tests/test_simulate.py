@@ -256,12 +256,12 @@ class TestBrightScan:
     def test_noiseless_value_at_own_inflection(self):
         # the sine term vanishes at the channel's inflection voltage
         scan = simulate_bright_scan((3.85, 16.0), 200, (TABLE1_CH1, TABLE1_CH2),
-                                    0.0, seed=1)
+                                    (0.0, 0.0), seed=1)
         assert scan.power1[0] == pytest.approx(482e-9, rel=1e-12)
 
     def test_noiseless_round_trip_through_fit(self):
         scan = simulate_bright_scan((0.0, 16.0), 200, (TABLE1_CH1, TABLE1_CH2),
-                                    0.0, seed=1)
+                                    (0.0, 0.0), seed=1)
         fit = fit_fringe(np.column_stack([scan.v0, scan.power1]), 1.0)
         for got, want in [(fit.f0, 482e-9), (fit.a, 364e-9),
                           (fit.w, 7.84), (fit.v0i, 3.85)]:
@@ -270,21 +270,21 @@ class TestBrightScan:
     def test_span_of_two_w_covers_one_period(self):
         w = TABLE1_CH1.w
         scan = simulate_bright_scan((3.85, 3.85 + 2 * w), 101,
-                                    (TABLE1_CH1, TABLE1_CH2), 0.0, seed=1)
+                                    (TABLE1_CH1, TABLE1_CH2), (0.0, 0.0), seed=1)
         assert scan.power1[0] == pytest.approx(scan.power1[-1], rel=1e-9)
 
     def test_deterministic(self):
         a = simulate_bright_scan((0.0, 16.0), 50, (TABLE1_CH1, TABLE1_CH2),
-                                 1e-9, seed=9)
+                                 (1e-9, 1e-9), seed=9)
         b = simulate_bright_scan((0.0, 16.0), 50, (TABLE1_CH1, TABLE1_CH2),
-                                 1e-9, seed=9)
+                                 (1e-9, 1e-9), seed=9)
         np.testing.assert_array_equal(a.power1, b.power1)
         np.testing.assert_array_equal(a.power2, b.power2)
 
     def test_too_few_steps(self):
         with pytest.raises(ParameterError):
             simulate_bright_scan((0.0, 16.0), 1, (TABLE1_CH1, TABLE1_CH2),
-                                 0.0, seed=1)
+                                 (0.0, 0.0), seed=1)
 
 
 class TestCalibrationScan:
@@ -297,8 +297,8 @@ class TestCalibrationScan:
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
         scan = simulate_calibration_scan(3.6, 4.4, 100, 10, self.scan_config(),
                                          spectrum, modulator, quiet_noise())
-        assert len(scan) == 1000
-        assert scan.n_steps == 100
+        assert len(scan.counts) == 1000
+        assert len(scan.v0) == 100
         assert scan.repeats == 10
 
     def test_contrast_spread_matches_poisson(self, spectrum):
@@ -306,7 +306,8 @@ class TestCalibrationScan:
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
         scan = simulate_calibration_scan(3.6, 4.4, 100, 2, self.scan_config(),
                                          spectrum, modulator, quiet_noise())
-        x1 = scan.c1 / (scan.c1 + scan.c2)
+        c1, c2 = scan.counts.c1, scan.counts.c2
+        x1 = (c1 / (c1 + c2)).reshape(-1, scan.repeats)
         measured_var = x1.var(axis=1, ddof=1).mean()
         p1, p2 = np.mean(x1), 1 - np.mean(x1)
         predicted = p1 * p2 / (RATE * 0.1)
