@@ -105,6 +105,11 @@ class LinearCalibration:
     def __post_init__(self):
         if self.k1 == 0.0:
             raise ParameterError("k1 must be nonzero")
+        (var_k1, cov_12), (cov_21, var_k2) = self.covariance
+        if not (0.0 <= var_k1 < math.inf and 0.0 <= var_k2 < math.inf
+                and -math.inf < cov_12 < math.inf and cov_12 == cov_21):
+            raise ParameterError("covariance must be symmetric and finite with a "
+                                 f"non-negative diagonal, got {self.covariance}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,11 @@ class CalibrationSet:
     linear: LinearCalibration
     dark_rates: tuple[float, float] = (0.0, 0.0)
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not all(0.0 <= rate < math.inf for rate in self.dark_rates):
+            raise ParameterError(f"dark_rates must be finite and non-negative, "
+                                 f"got {self.dark_rates}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri, pdtr
 
 from .calibration import FringeParams
 from .errors import ParameterError
@@ -201,6 +200,7 @@ class RunConfig:
 def _delay_track(t: np.ndarray, tau0, noise: NoiseModel,
                  key_drift: np.ndarray, integration_time: float) -> np.ndarray:
     """Per-bin delay: set point plus deterministic drift plus random walk."""
+    from scipy.special import ndtri
     tau = np.asarray(tau0, dtype=np.float64) + noise.drift.deterministic(t)
     if noise.drift.random_walk > 0.0 and len(t) > 1:
         u = block_uniforms(key_drift, 0, len(t) - 1)
@@ -220,6 +220,7 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     draw.  u must lie in (0, 1); u = 1 would never stop stepping, and
     neither would a mean so large that k - 1 == k in float64.
     """
+    from scipy.special import ndtri, pdtr
     if not np.all(lam <= MAX_MEAN_COUNT):  # also rejects NaN
         raise ParameterError(f"the mean count per bin must be at most "
                              f"{MAX_MEAN_COUNT:.0e}, got {np.max(lam):.3g}")
@@ -241,6 +242,7 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
                  p2: np.ndarray, mean_total: float, dark_counts: tuple[float, float],
                  pump_rel_sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts for bins start, start + 1, ...; a pure function of (key, bin index)."""
+    from scipy.special import ndtri
     u = block_uniforms(key_counts, start, len(p1))
     if pump_rel_sigma > 0.0:
         gain = np.maximum(1.0 + pump_rel_sigma * ndtri(u[:, 0]), 0.0)
@@ -306,6 +308,7 @@ def simulate_bright_scan(v_range: tuple[float, float], n_steps: int,
     power_i(v) = f0_i + a_i sin(pi (v - v0i_i) / w_i) plus Gaussian noise of
     the channel's sigma (W); deterministic under the seed.
     """
+    from scipy.special import ndtri
     if n_steps < 2:
         raise ParameterError(f"n_steps must be at least 2, got {n_steps}")
     if any(s < 0 for s in power_noise_sigma):

@@ -553,6 +553,11 @@ BAD_INPUTS = {
     "calibration_without_linear": (_estimate_case(lambda d: d.pop("linear")), 3, "linear"),
     "calibration_k1_string": (
         _estimate_case(lambda d: d["linear"].update(k1_per_fs="1.09")), 3, "k1_per_fs"),
+    "calibration_negative_dark_rate": (
+        _estimate_case(lambda d: d.update(dark_rates_hz=[-1e5, 0.0])), 3, "dark_rates"),
+    "calibration_negative_covariance": (
+        _estimate_case(lambda d: d["linear"].update(covariance=[[-1.0, 0.0], [0.0, -1.0]])),
+        3, "covariance"),
     "calibration_fit_without_chi2": (
         _estimate_case(lambda d: d["fringe_fits"]["ch1"].pop("chi2")), 3, "chi2"),
     "negative_counts": (_negative_counts, 3, "non-negative"),
@@ -773,14 +778,55 @@ def test_any_damaged_calibration_exits_cleanly(tmp_path, small_tables, data):
                     "--counts", source / "counts.csv", "--calibration", calibration])
 
 
-def test_import_leaves_out_scipy_stats():
-    """scipy.stats takes about a second to import, and no command needs it."""
+def _fresh_python(code: str, *args) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports this
+    fogsim; the test modules themselves have already loaded scipy."""
     src = str(Path(fogsim.__file__).resolve().parents[1])
-    code = ("import fogsim.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                            capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout
+
+
+def test_import_leaves_out_scipy():
+    """Only the drawing functions need scipy, and they import it themselves."""
+    code = ("import fogsim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_analysis_commands_leave_out_scipy(tmp_path, small_tables):
+    """fisher, estimate and stability draw nothing, so none of them loads scipy."""
+    source, config = small_tables
+    base = ["--config", config, "--out-dir", str(tmp_path)]
+    commands = [[*base, "fisher", "--n-points", "1"],
+                [*base, "estimate", "--counts", str(source / "counts.csv"),
+                 "--calibration", str(source / "calibration.json")],
+                [*base, "stability", "--delays", str(source / "delays.csv")]]
+    code = ("import json, sys\n"
+            "from fogsim.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded.append(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print(json.dumps(loaded))\n")
+    stdout = _fresh_python(code, json.dumps(commands))
+    assert json.loads(stdout.splitlines()[-1]) == [[], [], []]
+
+
+def test_fresh_process_workers_write_same_bytes(tmp_path):
+    """--workers 1 and 2 write the same counts when each run is the first
+    in its process to import scipy; 70,000 bins span several chunks."""
+    config = write_config(tmp_path, **{"run.integration_time_s": 0.01,
+                                       "run.duration_s": 700.0})
+    code = "import sys; from fogsim.cli import main; sys.exit(main(sys.argv[1:]))"
+    digests = []
+    for workers in (2, 1):
+        out = tmp_path / f"counts_{workers}.csv"
+        _fresh_python(code, "--config", config, "--workers", workers, "simulate",
+                      "--out", out)
+        digests.append(file_digest(out))
+    assert digests[0] == digests[1]
 
 
 class TestConfigHandling:
