@@ -38,6 +38,8 @@ from .model import (
 )
 from .simulate import (
     BrightScan,
+    BrightSourceSettings,
+    CalibrationProtocol,
     CalibrationScan,
     CountSeries,
     DriftModel,

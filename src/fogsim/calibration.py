@@ -448,9 +448,7 @@ def estimate_delays(counts, calset: "CalibrationSet"):
     return tau, sigma, flags.tolist()
 
 
-def ideal_linear_calibration(spectrum: Spectrum, tau0: float,
-                             window_volt: tuple[float, float] | None = None
-                             ) -> LinearCalibration:
+def ideal_linear_calibration(spectrum: Spectrum, tau0: float) -> LinearCalibration:
     """Noise-free calibration from the measurement model, linearized at tau0.
 
     Useful as the "perfect calibration" reference in simulations: k1 is the
@@ -463,6 +461,4 @@ def ideal_linear_calibration(spectrum: Spectrum, tau0: float,
                         + spectrum.omega0 * math.sin(spectrum.omega0 * tau0))
     k1 = slope / _FS
     k2 = (p1 - p2) - k1 * (tau0 * _FS)
-    return LinearCalibration(k1=k1, k2=k2,
-                             covariance=((0.0, 0.0), (0.0, 0.0)),
-                             tau_window=None, window_volt=window_volt)
+    return LinearCalibration(k1=k1, k2=k2, covariance=((0.0, 0.0), (0.0, 0.0)))

@@ -32,7 +32,7 @@ from .io_formats import (RunManifest, about_file, file_digest, read_bright_scan,
                          write_count_series, write_delay_series, write_fisher_curve,
                          write_manifest, write_report)
 from .model import ModulatorMap, fisher_information
-from .simulate import (MAX_BINS, RNG_ALGORITHM, RunConfig, simulate_bright_scan,
+from .simulate import (MAX_BINS, RNG_ALGORITHM, simulate_bright_scan,
                        simulate_calibration_scan, simulate_run)
 from .stability import (default_m_grid, even_odd_split, overlapping_allan_deviation,
                         series_from_delay_table, stability_report)
@@ -132,46 +132,32 @@ def _cmd_calibrate(args) -> int:
     config = load_config(args.config)
     inputs: dict[str, Path] = {}
     protocol = config.protocol
-    bright_cfg = config.bright_source
 
-    if args.bright is not None:
-        bright = read_bright_scan(args.bright)
-        inputs["bright_scan"] = Path(args.bright)
-    elif args.simulate_bright:
-        bright = simulate_bright_scan(
-            (bright_cfg.scan_v_min, bright_cfg.scan_v_max), bright_cfg.scan_points,
-            (bright_cfg.ch1, bright_cfg.ch2), bright_cfg.power_noise,
-            seed=config.run.seed)
+    if args.simulate_bright:
+        bright = simulate_bright_scan(config.bright_source, config.run.seed)
         if args.keep_intermediate:
             path = _out_path(args, "bright_scan.csv")
             write_bright_scan(path, bright)
             inputs["bright_scan"] = path
     else:
-        raise ParameterError("provide --bright PATH or --simulate-bright")
+        bright = read_bright_scan(args.bright)
+        inputs["bright_scan"] = Path(args.bright)
 
-    fits = _fit_channels(bright, bright_cfg.power_noise, args.channels)
+    fits = _fit_channels(bright, config.bright_source.power_noise, args.channels)
     v0i, v0i_err = combine_inflection([(f.v0i, f.v0i_err) for f in fits.values()])
     modulator = ModulatorMap.from_inflection(v0i, v0i_err, config.spectrum)
 
-    if args.counts is not None:
-        scan = read_calibration_scan(args.counts, protocol.integration_time_s, modulator)
-        _check_bin_step(args.counts, scan.counts, "calibration_protocol.integration_time_s")
-        inputs["calibration_scan"] = Path(args.counts)
-    elif args.simulate_counts:
-        scan_run = RunConfig(
-            rate_total=config.run.rate_total,
-            integration_time=protocol.integration_time_s,
-            duration=protocol.integration_time_s * protocol.n_steps * protocol.repeats,
-            tau0=config.run.tau0, seed=config.run.seed)
-        scan = simulate_calibration_scan(
-            protocol.v_a_volt, protocol.v_b_volt, protocol.n_steps, protocol.repeats,
-            scan_run, config.spectrum, modulator, config.noise, workers=args.workers)
+    if args.simulate_counts:
+        scan = simulate_calibration_scan(protocol, config.run, config.spectrum, modulator,
+                                         config.noise, workers=args.workers)
         if args.keep_intermediate:
             path = _out_path(args, "calibration_scan.csv")
             write_calibration_scan(path, scan)
             inputs["calibration_scan"] = path
     else:
-        raise ParameterError("provide --counts PATH or --simulate-counts")
+        scan = read_calibration_scan(args.counts, protocol.integration_time_s, modulator)
+        _check_bin_step(args.counts, scan.counts, "calibration_protocol.integration_time_s")
+        inputs["calibration_scan"] = Path(args.counts)
 
     dark = (config.noise.dark_rate_1, config.noise.dark_rate_2)
     points = contrast_points_from_scan(scan, dark, protocol.error_mode)
@@ -222,7 +208,7 @@ def _cmd_stability(args) -> int:
         curves[series.origin] = overlapping_allan_deviation(series, grid,
                                                             workers=args.workers)
     report = stability_report(curves, dropped, config.run.rate_total, config.spectrum,
-                              config.geometry, config.serrodyne_rate_override)
+                              config.geometry)
 
     allan_path = _out_path(args, args.out_prefix + "_allan.csv")
     report_path = _out_path(args, args.out_prefix + "_report.json")
@@ -282,11 +268,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="counts.csv")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("calibrate", help="run the two-stage calibration")
-    p.add_argument("--bright", help="bright-scan CSV")
-    p.add_argument("--simulate-bright", action="store_true")
-    p.add_argument("--counts", help="calibration-scan CSV")
-    p.add_argument("--simulate-counts", action="store_true")
+    p = sub.add_parser("calibrate", help="run the two-stage calibration; each stage "
+                       "takes exactly one source, a file or a simulation")
+    stage = p.add_mutually_exclusive_group(required=True)
+    stage.add_argument("--bright", help="bright-scan CSV")
+    stage.add_argument("--simulate-bright", action="store_true")
+    stage = p.add_mutually_exclusive_group(required=True)
+    stage.add_argument("--counts", help="calibration-scan CSV")
+    stage.add_argument("--simulate-counts", action="store_true")
     p.add_argument("--channels", choices=["both", "ch1", "ch2"], default="both")
     p.add_argument("--keep-intermediate", action="store_true",
                    help="write simulated scans next to the output")

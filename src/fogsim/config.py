@@ -17,14 +17,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .calibration import ERROR_MODES, FringeParams
+from .calibration import FringeParams
 from .errors import ConfigError, ParameterError
 from .geometry import GyroGeometry
 from .model import ModulatorMap, Spectrum
-from .simulate import DriftModel, NoiseModel, RunConfig, overnight_drift
+from .simulate import (BrightSourceSettings, CalibrationProtocol, DriftModel, NoiseModel,
+                       RunConfig, overnight_drift)
 
-__all__ = ["ExperimentConfig", "AnalysisSettings", "BrightSourceSettings",
-           "CalibrationProtocol", "default_config_dict", "load_config",
+__all__ = ["ExperimentConfig", "AnalysisSettings", "default_config_dict", "load_config",
            "config_from_dict", "config_hash"]
 
 SCHEMA_VERSION = 4
@@ -155,41 +155,11 @@ class AnalysisSettings:
 
 
 @dataclass(frozen=True)
-class BrightSourceSettings:
-    power_noise: tuple[float, float]
-    scan_v_min: float
-    scan_v_max: float
-    scan_points: int
-    ch1: FringeParams
-    ch2: FringeParams
-
-    def __post_init__(self):
-        if self.ch1.w == 0 or self.ch2.w == 0:
-            raise ParameterError("a bright-source fringe needs w_volt != 0")
-
-
-@dataclass(frozen=True)
-class CalibrationProtocol:
-    v_a_volt: float
-    v_b_volt: float
-    n_steps: int
-    repeats: int
-    integration_time_s: float
-    error_mode: str
-
-    def __post_init__(self):
-        if self.error_mode not in ERROR_MODES:
-            raise ParameterError(f"error_mode must be one of {ERROR_MODES}, "
-                                 f"got {self.error_mode!r}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated configuration with domain objects already constructed."""
 
     spectrum: Spectrum
     geometry: GyroGeometry
-    serrodyne_rate_override: float | None
     modulator: ModulatorMap
     run: RunConfig
     noise: NoiseModel
@@ -246,7 +216,8 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
 
         geo_node = document["geometry"]
         geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],
-                                geo_node["refractive_index"])
+                                geo_node["refractive_index"],
+                                geo_node["serrodyne_rate_override_hz"])
 
         # The working point only; alpha's uncertainty is measured by calibrate.
         modulator = ModulatorMap.from_inflection(document["modulator"]["v0i_volt"], 0.0,
@@ -265,31 +236,17 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
         analysis = AnalysisSettings(document["analysis"]["points_per_decade"])
         bright_node = document["bright_source"]
         bright = BrightSourceSettings(
-            power_noise=(bright_node["power_noise_ch1_w"], bright_node["power_noise_ch2_w"]),
-            scan_v_min=bright_node["scan_v_min"],
-            scan_v_max=bright_node["scan_v_max"],
-            scan_points=bright_node["scan_points"],
-            ch1=_fringe_params(bright_node["ch1"]),
-            ch2=_fringe_params(bright_node["ch2"]),
-        )
+            (bright_node["power_noise_ch1_w"], bright_node["power_noise_ch2_w"]),
+            bright_node["scan_v_min"], bright_node["scan_v_max"], bright_node["scan_points"],
+            _fringe_params(bright_node["ch1"]), _fringe_params(bright_node["ch2"]))
         protocol = CalibrationProtocol(**document["calibration_protocol"])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    return ExperimentConfig(
-        spectrum=spectrum,
-        geometry=geometry,
-        serrodyne_rate_override=geo_node["serrodyne_rate_override_hz"],
-        modulator=modulator,
-        run=run,
-        noise=noise,
-        analysis=analysis,
-        bright_source=bright,
-        protocol=protocol,
-        document=document,
-    )
+    return ExperimentConfig(spectrum, geometry, modulator, run, noise, analysis, bright,
+                            protocol, document)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -178,15 +178,6 @@ def _check_labels(path, name: str, values: np.ndarray, allowed: tuple[str, ...])
                         f"{str(values[bad[0]])!r} is not one of {allowed}")
 
 
-@contextmanager
-def _parsing(path):
-    """Turn validation failures of the values read into DataError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise DataError(f"{path}: bad value: {exc}") from exc
-
-
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -205,7 +196,7 @@ def write_count_series(path, series: CountSeries) -> None:
 
 def read_count_series(path, integration_time: float) -> CountSeries:
     t, c1, c2 = _nonempty(path, _read_table(path, COUNT_HEADER, "f8,i8,i8"))
-    with _parsing(path):
+    with about_file(path):
         return CountSeries(t, c1, c2, integration_time)
 
 
@@ -235,10 +226,13 @@ def read_calibration_scan(path, integration_time: float,
     v, t, c1, c2 = _nonempty(path, _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8"))
     starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
     sizes = np.diff(np.append(starts, len(v)))
-    if np.any(sizes != sizes[0]):
-        raise DataError(f"{path}: unequal repeat counts across voltage steps")
     v0 = v[starts]
-    with _parsing(path):
+    with about_file(path):
+        uneven = np.flatnonzero(sizes != sizes[0])
+        if len(uneven):
+            raise DataError(f"unequal repeat counts across voltage steps: {sizes[0]} in "
+                            f"the first, {sizes[uneven[0]]} from this row",
+                            row=int(starts[uneven[0]]))
         return CalibrationScan(v0, modulator.alpha * v0,
                                CountSeries(t, c1, c2, integration_time))
 

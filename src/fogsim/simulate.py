@@ -19,8 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import FringeParams
-from .errors import ParameterError
+from .calibration import ERROR_MODES, FringeParams
+from .errors import DataError, ParameterError
 from .model import ModulatorMap, Spectrum, click_probabilities
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
     "DriftModel",
     "NoiseModel",
     "RunConfig",
+    "BrightSourceSettings",
+    "CalibrationProtocol",
     "BrightScan",
     "CalibrationScan",
     "overnight_drift",
@@ -75,8 +77,16 @@ def _uniforms_from_words(words: np.ndarray) -> np.ndarray:
     return np.minimum(u, 1.0 - 2.0**-53)
 
 
+def _reject_rows(bad: np.ndarray, rule: str) -> None:
+    """DataError naming the first row where ``bad`` holds, if there is one."""
+    rows = np.flatnonzero(bad)
+    if len(rows):
+        raise DataError(rule, row=int(rows[0]))
+
+
 class CountSeries:
-    """Per-bin photon counts of both channels (columns t, c1, c2), one integration time."""
+    """Per-bin photon counts of both channels (columns t, c1, c2), one integration
+    time; a negative count or a bad bin time raises DataError naming its row."""
 
     def __init__(self, t: np.ndarray, c1: np.ndarray, c2: np.ndarray,
                  integration_time: float):
@@ -86,12 +96,10 @@ class CountSeries:
         self.integration_time = float(integration_time)
         if not (len(self.t) == len(self.c1) == len(self.c2)):
             raise ParameterError("t, c1, c2 must have equal length")
-        if np.any(self.c1 < 0) or np.any(self.c2 < 0):
-            raise ParameterError("counts must be non-negative")
-        if not np.all(np.isfinite(self.t)):
-            raise ParameterError("bin times must be finite")
-        if np.any(np.diff(self.t) < 0):
-            raise ParameterError("bin times must be non-decreasing")
+        _reject_rows((self.c1 < 0) | (self.c2 < 0), "counts must be non-negative")
+        _reject_rows(~np.isfinite(self.t), "bin times must be finite")
+        _reject_rows(np.diff(self.t, prepend=self.t[:1]) < 0,
+                     "bin times must be non-decreasing")
         if not self.integration_time > 0:
             raise ParameterError("integration_time must be positive")
 
@@ -253,16 +261,15 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
     return _poisson_quantile(u[:, 1], lam1), _poisson_quantile(u[:, 2], lam2)
 
 
-def _count_series(n_bins: int, tau_set, config: RunConfig, spectrum: Spectrum,
-                  noise: NoiseModel, workers: int) -> CountSeries:
+def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
+                  spectrum: Spectrum, noise: NoiseModel, workers: int) -> CountSeries:
     """Counts of n_bins bins at t_k = k T around the set-point delay tau_set
-    (one value, or one per bin), under the run's seed, rate and bin length."""
-    key_counts, key_drift = derive_keys(config.seed, 2)
-    integration_time = config.integration_time
+    (one value, or one per bin), under the run's seed and rate."""
+    key_counts, key_drift = derive_keys(run.seed, 2)
     t = np.arange(n_bins, dtype=np.float64) * integration_time
     tau = _delay_track(t, tau_set, noise, key_drift, integration_time)
     p1, p2 = click_probabilities(tau, spectrum)
-    mean_total = config.rate_total * integration_time
+    mean_total = run.rate_total * integration_time
     dark_counts = (noise.dark_rate_1 * integration_time,
                    noise.dark_rate_2 * integration_time)
     c1 = np.empty(n_bins, dtype=np.int64)
@@ -288,7 +295,69 @@ def simulate_run(config: RunConfig, spectrum: Spectrum, noise: NoiseModel,
     common-mode pump multiplier (clipped at zero).  Identical
     (config, spectrum, noise) give bit-identical output for any ``workers``.
     """
-    return _count_series(config.n_bins, config.tau0, config, spectrum, noise, workers)
+    return _count_series(config.n_bins, config.integration_time, config.tau0, config,
+                         spectrum, noise, workers)
+
+
+@dataclass(frozen=True)
+class BrightSourceSettings:
+    """A bright-source fringe scan: scan_points voltages from scan_v_min to
+    scan_v_max (V), the fringe of each output, and the 1-sigma Gaussian
+    noise (W) on each output's power."""
+
+    power_noise: tuple[float, float]
+    scan_v_min: float
+    scan_v_max: float
+    scan_points: int
+    ch1: FringeParams
+    ch2: FringeParams
+
+    def __post_init__(self):
+        if self.ch1.w == 0 or self.ch2.w == 0:
+            raise ParameterError("a bright-source fringe needs w_volt != 0")
+        if self.scan_points < 2:
+            raise ParameterError(f"scan_points must be at least 2, got {self.scan_points}")
+        if min(self.power_noise) < 0:
+            raise ParameterError("power_noise_ch1_w and power_noise_ch2_w must be "
+                                 f"non-negative, got {self.power_noise}")
+
+
+@dataclass(frozen=True)
+class CalibrationProtocol:
+    """A stepped calibration scan: n_steps voltages from v_a_volt to v_b_volt,
+    repeats bins of integration_time_s (s) at each; error_mode sets a step's
+    contrast error (see contrast_points_from_scan)."""
+
+    v_a_volt: float
+    v_b_volt: float
+    n_steps: int
+    repeats: int
+    integration_time_s: float
+    error_mode: str
+
+    def __post_init__(self):
+        if self.error_mode not in ERROR_MODES:
+            raise ParameterError(f"error_mode must be one of {ERROR_MODES}, "
+                                 f"got {self.error_mode!r}")
+        if not self.v_a_volt < self.v_b_volt:
+            raise ParameterError("v_a_volt must be below v_b_volt, got "
+                                 f"{self.v_a_volt} >= {self.v_b_volt}")
+        for key in ("n_steps", "repeats"):
+            if getattr(self, key) < 2:
+                raise ParameterError(f"{key} must be at least 2, got {getattr(self, key)}")
+        if not self.integration_time_s > 0:
+            raise ParameterError("integration_time_s must be positive, "
+                                 f"got {self.integration_time_s}")
+        if self.n_bins > MAX_BINS:
+            raise ParameterError(f"a scan may have at most {MAX_BINS:.0e} bins, got "
+                                 f"n_steps * repeats = {self.n_bins}")
+        if not math.isfinite(self.n_bins * self.integration_time_s):
+            raise ParameterError("the scan length n_steps * repeats * integration_time_s "
+                                 "must be finite")
+
+    @property
+    def n_bins(self) -> int:
+        return self.n_steps * self.repeats
 
 
 @dataclass(frozen=True)
@@ -300,24 +369,19 @@ class BrightScan:
     power2: np.ndarray
 
 
-def simulate_bright_scan(v_range: tuple[float, float], n_steps: int,
-                         fringe: tuple[FringeParams, FringeParams],
-                         power_noise_sigma: tuple[float, float], seed: int) -> BrightScan:
+def simulate_bright_scan(settings: BrightSourceSettings, seed: int) -> BrightScan:
     """Sweep the modulator voltage under a bright source.
 
     power_i(v) = f0_i + a_i sin(pi (v - v0i_i) / w_i) plus Gaussian noise of
     the channel's sigma (W); deterministic under the seed.
     """
     from scipy.special import ndtri
-    if n_steps < 2:
-        raise ParameterError(f"n_steps must be at least 2, got {n_steps}")
-    if any(s < 0 for s in power_noise_sigma):
-        raise ParameterError("power_noise_sigma must be non-negative")
-    v0 = np.linspace(v_range[0], v_range[1], n_steps)
+    v0 = np.linspace(settings.scan_v_min, settings.scan_v_max, settings.scan_points)
     key = derive_keys(seed, 1)[0]
-    u = block_uniforms(key, 0, n_steps)
+    u = block_uniforms(key, 0, settings.scan_points)
     powers = [params.evaluate(v0) + (sigma * ndtri(u[:, channel]) if sigma > 0 else 0.0)
-              for channel, (params, sigma) in enumerate(zip(fringe, power_noise_sigma))]
+              for channel, (params, sigma) in enumerate(zip((settings.ch1, settings.ch2),
+                                                            settings.power_noise))]
     return BrightScan(v0, *powers)
 
 
@@ -340,25 +404,19 @@ class CalibrationScan:
         return len(self.counts) // len(self.v0)
 
 
-def simulate_calibration_scan(v_a: float, v_b: float, n_steps: int, repeats: int,
-                              config: RunConfig, spectrum: Spectrum,
-                              modulator: ModulatorMap, noise: NoiseModel,
-                              workers: int = 1) -> CalibrationScan:
-    """Step the voltage from v_a to v_b, acquiring `repeats` bins per step.
+def simulate_calibration_scan(protocol: CalibrationProtocol, run: RunConfig,
+                              spectrum: Spectrum, modulator: ModulatorMap,
+                              noise: NoiseModel, workers: int = 1) -> CalibrationScan:
+    """Step the voltage from v_a_volt to v_b_volt, acquiring ``repeats`` bins
+    of the protocol's bin length per step.
 
     Each step sets tau = alpha * v0 (plus any configured drift over the scan
-    timeline).  The scan takes the seed, rate and bin length of ``config``,
-    not its duration or tau0; counting statistics and determinism match
+    timeline).  The scan takes the seed and rate of ``run``, not its bin
+    length, duration or tau0; counting statistics and determinism match
     :func:`simulate_run`.
     """
-    if not v_a < v_b:
-        raise ParameterError(f"require v_a < v_b, got {v_a} >= {v_b}")
-    if n_steps < 2:
-        raise ParameterError(f"n_steps must be at least 2, got {n_steps}")
-    if repeats < 2:
-        raise ParameterError(f"repeats must be at least 2, got {repeats}")
-    v0 = np.linspace(v_a, v_b, n_steps)
+    v0 = np.linspace(protocol.v_a_volt, protocol.v_b_volt, protocol.n_steps)
     tau_set = modulator.alpha * v0
-    counts = _count_series(n_steps * repeats, np.repeat(tau_set, repeats), config,
-                           spectrum, noise, workers)
+    counts = _count_series(protocol.n_bins, protocol.integration_time_s,
+                           np.repeat(tau_set, protocol.repeats), run, spectrum, noise, workers)
     return CalibrationScan(v0, tau_set, counts)

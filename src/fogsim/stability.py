@@ -240,8 +240,7 @@ def crb_curve(rate_total: float, spectrum: Spectrum, t) -> np.ndarray:
 
 
 def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
-                     rate_total: float, spectrum: Spectrum, geometry: GyroGeometry,
-                     serrodyne_rate_override: float | None) -> dict:
+                     rate_total: float, spectrum: Spectrum, geometry: GyroGeometry) -> dict:
     """Report on the raw, even, odd and differential Allan curves.
 
     Detection limits (the delay limit is the better of even and odd), the
@@ -294,6 +293,6 @@ def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
             "total_area_m2": area,
             "n_coils": geometry.n_coils,
             "serrodyne_rate_hz_computed": geometry.serrodyne_rate,
-            "serrodyne_rate_hz_override": serrodyne_rate_override,
+            "serrodyne_rate_hz_override": geometry.serrodyne_rate_override,
         },
     }

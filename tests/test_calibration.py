@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from fogsim import (
+    CalibrationProtocol,
     FringeParams,
     LinearCalibration,
     ModulatorMap,
@@ -28,6 +29,11 @@ TABLE1 = {
 }
 TABLE2_K1 = 1.0937
 TABLE2_K2 = -1.3432
+
+
+def protocol(n_steps: int, repeats: int) -> CalibrationProtocol:
+    """The reference 3.6-4.4 V scan of 0.1 s bins with n_steps x repeats bins."""
+    return CalibrationProtocol(3.6, 4.4, n_steps, repeats, 0.1, "sem")
 
 
 def synthetic_scan(params: FringeParams, noise=0.0, n=200, rng=None,
@@ -194,8 +200,8 @@ class TestFitLinearCalibration:
         for repeat in range(100):
             config = RunConfig(rate_total=631.6e3, integration_time=0.1,
                                duration=100.0, tau0=1.294e-15, seed=1000 + repeat)
-            scan = simulate_calibration_scan(3.6, 4.4, 100, 10, config, spectrum,
-                                             modulator, NoiseModel())
+            scan = simulate_calibration_scan(protocol(100, 10), config, spectrum, modulator,
+                                             NoiseModel())
             if ideal_truth is None:
                 # noiseless estimand: weighted fit through the exact model contrasts
                 from fogsim import click_probabilities
@@ -283,8 +289,8 @@ class TestContrastPointsFromScan:
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
         config = RunConfig(rate_total=631.6e3, integration_time=0.1,
                            duration=100.0, tau0=1.294e-15, seed=77)
-        scan = simulate_calibration_scan(3.6, 4.4, 20, 10, config, spectrum,
-                                         modulator, NoiseModel())
+        scan = simulate_calibration_scan(protocol(20, 10), config, spectrum, modulator,
+                                         NoiseModel())
         sem_points = contrast_points_from_scan(scan, (0.0, 0.0), "sem")
         std_points = contrast_points_from_scan(scan, (0.0, 0.0), "std")
         ratio = std_points[0].dx_err / sem_points[0].dx_err
@@ -296,7 +302,7 @@ class TestContrastPointsFromScan:
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
         config = RunConfig(rate_total=631.6e3, integration_time=0.1,
                            duration=100.0, tau0=1.294e-15, seed=77)
-        scan = simulate_calibration_scan(3.6, 4.4, 5, 3, config, spectrum,
-                                         modulator, NoiseModel())
+        scan = simulate_calibration_scan(protocol(5, 3), config, spectrum, modulator,
+                                         NoiseModel())
         with pytest.raises(ParameterError):
             contrast_points_from_scan(scan, (0.0, 0.0), "variance")

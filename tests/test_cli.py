@@ -529,6 +529,14 @@ def _fisher_case(*options, **config):
     return argv
 
 
+def _two_sources_case(file_flag):
+    """calibrate given both a file and a simulation for one stage."""
+    def argv(tmp_path, calibrated):
+        return ["calibrate", file_flag, tmp_path / "missing.csv", "--simulate-bright",
+                "--simulate-counts", "--out", tmp_path / "cal.json"]
+    return argv
+
+
 # At V0 = 2 V0i channel 1 takes almost every photon, so a pump gain above
 # 1.03 takes its mean count past the float64 range.
 _OVERFLOWING_RUN = {"run.rate_total_hz": 1.75e308, "run.duration_s": 40000.0,
@@ -560,8 +568,9 @@ BAD_INPUTS = {
         3, "covariance"),
     "calibration_fit_without_chi2": (
         _estimate_case(lambda d: d["fringe_fits"]["ch1"].pop("chi2")), 3, "chi2"),
-    "negative_counts": (_negative_counts, 3, "non-negative"),
-    "negative_scan_counts": (_negative_scan_counts, 3, "non-negative"),
+    "negative_counts": (_negative_counts, 3, "counts.csv: line 3: counts must be non-negative"),
+    "negative_scan_counts": (_negative_scan_counts, 3,
+                             "scan.csv: line 3: counts must be non-negative"),
     "identical_scan_repeats": (_identical_scan_repeats, 3, "dx_err"),
     "counts_bin_step": (_counts_step_case, 3, "run.integration_time_s"),
     "scan_bin_step": (_scan_step_case, 3, "calibration_protocol.integration_time_s"),
@@ -622,6 +631,10 @@ BAD_INPUTS = {
                   "unrecognized arguments: --seed"),
     "duration_flag": (_simulate_case("--duration", 10), 2,
                       "unrecognized arguments: --duration"),
+    "two_bright_sources": (_two_sources_case("--bright"), 2,
+                           "argument --simulate-bright: not allowed with argument --bright"),
+    "two_counts_sources": (_two_sources_case("--counts"), 2,
+                           "argument --simulate-counts: not allowed with argument --counts"),
 }
 
 
@@ -654,17 +667,55 @@ RETIRED = {"run.tau0_s": 1.3e-15, "modulator.alpha_s_per_v": 3.35e-16,
            "spectrum.sigma_omega_is_angular": False, "schema_version": 3}
 
 
+def _every_command(tables: Path) -> list[list]:
+    """One invocation of each command; the commands that read files read the
+    small tables in ``tables``."""
+    return [["fisher", "--n-points", 1], ["simulate"],
+            ["calibrate", "--simulate-bright", "--simulate-counts"],
+            ["calibrate", "--bright", tables / "bright_scan.csv",
+             "--counts", tables / "calibration_scan.csv"],
+            ["estimate", "--counts", tables / "counts.csv",
+             "--calibration", tables / "calibration.json"],
+            ["stability", "--delays", tables / "delays.csv"]]
+
+
 @pytest.mark.parametrize("key", sorted(RETIRED))
-def test_retired_config_fails_every_command(key, tmp_path):
+def test_retired_config_fails_every_command(key, tmp_path, small_tables):
     base = ["--config", write_config(tmp_path, **{key: RETIRED[key]}), "--out-dir", tmp_path]
-    missing = tmp_path / "missing.csv"
-    for command in (["fisher"], ["simulate"],
-                    ["calibrate", "--simulate-bright", "--simulate-counts"],
-                    ["estimate", "--counts", missing, "--calibration", missing],
-                    ["stability", "--delays", missing]):
+    for command in _every_command(small_tables[0]):
         code, err = _run_quietly([*base, *command])
         assert code == 2
         assert key in err
+
+
+# A broken rule of the calibration sections -> the key its message names
+CALIBRATION_RULES = {
+    "scan_points_1": ({"bright_source.scan_points": 1}, "scan_points"),
+    "power_noise_negative": ({"bright_source.power_noise_ch1_w": -1e-9},
+                             "power_noise_ch1_w"),
+    "v_b_equal_v_a": ({"calibration_protocol.v_b_volt": 3.6}, "v_b_volt"),
+    "v_b_below_v_a": ({"calibration_protocol.v_b_volt": 3.0}, "v_b_volt"),
+    "n_steps_1": ({"calibration_protocol.n_steps": 1}, "n_steps"),
+    "repeats_1": ({"calibration_protocol.repeats": 1}, "repeats"),
+    "integration_time_zero": ({"calibration_protocol.integration_time_s": 0.0},
+                              "integration_time_s"),
+    "integration_time_1e308": ({"calibration_protocol.integration_time_s": 1e308},
+                               "integration_time_s"),
+    "scan_over_bin_cap": ({"calibration_protocol.n_steps": 10**5,
+                           "calibration_protocol.repeats": 10**5}, "n_steps * repeats"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATION_RULES))
+def test_calibration_rule_fails_every_command(case, tmp_path, small_tables):
+    """A document that breaks a bright_source or calibration_protocol rule
+    is a configuration error in every command, whatever the command reads."""
+    changes, key = CALIBRATION_RULES[case]
+    base = ["--config", write_config(tmp_path, **changes), "--out-dir", tmp_path]
+    for command in _every_command(small_tables[0]):
+        code, err = _run_quietly([*base, *command])
+        assert code == 2, command
+        assert key in err, command
 
 
 def _leaves(node, path: tuple = ()):
@@ -677,7 +728,8 @@ def _leaves(node, path: tuple = ()):
 
 
 CONFIG_LEAVES = sorted(".".join(path) for path in _leaves(default_config_dict()))
-# The keys that set how much work a command does take only small numbers.
+# The keys that set how much work a command does take only small numbers,
+# and the run's bin length takes only lengths that give few bins or none.
 SIZE_KEYS = {"bright_source.scan_points", "calibration_protocol.n_steps",
              "calibration_protocol.repeats", "run.duration_s",
              "analysis.points_per_decade"}
@@ -688,7 +740,16 @@ ANY_JSON = st.one_of(st.sampled_from([0, -1, 2**70, 1e308, -1e308]),
                      st.integers(max_value=-1), st.floats(), *_NOT_NUMBERS)
 SMALL_JSON = st.one_of(st.sampled_from([0, -1]), st.integers(-3, 40),
                        st.floats(-3.0, 40.0), *_NOT_NUMBERS)
+BIN_LENGTH_JSON = st.one_of(st.sampled_from([0, -1, 5e-324, 1e-300]),
+                            st.floats(min_value=1e-3), *_NOT_NUMBERS)
 CELL_TOKENS = ["nan", "inf", "-inf", "-1", "0", "2.0", "1e400", "abc", ""]
+
+
+def _json_for(key: str):
+    """The values a damaged config leaf takes."""
+    if key == "run.integration_time_s":
+        return BIN_LENGTH_JSON
+    return SMALL_JSON if key in SIZE_KEYS else ANY_JSON
 
 
 def _exits_cleanly(argv) -> None:
@@ -697,31 +758,32 @@ def _exits_cleanly(argv) -> None:
     assert code in (0, 2, 3), err
 
 
+# The config of the small tables: every command on them takes a few ms.
+SMALL_TABLES = {"run.duration_s": 30.0, "bright_source.scan_points": 40,
+                "calibration_protocol.n_steps": 12, "calibration_protocol.repeats": 3}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_config_document_exits_cleanly(tmp_path, data):
-    """fisher and a simulated calibration survive one or two leaves of the
-    default document replaced by any JSON value."""
+def test_any_config_document_exits_cleanly(tmp_path, small_tables, data):
+    """Every command survives one or two leaves of the small tables' document
+    replaced by any JSON value; the commands that read files read the small
+    tables."""
     keys = data.draw(st.lists(st.sampled_from(CONFIG_LEAVES), min_size=1, max_size=2,
                               unique=True))
     config = write_config(tmp_path, **{
-        key: data.draw(SMALL_JSON if key in SIZE_KEYS else ANY_JSON, label=key)
-        for key in keys})
-    base = ["--config", config, "--out-dir", tmp_path]
-    _exits_cleanly([*base, "fisher", "--n-points", 1])
-    _exits_cleanly(["--workers", 2, *base, "calibrate", "--simulate-bright",
-                    "--simulate-counts"])
+        **SMALL_TABLES, **{key: data.draw(_json_for(key), label=key) for key in keys}})
+    for command in _every_command(small_tables[0]):
+        _exits_cleanly(["--workers", 2, "--config", config, "--out-dir", tmp_path,
+                        *command])
 
 
 @pytest.fixture(scope="module")
 def small_tables(tmp_path_factory):
     """Small valid tables of the four kinds a command reads, and their config."""
     tmp_path = tmp_path_factory.mktemp("tables")
-    config = write_config(tmp_path, **{"run.duration_s": 30.0,
-                                       "bright_source.scan_points": 40,
-                                       "calibration_protocol.n_steps": 12,
-                                       "calibration_protocol.repeats": 3})
+    config = write_config(tmp_path, **SMALL_TABLES)
     base = ["--config", config, "--out-dir", tmp_path]
     assert run(*base, "simulate") == 0
     assert run(*base, "calibrate", "--simulate-bright", "--simulate-counts",

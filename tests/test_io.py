@@ -354,6 +354,36 @@ def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
     assert error == f"fogsim: error: {path}: line {4 + blank_lines}: {reason}\n"
 
 
+# third data row (and the rows after it) -> the count-table rule it breaks
+COUNT_RULES = {
+    "negative_count": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["2.0,-5,4"],
+                       "counts must be non-negative"),
+    "decreasing_time": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["0.5,5,4"],
+                        "bin times must be non-decreasing"),
+    "infinite_time": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["inf,5,4"],
+                      "bin times must be finite"),
+    "scan_negative_count": (CAL_SCAN_HEADER, "3.6,0.0,1,2", "3.6,0.1,3,4",
+                            ["3.7,0.2,-5,4", "3.7,0.3,5,4"], "counts must be non-negative"),
+    "scan_unequal_repeats": (CAL_SCAN_HEADER, "3.6,0.0,1,2", "3.6,0.1,3,4",
+                             ["3.7,0.2,5,4", "3.7,0.3,5,4", "3.7,0.4,5,4"],
+                             "unequal repeat counts across voltage steps: 2 in the first, "
+                             "3 from this row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_RULES))
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_count_rule_named_by_file_line(tmp_path, case, blank_lines):
+    """A count or calibration-scan table that breaks a count-table rule is
+    a DataError naming the file and the line of the first bad row."""
+    header, first, second, rest, reason = COUNT_RULES[case]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, first] + [""] * blank_lines + [second, *rest]) + "\n")
+    with pytest.raises(DataError) as info:
+        READERS[header](path)
+    assert str(info.value) == f"{path}: line {4 + blank_lines}: {reason}"
+
+
 def _per_cell_table(header: str, *columns) -> str:
     """The oracle: each cell formatted on its own, one join per row."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))

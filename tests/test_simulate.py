@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scipy.special import pdtr
 from scipy.stats import poisson
 
 from fogsim import (
+    BrightSourceSettings,
+    CalibrationProtocol,
     CountSeries,
     DriftModel,
     FringeParams,
@@ -20,7 +23,7 @@ from fogsim import (
     simulate_run,
 )
 from fogsim.calibration import fit_fringe, normalize_count_arrays
-from fogsim.errors import ParameterError
+from fogsim.errors import DataError, ParameterError
 from fogsim.simulate import MAX_BINS, _poisson_quantile, _uniforms_from_words, block_uniforms
 
 RATE = 631.6e3
@@ -240,28 +243,38 @@ class TestSimulateRun:
 
 class TestCountSeries:
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        """A bad row is a DataError that carries the row, which the readers
+        turn into the line of the file."""
+        with pytest.raises(DataError, match="counts must be non-negative") as info:
             CountSeries(np.array([0.0, 1.0]), np.array([1, -2]),
                         np.array([1, 2]), 1.0)
-        with pytest.raises(ParameterError):
+        assert info.value.row == 1
+        with pytest.raises(DataError, match="non-decreasing") as info:
             CountSeries(np.array([1.0, 0.0]), np.array([1, 2]),
                         np.array([1, 2]), 1.0)
+        assert info.value.row == 1
         for bad in (math.inf, math.nan):
-            with pytest.raises(ParameterError):
+            with pytest.raises(DataError, match="finite") as info:
                 CountSeries(np.array([0.0, bad]), np.array([1, 2]),
                             np.array([1, 2]), 1.0)
+            assert info.value.row == 1
+        with pytest.raises(ParameterError):
+            CountSeries(np.array([0.0, 1.0]), np.array([1, 2]), np.array([1, 2]), 0.0)
+
+
+def bright(v_range=(0.0, 16.0), scan_points=200, noise=(0.0, 0.0)):
+    """Bright-source settings with the reference fringes of both channels."""
+    return BrightSourceSettings(noise, *v_range, scan_points, TABLE1_CH1, TABLE1_CH2)
 
 
 class TestBrightScan:
     def test_noiseless_value_at_own_inflection(self):
         # the sine term vanishes at the channel's inflection voltage
-        scan = simulate_bright_scan((3.85, 16.0), 200, (TABLE1_CH1, TABLE1_CH2),
-                                    (0.0, 0.0), seed=1)
+        scan = simulate_bright_scan(bright((3.85, 16.0)), seed=1)
         assert scan.power1[0] == pytest.approx(482e-9, rel=1e-12)
 
     def test_noiseless_round_trip_through_fit(self):
-        scan = simulate_bright_scan((0.0, 16.0), 200, (TABLE1_CH1, TABLE1_CH2),
-                                    (0.0, 0.0), seed=1)
+        scan = simulate_bright_scan(bright(), seed=1)
         fit = fit_fringe(np.column_stack([scan.v0, scan.power1]), 1.0)
         for got, want in [(fit.f0, 482e-9), (fit.a, 364e-9),
                           (fit.w, 7.84), (fit.v0i, 3.85)]:
@@ -269,34 +282,37 @@ class TestBrightScan:
 
     def test_span_of_two_w_covers_one_period(self):
         w = TABLE1_CH1.w
-        scan = simulate_bright_scan((3.85, 3.85 + 2 * w), 101,
-                                    (TABLE1_CH1, TABLE1_CH2), (0.0, 0.0), seed=1)
+        scan = simulate_bright_scan(bright((3.85, 3.85 + 2 * w), 101), seed=1)
         assert scan.power1[0] == pytest.approx(scan.power1[-1], rel=1e-9)
 
     def test_deterministic(self):
-        a = simulate_bright_scan((0.0, 16.0), 50, (TABLE1_CH1, TABLE1_CH2),
-                                 (1e-9, 1e-9), seed=9)
-        b = simulate_bright_scan((0.0, 16.0), 50, (TABLE1_CH1, TABLE1_CH2),
-                                 (1e-9, 1e-9), seed=9)
+        a = simulate_bright_scan(bright(scan_points=50, noise=(1e-9, 1e-9)), seed=9)
+        b = simulate_bright_scan(bright(scan_points=50, noise=(1e-9, 1e-9)), seed=9)
         np.testing.assert_array_equal(a.power1, b.power1)
         np.testing.assert_array_equal(a.power2, b.power2)
 
     def test_too_few_steps(self):
-        with pytest.raises(ParameterError):
-            simulate_bright_scan((0.0, 16.0), 1, (TABLE1_CH1, TABLE1_CH2),
-                                 (0.0, 0.0), seed=1)
+        with pytest.raises(ParameterError, match="scan_points"):
+            bright(scan_points=1)
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ParameterError, match="power_noise_ch1_w"):
+            bright(noise=(-1e-9, 0.0))
+
+
+def protocol(v_a=3.6, v_b=4.4, n_steps=100, repeats=10, integration_time=0.1):
+    return CalibrationProtocol(v_a, v_b, n_steps, repeats, integration_time, "sem")
 
 
 class TestCalibrationScan:
-    @staticmethod
-    def scan_config(seed=41, integration=0.1):
-        return RunConfig(rate_total=RATE, integration_time=integration,
-                         duration=100.0, tau0=1.294e-15, seed=seed)
+    # the scan takes the run's seed and rate, and its bin length from the protocol
+    RUN = RunConfig(rate_total=RATE, integration_time=1.0, duration=100.0,
+                    tau0=1.294e-15, seed=41)
 
     def test_protocol_record_count(self, spectrum):
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
-        scan = simulate_calibration_scan(3.6, 4.4, 100, 10, self.scan_config(),
-                                         spectrum, modulator, quiet_noise())
+        scan = simulate_calibration_scan(protocol(), self.RUN, spectrum, modulator,
+                                         quiet_noise())
         assert len(scan.counts) == 1000
         assert len(scan.v0) == 100
         assert scan.repeats == 10
@@ -304,8 +320,8 @@ class TestCalibrationScan:
     def test_contrast_spread_matches_poisson(self, spectrum):
         """Per-step X1 scatter follows sqrt(p1 p2 / (R T)) on average."""
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
-        scan = simulate_calibration_scan(3.6, 4.4, 100, 2, self.scan_config(),
-                                         spectrum, modulator, quiet_noise())
+        scan = simulate_calibration_scan(protocol(repeats=2), self.RUN, spectrum,
+                                         modulator, quiet_noise())
         c1, c2 = scan.counts.c1, scan.counts.c2
         x1 = (c1 / (c1 + c2)).reshape(-1, scan.repeats)
         measured_var = x1.var(axis=1, ddof=1).mean()
@@ -313,8 +329,15 @@ class TestCalibrationScan:
         predicted = p1 * p2 / (RATE * 0.1)
         assert measured_var == pytest.approx(predicted, rel=0.5)
 
-    def test_equal_bounds_rejected(self, spectrum):
-        modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
-        with pytest.raises(ParameterError):
-            simulate_calibration_scan(3.6, 3.6, 100, 10, self.scan_config(),
-                                      spectrum, modulator, quiet_noise())
+    def test_equal_bounds_rejected(self):
+        with pytest.raises(ParameterError, match="v_a_volt"):
+            protocol(v_b=3.6)
+
+    @pytest.mark.parametrize("changes,key", [
+        ({"n_steps": 1}, "n_steps"), ({"repeats": 1}, "repeats"),
+        ({"integration_time": 0.0}, "integration_time_s"),
+        ({"integration_time": 1e308}, "integration_time_s"),
+        ({"n_steps": 10**5, "repeats": 10**5}, "n_steps * repeats")])
+    def test_protocol_rules(self, changes, key):
+        with pytest.raises(ParameterError, match=re.escape(key)):
+            protocol(**changes)

@@ -278,8 +278,7 @@ class TestSaturationCurve:
         curves = {origin: dataclasses.replace(
             curve, adev=crb_curve(631.6e3, spectrum, curve.t))
             for origin, curve in report_curves(rng.standard_normal(10_000)).items()}
-        saturation = stability_report(curves, 0, 631.6e3, spectrum, geometry,
-                                      None)["saturation"]
+        saturation = stability_report(curves, 0, 631.6e3, spectrum, geometry)["saturation"]
         for origin in ("even", "odd", "differential"):
             np.testing.assert_array_equal(saturation[origin]["value"], 1.0)
         np.testing.assert_allclose(
@@ -294,8 +293,8 @@ class TestSaturationCurve:
         x[rng.choice(np.arange(0, 20_000, 2), 3_000, replace=False)] = np.nan
         curves = report_curves(x)
         assert curves["odd"].t[-1] > curves["even"].t[-1]
-        saturation = stability_report(curves, 3_000, 631.6e3, spectrum, geometry,
-                                      None)["saturation"]
+        saturation = stability_report(curves, 3_000, 631.6e3, spectrum,
+                                      geometry)["saturation"]
         for origin in ("even", "odd", "differential"):
             curve = curves[origin]
             np.testing.assert_array_equal(saturation[origin]["t_s"], curve.t)
@@ -318,7 +317,7 @@ class TestReport:
         raw = DelaySeries(1.0, x)
         curves = {series.origin: overlapping_allan_deviation(series)
                   for series in (raw, *even_odd_split(raw))}
-        report = stability_report(curves, 0, 631.6e3, spectrum, geometry, None)
+        report = stability_report(curves, 0, 631.6e3, spectrum, geometry)
         assert report["detection_limit"]["raw"]["sigma_s"] == curves["raw"].adev.min()
         best = min(curves["even"].adev.min(), curves["odd"].adev.min())
         assert report["detection_limit_tau"]["sigma_s"] == best
