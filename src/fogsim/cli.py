@@ -1,6 +1,9 @@
 """Command-line front end tying the pipeline together.
 
-Subcommands: fisher, simulate, calibrate, estimate, stability.  Exit codes:
+Subcommands: fisher, simulate, calibrate, estimate, stability.  ``main``
+loads the config, runs the subcommand and writes ``<last output>.manifest.json``
+with the digests of the files the subcommand read and wrote (fisher writes
+none).  Exit codes:
 0 success, 2 usage or configuration error, 3 data or fit error.  An
 arithmetic error (a floating-point overflow, invalid operation or division
 by zero) stops a command with exit 3, where numpy would warn and go on with
@@ -20,22 +23,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .calibration import (CalibrationSet, combine_inflection, contrast_points_from_scan,
                           estimate_delays, fit_fringe, fit_linear_calibration)
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DataError, FitError, FogsimError, ParameterError
-from .io_formats import (RunManifest, about_file, file_digest, read_bright_scan,
+from .io_formats import (about_file, file_digest, read_bright_scan,
                          read_calibration_scan, read_calibration_set, read_count_series,
                          read_delay_series, write_allan_curves, write_bright_scan,
                          write_calibration_scan, write_calibration_set,
                          write_count_series, write_delay_series, write_fisher_curve,
                          write_manifest, write_report)
 from .model import ModulatorMap, fisher_information
-from .simulate import (MAX_BINS, RNG_ALGORITHM, simulate_bright_scan,
-                       simulate_calibration_scan, simulate_run)
-from .stability import (default_m_grid, even_odd_split, overlapping_allan_deviation,
-                        series_from_delay_table, stability_report)
+from .simulate import (MAX_BINS, simulate_bright_scan, simulate_calibration_scan,
+                       simulate_run)
+from .stability import (default_m_grid, even_odd_split, median_step,
+                        overlapping_allan_deviation, series_from_delay_table,
+                        stability_report)
 
 _USAGE_EXIT = 2
 _DATA_EXIT = 3
@@ -49,24 +52,13 @@ def _out_path(args, name: str) -> Path:
     return path
 
 
-def _manifest(config: ExperimentConfig, inputs: dict[str, Path],
-              outputs: dict[str, Path]) -> RunManifest:
-    return RunManifest(
-        config_hash=config.hash,
-        seed=config.run.seed,
-        tool_version=__version__,
-        rng_algorithm=RNG_ALGORITHM,
-        inputs={k: file_digest(v) for k, v in inputs.items()},
-        outputs={k: file_digest(v) for k, v in outputs.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its inputs, calls the layers and writes its outputs,
+# and returns the inputs it read (name -> path) and the outputs it wrote, or
+# None to write no manifest
 # ---------------------------------------------------------------------------
 
-def _cmd_fisher(args) -> int:
-    config = load_config(args.config)
+def _cmd_fisher(args, config: ExperimentConfig) -> None:
     if not 1 <= args.n_points <= MAX_BINS:
         raise ParameterError(f"n-points must lie in [1, {MAX_BINS:.0e}], got {args.n_points}")
     if args.tau_min < 0 or not math.isfinite(args.tau_min):
@@ -86,18 +78,14 @@ def _cmd_fisher(args) -> int:
     out = _out_path(args, args.out)
     write_fisher_curve(out, grid, values)
     print(f"wrote {out} ({len(grid)} points)")
-    return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
+def _cmd_simulate(args, config: ExperimentConfig):
     series = simulate_run(config.run, config.spectrum, config.noise, workers=args.workers)
     out = _out_path(args, args.out)
     write_count_series(out, series)
-    manifest_path = Path(str(out) + ".manifest.json")
-    write_manifest(manifest_path, _manifest(config, {}, {out.name: out}))
-    print(f"wrote {out} ({len(series)} bins) and {manifest_path}")
-    return 0
+    print(f"wrote {out} ({len(series)} bins)")
+    return {}, [out]
 
 
 def _fit_channels(bright, sigmas: tuple[float, float], channels: str):
@@ -122,14 +110,13 @@ def _check_bin_step(path, counts, key: str) -> None:
     """
     if len(counts) < 2:
         return
-    step = float(np.median(np.diff(counts.t)))
+    step = median_step(counts.t)
     if not math.isclose(step, counts.integration_time, rel_tol=1e-6):
         raise DataError(f"{path}: the median bin step is {step!r} s, but {key} is "
                         f"{counts.integration_time!r} s")
 
 
-def _cmd_calibrate(args) -> int:
-    config = load_config(args.config)
+def _cmd_calibrate(args, config: ExperimentConfig):
     inputs: dict[str, Path] = {}
     protocol = config.protocol
 
@@ -161,8 +148,8 @@ def _cmd_calibrate(args) -> int:
 
     dark = (config.noise.dark_rate_1, config.noise.dark_rate_2)
     points = contrast_points_from_scan(scan, dark, protocol.error_mode)
-    linear = fit_linear_calibration(points, window_volt=(protocol.v_a_volt,
-                                                         protocol.v_b_volt))
+    linear = fit_linear_calibration(points, window_volt=(float(scan.v0.min()),
+                                                         float(scan.v0.max())))
     calset = CalibrationSet(
         fringe_fits=fits, v0i=v0i, v0i_err=v0i_err,
         modulator=modulator, linear=linear, dark_rates=dark,
@@ -171,36 +158,28 @@ def _cmd_calibrate(args) -> int:
     )
     out = _out_path(args, args.out)
     write_calibration_set(out, calset)
-    manifest_path = Path(str(out) + ".manifest.json")
-    write_manifest(manifest_path, _manifest(config, inputs, {out.name: out}))
     print(f"wrote {out}: alpha = {modulator.alpha:.4e} s/V, "
           f"k1 = {linear.k1:.4f} /fs, k2 = {linear.k2:.4f}")
-    return 0
+    return inputs, [out]
 
 
-def _cmd_estimate(args) -> int:
-    config = load_config(args.config)
+def _cmd_estimate(args, config: ExperimentConfig):
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time)
     _check_bin_step(args.counts, series, "run.integration_time_s")
     tau, sigma, flags = estimate_delays(series, calset)
     out = _out_path(args, args.out)
     write_delay_series(out, series.t, tau, sigma, flags)
-    manifest_path = Path(str(out) + ".manifest.json")
-    write_manifest(manifest_path, _manifest(
-        config,
-        {"counts": Path(args.counts), "calibration": Path(args.calibration)},
-        {out.name: out}))
     n_flagged = sum(1 for f in flags if f != "ok")
     print(f"wrote {out} ({len(tau)} bins, {n_flagged} flagged)")
-    return 0
+    return {"counts": Path(args.counts), "calibration": Path(args.calibration)}, [out]
 
 
-def _cmd_stability(args) -> int:
-    config = load_config(args.config)
-    t, tau, _, flags = read_delay_series(args.delays)
+def _cmd_stability(args, config: ExperimentConfig):
+    t, tau, sigma, flags = read_delay_series(args.delays)
     with about_file(args.delays):
         raw, dropped = series_from_delay_table(t, tau, flags)
+    del t, tau, sigma, flags  # views of one table, 68 MB on 10^6 rows; raw is a copy
     curves = {}
     for series in (raw, *even_odd_split(raw)):
         series, _ = series.drop_nonfinite()
@@ -214,13 +193,10 @@ def _cmd_stability(args) -> int:
     report_path = _out_path(args, args.out_prefix + "_report.json")
     write_allan_curves(allan_path, curves)
     write_report(report_path, report)
-    write_manifest(Path(str(report_path) + ".manifest.json"), _manifest(
-        config, {"delays": Path(args.delays)},
-        {allan_path.name: allan_path, report_path.name: report_path}))
     dl_tau = report["detection_limit_tau"]
     print(f"wrote {allan_path} and {report_path}; "
           f"DL(tau) = {dl_tau['sigma_s']:.3e} s at t = {dl_tau['t_s']:.0f} s")
-    return 0
+    return {"delays": Path(args.delays)}, [allan_path, report_path]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +280,15 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         json_errors = args.json_errors
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            config = load_config(args.config)
+            record = args.func(args, config)
+            if record is not None:
+                inputs, outputs = record
+                write_manifest(Path(f"{outputs[-1]}.manifest.json"), config.hash,
+                               config.run.seed,
+                               {name: file_digest(path) for name, path in inputs.items()},
+                               {path.name: file_digest(path) for path in outputs})
+        return 0
     except (ConfigError, ParameterError) as exc:
         _report_error(json_errors, exc)
         return _USAGE_EXIT

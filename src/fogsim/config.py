@@ -190,7 +190,8 @@ def _build_drift(node: dict) -> DriftModel:
     if preset == "custom":
         return DriftModel(**{field: node[key] for key, field in _DRIFT_TERMS.items()})
     if preset not in ("none", "overnight"):
-        raise ConfigError(f"unknown drift preset {preset!r}")
+        raise ConfigError(f"noise.drift.preset must be 'none', 'overnight' or 'custom', "
+                          f"got {preset!r}")
     nonzero = [key for key in _DRIFT_TERMS if node[key]]
     if nonzero:
         raise ConfigError(f"noise.drift terms {nonzero} apply only with preset "

@@ -15,21 +15,20 @@ import re
 import warnings
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .calibration import CalibrationSet, FringeFit, LinearCalibration
 from .errors import DataError
 from .model import ModulatorMap
-from .simulate import BrightScan, CalibrationScan, CountSeries
+from .simulate import RNG_ALGORITHM, BrightScan, CalibrationScan, CountSeries
 from .stability import ORIGINS, AllanCurve
 
 __all__ = [
-    "RunManifest",
     "write_fisher_curve",
     "write_count_series", "read_count_series",
     "write_bright_scan", "read_bright_scan",
@@ -374,23 +373,12 @@ def write_report(path, report: dict) -> None:
     _write_json(path, report)
 
 
-@dataclass
-class RunManifest:
+def write_manifest(path, config_hash: str, seed: int, inputs: dict[str, str],
+                   outputs: dict[str, str]) -> None:
     """Reproducibility record: rerunning with the same config hash, seed and
-    inputs must reproduce the same output digests (timestamps aside)."""
-
-    config_hash: str
-    seed: int
-    tool_version: str
-    rng_algorithm: str
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    created_utc: str = ""
-
-    def __post_init__(self):
-        if not self.created_utc:
-            self.created_utc = datetime.now(timezone.utc).isoformat()
-
-
-def write_manifest(path, manifest: RunManifest) -> None:
-    _write_json(path, asdict(manifest))
+    inputs must reproduce the same output digests (the timestamp aside).
+    ``inputs`` and ``outputs`` map names to SHA-256 digests."""
+    _write_json(path, {"config_hash": config_hash, "seed": seed,
+                       "tool_version": __version__, "rng_algorithm": RNG_ALGORITHM,
+                       "inputs": inputs, "outputs": outputs,
+                       "created_utc": datetime.now(timezone.utc).isoformat()})

@@ -98,7 +98,7 @@ class CountSeries:
             raise ParameterError("t, c1, c2 must have equal length")
         _reject_rows((self.c1 < 0) | (self.c2 < 0), "counts must be non-negative")
         _reject_rows(~np.isfinite(self.t), "bin times must be finite")
-        _reject_rows(np.diff(self.t, prepend=self.t[:1]) < 0,
+        _reject_rows(np.concatenate([[False], self.t[1:] < self.t[:-1]]),
                      "bin times must be non-decreasing")
         if not self.integration_time > 0:
             raise ParameterError("integration_time must be positive")

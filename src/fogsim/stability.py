@@ -24,6 +24,7 @@ __all__ = [
     "DelaySeries",
     "AllanCurve",
     "series_from_delay_table",
+    "median_step",
     "default_m_grid",
     "overlapping_allan_deviation",
     "even_odd_split",
@@ -102,6 +103,16 @@ class AllanCurve:
             raise ParameterError("t must equal m * t0")
 
 
+def median_step(t) -> float:
+    """The median step between neighbouring bin times, inf past the float range.
+
+    The steps are taken between quarter times, exactly as between the times
+    themselves in the normal range, so that neither a step nor the mean of
+    the two middle steps can overflow.
+    """
+    return 4.0 * float(np.median(np.diff(np.asarray(t, dtype=np.float64) / 4)))
+
+
 def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
     """The delay table as one series with its unusable bins set to nan.
 
@@ -124,10 +135,14 @@ def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
     nonfinite = np.flatnonzero(~np.isfinite(t))
     if len(nonfinite):
         raise DataError("bin times must be finite", row=int(nonfinite[0]))
-    t0 = float(np.median(np.diff(t)))
+    t0 = median_step(t)
     if not t0 > 0:
         raise DataError(f"bin times do not increase (median step {t0})")
-    skipped = np.flatnonzero(np.rint((t - t[0]) / t0) != np.arange(len(t)))
+    # on quarter times, like the step; a quotient past the float range is no
+    # row index
+    with np.errstate(over="ignore"):
+        skipped = np.flatnonzero(np.rint((t / 4 - t[0] / 4) / (t0 / 4))
+                                 != np.arange(len(t)))
     if len(skipped):
         raise DataError(f"bin times are not one step of {t0} s per row from this "
                         f"row on (missing or repeated rows)", row=int(skipped[0]))

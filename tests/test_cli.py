@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fogsim
-from fogsim import Spectrum, crb_curve, overnight_drift
+from fogsim import DriftModel, Spectrum, crb_curve, overnight_drift
 from fogsim.cli import main
 from fogsim.config import config_from_dict, default_config_dict
 from fogsim.io_formats import (
@@ -195,6 +195,20 @@ class TestCalibrateCommand:
                    "--out", "from_files.json") == 0
         assert (tmp_path / "from_files.json").read_bytes() == \
             (tmp_path / "simulated.json").read_bytes()
+
+    def test_window_is_the_scans_own(self, tmp_path):
+        """calibrate --counts records the voltage range of the scan it read,
+        not the protocol's."""
+        assert run("--out-dir", tmp_path, "calibrate", "--simulate-bright",
+                   "--simulate-counts", "--keep-intermediate") == 0
+        config = write_config(tmp_path, **{"calibration_protocol.v_a_volt": 1.0,
+                                           "calibration_protocol.v_b_volt": 9.0,
+                                           "calibration_protocol.n_steps": 7,
+                                           "calibration_protocol.repeats": 3})
+        out = tmp_path / "cal.json"
+        assert run("--config", config, "calibrate", "--simulate-bright",
+                   "--counts", tmp_path / "calibration_scan.csv", "--out", out) == 0
+        assert json.loads(out.read_text())["linear"]["window_volt"] == [3.6, 4.4]
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +442,35 @@ def _counts_time_case(bad):
     return argv
 
 
+def _counts_span_case(tmp_path, calibrated):
+    """Two bin times whose difference is past the float range."""
+    counts = tmp_path / "counts.csv"
+    counts.write_text("t_s,c1,c2\n-1e308,500,400\n1e308,500,400\n")
+    return ["estimate", "--counts", counts, "--calibration", calibrated,
+            "--out", tmp_path / "delays.csv"]
+
+
+def _scan_span_case(tmp_path, calibrated):
+    """A scan whose first step is at t = -1e308 s and the others at 1e308 s."""
+    scan = tmp_path / "scan.csv"
+    rows = ["v0_volt,t_s,c1,c2"]
+    for step, v in enumerate(np.linspace(3.6, 4.4, 10)):
+        t = -1e308 if step == 0 else 1e308
+        rows += [f"{float(v)!r},{t!r},500,400"] * 3
+    scan.write_text("\n".join(rows) + "\n")
+    return ["calibrate", "--simulate-bright", "--counts", scan,
+            "--out", tmp_path / "cal.json"]
+
+
+def _delay_times_case(t):
+    def argv(tmp_path, calibrated):
+        delays = tmp_path / "delays.csv"
+        write_delays(delays, t, 1e-15 + 1e-18 * np.sin(np.arange(len(t))), 1e-18,
+                     ["ok"] * len(t))
+        return ["stability", "--delays", delays, "--out-prefix", tmp_path / "stab"]
+    return argv
+
+
 def _negative_counts(tmp_path, calibrated):
     counts = _counts_csv(tmp_path / "counts.csv", [(500, 400), (-3, 400)])
     return ["estimate", "--counts", counts, "--calibration", calibrated,
@@ -590,6 +633,17 @@ BAD_INPUTS = {
                                               "run.duration_s": 5.0}), 2,
                             "mean count per bin"),
     "counts_time_inf": (_counts_time_case("inf"), 3, "bin times must be finite"),
+    "counts_time_span_overflow": (_counts_span_case, 3,
+                                  "counts.csv: the median bin step is inf s"),
+    "scan_time_span_overflow": (_scan_span_case, 3, "scan.csv: the median bin step is 0.0 s"),
+    "delay_time_span_overflow": (_delay_times_case([-1e308] + [1e308] * 19), 3,
+                                 "delays.csv: bin times do not increase"),
+    "delay_time_position_overflow": (
+        _delay_times_case([1e-300 * k for k in range(19)] + [1.7e308]), 3,
+        "delays.csv: line 21: bin times are not one step"),
+    "drift_preset_unknown": (_config_case("noise.drift.preset", "weekly"), 2,
+                             "noise.drift.preset"),
+    "section_not_object": (_config_case("run", 5), 2, "run must be an object, got 5"),
     "counts_time_nan": (_counts_time_case("nan"), 3, "bin times must be finite"),
     "workers_zero": (_workers_case(0, "simulate", "--out"), 2, "--workers"),
     "workers_negative": (_workers_case(-3, "stability", "--delays"), 2, "--workers"),
@@ -910,6 +964,28 @@ class TestConfigHandling:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"]["type"] == "ParameterError"
         assert "--workers" in payload["error"]["message"]
+
+    def test_custom_drift_sets_every_term(self, tmp_path):
+        drift = {"preset": "custom", "linear_s_per_s": 1e-18, "sine_amplitude_s": 2e-18,
+                 "sine_period_s": 600.0, "random_walk_s_per_sqrt_s": 1e-19}
+        assert config_from_dict({"noise": {"drift": drift}}).noise.drift == DriftModel(
+            linear=1e-18, sine_amplitude=2e-18, sine_period=600.0, random_walk=1e-19)
+        digests = []
+        for document in ({}, {"noise": {"drift": drift}}):
+            config, out = tmp_path / "config.json", tmp_path / f"counts{len(digests)}.csv"
+            config.write_text(json.dumps({"run": {"duration_s": 60.0}, **document}))
+            assert run("--config", config, "simulate", "--out", out) == 0
+            digests.append(file_digest(out))
+        assert digests[0] != digests[1]
+
+    def test_null_serrodyne_override(self, tmp_path, small_tables):
+        assert config_from_dict({"geometry": {"serrodyne_rate_override_hz": None}}) \
+            .geometry.serrodyne_rate_override is None
+        config = write_config(tmp_path, **{"geometry.serrodyne_rate_override_hz": None})
+        assert run("--config", config, "stability", "--delays", small_tables[0] / "delays.csv",
+                   "--out-prefix", tmp_path / "stab") == 0
+        report = json.loads((tmp_path / "stab_report.json").read_text())
+        assert report["geometry"]["serrodyne_rate_hz_override"] is None
 
     def test_float_key_is_stored_and_hashed_as_float(self):
         as_int = config_from_dict({"run": {"duration_s": 32400}})
