@@ -203,7 +203,8 @@ def _initial_guess(v: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _canonicalize(p: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:
     """Reduce the sine's parameter degeneracies: a > 0, v0i near the scan."""
     f0, a, w, v0i = p
-    w = abs(w)
+    if w < 0:  # sin is odd: (a, w) and (-a, -w) give the same fringe
+        a, w = -a, -w
     if a < 0:
         a = -a
         v0i = v0i + w
@@ -218,29 +219,26 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     """Fit f0 + a sin(pi (V - v0i) / w) to a bright scan by damped Gauss-Newton.
 
     ``scan`` is a sequence of (voltage, power) pairs, e.g. an (N, 2) array;
-    ``sigma_power`` the per-point measurement noise (W), scalar or array.
-    Convergence requires the relative parameter change to drop below 1e-10
-    within 200 iterations.  Parameter errors come from the covariance
-    (J^T W J)^-1 at the optimum with the supplied sigma taken as exact.
+    ``sigma_power`` the measurement noise of every point (W), one positive
+    number.  Convergence requires the relative parameter change to drop
+    below 1e-10 within 200 iterations.  Parameter errors come from the
+    covariance (J^T W J)^-1 at the optimum with sigma taken as exact.
     """
     arr = np.asarray(scan, dtype=np.float64)
-    v, y = arr[:, 0], arr[:, 1]
-    if len(v) < 8:
-        raise ParameterError(f"need at least 8 scan points, got {len(v)}")
-    sigma = np.broadcast_to(np.asarray(sigma_power, dtype=np.float64), v.shape)
-    if not np.all(sigma > 0):
-        raise ParameterError("sigma_power must be positive")
-    order = np.argsort(v)
-    v, y, sigma = v[order], y[order], sigma[order]
-    weights = 1.0 / sigma
+    if len(arr) < 8:
+        raise ParameterError(f"need at least 8 scan points, got {len(arr)}")
+    if not sigma_power > 0:
+        raise ParameterError(f"sigma_power must be positive, got {sigma_power!r}")
+    v, y = arr[np.argsort(arr[:, 0])].T
+    weight = 1.0 / np.float64(sigma_power)  # numpy's divide: an overflow raises, not inf
 
     p = _initial_guess(v, y)
     converged = False
     rel_change = math.inf
     iterations = 0
     for iterations in range(1, _GN_MAX_ITER + 1):
-        residual = (y - FringeParams(*p).evaluate(v)) * weights
-        jac = _fringe_jacobian(v, p) * weights[:, None]
+        residual = (y - FringeParams(*p).evaluate(v)) * weight
+        jac = _fringe_jacobian(v, p) * weight
         try:
             step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
         except np.linalg.LinAlgError as exc:
@@ -249,7 +247,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
         damping = 1.0
         while damping >= 1e-12:
             p_try = p + damping * step
-            r_try = (y - FringeParams(*p_try).evaluate(v)) * weights
+            r_try = (y - FringeParams(*p_try).evaluate(v)) * weight
             if r_try @ r_try <= cost * (1.0 + 1e-15):
                 break
             damping *= 0.5
@@ -273,12 +271,12 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
             f"scan span {span:.3g} V covers less than half a fringe period "
             f"(w = {p[2]:.3g} V); fit is unconstrained"
         )
-    jac = _fringe_jacobian(v, p) * weights[:, None]
+    jac = _fringe_jacobian(v, p) * weight
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
         raise FitError("singular fringe-fit covariance") from exc
-    residual = (y - FringeParams(*p).evaluate(v)) * weights
+    residual = (y - FringeParams(*p).evaluate(v)) * weight
     errors = np.sqrt(np.diag(cov))
     return FringeFit(
         f0=float(p[0]), a=float(p[1]), w=float(p[2]), v0i=float(p[3]),
@@ -329,15 +327,16 @@ def normalize_count_arrays(c1, c2, dark: tuple[float, float], integration: float
     return dx, dx_err, degenerate
 
 
-def contrast_points_from_scan(scan, dark: tuple[float, float],
+def contrast_points_from_scan(scan, modulator: ModulatorMap, dark: tuple[float, float],
                               error_mode: str = "sem") -> list[ContrastPoint]:
     """Per-step contrast points from a stepped calibration scan.
 
-    Every bin is normalized on its own; a step's contrast is the mean over
-    its repeats and its error the standard deviation of the repeats divided
-    by sqrt(n) (``error_mode="sem"``, default) or the bare standard
-    deviation (``error_mode="std"``).  Steps with fewer than two
-    non-degenerate repeats come back flagged degenerate.
+    A step's delay is alpha * v0 under ``modulator``.  Every bin is normalized
+    on its own; a step's contrast is the mean over its repeats and its error
+    the standard deviation of the repeats divided by sqrt(n)
+    (``error_mode="sem"``, default) or the bare standard deviation
+    (``error_mode="std"``).  Steps with fewer than two non-degenerate repeats
+    come back flagged degenerate.
     """
     if error_mode not in ERROR_MODES:
         raise ParameterError(f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}")
@@ -346,8 +345,8 @@ def contrast_points_from_scan(scan, dark: tuple[float, float],
                                                counts.integration_time)
     steps = (len(scan.v0), scan.repeats)
     points = []
-    for tau, dx_step, degenerate_step in zip(scan.tau_set.tolist(), dx.reshape(steps),
-                                             degenerate.reshape(steps)):
+    for tau, dx_step, degenerate_step in zip((modulator.alpha * scan.v0).tolist(),
+                                             dx.reshape(steps), degenerate.reshape(steps)):
         dx_good = dx_step[~degenerate_step]
         n_good = len(dx_good)
         if n_good < 2:

@@ -89,16 +89,16 @@ def _cmd_simulate(args, config: ExperimentConfig):
 
 
 def _fit_channels(bright, sigmas: tuple[float, float], channels: str):
-    """The fringe fits of the channels that --channels names: ch1, ch2 or both."""
+    """The fringe fits of the channels that --channels names, each weighted by its noise."""
     fits = {}
     for name, power, sigma in zip(("ch1", "ch2"), (bright.power1, bright.power2), sigmas):
         if channels not in ("both", name):
             continue
         try:
-            fits[name] = fit_fringe(np.column_stack([bright.v0, power]),
-                                    sigma if sigma > 0 else 1.0)
-        except FitError as exc:
-            raise FitError(f"fringe fit failed on {name}: {exc}") from exc
+            fits[name] = fit_fringe(np.column_stack([bright.v0, power]), sigma)
+        except (FitError, ParameterError) as exc:
+            raise type(exc)(f"fringe fit failed on {name}, weighted by "
+                            f"bright_source.power_noise_{name}_w = {sigma!r} W: {exc}") from exc
     return fits
 
 
@@ -142,12 +142,12 @@ def _cmd_calibrate(args, config: ExperimentConfig):
             write_calibration_scan(path, scan)
             inputs["calibration_scan"] = path
     else:
-        scan = read_calibration_scan(args.counts, protocol.integration_time_s, modulator)
+        scan = read_calibration_scan(args.counts, protocol.integration_time_s)
         _check_bin_step(args.counts, scan.counts, "calibration_protocol.integration_time_s")
         inputs["calibration_scan"] = Path(args.counts)
 
     dark = (config.noise.dark_rate_1, config.noise.dark_rate_2)
-    points = contrast_points_from_scan(scan, dark, protocol.error_mode)
+    points = contrast_points_from_scan(scan, modulator, dark, protocol.error_mode)
     linear = fit_linear_calibration(points, window_volt=(float(scan.v0.min()),
                                                          float(scan.v0.max())))
     calset = CalibrationSet(

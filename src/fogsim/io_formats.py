@@ -178,7 +178,11 @@ def _check_labels(path, name: str, values: np.ndarray, allowed: tuple[str, ...])
 
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):  # 1 MiB at a time, never the whole file
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +222,7 @@ def write_calibration_scan(path, scan: CalibrationScan) -> None:
                  counts.t, counts.c1, counts.c2)
 
 
-def read_calibration_scan(path, integration_time: float,
-                          modulator: ModulatorMap) -> CalibrationScan:
+def read_calibration_scan(path, integration_time: float) -> CalibrationScan:
     """Rebuild a stepped scan; a step's repeats are consecutive rows sharing a
     voltage, and the bins of all steps read as one count table."""
     v, t, c1, c2 = _nonempty(path, _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8"))
@@ -232,8 +235,7 @@ def read_calibration_scan(path, integration_time: float,
             raise DataError(f"unequal repeat counts across voltage steps: {sizes[0]} in "
                             f"the first, {sizes[uneven[0]]} from this row",
                             row=int(starts[uneven[0]]))
-        return CalibrationScan(v0, modulator.alpha * v0,
-                               CountSeries(t, c1, c2, integration_time))
+        return CalibrationScan(v0, CountSeries(t, c1, c2, integration_time))
 
 
 # ---------------------------------------------------------------------------

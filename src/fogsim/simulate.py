@@ -373,13 +373,13 @@ def simulate_bright_scan(settings: BrightSourceSettings, seed: int) -> BrightSca
     """Sweep the modulator voltage under a bright source.
 
     power_i(v) = f0_i + a_i sin(pi (v - v0i_i) / w_i) plus Gaussian noise of
-    the channel's sigma (W); deterministic under the seed.
+    the channel's sigma (W), none for a sigma of 0; deterministic under the seed.
     """
     from scipy.special import ndtri
     v0 = np.linspace(settings.scan_v_min, settings.scan_v_max, settings.scan_points)
     key = derive_keys(seed, 1)[0]
     u = block_uniforms(key, 0, settings.scan_points)
-    powers = [params.evaluate(v0) + (sigma * ndtri(u[:, channel]) if sigma > 0 else 0.0)
+    powers = [params.evaluate(v0) + sigma * ndtri(u[:, channel])
               for channel, (params, sigma) in enumerate(zip((settings.ch1, settings.ch2),
                                                             settings.power_noise))]
     return BrightScan(v0, *powers)
@@ -387,11 +387,10 @@ def simulate_bright_scan(settings: BrightSourceSettings, seed: int) -> BrightSca
 
 @dataclass(frozen=True)
 class CalibrationScan:
-    """Stepped calibration acquisition: the set-point voltage and delay of each
-    step, and the counts of all steps in order, ``repeats`` bins per step."""
+    """Stepped calibration acquisition: the set-point voltage of each step, and
+    the counts of all steps in order, ``repeats`` bins per step."""
 
     v0: np.ndarray
-    tau_set: np.ndarray
     counts: CountSeries
 
     def __post_init__(self):
@@ -416,7 +415,6 @@ def simulate_calibration_scan(protocol: CalibrationProtocol, run: RunConfig,
     :func:`simulate_run`.
     """
     v0 = np.linspace(protocol.v_a_volt, protocol.v_b_volt, protocol.n_steps)
-    tau_set = modulator.alpha * v0
-    counts = _count_series(protocol.n_bins, protocol.integration_time_s,
-                           np.repeat(tau_set, protocol.repeats), run, spectrum, noise, workers)
-    return CalibrationScan(v0, tau_set, counts)
+    tau_set = np.repeat(modulator.alpha * v0, protocol.repeats)
+    return CalibrationScan(v0, _count_series(protocol.n_bins, protocol.integration_time_s,
+                                             tau_set, run, spectrum, noise, workers))

@@ -20,7 +20,8 @@ from fogsim import (
     ideal_linear_calibration,
     simulate_calibration_scan,
 )
-from fogsim.calibration import ContrastPoint, normalize_count_arrays
+from fogsim.calibration import (ContrastPoint, _canonicalize, _initial_guess,
+                                normalize_count_arrays)
 from fogsim.errors import FitError, ParameterError
 
 TABLE1 = {
@@ -102,6 +103,38 @@ class TestFitFringe:
     def test_half_period_span_fits(self):
         fit = fit_fringe(synthetic_scan(TABLE1["ch1"], n=100, v_lo=0.0, v_hi=8.0), 1.0)
         assert fit.v0i == pytest.approx(3.85, rel=1e-6)
+
+
+class TestFringeFitStart:
+    """The starting point of the fringe fit and the reduction of its result."""
+
+    F0, A, W, V0I = 482e-9, 364e-9, 7.84, 3.85
+
+    @pytest.mark.parametrize("raw", [
+        (-A, W, V0I - W),              # a < 0: the same fringe half a period on
+        (-A, W, V0I + 5 * W),          # ... and beyond the scan's top
+        (A, W, V0I - 6 * W),           # below the scan's bottom
+        (A, -W, V0I + W),              # w < 0: sin is odd, so (a, w) ~ (-a, -w)
+    ])
+    def test_canonical_params_give_the_same_fringe(self, raw):
+        v = np.linspace(0.0, 16.0, 200)
+        p = np.array([self.F0, *raw])
+        f0, a, w, v0i = _canonicalize(p, 0.0, 16.0)
+        assert a > 0 and w > 0
+        assert -w <= v0i <= 16.0 + w
+        np.testing.assert_allclose(FringeParams(f0, a, w, v0i).evaluate(v),
+                                   FringeParams(*p).evaluate(v), rtol=0, atol=1e-12 * self.A)
+
+    def test_guess_from_a_falling_crossing(self):
+        """A scan from a crest to the next trough crosses its mean once,
+        falling; v0i starts one half-period below that crossing."""
+        truth = FringeParams(self.F0, self.A, self.W, self.V0I)
+        v = np.linspace(self.V0I + self.W / 2, self.V0I + 3 * self.W / 2, 41)
+        y = truth.evaluate(v)
+        f0, _, w, v0i = _initial_guess(v, y)
+        falling = np.interp(0.0, (y - f0)[::-1], v[::-1])
+        assert v0i == pytest.approx(falling - w, rel=1e-12)
+        assert falling == pytest.approx(self.V0I + self.W, rel=1e-3)
 
 
 class TestCombineInflection:
@@ -205,12 +238,13 @@ class TestFitLinearCalibration:
             if ideal_truth is None:
                 # noiseless estimand: weighted fit through the exact model contrasts
                 from fogsim import click_probabilities
-                p1, p2 = click_probabilities(scan.tau_set, spectrum)
+                tau_set = modulator.alpha * scan.v0
+                p1, p2 = click_probabilities(tau_set, spectrum)
                 noiseless = [ContrastPoint(dx=float(a - b), dx_err=1e-6, tau=float(t))
-                             for a, b, t in zip(p1, p2, scan.tau_set)]
+                             for a, b, t in zip(p1, p2, tau_set)]
                 ideal_truth = fit_linear_calibration(noiseless)
             calib = fit_linear_calibration(
-                contrast_points_from_scan(scan, (0.0, 0.0)))
+                contrast_points_from_scan(scan, modulator, (0.0, 0.0)))
             z1 = abs(calib.k1 - ideal_truth.k1) / math.sqrt(calib.covariance[0][0])
             z2 = abs(calib.k2 - ideal_truth.k2) / math.sqrt(calib.covariance[1][1])
             hits += (z1 < 3 and z2 < 3)
@@ -291,8 +325,8 @@ class TestContrastPointsFromScan:
                            duration=100.0, tau0=1.294e-15, seed=77)
         scan = simulate_calibration_scan(protocol(20, 10), config, spectrum, modulator,
                                          NoiseModel())
-        sem_points = contrast_points_from_scan(scan, (0.0, 0.0), "sem")
-        std_points = contrast_points_from_scan(scan, (0.0, 0.0), "std")
+        sem_points = contrast_points_from_scan(scan, modulator, (0.0, 0.0), "sem")
+        std_points = contrast_points_from_scan(scan, modulator, (0.0, 0.0), "std")
         ratio = std_points[0].dx_err / sem_points[0].dx_err
         assert ratio == pytest.approx(math.sqrt(10), rel=1e-12)
         assert len(sem_points) == 20
@@ -305,4 +339,4 @@ class TestContrastPointsFromScan:
         scan = simulate_calibration_scan(protocol(5, 3), config, spectrum, modulator,
                                          NoiseModel())
         with pytest.raises(ParameterError):
-            contrast_points_from_scan(scan, (0.0, 0.0), "variance")
+            contrast_points_from_scan(scan, modulator, (0.0, 0.0), "variance")

@@ -136,8 +136,8 @@ class TestCalibrateCommand:
         """Noiseless bright scan recovers the channel-1 table row exactly and
         a constructed linear counts scan returns its own (K1, K2)."""
         config = write_config(tmp_path, **{
-            "bright_source.power_noise_ch1_w": 0.0,
-            "bright_source.power_noise_ch2_w": 0.0,
+            "bright_source.power_noise_ch1_w": 1e-18,
+            "bright_source.power_noise_ch2_w": 1e-18,
             "noise.dark_rate_1_hz": 0.0,
             "noise.dark_rate_2_hz": 0.0,
         })
@@ -169,6 +169,25 @@ class TestCalibrateCommand:
         assert calset.v0i == pytest.approx(3.85, rel=1e-9)
         assert calset.linear.k1 == pytest.approx(k1_true, rel=1e-6)
         assert calset.linear.k2 == pytest.approx(k2_true, rel=1e-6)
+
+    @pytest.mark.parametrize("channel", ["ch1", "ch2"])
+    def test_zero_noise_channel_is_not_fitted(self, tmp_path, channel):
+        """A power noise of 0 draws a noiseless scan but cannot weight a fit:
+        calibrate fitting that channel is a usage error naming its key, while
+        fisher, simulate and a calibration of the other channel run."""
+        key = f"bright_source.power_noise_{channel}_w"
+        config = write_config(tmp_path, **{key: 0.0})
+        calibrate = ["--config", config, "calibrate", "--simulate-bright",
+                     "--simulate-counts", "--out", tmp_path / "cal.json"]
+        code, err = _run_quietly(calibrate)
+        assert code == 2
+        assert f"{key} = 0.0 W" in err
+        assert not (tmp_path / "cal.json").exists()
+        other = "ch2" if channel == "ch1" else "ch1"
+        assert run(*calibrate, "--channels", other) == 0
+        assert run("--config", config, "fisher", "--n-points", 3,
+                   "--out", tmp_path / "f.csv") == 0
+        assert run("--config", config, "simulate", "--out", tmp_path / "counts.csv") == 0
 
     @pytest.mark.parametrize("channel", ["ch1", "ch2"])
     def test_single_channel_widens_error(self, tmp_path, channel):
@@ -559,6 +578,17 @@ def _calibrate_case(key, value):
     return argv
 
 
+def _config_file_case(text):
+    """fisher under a config file that holds ``text``, or that is missing
+    for None."""
+    def argv(tmp_path, calibrated):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        return ["--config", config, "fisher", "--n-points", 1, "--out", tmp_path / "f.csv"]
+    return argv
+
+
 def _workers_case(value, *command):
     def argv(tmp_path, calibrated):
         return ["--workers", value, *command, tmp_path / "out"]
@@ -644,6 +674,20 @@ BAD_INPUTS = {
     "drift_preset_unknown": (_config_case("noise.drift.preset", "weekly"), 2,
                              "noise.drift.preset"),
     "section_not_object": (_config_case("run", 5), 2, "run must be an object, got 5"),
+    "pump_rel_sigma_0_6": (_config_case("noise.pump_rel_sigma", 0.6), 2,
+                           "pump_rel_sigma must lie in [0, 0.5]"),
+    "seed_2_pow_64": (_config_case("run.seed", 2**64), 2, "seed must fit in 64 bits"),
+    "drift_sine_without_period": (
+        _fisher_case(**{"noise.drift.preset": "custom", "noise.drift.sine_amplitude_s": 1e-18}),
+        2, "sine_period must be positive when sine_amplitude is set"),
+    "drift_random_walk_negative": (
+        _fisher_case(**{"noise.drift.preset": "custom",
+                        "noise.drift.random_walk_s_per_sqrt_s": -1e-19}),
+        2, "random_walk scale must be non-negative"),
+    "config_file_missing": (_config_file_case(None), 2, "cannot read config"),
+    "config_file_not_json": (_config_file_case("{\"run\": "), 2, "is not valid JSON"),
+    "config_file_not_object": (_config_file_case("[1, 2]"), 2,
+                               "must contain a JSON object"),
     "counts_time_nan": (_counts_time_case("nan"), 3, "bin times must be finite"),
     "workers_zero": (_workers_case(0, "simulate", "--out"), 2, "--workers"),
     "workers_negative": (_workers_case(-3, "stability", "--delays"), 2, "--workers"),
@@ -656,6 +700,9 @@ BAD_INPUTS = {
     "bright_power_nan": (_bright_scan_case("nan"), 3, "bright-scan cells"),
     "bright_power_inf": (_bright_scan_case("inf"), 3, "bright-scan cells"),
     "bright_fringe_w_zero": (_calibrate_case("bright_source.ch1.w_volt", 0.0), 2, "w_volt"),
+    "bright_noise_subnormal": (_calibrate_case("bright_source.power_noise_ch1_w", 5e-324), 3,
+                               "overflow encountered in scalar divide "
+                               "(in fogsim.calibration.fit_fringe)"),
     "bright_power_overflow": (_bright_scan_case("1e308"), 3,
                               "(in fogsim.calibration.fit_fringe)"),
     "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 3,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from types import SimpleNamespace
@@ -141,7 +142,6 @@ FLOATS = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
 COUNTS = st.integers(0, 2**63 - 1)
 # a count table's bin times: any finite float, sorted by the table
 BIN_TIMES = st.floats(allow_nan=False, allow_infinity=False)
-UNIT_MAP = ModulatorMap(alpha=1.0, v0i=1.0)
 ALLAN_KEYS = ("m", "t", "adev", "ci", "n_terms")
 
 
@@ -196,8 +196,7 @@ def _allan(data):
 
 
 def _scan_write(path, c):
-    write_calibration_scan(path, CalibrationScan(c[0], UNIT_MAP.alpha * c[0],
-                                                 CountSeries(*c[1:], 1.0)))
+    write_calibration_scan(path, CalibrationScan(c[0], CountSeries(*c[1:], 1.0)))
 
 
 def _counts_read(path):
@@ -211,7 +210,7 @@ def _bright_read(path):
 
 
 def _scan_read(path):
-    scan = read_calibration_scan(path, 1.0, UNIT_MAP)
+    scan = read_calibration_scan(path, 1.0)
     return [scan.v0, scan.counts.t, scan.counts.c1, scan.counts.c2]
 
 
@@ -304,7 +303,7 @@ MALFORMED = {
 }
 READERS = {COUNT_HEADER: lambda path: read_count_series(path, 1.0),
            BRIGHT_HEADER: read_bright_scan,
-           CAL_SCAN_HEADER: lambda path: read_calibration_scan(path, 1.0, UNIT_MAP)}
+           CAL_SCAN_HEADER: lambda path: read_calibration_scan(path, 1.0)}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -440,3 +439,11 @@ def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch, data):
     path = tmp_path / "table.csv"
     _write_table(path, header, *columns)
     assert path.read_text() == _per_cell_table(header, *columns)
+
+
+@pytest.mark.parametrize("size", [0, 1, 3 * 2**20 + 12345])
+def test_file_digest_of_several_blocks(tmp_path, rng, size):
+    """The digest, taken 1 MiB at a time, is the SHA-256 of the whole file."""
+    path = tmp_path / "blocks.bin"
+    path.write_bytes(rng.bytes(size))
+    assert io_formats.file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -273,6 +273,11 @@ class TestBrightScan:
         scan = simulate_bright_scan(bright((3.85, 16.0)), seed=1)
         assert scan.power1[0] == pytest.approx(482e-9, rel=1e-12)
 
+    def test_zero_noise_is_the_fringe_itself(self):
+        scan = simulate_bright_scan(bright(), seed=1)
+        np.testing.assert_array_equal(scan.power1, TABLE1_CH1.evaluate(scan.v0))
+        np.testing.assert_array_equal(scan.power2, TABLE1_CH2.evaluate(scan.v0))
+
     def test_noiseless_round_trip_through_fit(self):
         scan = simulate_bright_scan(bright(), seed=1)
         fit = fit_fringe(np.column_stack([scan.v0, scan.power1]), 1.0)
