@@ -10,7 +10,7 @@ counts into delay estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,15 +132,16 @@ class ContrastPoint:
 
 @dataclass
 class CalibrationSet:
-    """Everything the estimation stage needs, bundled for serialization."""
+    """The calibration's results, each stated once, for serialization: the
+    fringe fit per channel, their combined V0i +- err in V (alpha follows by
+    ``ModulatorMap.from_inflection``), stage two's line and the dark rates
+    (Hz) it corrects for.  Estimation reads only linear and dark_rates."""
 
     fringe_fits: dict[str, FringeFit]
     v0i: float
     v0i_err: float
-    modulator: ModulatorMap
     linear: LinearCalibration
     dark_rates: tuple[float, float] = (0.0, 0.0)
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not all(0.0 <= rate < math.inf for rate in self.dark_rates):

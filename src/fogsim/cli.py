@@ -150,16 +150,11 @@ def _cmd_calibrate(args, config: ExperimentConfig):
     points = contrast_points_from_scan(scan, modulator, dark, protocol.error_mode)
     linear = fit_linear_calibration(points, window_volt=(float(scan.v0.min()),
                                                          float(scan.v0.max())))
-    calset = CalibrationSet(
-        fringe_fits=fits, v0i=v0i, v0i_err=v0i_err,
-        modulator=modulator, linear=linear, dark_rates=dark,
-        extras={"error_mode": protocol.error_mode,
-                "n_degenerate_steps": sum(p.degenerate for p in points)},
-    )
     out = _out_path(args, args.out)
-    write_calibration_set(out, calset)
+    write_calibration_set(out, CalibrationSet(fits, v0i, v0i_err, linear, dark))
     print(f"wrote {out}: alpha = {modulator.alpha:.4e} s/V, "
-          f"k1 = {linear.k1:.4f} /fs, k2 = {linear.k2:.4f}")
+          f"k1 = {linear.k1:.4f} /fs, k2 = {linear.k2:.4f}, "
+          f"{sum(p.degenerate for p in points)} degenerate steps")
     return inputs, [out]
 
 
@@ -303,14 +298,16 @@ def _arithmetic_text(exc: ArithmeticError) -> str:
 
 
 def _raised_in(exc: BaseException) -> str:
-    """module.function of the innermost fogsim frame an exception passed through."""
+    """module.function of the innermost fogsim frame an exception passed through,
+    skipping frames such as ``<listcomp>`` (Python < 3.12) that name no function."""
     where = ""
     tb = exc.__traceback__
     while tb is not None:
         module = tb.tb_frame.f_globals.get("__name__", "")
+        name = tb.tb_frame.f_code.co_name
         # this module is __main__ under `python -m fogsim.cli`
-        if module == __name__ or module.startswith("fogsim."):
-            where = f"{module}.{tb.tb_frame.f_code.co_name}"
+        if (module == __name__ or module.startswith("fogsim.")) and not name.startswith("<"):
+            where = f"{module}.{name}"
         tb = tb.tb_next
     return where
 

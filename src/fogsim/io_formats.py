@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .calibration import CalibrationSet, FringeFit, LinearCalibration
 from .errors import DataError
-from .model import ModulatorMap
 from .simulate import RNG_ALGORITHM, BrightScan, CalibrationScan, CountSeries
 from .stability import ORIGINS, AllanCurve
 
@@ -39,7 +38,8 @@ __all__ = [
     "write_report", "write_manifest", "file_digest", "about_file",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # reports and manifests
+CALIBRATION_SCHEMA_VERSION = 2
 
 FISHER_HEADER = "tau_s,fisher_s^-2"
 COUNT_HEADER = "t_s,c1,c2"
@@ -93,9 +93,9 @@ def _cells(chunk) -> Iterable[str]:
     return map(text, chunk.tolist())
 
 
-def _write_json(path, doc: dict) -> None:
+def _write_json(path, doc: dict, version: int = SCHEMA_VERSION) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, **doc}, fh, indent=2)
+        json.dump({"schema_version": version, **doc}, fh, indent=2)
         fh.write("\n")
 
 
@@ -311,10 +311,8 @@ _RECORD_KEYS = {
     CalibrationSet: {
         "fringe_fits": ("fringe_fits", _fits),
         "v0i": ("v0i_volt", _num), "v0i_err": ("v0i_err_volt", _num),
-        "modulator": ("modulator", partial(_record, ModulatorMap)),
         "linear": ("linear", partial(_record, LinearCalibration)),
         "dark_rates": ("dark_rates_hz", _pair),
-        "extras": ("extras", lambda value, where: value),
     },
     FringeFit: {
         "f0": ("f0_w", _num), "a": ("a_w", _num), "w": ("w_volt", _num),
@@ -322,10 +320,6 @@ _RECORD_KEYS = {
         "a_err": ("a_err_w", _num), "w_err": ("w_err_volt", _num),
         "v0i_err": ("v0i_err_volt", _num), "chi2": ("chi2", _num), "dof": ("dof", _num),
         "n_iterations": ("n_iterations", _num),
-    },
-    ModulatorMap: {
-        "alpha": ("alpha_s_per_v", _num), "alpha_err": ("alpha_err_s_per_v", _num),
-        "v0i": ("v0i_volt", _num),
     },
     LinearCalibration: {
         "k1": ("k1_per_fs", _num), "k2": ("k2", _num),
@@ -349,7 +343,7 @@ def _to_json(value):
 
 
 def write_calibration_set(path, calset: CalibrationSet) -> None:
-    _write_json(path, _to_json(calset))
+    _write_json(path, _to_json(calset), CALIBRATION_SCHEMA_VERSION)
 
 
 def read_calibration_set(path) -> CalibrationSet:
@@ -359,8 +353,9 @@ def read_calibration_set(path) -> CalibrationSet:
         raise DataError(f"cannot read calibration set {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
+    if doc.get("schema_version") != CALIBRATION_SCHEMA_VERSION:
+        raise DataError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}, "
+                        f"expected {CALIBRATION_SCHEMA_VERSION}")
     try:
         return _record(CalibrationSet, doc, str(path))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

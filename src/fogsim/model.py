@@ -70,19 +70,16 @@ class Spectrum:
 class ModulatorMap:
     """Linear map from serrodyne peak-peak voltage to inter-path delay.
 
-    alpha: delay per volt, s/V; v0i: inflection voltage (pi/2 point), V;
-    alpha_err: 1-sigma uncertainty on alpha, s/V.
+    alpha: delay per volt, s/V; alpha_err: 1-sigma uncertainty on alpha, s/V;
+    both follow from the inflection voltage V0i, see :meth:`from_inflection`.
     """
 
     alpha: float
-    v0i: float
     alpha_err: float = 0.0
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not self.v0i > 0.0:
-            raise ParameterError(f"v0i must be positive, got {self.v0i}")
         if self.alpha_err < 0.0:
             raise ParameterError(f"alpha_err must be non-negative, got {self.alpha_err}")
 
@@ -92,7 +89,7 @@ class ModulatorMap:
         if not v0i > 0.0:
             raise ParameterError(f"v0i must be positive, got {v0i}")
         alpha = spectrum.quarter_wave_delay / v0i
-        return cls(alpha=alpha, v0i=v0i, alpha_err=alpha * v0i_err / v0i)
+        return cls(alpha=alpha, alpha_err=alpha * v0i_err / v0i)
 
 
 def click_probabilities(tau, spectrum: Spectrum):

@@ -63,7 +63,6 @@ def shot_noise_curves(spectrum):
                        tau0=tau0, seed=SEED_SHOT_NOISE)
     series = simulate_run(config, spectrum, NoiseModel())
     calset = CalibrationSet(fringe_fits={}, v0i=3.8596, v0i_err=0.0095,
-                            modulator=modulator,
                             linear=ideal_linear_calibration(spectrum, tau0),
                             dark_rates=(0.0, 0.0))
     tau, _, flags = estimate_delays(series, calset)
@@ -207,7 +206,6 @@ def test_criterion_07_differential_drift_immunity(spectrum):
     modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
     tau0 = modulator.alpha * 3.86
     calset = CalibrationSet(fringe_fits={}, v0i=3.8596, v0i_err=0.0095,
-                            modulator=modulator,
                             linear=ideal_linear_calibration(spectrum, tau0),
                             dark_rates=(25.0, 25.0))
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fogsim
-from fogsim import DriftModel, Spectrum, crb_curve, overnight_drift
+from fogsim import DriftModel, ModulatorMap, Spectrum, crb_curve, overnight_drift
 from fogsim.cli import main
 from fogsim.config import config_from_dict, default_config_dict
 from fogsim.io_formats import (
@@ -127,8 +127,8 @@ class TestCalibrateCommand:
         assert run("--config", config, "calibrate", "--simulate-bright",
                    "--simulate-counts", "--out", out) == 0
         calset = read_calibration_set(out)
-        alpha = calset.modulator.alpha
-        alpha_err = calset.modulator.alpha_err
+        modulator = ModulatorMap.from_inflection(calset.v0i, calset.v0i_err, SPECTRUM)
+        alpha, alpha_err = modulator.alpha, modulator.alpha_err
         assert abs(alpha - 3.35e-16) < 2 * alpha_err
         assert calset.linear.k1 == pytest.approx(OMEGA0 / 1e15, rel=2e-2)
 
@@ -631,6 +631,8 @@ BAD_INPUTS = {
                            "bright_source.scan_points"),
     "points_per_decade_zero": (_config_case("analysis.points_per_decade", 0), 2,
                                "points_per_decade"),
+    "calibration_version_1": (_estimate_case(lambda d: d.update(schema_version=1)), 3,
+                              "unsupported schema_version 1"),
     "calibration_without_linear": (_estimate_case(lambda d: d.pop("linear")), 3, "linear"),
     "calibration_k1_string": (
         _estimate_case(lambda d: d["linear"].update(k1_per_fs="1.09")), 3, "k1_per_fs"),
@@ -703,6 +705,8 @@ BAD_INPUTS = {
     "bright_noise_subnormal": (_calibrate_case("bright_source.power_noise_ch1_w", 5e-324), 3,
                                "overflow encountered in scalar divide "
                                "(in fogsim.calibration.fit_fringe)"),
+    "bright_noise_1e308": (_calibrate_case("bright_source.power_noise_ch1_w", 1e308), 3,
+                           "(in fogsim.simulate.simulate_bright_scan)"),
     "bright_power_overflow": (_bright_scan_case("1e308"), 3,
                               "(in fogsim.calibration.fit_fringe)"),
     "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 3,

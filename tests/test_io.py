@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -13,7 +14,6 @@ from fogsim import (
     CountSeries,
     DelaySeries,
     LinearCalibration,
-    ModulatorMap,
     overlapping_allan_deviation,
 )
 from fogsim import io_formats
@@ -110,8 +110,6 @@ class TestCalibrationSetRoundTrip:
         calset = CalibrationSet(
             fringe_fits={"ch1": fit},
             v0i=3.8596, v0i_err=0.0095,
-            modulator=ModulatorMap(alpha=3.3489e-16, v0i=3.8596,
-                                   alpha_err=8.24e-19),
             linear=LinearCalibration(
                 k1=1.0937, k2=-1.3432,
                 covariance=((1.3e-5, -1.7e-5), (-1.7e-5, 2.4e-5)),
@@ -122,7 +120,7 @@ class TestCalibrationSetRoundTrip:
         path = tmp_path / "cal.json"
         write_calibration_set(path, calset)
         back = read_calibration_set(path)
-        assert back.modulator.alpha == calset.modulator.alpha
+        assert (back.v0i, back.v0i_err) == (calset.v0i, calset.v0i_err)
         assert back.linear.k1 == calset.linear.k1
         assert back.linear.covariance == calset.linear.covariance
         assert back.linear.tau_window == calset.linear.tau_window
@@ -130,10 +128,22 @@ class TestCalibrationSetRoundTrip:
         assert back.dark_rates == calset.dark_rates
 
     def test_schema_version_checked(self, tmp_path):
+        """An unknown version is refused, and so is version 1, which also
+        stored the modulator and extras."""
         path = tmp_path / "cal.json"
-        path.write_text('{"schema_version": 99}')
-        with pytest.raises(DataError):
-            read_calibration_set(path)
+        version_1 = {"schema_version": 1, "fringe_fits": {}, "v0i_volt": 3.8596,
+                     "v0i_err_volt": 0.0095,
+                     "modulator": {"alpha_s_per_v": 3.3489e-16,
+                                   "alpha_err_s_per_v": 8.24e-19, "v0i_volt": 3.8596},
+                     "linear": {"k1_per_fs": 1.0937, "k2": -1.3432,
+                                "covariance": [[1.3e-5, -1.7e-5], [-1.7e-5, 2.4e-5]],
+                                "tau_window_s": None, "window_volt": None,
+                                "chi2": 98.3, "dof": 98},
+                     "dark_rates_hz": [25.0, 27.5], "extras": {"error_mode": "sem"}}
+        for doc in ({"schema_version": 99}, version_1):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError):
+                read_calibration_set(path)
 
 
 # Every double but nan, subnormals included, plus the one nan the writer's

@@ -181,11 +181,11 @@ class TestModulatorMap:
 
     def test_from_inflection_consistency(self, spectrum):
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
-        assert modulator.alpha * modulator.v0i == \
+        assert modulator.alpha * 3.8596 == \
             pytest.approx(spectrum.quarter_wave_delay, rel=1e-12)
 
-    def test_invalid(self):
+    def test_invalid(self, spectrum):
         with pytest.raises(ParameterError):
-            ModulatorMap(alpha=-1e-16, v0i=3.8)
+            ModulatorMap(alpha=-1e-16)
         with pytest.raises(ParameterError):
-            ModulatorMap(alpha=3.35e-16, v0i=0.0)
+            ModulatorMap.from_inflection(0.0, 0.0, spectrum)

@@ -224,7 +224,6 @@ class TestDriftedRunDetectionLimit:
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
         tau0 = modulator.alpha * 3.86
         calset = CalibrationSet(fringe_fits={}, v0i=3.8596, v0i_err=0.0095,
-                                modulator=modulator,
                                 linear=ideal_linear_calibration(spectrum, tau0),
                                 dark_rates=(25.0, 25.0))
         config = RunConfig(rate_total=631.6e3, integration_time=1.0,

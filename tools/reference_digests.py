@@ -15,8 +15,11 @@ Each chain writes ten files: ``fisher.csv``, ``counts.csv``, the kept
 calibration re-run from the kept files, a ``--channels ch2`` calibration,
 ``delays.csv``, ``run1_allan.csv`` and ``run1_report.json``.  The output is
 one JSON object, chain -> file -> digest, on stdout.  Two checkouts that
-print the same object write the same bytes.  The lowflux_1m chain takes
-most of the time (about 20 s on 2 cores) and about 250 MB of memory.
+print the same object write the same bytes.  Some digests depend on numpy's
+runtime SIMD dispatch, so stderr names the numpy and scipy versions and the
+SIMD extensions numpy found on this CPU (``np.show_config``'s "SIMD
+Extensions").  The lowflux_1m chain takes most of the time (about 20 s on
+2 cores) and about 250 MB of memory.
 """
 
 from __future__ import annotations
@@ -78,7 +81,17 @@ def chain_digests(work: Path, name: str) -> dict[str, str]:
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
 
 
+def print_environment() -> None:
+    """The numpy and scipy versions and numpy's SIMD extensions, on stderr."""
+    import numpy as np
+    import scipy
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    print(f"numpy {np.__version__}, scipy {scipy.__version__}, "
+          f"SIMD extensions {json.dumps(simd)}", file=sys.stderr)
+
+
 def main() -> int:
+    print_environment()
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: chain_digests(Path(tmp), name) for name in CHAINS}
     print(json.dumps(digests, indent=2))
