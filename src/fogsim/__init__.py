@@ -53,6 +53,7 @@ from .simulate import (
 from .stability import (
     AllanCurve,
     DelaySeries,
+    check_bin_times,
     crb_curve,
     default_m_grid,
     detection_limit,

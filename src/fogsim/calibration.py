@@ -324,7 +324,9 @@ def normalize_count_arrays(c1, c2, dark: tuple[float, float], integration: float
     degenerate = (c1p <= 0.0) | (c2p <= 0.0)
     total = np.where(degenerate, 1.0, c1p + c2p)
     dx = np.where(degenerate, np.nan, (c1p - c2p) / total)
-    dx_err = np.where(degenerate, np.nan, np.sqrt(4.0 * c1p * c2p / total**3))
+    # the cube as products: numpy's ** 3 gives other last bits at other SIMD levels
+    cube = total * total * total
+    dx_err = np.where(degenerate, np.nan, np.sqrt(4.0 * c1p * c2p / cube))
     return dx, dx_err, degenerate
 
 

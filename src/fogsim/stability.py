@@ -23,8 +23,8 @@ from .model import Spectrum
 __all__ = [
     "DelaySeries",
     "AllanCurve",
+    "check_bin_times",
     "series_from_delay_table",
-    "median_step",
     "default_m_grid",
     "overlapping_allan_deviation",
     "even_odd_split",
@@ -103,24 +103,35 @@ class AllanCurve:
             raise ParameterError("t must equal m * t0")
 
 
-def median_step(t) -> float:
-    """The median step between neighbouring bin times, inf past the float range.
+def check_bin_times(t, step: float, key: str) -> None:
+    """Bin k of a table must lie at t[0] + k step, to 1e-6 of a step.
 
-    The steps are taken between quarter times, exactly as between the times
-    themselves in the normal range, so that neither a step nor the mean of
-    the two middle steps can overflow.
+    So the bin times are finite, none is missing or repeated, and their
+    step is ``step``, the value of the config key ``key``.  The tolerance
+    covers the rounding of bin times k T, about 1.2e-7 of a step at most
+    up to k = 10^9.  Raises DataError naming the first row that is off.
     """
-    return 4.0 * float(np.median(np.diff(np.asarray(t, dtype=np.float64) / 4)))
+    t = np.asarray(t, dtype=np.float64)
+    # a time past the float range, or a nan, is off the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_grid = np.abs(t - (t[:1] + np.arange(len(t)) * step)) <= 1e-6 * step
+    off = np.flatnonzero(~on_grid)
+    if len(off):
+        row = int(off[0])
+        raise DataError(f"bin time {float(t[row])!r} s is not t0 + k T with "
+                        f"t0 = {float(t[0])!r} s and T = {key} = {step!r} s; bin times "
+                        "must be finite and one T apart, with no row missing or repeated",
+                        row=row)
 
 
-def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
-    """The delay table as one series with its unusable bins set to nan.
+def series_from_delay_table(t, tau, flags, t0: float) -> tuple[DelaySeries, int]:
+    """The delay table as one series of bins t0 apart, its unusable bins set to nan.
 
     Degenerate and non-finite bins stay in place, so position is bin index
     and the even/odd split keeps parity across gaps (NIST SP 1065); window
     flags are warning-grade.  Returns the series and the unusable-bin count.
-    A non-finite bin time, or a missing or repeated row (uneven t), raises
-    DataError naming its row.
+    Bin times off the grid of ``check_bin_times`` under t0, the run's
+    bin length (run.integration_time_s), raise DataError naming the row.
     """
     if len(tau) == 0:
         raise ParameterError("no delay samples")
@@ -131,21 +142,7 @@ def series_from_delay_table(t, tau, flags) -> tuple[DelaySeries, int]:
         raise ParameterError(
             f"delay series too short after dropping {dropped} flagged bins "
             f"({usable} < 8)")
-    t = np.asarray(t, dtype=np.float64)
-    nonfinite = np.flatnonzero(~np.isfinite(t))
-    if len(nonfinite):
-        raise DataError("bin times must be finite", row=int(nonfinite[0]))
-    t0 = median_step(t)
-    if not t0 > 0:
-        raise DataError(f"bin times do not increase (median step {t0})")
-    # on quarter times, like the step; a quotient past the float range is no
-    # row index
-    with np.errstate(over="ignore"):
-        skipped = np.flatnonzero(np.rint((t / 4 - t[0] / 4) / (t0 / 4))
-                                 != np.arange(len(t)))
-    if len(skipped):
-        raise DataError(f"bin times are not one step of {t0} s per row from this "
-                        f"row on (missing or repeated rows)", row=int(skipped[0]))
+    check_bin_times(t, t0, "run.integration_time_s")
     return DelaySeries(t0, values, "raw"), dropped
 
 

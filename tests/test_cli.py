@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -452,21 +453,14 @@ def _simulate_case(*options, **config):
     return argv
 
 
-def _counts_time_case(bad):
+def _counts_times_case(times):
+    """estimate on a count table with these bin times, under the default 1 s bins."""
     def argv(tmp_path, calibrated):
         counts = tmp_path / "counts.csv"
-        counts.write_text(f"t_s,c1,c2\n0.0,500,400\n{bad},500,400\n{bad},500,400\n")
+        counts.write_text("t_s,c1,c2\n" + "".join(f"{t!r},500,400\n" for t in times))
         return ["estimate", "--counts", counts, "--calibration", calibrated,
                 "--out", tmp_path / "delays.csv"]
     return argv
-
-
-def _counts_span_case(tmp_path, calibrated):
-    """Two bin times whose difference is past the float range."""
-    counts = tmp_path / "counts.csv"
-    counts.write_text("t_s,c1,c2\n-1e308,500,400\n1e308,500,400\n")
-    return ["estimate", "--counts", counts, "--calibration", calibrated,
-            "--out", tmp_path / "delays.csv"]
 
 
 def _scan_span_case(tmp_path, calibrated):
@@ -492,14 +486,6 @@ def _delay_times_case(t):
 
 def _negative_counts(tmp_path, calibrated):
     counts = _counts_csv(tmp_path / "counts.csv", [(500, 400), (-3, 400)])
-    return ["estimate", "--counts", counts, "--calibration", calibrated,
-            "--out", tmp_path / "delays.csv"]
-
-
-def _counts_step_case(tmp_path, calibrated):
-    """Counts of 0.01 s bins, estimated under the default 1 s bin length."""
-    counts = tmp_path / "counts.csv"
-    counts.write_text("t_s,c1,c2\n" + "".join(f"{0.01 * i!r},500,400\n" for i in range(4)))
     return ["estimate", "--counts", counts, "--calibration", calibrated,
             "--out", tmp_path / "delays.csv"]
 
@@ -647,7 +633,8 @@ BAD_INPUTS = {
     "negative_scan_counts": (_negative_scan_counts, 3,
                              "scan.csv: line 3: counts must be non-negative"),
     "identical_scan_repeats": (_identical_scan_repeats, 3, "dx_err"),
-    "counts_bin_step": (_counts_step_case, 3, "run.integration_time_s"),
+    "counts_bin_step": (_counts_times_case([0.01 * i for i in range(4)]), 3,
+                        "run.integration_time_s"),
     "scan_bin_step": (_scan_step_case, 3, "calibration_protocol.integration_time_s"),
     "constant_delays": (_stability_case(np.full(11, 1e-15), "ok"), 3, "zero Allan deviation"),
     "unknown_delay_flag": (_stability_case(1e-15 + 1e-18 * np.arange(11), "bogus"), 3,
@@ -664,15 +651,24 @@ BAD_INPUTS = {
     "rate_over_count_cap": (_simulate_case(**{"run.rate_total_hz": 1e300,
                                               "run.duration_s": 5.0}), 2,
                             "mean count per bin"),
-    "counts_time_inf": (_counts_time_case("inf"), 3, "bin times must be finite"),
-    "counts_time_span_overflow": (_counts_span_case, 3,
-                                  "counts.csv: the median bin step is inf s"),
-    "scan_time_span_overflow": (_scan_span_case, 3, "scan.csv: the median bin step is 0.0 s"),
+    "counts_time_inf": (_counts_times_case([0.0, math.inf, math.inf]), 3,
+                        "bin times must be finite"),
+    "counts_time_span_overflow": (_counts_times_case([-1e308, 1e308]), 3,
+                                  "counts.csv: line 3: bin time 1e+308 s is not t0 + k T"),
+    "scan_time_span_overflow": (_scan_span_case, 3,
+                                "scan.csv: line 5: bin time 1e+308 s is not t0 + k T"),
     "delay_time_span_overflow": (_delay_times_case([-1e308] + [1e308] * 19), 3,
-                                 "delays.csv: bin times do not increase"),
+                                 "delays.csv: line 3: bin time 1e+308 s is not t0 + k T"),
     "delay_time_position_overflow": (
         _delay_times_case([1e-300 * k for k in range(19)] + [1.7e308]), 3,
-        "delays.csv: line 21: bin times are not one step"),
+        "delays.csv: line 3: bin time 1e-300 s is not t0 + k T"),
+    "counts_missing_row": (_counts_times_case([0.0, 1.0, 3.0, 4.0]), 3,
+                           "counts.csv: line 4: bin time 3.0 s is not t0 + k T"),
+    "counts_repeated_row": (_counts_times_case([0.0, 1.0, 1.0, 2.0]), 3,
+                            "counts.csv: line 4: bin time 1.0 s is not t0 + k T"),
+    "delay_step_2s": (_delay_times_case([2.0 * k for k in range(20)]), 3,
+                      "delays.csv: line 3: bin time 2.0 s is not t0 + k T with t0 = 0.0 s "
+                      "and T = run.integration_time_s = 1.0 s"),
     "drift_preset_unknown": (_config_case("noise.drift.preset", "weekly"), 2,
                              "noise.drift.preset"),
     "section_not_object": (_config_case("run", 5), 2, "run must be an object, got 5"),
@@ -690,7 +686,8 @@ BAD_INPUTS = {
     "config_file_not_json": (_config_file_case("{\"run\": "), 2, "is not valid JSON"),
     "config_file_not_object": (_config_file_case("[1, 2]"), 2,
                                "must contain a JSON object"),
-    "counts_time_nan": (_counts_time_case("nan"), 3, "bin times must be finite"),
+    "counts_time_nan": (_counts_times_case([0.0, math.nan, math.nan]), 3,
+                        "bin times must be finite"),
     "workers_zero": (_workers_case(0, "simulate", "--out"), 2, "--workers"),
     "workers_negative": (_workers_case(-3, "stability", "--delays"), 2, "--workers"),
     "error_mode_number": (_config_case("calibration_protocol.error_mode", 5), 2,
@@ -713,7 +710,7 @@ BAD_INPUTS = {
                                    "(in fogsim.calibration.evaluate)"),
     "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
                               "coil_radius"),
-    "delay_time_inf": (_delay_time_case("inf"), 3, "bin times must be finite"),
+    "delay_time_inf": (_delay_time_case("inf"), 3, "delays.csv: line 2: bin time inf s"),
     "points_per_decade_1e15": (
         _stability_case(1e-15 + 1e-18 * np.sin(np.arange(200)), "ok",
                         **{"analysis.points_per_decade": 10**15}), 2, "points_per_decade"),
@@ -945,14 +942,19 @@ def test_any_damaged_calibration_exits_cleanly(tmp_path, small_tables, data):
                     "--counts", source / "counts.csv", "--calibration", calibration])
 
 
-def _fresh_python(code: str, *args) -> str:
-    """The stdout of ``code`` run in a new interpreter that imports this
-    fogsim; the test modules themselves have already loaded scipy."""
+def _fresh_run(code: str, *args, env=None, **options) -> subprocess.CompletedProcess:
+    """``code`` run in a new interpreter that imports this fogsim, with the
+    variables ``env`` added to its environment; the test modules themselves
+    have already loaded scipy."""
     src = str(Path(fogsim.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src}, check=True)
-    return result.stdout
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, **(env or {})}, **options)
+
+
+def _fresh_python(code: str, *args, env=None) -> str:
+    """The stdout of ``code`` run by ``_fresh_run``, which must succeed."""
+    return _fresh_run(code, *args, env=env, check=True).stdout
 
 
 def test_import_leaves_out_scipy():
@@ -981,19 +983,68 @@ def test_analysis_commands_leave_out_scipy(tmp_path, small_tables):
     assert json.loads(stdout.splitlines()[-1]) == [[], [], []]
 
 
+_MAIN = "import sys; from fogsim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def test_fresh_process_workers_write_same_bytes(tmp_path):
     """--workers 1 and 2 write the same counts when each run is the first
     in its process to import scipy; 70,000 bins span several chunks."""
     config = write_config(tmp_path, **{"run.integration_time_s": 0.01,
                                        "run.duration_s": 700.0})
-    code = "import sys; from fogsim.cli import main; sys.exit(main(sys.argv[1:]))"
     digests = []
     for workers in (2, 1):
         out = tmp_path / f"counts_{workers}.csv"
-        _fresh_python(code, "--config", config, "--workers", workers, "simulate",
+        _fresh_python(_MAIN, "--config", config, "--workers", workers, "simulate",
                       "--out", out)
         digests.append(file_digest(out))
     assert digests[0] == digests[1]
+
+
+def test_out_of_memory_exits_3_without_traceback(tmp_path):
+    """simulate of 2e8 bins in a process whose address space is capped at
+    1.5 GB, a cap set in that process alone, names the run's bin count."""
+    config = write_config(tmp_path, **{"run.duration_s": 2e6, "run.integration_time_s": 0.01})
+    cap = 1_500_000_000
+    result = _fresh_run(_MAIN, "--config", config, "simulate", "--out", tmp_path / "c.csv",
+                        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr == ("fogsim: error: simulate ran out of memory; the run has "
+                             "config.run.n_bins = 200000000 bins\n")
+
+
+# numpy's AVX-512 dispatch targets, as np.show_config names them
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):
+    """The default chain writes the same data files with numpy's AVX-512
+    kernels and without them, all but fisher.csv: np.exp, np.sin and the
+    like give other last bits at other SIMD levels."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    disabled = " ".join(f for f in _AVX512 if f in found)
+    if "X86_V4" not in disabled:
+        pytest.skip("numpy found no AVX-512 on this CPU")
+    code = ("import json, sys\n"
+            "from fogsim.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n")
+    files = {}
+    for name, env in (("native", None), ("avx2", {"NPY_DISABLE_CPU_FEATURES": disabled})):
+        out = tmp_path / name
+        commands = [["--out-dir", str(out), *argv] for argv in (
+            ["fisher"], ["simulate"], ["calibrate", "--simulate-bright", "--simulate-counts"],
+            ["estimate", "--counts", str(out / "counts.csv"),
+             "--calibration", str(out / "calibration.json")],
+            ["stability", "--delays", str(out / "delays.csv")])]
+        _fresh_python(code, json.dumps(commands), env=env)
+        files[name] = {path.name: file_digest(path) for path in sorted(out.iterdir())
+                       if not path.name.endswith(".manifest.json")}
+    assert sorted(files["native"]) == ["calibration.json", "counts.csv", "delays.csv",
+                                       "fisher.csv", "stability_allan.csv",
+                                       "stability_report.json"]
+    del files["native"]["fisher.csv"], files["avx2"]["fisher.csv"]
+    assert files["native"] == files["avx2"]
 
 
 class TestConfigHandling:

@@ -344,8 +344,9 @@ def test_bad_row_named_by_file_line(tmp_path, third_row, reason, blank_lines):
 
 @pytest.mark.parametrize("third_row,reason", [
     ("2.0,1e-15,1e-18,bogus", "flag 'bogus' is not one of ('ok', 'degenerate', 'window')"),
-    ("3.0,1e-15,1e-18,ok", "bin times are not one step of 1.0 s per row from this row "
-                           "on (missing or repeated rows)"),
+    ("3.0,1e-15,1e-18,ok", "bin time 3.0 s is not t0 + k T with t0 = 0.0 s and "
+                           "T = run.integration_time_s = 1.0 s; bin times must be finite "
+                           "and one T apart, with no row missing or repeated"),
 ])
 @pytest.mark.parametrize("blank_lines", [0, 2])
 def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,

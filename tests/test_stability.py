@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fogsim import (
     AllanCurve,
     DelaySeries,
+    check_bin_times,
     crb_curve,
     default_m_grid,
     detection_limit,
@@ -16,7 +17,7 @@ from fogsim import (
     overlapping_allan_deviation,
     stability_report,
 )
-from fogsim.errors import ParameterError
+from fogsim.errors import DataError, ParameterError
 
 
 def oadev_brute_force(x: np.ndarray, m: int) -> float:
@@ -323,6 +324,31 @@ class TestReport:
         assert report["figure_of_merit_s_per_km2"] == pytest.approx(
             best / (geometry.total_area * 1e-6), rel=1e-12)
         assert report["crb"]["update_period_s"] == 2.0
+
+
+class TestCheckBinTimes:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(step=st.floats(1e-9, 1e3), k0=st.integers(10**9 - 10**6, 10**9),
+           n=st.integers(3, 1000))
+    def test_bins_k_t_near_the_bin_cap(self, step, k0, n):
+        """The rows k0 ... k0 + n - 1 of a table of bins at k T, for k near the
+        10^9-bin cap, lie on the grid; with the second row missing or
+        repeated, or under a step 2e-6 longer, they fail at that row."""
+        t = np.arange(k0, k0 + n) * step
+        check_bin_times(t, step, "run.integration_time_s")
+        for times, bin_length in ((np.delete(t, 1), step), (np.insert(t, 1, t[0]), step),
+                                  (t, step * (1 + 2e-6))):
+            with pytest.raises(DataError) as info:
+                check_bin_times(times, bin_length, "run.integration_time_s")
+            assert info.value.row == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time(self, bad):
+        t = np.arange(5.0)
+        t[3] = bad
+        with pytest.raises(DataError, match="T = run.integration_time_s = 1.0 s") as info:
+            check_bin_times(t, 1.0, "run.integration_time_s")
+        assert info.value.row == 3
 
 
 class TestDelaySeries:
