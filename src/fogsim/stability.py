@@ -1,14 +1,15 @@
 """Time-domain stability analysis of delay series.
 
-Overlapping Allan deviation with O(N) per averaging time via prefix sums,
-even/odd differential splitting, detection-limit extraction, the
-shot-noise Cramér-Rao bound, and the stability report that gathers them
-with the saturation of each curve against that bound.
+Overlapping Allan deviation with O(N) per averaging time via compensated
+float64 prefix sums, even/odd differential splitting, detection-limit
+extraction, the shot-noise Cramér-Rao bound, and the stability report that
+gathers them with the saturation of each curve against that bound.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -167,10 +168,14 @@ def overlapping_allan_deviation(series: DelaySeries,
                         * sum_j ( sum_{i=j}^{j+m-1} x_{i+m} - x_i )^2
 
     with the inner sums taken from the prefix-sum identity
-    S(j+2m) - 2 S(j+m) + S(j), so each m costs O(N).  The prefix sums are
-    accumulated in extended precision on the mean-subtracted series, which
-    keeps the prefix/brute-force agreement at the 1e-12 level.  Confidence
-    half-widths use the simple adev/sqrt(n_terms) approximation.
+    S(j+2m) - 2 S(j+m) + S(j), so each m costs O(N).  S, the prefix sum of
+    the mean-subtracted series, is the float64 pair hi + lo: the running sum
+    and the running sum of its rounding errors, found by TwoSum (Ogita, Rump
+    & Oishi 2005).  In basic float64 operations, whose bytes depend neither
+    on the SIMD level nor on the platform's long double, that puts adev
+    within 2 ulp of the rounded exact value on offset and drifting series.
+    Each pool thread works in two N-sample buffers.  Non-finite samples
+    raise ParameterError; see DelaySeries.drop_nonfinite.
     """
     x = series.values
     n = len(x)
@@ -183,30 +188,40 @@ def overlapping_allan_deviation(series: DelaySeries,
         raise ParameterError(
             f"m values {bad.tolist()} outside the valid range [1, {m_cap}] for N={n}")
 
+    if not np.isfinite(x).all():
+        raise ParameterError(f"{n - np.isfinite(x).sum()} non-finite samples in the "
+                             f"{series.origin} series; drop them first (drop_nonfinite)")
     centered = x - x.mean()  # the double difference is shift invariant
-    prefix = np.concatenate([
-        np.zeros(1, dtype=np.longdouble),
-        np.cumsum(centered.astype(np.longdouble)),
-    ])
+    hi = np.concatenate([[0.0], np.cumsum(centered)])
+    b = hi[1:] - hi[:-1]  # TwoSum: the rounding error of each step of hi
+    lo = np.concatenate([[0.0], np.cumsum((hi[:-1] - (hi[1:] - b)) + (centered - b))])
+    del centered, b
     adev = np.empty(len(m_arr))
     n_terms = n - 2 * m_arr + 1
+    buffers = threading.local()
 
     def compute(i: int) -> None:
-        m = int(m_arr[i])
-        k = int(n_terms[i])
-        d = prefix[2 * m:2 * m + k] - 2.0 * prefix[m:m + k] + prefix[:k]
-        total = float(np.sum(d * d))
-        adev[i] = math.sqrt(total / (2.0 * m * m * k))
+        m, k = int(m_arr[i]), int(n_terms[i])
+        if not hasattr(buffers, "d"):
+            buffers.d, buffers.e = np.empty(n), np.empty(n)
+        d, e = buffers.d[:k], buffers.e[:k]
+        # hi as (S[j+2m] - S[j+m]) - (S[j+m] - S[j]): each difference is exact
+        # where its two prefix sums agree to a factor 2 (Sterbenz)
+        np.subtract(hi[2 * m:2 * m + k], hi[m:m + k], out=d)
+        np.subtract(hi[m:m + k], hi[:k], out=e)
+        d -= e
+        np.multiply(lo[m:m + k], 2.0, out=e)
+        np.subtract(lo[2 * m:2 * m + k], e, out=e)
+        e += lo[:k]
+        d += e
+        adev[i] = math.sqrt(float(np.sum(np.square(d, out=d))) / (2.0 * m * m * k))
 
     # Pool threads start under numpy's default error handling; each takes the caller's.
     with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
         list(pool.map(compute, range(len(m_arr))))
 
-    return AllanCurve(
-        m=m_arr, t=m_arr * series.t0, adev=adev,
-        ci=adev / np.sqrt(n_terms), n_terms=n_terms,
-        n_samples=n, t0=series.t0, origin=series.origin,
-    )
+    return AllanCurve(m=m_arr, t=m_arr * series.t0, adev=adev, ci=adev / np.sqrt(n_terms),
+                      n_terms=n_terms, n_samples=n, t0=series.t0, origin=series.origin)
 
 
 def even_odd_split(series: DelaySeries) -> tuple[DelaySeries, DelaySeries, DelaySeries]:

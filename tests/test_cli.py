@@ -1013,24 +1013,24 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path):
                              "config.run.n_bins = 200000000 bins\n")
 
 
-# numpy's AVX-512 dispatch targets, as np.show_config names them
-_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-
-
 def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):
-    """The default chain writes the same data files with numpy's AVX-512
-    kernels and without them, all but fisher.csv: np.exp, np.sin and the
-    like give other last bits at other SIMD levels."""
-    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    disabled = " ".join(f for f in _AVX512 if f in found)
-    if "X86_V4" not in disabled:
-        pytest.skip("numpy found no AVX-512 on this CPU")
-    code = ("import json, sys\n"
+    """The default chain writes the same data files with numpy's dispatch
+    native and held to its baseline, every target it found above that
+    disabled, all but fisher.csv: np.exp, np.sin and the like give other
+    last bits at other SIMD levels."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found")
+    if not found:
+        pytest.skip("numpy found no SIMD extension above its baseline on this CPU")
+    code = ("import json, os, sys\n"
+            "import numpy as np\n"
             "from fogsim.cli import main\n"
+            "if 'NPY_DISABLE_CPU_FEATURES' in os.environ:\n"
+            "    assert not np.show_config(mode='dicts')['SIMD Extensions'].get('found')\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n")
     files = {}
-    for name, env in (("native", None), ("avx2", {"NPY_DISABLE_CPU_FEATURES": disabled})):
+    disabled = {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}
+    for name, env in (("native", None), ("baseline", disabled)):
         out = tmp_path / name
         commands = [["--out-dir", str(out), *argv] for argv in (
             ["fisher"], ["simulate"], ["calibrate", "--simulate-bright", "--simulate-counts"],
@@ -1043,8 +1043,8 @@ def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):
     assert sorted(files["native"]) == ["calibration.json", "counts.csv", "delays.csv",
                                        "fisher.csv", "stability_allan.csv",
                                        "stability_report.json"]
-    del files["native"]["fisher.csv"], files["avx2"]["fisher.csv"]
-    assert files["native"] == files["avx2"]
+    del files["native"]["fisher.csv"], files["baseline"]["fisher.csv"]
+    assert files["native"] == files["baseline"]
 
 
 class TestConfigHandling:

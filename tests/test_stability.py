@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,28 @@ def oadev_brute_force(x: np.ndarray, m: int) -> float:
     return math.sqrt(total / (2.0 * m * m * n))
 
 
+def oadev_exact(x: np.ndarray, m: int) -> float:
+    """The overlapping Allan deviation of x, correctly rounded to float64.
+
+    Fraction prefix sums, scaled to integers by the largest denominator,
+    give the variance exactly; math.isqrt brackets its square root within
+    2^-80 of itself, and both ends of the bracket round to the same float.
+    """
+    fractions = [Fraction(v) for v in x]
+    scale = max(f.denominator for f in fractions)
+    s = [0]
+    for f in fractions:
+        s.append(s[-1] + int(f * scale))
+    k = len(x) - 2 * m + 1
+    total = sum((s[j + 2 * m] - 2 * s[j + m] + s[j]) ** 2 for j in range(k))
+    variance = Fraction(total, 2 * m * m * k * scale * scale)
+    shift = 80 - (variance.numerator.bit_length() - variance.denominator.bit_length()) // 2
+    root = math.isqrt(math.floor(variance * Fraction(4) ** shift))
+    low, high = (r * Fraction(2) ** -shift for r in (root, root + 1))
+    assert float(low) == float(high)
+    return float(low)
+
+
 class TestOverlappingAllanDeviation:
     def test_prefix_sum_equals_brute_force(self, rng):
         for _ in range(50):
@@ -57,6 +80,29 @@ class TestOverlappingAllanDeviation:
         curve = overlapping_allan_deviation(DelaySeries(1.0, x), m_all)
         brute = [oadev_brute_force(x, int(m)) for m in m_all]
         np.testing.assert_allclose(curve.adev, brute, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["offset", "drift"])
+    def test_within_2_ulp_of_exact(self, rng, kind):
+        """Every m of small series riding on an offset of about 10^3 times
+        their noise, or on a drift across them, lies within 2 ulp of the
+        correctly rounded exact deviation."""
+        for _ in range(20):
+            n = int(rng.integers(16, 201))
+            scale = 10.0 ** rng.uniform(-21, 3)
+            x = scale * (rng.standard_normal(n) + rng.choice([-1e3, 1e3]) * rng.uniform(0.5, 2))
+            if kind == "drift":
+                x += scale * rng.uniform(-100, 100) * np.arange(n)
+            m_all = np.arange(1, (n - 1) // 2 + 1)
+            curve = overlapping_allan_deviation(DelaySeries(1.0, x), m_all)
+            exact = np.array([oadev_exact(x, int(m)) for m in m_all])
+            ulps = np.abs(curve.adev - exact) / np.spacing(exact)
+            assert ulps.max() <= 2, (n, int(m_all[np.argmax(ulps)]), ulps.max())
+
+    def test_nonfinite_sample_rejected(self, rng):
+        x = rng.standard_normal(100)
+        x[[10, 20]] = np.nan, np.inf
+        with pytest.raises(ParameterError, match="2 non-finite samples in the raw series"):
+            overlapping_allan_deviation(DelaySeries(1.0, x))
 
     def test_constant_series_zero(self):
         series = DelaySeries(1.0, np.full(1000, 3.7e-15))
@@ -104,10 +150,14 @@ class TestOverlappingAllanDeviation:
             overlapping_allan_deviation(series, np.array([1, 50]))
 
     def test_workers_equivalent(self, rng):
-        series = DelaySeries(1.0, rng.standard_normal(5000))
-        a = overlapping_allan_deviation(series, workers=1)
-        b = overlapping_allan_deviation(series, workers=4)
-        np.testing.assert_array_equal(a.adev, b.adev)
+        """Each pool thread reuses its buffers for many m of different
+        lengths; every adev equals that of its m computed alone."""
+        series = DelaySeries(1.0, rng.standard_normal(5000) + 1e3 * np.arange(5000))
+        curves = [overlapping_allan_deviation(series, workers=w) for w in (1, 2, 4)]
+        for curve in curves[1:]:
+            np.testing.assert_array_equal(curve.adev, curves[0].adev)
+        alone = [overlapping_allan_deviation(series, [m]).adev[0] for m in curves[0].m]
+        np.testing.assert_array_equal(alone, curves[0].adev)
 
 
 class TestDefaultMGrid:

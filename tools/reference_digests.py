@@ -18,8 +18,8 @@ one JSON object, chain -> file -> digest, on stdout.  Two checkouts that
 print the same object write the same bytes.  Some digests depend on numpy's
 runtime SIMD dispatch, so stderr names the numpy and scipy versions and the
 SIMD extensions numpy found on this CPU (``np.show_config``'s "SIMD
-Extensions").  The lowflux_1m chain takes most of the time (about 20 s on
-2 cores) and about 250 MB of memory.
+Extensions").  The whole run takes about 24 s on 2 cores, about 11 s of it
+in the lowflux_1m chain, whose ``estimate`` peaks at about 185 MB of memory.
 """
 
 from __future__ import annotations
