@@ -33,10 +33,6 @@ __all__ = [
     "ideal_linear_calibration",
 ]
 
-# A calibration step's contrast error: the standard error of the repeat mean,
-# or the bare standard deviation of the repeats.
-ERROR_MODES = ("sem", "std")
-
 _GN_MAX_ITER = 200
 _GN_REL_TOL = 1e-10
 
@@ -330,19 +326,15 @@ def normalize_count_arrays(c1, c2, dark: tuple[float, float], integration: float
     return dx, dx_err, degenerate
 
 
-def contrast_points_from_scan(scan, modulator: ModulatorMap, dark: tuple[float, float],
-                              error_mode: str = "sem") -> list[ContrastPoint]:
+def contrast_points_from_scan(scan, modulator: ModulatorMap,
+                              dark: tuple[float, float]) -> list[ContrastPoint]:
     """Per-step contrast points from a stepped calibration scan.
 
     A step's delay is alpha * v0 under ``modulator``.  Every bin is normalized
-    on its own; a step's contrast is the mean over its repeats and its error
-    the standard deviation of the repeats divided by sqrt(n)
-    (``error_mode="sem"``, default) or the bare standard deviation
-    (``error_mode="std"``).  Steps with fewer than two non-degenerate repeats
-    come back flagged degenerate.
+    on its own; a step's contrast is the mean of its n non-degenerate repeats
+    and its error the mean's standard error, std(ddof=1) / sqrt(n).  Steps with
+    fewer than two non-degenerate repeats come back flagged degenerate.
     """
-    if error_mode not in ERROR_MODES:
-        raise ParameterError(f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}")
     counts = scan.counts
     dx, _, degenerate = normalize_count_arrays(counts.c1, counts.c2, dark,
                                                counts.integration_time)
@@ -356,8 +348,7 @@ def contrast_points_from_scan(scan, modulator: ModulatorMap, dark: tuple[float, 
             points.append(ContrastPoint(dx=math.nan, dx_err=math.nan, tau=tau,
                                         degenerate=True))
             continue
-        spread = float(np.std(dx_good, ddof=1))
-        err = spread / math.sqrt(n_good) if error_mode == "sem" else spread
+        err = float(np.std(dx_good, ddof=1)) / math.sqrt(n_good)
         points.append(ContrastPoint(dx=float(np.mean(dx_good)), dx_err=err, tau=tau))
     return points
 

@@ -9,7 +9,7 @@ arithmetic error (a floating-point overflow, invalid operation or division
 by zero) stops a command with exit 3, where numpy would warn and go on with
 inf or nan, and names the function it came from; in fisher, whose only
 inputs are its arguments and the config, it is a usage error.  A command
-that runs out of memory exits 3 and names the run's bin count.  With
+that runs out of memory exits 3 and names the size it was given.  With
 --json-errors failures are also emitted as a machine-readable JSON object
 on stderr.
 """
@@ -37,9 +37,8 @@ from .io_formats import (about_file, file_digest, read_bright_scan,
 from .model import ModulatorMap, fisher_information
 from .simulate import (MAX_BINS, simulate_bright_scan, simulate_calibration_scan,
                        simulate_run)
-from .stability import (check_bin_times, default_m_grid, even_odd_split,
-                        overlapping_allan_deviation, series_from_delay_table,
-                        stability_report)
+from .stability import (check_bin_times, even_odd_split, overlapping_allan_deviation,
+                        series_from_delay_table, stability_report)
 
 _USAGE_EXIT = 2
 _DATA_EXIT = 3
@@ -136,7 +135,7 @@ def _cmd_calibrate(args, config: ExperimentConfig):
         inputs["calibration_scan"] = Path(args.counts)
 
     dark = (config.noise.dark_rate_1, config.noise.dark_rate_2)
-    points = contrast_points_from_scan(scan, modulator, dark, protocol.error_mode)
+    points = contrast_points_from_scan(scan, modulator, dark)
     linear = fit_linear_calibration(points, window_volt=(float(scan.v0.min()),
                                                          float(scan.v0.max())))
     out = _out_path(args, args.out)
@@ -167,9 +166,7 @@ def _cmd_stability(args, config: ExperimentConfig):
     curves = {}
     for series in (raw, *even_odd_split(raw)):
         series, _ = series.drop_nonfinite()
-        grid = default_m_grid(len(series), config.analysis.points_per_decade)
-        curves[series.origin] = overlapping_allan_deviation(series, grid,
-                                                            workers=args.workers)
+        curves[series.origin] = overlapping_allan_deviation(series, workers=args.workers)
     report = stability_report(curves, dropped, config.run.rate_total, config.spectrum,
                               config.geometry)
 
@@ -268,8 +265,13 @@ def main(argv=None) -> int:
             try:
                 record = args.func(args, config)
             except MemoryError as exc:
-                raise DataError(f"{args.command} ran out of memory; the run has "
-                                f"config.run.n_bins = {config.run.n_bins} bins") from exc
+                if args.command == "fisher":
+                    size = f"it was given --n-points = {args.n_points}"
+                elif args.command == "calibrate":
+                    size = f"the scan has n_steps * repeats = {config.protocol.n_bins} bins"
+                else:
+                    size = f"the run has config.run.n_bins = {config.run.n_bins} bins"
+                raise DataError(f"{args.command} ran out of memory; {size}") from exc
             if record is not None:
                 inputs, outputs = record
                 write_manifest(Path(f"{outputs[-1]}.manifest.json"), config.hash,

@@ -18,16 +18,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import FringeParams
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .geometry import GyroGeometry
 from .model import ModulatorMap, Spectrum
 from .simulate import (BrightSourceSettings, CalibrationProtocol, DriftModel, NoiseModel,
                        RunConfig, overnight_drift)
 
-__all__ = ["ExperimentConfig", "AnalysisSettings", "default_config_dict", "load_config",
-           "config_from_dict", "config_hash"]
+__all__ = ["ExperimentConfig", "default_config_dict", "load_config", "config_from_dict",
+           "config_hash"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def default_config_dict() -> dict:
@@ -42,7 +42,6 @@ def default_config_dict() -> dict:
             "fiber_length_m": 2000.0,
             "coil_radius_m": 0.125,
             "refractive_index": 1.471,
-            "serrodyne_rate_override_hz": 54795.0,
         },
         "modulator": {
             "v0i_volt": 3.8596,
@@ -66,9 +65,6 @@ def default_config_dict() -> dict:
                 "random_walk_s_per_sqrt_s": 0.0,
             },
         },
-        "analysis": {
-            "points_per_decade": 29,
-        },
         "bright_source": {
             # ch2's scan is noisier by the same 3:1 ratio as the reference
             # instrument's per-channel inflection errors, so the weighted
@@ -87,17 +83,8 @@ def default_config_dict() -> dict:
             "n_steps": 100,
             "repeats": 10,
             "integration_time_s": 0.1,
-            "error_mode": "sem",
         },
     }
-
-
-# The key whose value is derived from the others when null.
-_NULLABLE = {"geometry.serrodyne_rate_override_hz"}
-
-# Keeps the Allan m grid small: at most about 9,000 exponents for a run of
-# the 10^9-bin cap.
-_MAX_POINTS_PER_DECADE = 1000
 
 
 def _merge_checked(defaults: dict, override: dict, path: str = "") -> dict:
@@ -119,15 +106,12 @@ def _checked(default, value, where: str):
     """``value`` if it has the JSON type of ``default``.
 
     A string default takes a string, an integer default a JSON integer >= 0,
-    and a float default a finite number, stored as float; only the _NULLABLE
-    keys, floats otherwise, take null.
+    and a float default a finite number, stored as float; no key takes null.
     """
     if isinstance(default, dict):
         if isinstance(value, dict):
             return _merge_checked(default, value, where + ".")
         expected = "an object"
-    elif value is None and where in _NULLABLE:
-        return None
     elif isinstance(default, str):
         if isinstance(value, str):
             return value
@@ -145,16 +129,6 @@ def _checked(default, value, where: str):
 
 
 @dataclass(frozen=True)
-class AnalysisSettings:
-    points_per_decade: int
-
-    def __post_init__(self):
-        if not 1 <= self.points_per_decade <= _MAX_POINTS_PER_DECADE:
-            raise ParameterError(f"points_per_decade must lie in [1, {_MAX_POINTS_PER_DECADE}], "
-                                 f"got {self.points_per_decade}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated configuration with domain objects already constructed."""
 
@@ -163,7 +137,6 @@ class ExperimentConfig:
     modulator: ModulatorMap
     run: RunConfig
     noise: NoiseModel
-    analysis: AnalysisSettings
     bright_source: BrightSourceSettings
     protocol: CalibrationProtocol
     document: dict
@@ -217,8 +190,7 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
 
         geo_node = document["geometry"]
         geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],
-                                geo_node["refractive_index"],
-                                geo_node["serrodyne_rate_override_hz"])
+                                geo_node["refractive_index"])
 
         # The working point only; alpha's uncertainty is measured by calibrate.
         modulator = ModulatorMap.from_inflection(document["modulator"]["v0i_volt"], 0.0,
@@ -234,7 +206,6 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
                            dark_rate_2=noise_node["dark_rate_2_hz"],
                            pump_rel_sigma=noise_node["pump_rel_sigma"],
                            drift=_build_drift(noise_node["drift"]))
-        analysis = AnalysisSettings(document["analysis"]["points_per_decade"])
         bright_node = document["bright_source"]
         bright = BrightSourceSettings(
             (bright_node["power_noise_ch1_w"], bright_node["power_noise_ch2_w"]),
@@ -246,8 +217,8 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    return ExperimentConfig(spectrum, geometry, modulator, run, noise, analysis, bright,
-                            protocol, document)
+    return ExperimentConfig(spectrum, geometry, modulator, run, noise, bright, protocol,
+                            document)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -26,15 +26,12 @@ class GyroGeometry:
     """Geometry of a multi-turn fiber coil interferometer.
 
     fiber_length: m; coil_radius: m; refractive_index: dimensionless.  The
-    coil count, total area and serrodyne rate follow from these;
-    serrodyne_rate_override: a measured serrodyne rate, Hz, reported next to
-    the derived one, or None.
+    coil count, total area and serrodyne rate follow from these.
     """
 
     fiber_length: float
     coil_radius: float
     refractive_index: float
-    serrodyne_rate_override: float | None = None
 
     def __post_init__(self):
         if not (self.fiber_length > 0 and self.coil_radius > 0 and self.refractive_index > 0):

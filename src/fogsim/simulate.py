@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import ERROR_MODES, FringeParams
+from .calibration import FringeParams
 from .errors import DataError, ParameterError
 from .model import ModulatorMap, Spectrum, click_probabilities
 
@@ -325,20 +325,15 @@ class BrightSourceSettings:
 @dataclass(frozen=True)
 class CalibrationProtocol:
     """A stepped calibration scan: n_steps voltages from v_a_volt to v_b_volt,
-    repeats bins of integration_time_s (s) at each; error_mode sets a step's
-    contrast error (see contrast_points_from_scan)."""
+    repeats bins of integration_time_s (s) at each."""
 
     v_a_volt: float
     v_b_volt: float
     n_steps: int
     repeats: int
     integration_time_s: float
-    error_mode: str
 
     def __post_init__(self):
-        if self.error_mode not in ERROR_MODES:
-            raise ParameterError(f"error_mode must be one of {ERROR_MODES}, "
-                                 f"got {self.error_mode!r}")
         if not self.v_a_volt < self.v_b_volt:
             raise ParameterError("v_a_volt must be below v_b_volt, got "
                                  f"{self.v_a_volt} >= {self.v_b_volt}")

@@ -147,12 +147,12 @@ def series_from_delay_table(t, tau, flags, t0: float) -> tuple[DelaySeries, int]
     return DelaySeries(t0, values, "raw"), dropped
 
 
-def default_m_grid(n_samples: int, points_per_decade: int = 29) -> np.ndarray:
-    """Log-spaced, deduplicated integer m grid capped at floor((N-1)/2)."""
+def default_m_grid(n_samples: int) -> np.ndarray:
+    """29 log-spaced integer m per decade, deduplicated, capped at floor((N-1)/2)."""
     if n_samples < 3:
         raise ParameterError("need at least 3 samples for an Allan analysis")
     m_max = (n_samples - 1) // 2
-    exponents = np.arange(0.0, math.log10(m_max) + 1e-12, 1.0 / points_per_decade)
+    exponents = np.arange(0.0, math.log10(m_max) + 1e-12, 1.0 / 29)
     grid = np.unique(np.round(10.0**exponents).astype(np.int64))
     return grid[(grid >= 1) & (grid <= m_max)]
 
@@ -320,6 +320,5 @@ def stability_report(curves: dict[str, AllanCurve], dropped_bins: int,
             "total_area_m2": area,
             "n_coils": geometry.n_coils,
             "serrodyne_rate_hz_computed": geometry.serrodyne_rate,
-            "serrodyne_rate_hz_override": geometry.serrodyne_rate_override,
         },
     }

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scipy.stats import chi2 as chi2_dist
 
 from fogsim import (
     CalibrationProtocol,
+    CalibrationScan,
+    CountSeries,
     FringeParams,
     LinearCalibration,
     ModulatorMap,
@@ -34,7 +37,7 @@ TABLE2_K2 = -1.3432
 
 def protocol(n_steps: int, repeats: int) -> CalibrationProtocol:
     """The reference 3.6-4.4 V scan of 0.1 s bins with n_steps x repeats bins."""
-    return CalibrationProtocol(3.6, 4.4, n_steps, repeats, 0.1, "sem")
+    return CalibrationProtocol(3.6, 4.4, n_steps, repeats, 0.1)
 
 
 def synthetic_scan(params: FringeParams, noise=0.0, n=200, rng=None,
@@ -319,24 +322,22 @@ class TestDelayFromContrast:
 
 
 class TestContrastPointsFromScan:
-    def test_sem_versus_std(self, spectrum):
+    def test_step_error_is_standard_error_of_mean(self, spectrum):
+        """A step's dx_err is std(ddof=1) / sqrt(n) of its n non-degenerate
+        repeats; a step with fewer than two comes back degenerate."""
+        c1 = [[500, 520, 480, 510], [300, 0, 320, 310], [0, 0, 0, 250]]
+        c2 = [[400, 390, 410, 420], [600, 580, 0, 590], [10, 10, 10, 0]]
+        v0 = np.array([3.6, 4.0, 4.4])
+        scan = CalibrationScan(v0, CountSeries(np.arange(12) * 0.1, np.ravel(c1),
+                                               np.ravel(c2), 0.1))
         modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
-        config = RunConfig(rate_total=631.6e3, integration_time=0.1,
-                           duration=100.0, tau0=1.294e-15, seed=77)
-        scan = simulate_calibration_scan(protocol(20, 10), config, spectrum, modulator,
-                                         NoiseModel())
-        sem_points = contrast_points_from_scan(scan, modulator, (0.0, 0.0), "sem")
-        std_points = contrast_points_from_scan(scan, modulator, (0.0, 0.0), "std")
-        ratio = std_points[0].dx_err / sem_points[0].dx_err
-        assert ratio == pytest.approx(math.sqrt(10), rel=1e-12)
-        assert len(sem_points) == 20
-        assert all(math.isfinite(p.tau) for p in sem_points)
-
-    def test_unknown_mode_rejected(self, spectrum):
-        modulator = ModulatorMap.from_inflection(3.8596, 0.0095, spectrum)
-        config = RunConfig(rate_total=631.6e3, integration_time=0.1,
-                           duration=100.0, tau0=1.294e-15, seed=77)
-        scan = simulate_calibration_scan(protocol(5, 3), config, spectrum, modulator,
-                                         NoiseModel())
-        with pytest.raises(ParameterError):
-            contrast_points_from_scan(scan, modulator, (0.0, 0.0), "variance")
+        points = contrast_points_from_scan(scan, modulator, (0.0, 0.0))
+        for point, step1, step2 in zip(points[:2], c1, c2):
+            good = [(a - b) / (a + b) for a, b in zip(step1, step2) if a and b]
+            assert not point.degenerate
+            assert point.dx == pytest.approx(statistics.mean(good), rel=1e-12)
+            assert point.dx_err == pytest.approx(statistics.stdev(good) / math.sqrt(len(good)),
+                                                 rel=1e-12)
+        assert points[2].degenerate and math.isnan(points[2].dx_err)
+        assert [p.tau for p in points] == pytest.approx((modulator.alpha * v0).tolist(),
+                                                        rel=1e-15)

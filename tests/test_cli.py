@@ -351,7 +351,6 @@ class TestStabilityCommand:
         assert report["detection_limit_differential"]["sigma_s"] > 0
         assert report["figure_of_merit_s_per_km2"] > 0
         assert report["equivalent_rotation_deg_per_h"] > 0
-        assert report["geometry"]["serrodyne_rate_hz_override"] == 54795.0
         assert report["geometry"]["serrodyne_rate_hz_computed"] == \
             pytest.approx(50.95e3, rel=1e-3)
         assert set(report["saturation"]) == {
@@ -615,8 +614,15 @@ BAD_INPUTS = {
     "seed_bool": (_config_case("run.seed", True), 2, "run.seed"),
     "scan_points_string": (_config_case("bright_source.scan_points", "3"), 2,
                            "bright_source.scan_points"),
-    "points_per_decade_zero": (_config_case("analysis.points_per_decade", 0), 2,
-                               "points_per_decade"),
+    "points_per_decade_unknown": (_config_case("analysis.points_per_decade", 29), 2,
+                                  "unknown config keys: ['analysis']"),
+    "serrodyne_override_unknown": (_config_case("geometry.serrodyne_rate_override_hz",
+                                                54795.0), 2,
+                                   "unknown config keys: ['geometry.serrodyne_rate_override_hz']"),
+    "schema_version_4": (_config_case("schema_version", 4), 2,
+                         "unsupported schema_version 4; this build reads version 5"),
+    "fiber_length_null": (_config_case("geometry.fiber_length_m", None), 2,
+                          "geometry.fiber_length_m must be a finite number, got None"),
     "calibration_version_1": (_estimate_case(lambda d: d.update(schema_version=1)), 3,
                               "unsupported schema_version 1"),
     "calibration_without_linear": (_estimate_case(lambda d: d.pop("linear")), 3, "linear"),
@@ -690,8 +696,6 @@ BAD_INPUTS = {
                         "bin times must be finite"),
     "workers_zero": (_workers_case(0, "simulate", "--out"), 2, "--workers"),
     "workers_negative": (_workers_case(-3, "stability", "--delays"), 2, "--workers"),
-    "error_mode_number": (_config_case("calibration_protocol.error_mode", 5), 2,
-                          "calibration_protocol.error_mode"),
     "schema_version_float": (_config_case("schema_version", 4.0), 2,
                              "schema_version must be an integer"),
     "rate_beyond_float_range": (_config_case("run.rate_total_hz", 10**400), 2,
@@ -711,13 +715,10 @@ BAD_INPUTS = {
     "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
                               "coil_radius"),
     "delay_time_inf": (_delay_time_case("inf"), 3, "delays.csv: line 2: bin time inf s"),
-    "points_per_decade_1e15": (
-        _stability_case(1e-15 + 1e-18 * np.sin(np.arange(200)), "ok",
-                        **{"analysis.points_per_decade": 10**15}), 2, "points_per_decade"),
     "overflow_one_worker": (_overflow_case(1), 3, "(in fogsim.simulate._draw_counts)"),
     "overflow_two_workers": (_overflow_case(2), 3, "(in fogsim.simulate._draw_counts)"),
-    "error_mode_unknown": (_config_case("calibration_protocol.error_mode", "abc"), 2,
-                           "error_mode"),
+    "error_mode_unknown": (_config_case("calibration_protocol.error_mode", "sem"), 2,
+                           "unknown config keys: ['calibration_protocol.error_mode']"),
     "fisher_tau_max_inf": (_fisher_case("--tau-max", "inf"), 2, "tau-max"),
     "fisher_points_over_cap": (_fisher_case("--n-points", 10**11), 2, "n-points"),
     "crb_overflow": (_stability_case(1e-15 + 1e-18 * np.sin(np.arange(20)), "ok",
@@ -762,11 +763,13 @@ def test_bad_input_exit_code(case, tmp_path, calibrated):
     assert fragment in err
 
 
-# Keys of schemas 2 and 3 that restated another key or fed nothing, and the
-# last old version.
+# Keys of schemas 2 to 4 that restated another key, fed nothing or only forked
+# the analysis, and the last old version.
 RETIRED = {"run.tau0_s": 1.3e-15, "modulator.alpha_s_per_v": 3.35e-16,
            "modulator.alpha_err_s_per_v": 0.0, "modulator.v0i_err_volt": 0.0095,
-           "spectrum.sigma_omega_is_angular": False, "schema_version": 3}
+           "spectrum.sigma_omega_is_angular": False, "analysis": {"points_per_decade": 29},
+           "calibration_protocol.error_mode": "sem",
+           "geometry.serrodyne_rate_override_hz": 54795.0, "schema_version": 4}
 
 
 def _every_command(tables: Path) -> list[list]:
@@ -833,8 +836,7 @@ CONFIG_LEAVES = sorted(".".join(path) for path in _leaves(default_config_dict())
 # The keys that set how much work a command does take only small numbers,
 # and the run's bin length takes only lengths that give few bins or none.
 SIZE_KEYS = {"bright_source.scan_points", "calibration_protocol.n_steps",
-             "calibration_protocol.repeats", "run.duration_s",
-             "analysis.points_per_decade"}
+             "calibration_protocol.repeats", "run.duration_s"}
 _NOT_NUMBERS = (st.booleans(), st.none(), st.text(max_size=4),
                 st.lists(st.integers(), max_size=2),
                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
@@ -1000,17 +1002,30 @@ def test_fresh_process_workers_write_same_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_out_of_memory_exits_3_without_traceback(tmp_path):
-    """simulate of 2e8 bins in a process whose address space is capped at
-    1.5 GB, a cap set in that process alone, names the run's bin count."""
-    config = write_config(tmp_path, **{"run.duration_s": 2e6, "run.integration_time_s": 0.01})
+# command -> (config, arguments, the size its out-of-memory message names)
+OUT_OF_MEMORY = {
+    "simulate": ({"run.duration_s": 2e6, "run.integration_time_s": 0.01}, ["simulate"],
+                 "the run has config.run.n_bins = 200000000 bins"),
+    "fisher": ({}, ["fisher", "--n-points", 10**9], "it was given --n-points = 1000000000"),
+    "calibrate": ({"calibration_protocol.n_steps": 100_000,
+                   "calibration_protocol.repeats": 10_000},
+                  ["calibrate", "--simulate-bright", "--simulate-counts"],
+                  "the scan has n_steps * repeats = 1000000000 bins"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_OF_MEMORY))
+def test_out_of_memory_exits_3_without_traceback(command, tmp_path):
+    """A command in a process whose address space is capped at 1.5 GB, a
+    cap set in that process alone, names the size it was given."""
+    config, argv, size = OUT_OF_MEMORY[command]
     cap = 1_500_000_000
-    result = _fresh_run(_MAIN, "--config", config, "simulate", "--out", tmp_path / "c.csv",
+    result = _fresh_run(_MAIN, "--config", write_config(tmp_path, **config),
+                        "--out-dir", tmp_path, *argv,
                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
-    assert result.stderr == ("fogsim: error: simulate ran out of memory; the run has "
-                             "config.run.n_bins = 200000000 bins\n")
+    assert result.stderr == f"fogsim: error: {command} ran out of memory; {size}\n"
 
 
 def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):
@@ -1079,15 +1094,6 @@ class TestConfigHandling:
             assert run("--config", config, "simulate", "--out", out) == 0
             digests.append(file_digest(out))
         assert digests[0] != digests[1]
-
-    def test_null_serrodyne_override(self, tmp_path, small_tables):
-        assert config_from_dict({"geometry": {"serrodyne_rate_override_hz": None}}) \
-            .geometry.serrodyne_rate_override is None
-        config = write_config(tmp_path, **{"geometry.serrodyne_rate_override_hz": None})
-        assert run("--config", config, "stability", "--delays", small_tables[0] / "delays.csv",
-                   "--out-prefix", tmp_path / "stab") == 0
-        report = json.loads((tmp_path / "stab_report.json").read_text())
-        assert report["geometry"]["serrodyne_rate_hz_override"] is None
 
     def test_float_key_is_stored_and_hashed_as_float(self):
         as_int = config_from_dict({"run": {"duration_s": 32400}})

@@ -306,7 +306,7 @@ class TestBrightScan:
 
 
 def protocol(v_a=3.6, v_b=4.4, n_steps=100, repeats=10, integration_time=0.1):
-    return CalibrationProtocol(v_a, v_b, n_steps, repeats, integration_time, "sem")
+    return CalibrationProtocol(v_a, v_b, n_steps, repeats, integration_time)
 
 
 class TestCalibrationScan:

@@ -246,8 +246,7 @@ class TestDetectionLimit:
         sigma, c = 1.0, 1e-3
         n = 200_000
         x = sigma * rng.standard_normal(n) + c * np.arange(n)
-        curve = overlapping_allan_deviation(DelaySeries(1.0, x),
-                                            default_m_grid(n, 40))
+        curve = overlapping_allan_deviation(DelaySeries(1.0, x), default_m_grid(n))
         t_dl, _ = detection_limit(curve)
         t_opt = (sigma / c) ** (2.0 / 3.0)
         assert t_opt / 1.6 <= t_dl <= t_opt * 1.6

@@ -1,14 +1,17 @@
-"""SHA-256 digests of the data files of four reference chains.
+"""SHA-256 digests of the data files of five reference chains.
 
     python tools/reference_digests.py
 
 Runs fogsim's commands from this checkout's ``src/`` as fresh
-``python -m fogsim.cli`` processes in a temporary directory, on four chains:
+``python -m fogsim.cli`` processes in a temporary directory, on five chains:
 
 - ``default``: no config file;
 - ``overnight_9h``: the benchmark's 9 h drift run, seed 1;
 - ``lowflux_1m``: the benchmark's 10^6-bin low-flux run, seed 1, two workers;
-- ``random_walk``: the default config with a random-walk drift.
+- ``random_walk``: the default config with a random-walk drift;
+- ``sparse_gaps``: 10^5 bins of 10 ms at 1 kHz, seed 1, two workers, about
+  one bin in a hundred degenerate, so ``stability`` drops the non-finite
+  samples of each curve.
 
 Each chain writes ten files: ``fisher.csv``, ``counts.csv``, the kept
 ``bright_scan.csv`` and ``calibration_scan.csv``, ``calibration.json``, a
@@ -18,8 +21,9 @@ one JSON object, chain -> file -> digest, on stdout.  Two checkouts that
 print the same object write the same bytes.  Some digests depend on numpy's
 runtime SIMD dispatch, so stderr names the numpy and scipy versions and the
 SIMD extensions numpy found on this CPU (``np.show_config``'s "SIMD
-Extensions").  The whole run takes about 24 s on 2 cores, about 11 s of it
-in the lowflux_1m chain, whose ``estimate`` peaks at about 185 MB of memory.
+Extensions").  The whole run takes about 26 s on 2 cores, about 11 s of it
+in the lowflux_1m chain, whose ``estimate`` peaks at about 185 MB of memory,
+and about 4 s in sparse_gaps.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ CHAINS = {
                             "rate_total_hz": 20000.0, "seed": 1}}, 2),
     "random_walk": ({"noise": {"drift": {"preset": "custom",
                                          "random_walk_s_per_sqrt_s": 1e-19}}}, 1),
+    "sparse_gaps": ({"run": {"duration_s": 1000.0, "integration_time_s": 0.01,
+                             "rate_total_hz": 1000.0, "seed": 1}}, 2),
 }
 
 FILES = ("fisher.csv", "counts.csv", "bright_scan.csv", "calibration_scan.csv",
