@@ -9,9 +9,9 @@ arithmetic error (a floating-point overflow, invalid operation or division
 by zero) stops a command with exit 3, where numpy would warn and go on with
 inf or nan, and names the function it came from; in fisher, whose only
 inputs are its arguments and the config, it is a usage error.  A command
-that runs out of memory exits 3 and names the size it was given.  With
---json-errors failures are also emitted as a machine-readable JSON object
-on stderr.
+that runs out of memory exits 3 and names the table or the size it was
+given.  With --json-errors failures are also emitted as a machine-readable
+JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -163,10 +163,9 @@ def _cmd_stability(args, config: ExperimentConfig):
     with about_file(args.delays):
         raw, dropped = series_from_delay_table(t, tau, flags, config.run.integration_time)
     del t, tau, sigma, flags  # views of one table, 68 MB on 10^6 rows; raw is a copy
-    curves = {}
-    for series in (raw, *even_odd_split(raw)):
-        series, _ = series.drop_nonfinite()
-        curves[series.origin] = overlapping_allan_deviation(series, workers=args.workers)
+    curves = {series.origin: overlapping_allan_deviation(series.drop_nonfinite(),
+                                                         workers=args.workers)
+              for series in (raw, *even_odd_split(raw))}
     report = stability_report(curves, dropped, config.run.rate_total, config.spectrum,
                               config.geometry)
 
@@ -265,7 +264,10 @@ def main(argv=None) -> int:
             try:
                 record = args.func(args, config)
             except MemoryError as exc:
-                if args.command == "fisher":
+                table = getattr(args, "delays", None) or getattr(args, "counts", None)
+                if table:
+                    size = f"it was given the table {table}"
+                elif args.command == "fisher":
                     size = f"it was given --n-points = {args.n_points}"
                 elif args.command == "calibrate":
                     size = f"the scan has n_steps * repeats = {config.protocol.n_bins} bins"

@@ -156,7 +156,9 @@ def _file_line(path, row: int) -> int | None:
 @contextmanager
 def about_file(path):
     """Name ``path``, and the file line of the bad row if known, in every
-    DataError raised about the data read from it."""
+    DataError raised about the data read from it.  Readers raise DataError
+    with ``row`` inside this; loadtxt's messages aside (_with_line_number),
+    it is the one place that turns a data row into ``path: line N``."""
     try:
         yield
     except DataError as exc:
@@ -170,11 +172,11 @@ def _nonempty(path, columns: list[np.ndarray]) -> list[np.ndarray]:
     return columns
 
 
-def _check_labels(path, name: str, values: np.ndarray, allowed: tuple[str, ...]) -> None:
+def _check_labels(name: str, values: np.ndarray, allowed: tuple[str, ...]) -> None:
     bad = np.flatnonzero(~np.isin(values, allowed))
     if len(bad):
-        raise DataError(f"{path}: line {_file_line(path, bad[0])}: {name} "
-                        f"{str(values[bad[0]])!r} is not one of {allowed}")
+        raise DataError(f"{name} {str(values[bad[0]])!r} is not one of {allowed}",
+                        row=int(bad[0]))
 
 
 def file_digest(path) -> str:
@@ -210,9 +212,9 @@ def write_bright_scan(path, scan: BrightScan) -> None:
 def read_bright_scan(path) -> BrightScan:
     v0, power1, power2 = _nonempty(path, _read_table(path, BRIGHT_HEADER, "f8,f8,f8"))
     bad = np.flatnonzero(~np.isfinite(np.column_stack([v0, power1, power2])).all(axis=1))
-    if len(bad):
-        raise DataError(f"{path}: line {_file_line(path, bad[0])}: bright-scan cells "
-                        "must be finite")
+    with about_file(path):
+        if len(bad):
+            raise DataError("bright-scan cells must be finite", row=int(bad[0]))
     return BrightScan(v0=v0, power1=power1, power2=power2)
 
 
@@ -253,7 +255,8 @@ def read_delay_series(path):
     surface as usage errors downstream.
     """
     t, tau, sigma, flags = _read_table(path, DELAY_HEADER, "f8,f8,f8,U11")
-    _check_labels(path, "flag", flags, DELAY_FLAGS)
+    with about_file(path):
+        _check_labels("flag", flags, DELAY_FLAGS)
     return t, tau, sigma, flags
 
 
@@ -267,7 +270,8 @@ def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
 
 def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
     origin, *columns = _read_table(path, ALLAN_HEADER, "U13,i8,f8,f8,f8,i8")
-    _check_labels(path, "origin", origin, ORIGINS)
+    with about_file(path):
+        _check_labels("origin", origin, ORIGINS)
     names, first = np.unique(origin, return_index=True)
     return {str(name): {key: column[origin == name] for key, column in
                         zip(("m", "t", "adev", "ci", "n_terms"), columns)}

@@ -252,10 +252,7 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
     """Counts for bins start, start + 1, ...; a pure function of (key, bin index)."""
     from scipy.special import ndtri
     u = block_uniforms(key_counts, start, len(p1))
-    if pump_rel_sigma > 0.0:
-        gain = np.maximum(1.0 + pump_rel_sigma * ndtri(u[:, 0]), 0.0)
-    else:
-        gain = 1.0
+    gain = np.maximum(1.0 + pump_rel_sigma * ndtri(u[:, 0]), 0.0)
     lam1 = gain * mean_total * p1 + dark_counts[0]
     lam2 = gain * mean_total * p2 + dark_counts[1]
     return _poisson_quantile(u[:, 1], lam1), _poisson_quantile(u[:, 2], lam2)

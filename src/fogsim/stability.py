@@ -3,7 +3,9 @@
 Overlapping Allan deviation with O(N) per averaging time via compensated
 float64 prefix sums, even/odd differential splitting, detection-limit
 extraction, the shot-noise Cramér-Rao bound, and the stability report that
-gathers them with the saturation of each curve against that bound.
+gathers them with the saturation of each curve against that bound.  An
+AllanCurve holds only what the kernel measured; its averaging times, term
+counts and confidence half-widths are derived from that, each in one place.
 """
 
 from __future__ import annotations
@@ -57,51 +59,44 @@ class DelaySeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def drop_nonfinite(self) -> tuple["DelaySeries", int]:
-        """Remove non-finite samples (re-indexing the rest) and report how many.
+    def drop_nonfinite(self) -> "DelaySeries":
+        """The series without its non-finite samples, the rest re-indexed.
 
         The Allan formulas assume gap-free sampling, so dropped bins shift
-        later samples earlier; callers should surface the returned count.
+        later samples earlier; series_from_delay_table counts the unusable bins.
         """
         finite = np.isfinite(self.values)
-        dropped = int((~finite).sum())
-        if dropped == 0:
-            return self, 0
-        return DelaySeries(self.t0, self.values[finite], self.origin), dropped
+        if finite.all():
+            return self
+        return DelaySeries(self.t0, self.values[finite], self.origin)
 
 
 @dataclass(frozen=True)
 class AllanCurve:
-    """Overlapping Allan deviations over a grid of averaging factors m.
+    """Overlapping Allan deviations adev at the averaging factors m of a
+    series of n_samples samples t0 apart, as the kernel measured them.
 
-    t = m * t0; ci is the 1-sigma confidence half-width adev/sqrt(n_terms);
-    n_terms = N - 2m + 1 is the number of overlapping terms at each m.
+    t, n_terms and ci are formulas of these: the averaging time m t0, the
+    N - 2m + 1 overlapping terms at each m, and the 1-sigma confidence
+    half-width adev/sqrt(n_terms).
     """
 
     m: np.ndarray
-    t: np.ndarray
     adev: np.ndarray
-    ci: np.ndarray
-    n_terms: np.ndarray
     n_samples: int
     t0: float
-    origin: str = "raw"
 
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.int64)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
-        object.__setattr__(self, "adev", np.asarray(self.adev, dtype=np.float64))
-        object.__setattr__(self, "ci", np.asarray(self.ci, dtype=np.float64))
-        object.__setattr__(self, "n_terms", np.asarray(self.n_terms, dtype=np.int64))
-        if np.any(np.diff(m) <= 0):
-            raise ParameterError("m grid must be strictly increasing")
-        if np.any(self.n_terms != self.n_samples - 2 * m + 1):
-            raise ParameterError("n_terms must equal N - 2m + 1")
-        if np.any(self.n_terms <= 0):
-            raise ParameterError("every entry needs n_terms > 0")
-        if not np.allclose(self.t, m * self.t0, rtol=1e-12, atol=0.0):
-            raise ParameterError("t must equal m * t0")
+    @property
+    def t(self) -> np.ndarray:
+        return self.m * self.t0
+
+    @property
+    def n_terms(self) -> np.ndarray:
+        return self.n_samples - 2 * self.m + 1
+
+    @property
+    def ci(self) -> np.ndarray:
+        return self.adev / np.sqrt(self.n_terms)
 
 
 def check_bin_times(t, step: float, key: str) -> None:
@@ -197,11 +192,11 @@ def overlapping_allan_deviation(series: DelaySeries,
     lo = np.concatenate([[0.0], np.cumsum((hi[:-1] - (hi[1:] - b)) + (centered - b))])
     del centered, b
     adev = np.empty(len(m_arr))
-    n_terms = n - 2 * m_arr + 1
     buffers = threading.local()
 
     def compute(i: int) -> None:
-        m, k = int(m_arr[i]), int(n_terms[i])
+        m = int(m_arr[i])
+        k = n - 2 * m + 1  # the overlapping terms at this m
         if not hasattr(buffers, "d"):
             buffers.d, buffers.e = np.empty(n), np.empty(n)
         d, e = buffers.d[:k], buffers.e[:k]
@@ -220,8 +215,7 @@ def overlapping_allan_deviation(series: DelaySeries,
     with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
         list(pool.map(compute, range(len(m_arr))))
 
-    return AllanCurve(m=m_arr, t=m_arr * series.t0, adev=adev, ci=adev / np.sqrt(n_terms),
-                      n_terms=n_terms, n_samples=n, t0=series.t0, origin=series.origin)
+    return AllanCurve(m=m_arr, adev=adev, n_samples=n, t0=series.t0)
 
 
 def even_odd_split(series: DelaySeries) -> tuple[DelaySeries, DelaySeries, DelaySeries]:

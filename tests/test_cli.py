@@ -400,9 +400,19 @@ class TestStabilityGaps:
         gap_curves, gap_report = self.stability(tmp_path, "gap", tau, flags)
 
         assert gap_report["series"]["dropped_bins"] == 1
+        for report in (full_report, gap_report):
+            assert report["series"]["n_samples"] + report["series"]["dropped_bins"] == self.N
         for key in ("m", "adev", "ci"):
             np.testing.assert_array_equal(gap_curves["even"][key],
                                           full_curves["even"][key])
+        # n_terms = N - 2m + 1, N the finite samples of each curve's series
+        half = self.N // 2
+        for curves, finite in ((full_curves, (self.N, half, half, half)),
+                               (gap_curves, (self.N - 1, half, half - 1, half - 1))):
+            assert list(curves) == ["raw", "even", "odd", "differential"]
+            for (origin, curve), n in zip(curves.items(), finite):
+                np.testing.assert_array_equal(curve["n_terms"] + 2 * curve["m"] - 1, n,
+                                              err_msg=origin)
         for origin, limit in full_report["detection_limit"].items():
             assert gap_report["detection_limit"][origin]["sigma_s"] == \
                 pytest.approx(limit["sigma_s"], rel=0.10), origin
@@ -1026,6 +1036,22 @@ def test_out_of_memory_exits_3_without_traceback(command, tmp_path):
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
     assert result.stderr == f"fogsim: error: {command} ran out of memory; {size}\n"
+
+
+def test_out_of_memory_names_the_table(tmp_path):
+    """A command that runs out of memory reading a table names that table,
+    not a size from the config.  4 x 10^6 rows take 36 MB on disk and more
+    than the child's 300 MB cap once read; one OpenBLAS thread keeps its
+    start-up well under the cap."""
+    table = tmp_path / "delays.csv"
+    table.write_text("t_s,tau_s,sigma_tau_s,flag\n" + "0,0,0,ok\n" * 4_000_000)
+    cap = 300_000_000
+    result = _fresh_run(_MAIN, "stability", "--delays", table, "--out-prefix", tmp_path / "s",
+                        env={"OPENBLAS_NUM_THREADS": "1"},
+                        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert result.returncode == 3
+    assert result.stderr == ("fogsim: error: stability ran out of memory; "
+                             f"it was given the table {table}\n")
 
 
 def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):

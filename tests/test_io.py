@@ -21,6 +21,7 @@ from fogsim.calibration import FringeFit
 from fogsim.cli import main
 from fogsim.errors import DataError
 from fogsim.io_formats import (
+    ALLAN_HEADER,
     BRIGHT_HEADER,
     CAL_SCAN_HEADER,
     COUNT_HEADER,
@@ -313,7 +314,8 @@ MALFORMED = {
 }
 READERS = {COUNT_HEADER: lambda path: read_count_series(path, 1.0),
            BRIGHT_HEADER: read_bright_scan,
-           CAL_SCAN_HEADER: lambda path: read_calibration_scan(path, 1.0)}
+           CAL_SCAN_HEADER: lambda path: read_calibration_scan(path, 1.0),
+           ALLAN_HEADER: read_allan_curves}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -363,7 +365,7 @@ def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
     assert error == f"fogsim: error: {path}: line {4 + blank_lines}: {reason}\n"
 
 
-# third data row (and the rows after it) -> the count-table rule it breaks
+# third data row (and the rows after it) -> the table rule it breaks
 COUNT_RULES = {
     "negative_count": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["2.0,-5,4"],
                        "counts must be non-negative"),
@@ -377,14 +379,21 @@ COUNT_RULES = {
                              ["3.7,0.2,5,4", "3.7,0.3,5,4", "3.7,0.4,5,4"],
                              "unequal repeat counts across voltage steps: 2 in the first, "
                              "3 from this row"),
+    "bright_nonfinite": (BRIGHT_HEADER, "3.6,1e-06,2e-06", "3.7,1e-06,2e-06",
+                         ["3.8,nan,2e-06"], "bright-scan cells must be finite"),
+    "allan_unknown_origin": (ALLAN_HEADER, "raw,1,1.0,1e-18,1e-19,99",
+                             "raw,2,2.0,1e-18,1e-19,97", ["weird,4,4.0,1e-18,1e-19,93"],
+                             "origin 'weird' is not one of "
+                             "('raw', 'even', 'odd', 'differential')"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(COUNT_RULES))
 @pytest.mark.parametrize("blank_lines", [0, 2])
 def test_count_rule_named_by_file_line(tmp_path, case, blank_lines):
-    """A count or calibration-scan table that breaks a count-table rule is
-    a DataError naming the file and the line of the first bad row."""
+    """A table that breaks a rule of its reader (a count-table rule, a
+    non-finite bright-scan cell, an unknown Allan origin) is a DataError
+    naming the file and the line of the first bad row."""
     header, first, second, rest, reason = COUNT_RULES[case]
     path = tmp_path / "table.csv"
     path.write_text("\n".join([header, first] + [""] * blank_lines + [second, *rest]) + "\n")
