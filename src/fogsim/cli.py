@@ -10,8 +10,10 @@ by zero) stops a command with exit 3, where numpy would warn and go on with
 inf or nan, and names the function it came from; in fisher, whose only
 inputs are its arguments and the config, it is a usage error.  A command
 that runs out of memory exits 3 and names the table or the size it was
-given.  With --json-errors failures are also emitted as a machine-readable
-JSON object on stderr.
+given.  That holds once this module has loaded: running out at start-up,
+while numpy and its OpenBLAS load, ends in the interpreter's own error (a
+traceback, or OpenBLAS's abort) with exit 1.  With --json-errors failures
+are also emitted as a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations

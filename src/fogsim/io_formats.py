@@ -2,8 +2,10 @@
 
 CSV files carry a header row, dot-decimal floats rendered with shortest
 round-trip precision, LF line endings and seconds as the only time unit.
-JSON documents carry a schema_version field.  Reading back a written file
-reproduces every floating value bit for bit.
+A table is written in blocks of bytes spelled by numpy (_write_table), with
+the bytes of formatting each cell on its own.  JSON documents carry a
+schema_version field.  Reading back a written file reproduces every
+floating value bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import itertools
 import json
 import re
 import warnings
-from collections.abc import Iterable
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
@@ -51,46 +52,122 @@ ALLAN_HEADER = "origin,m,t_s,adev_s,ci_s,n_terms"
 DELAY_FLAGS = ("ok", "degenerate", "window")
 
 _WRITE_ROWS = 65536
-# A numeric chunk with at most this share of distinct values is formatted
-# once per distinct value; one with more (bin times) cell by cell.
-_DISTINCT_SHARE = 0.25
+# A float 1e-4 <= x < 2**48 that is n / 10**d with 1 <= d <= _PLACES and
+# n < 2**48 is spelled from the digits of n (see _float_rows).
+_PLACES = 6
+_SHORT_MIN, _SHORT_END = np.array([1e-4, 2.0**48]).view(np.uint64)
 
 
 def _write_table(path, header: str, *columns) -> None:
     """One CSV row per entry of the columns: floats via repr, the rest via str.
 
     repr of a Python float is the shortest decimal that round-trips it.  The
-    columns are written _WRITE_ROWS rows at a time, which keeps the copies
-    small.  Within a chunk, a numeric column that repeats its values is
-    formatted once per distinct value and the strings are looked up by
-    index; floats are keyed on their bits, so -0.0, 0.0 and every nan stay
-    apart.  The bytes are those of formatting each cell on its own.
+    table is written _WRITE_ROWS rows at a time, each chunk as one block of
+    bytes: every column's cells are the rows of a NUL-padded byte matrix
+    (_cell_rows), the matrices sit side by side with a column of commas
+    between them and one of newlines at the end, and dropping the NUL bytes
+    leaves the chunk's text.  The bytes are those of formatting each cell on
+    its own.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _WRITE_ROWS):
-            cells = [_cells(c[lo:lo + _WRITE_ROWS]) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        total = len(columns[0])
+        for lo in range(0, total, _WRITE_ROWS):
+            commas = np.full((min(total - lo, _WRITE_ROWS), 1), ord(","), np.uint8)
+            rows = np.hstack([part for c in columns  # the cell matrices go once joined
+                              for part in (_cell_rows(c[lo:lo + _WRITE_ROWS]), commas)])
+            rows[:, -1] = ord("\n")
+            fh.write(rows[rows != 0])
 
 
-def _cells(chunk) -> Iterable[str]:
-    """The chunk's cells as strings: floats via repr, the rest via str.
+def _cell_rows(chunk) -> np.ndarray:
+    """The chunk's cells as the rows of a NUL-padded uint8 matrix: floats via
+    repr, the rest (integers, labels) via str.
 
-    Cell by cell, the strings are made as the rows are written, so that only
-    one row's strings are held at a time.  A list, such as the delay flags,
-    is formatted cell by cell as it stands."""
-    if isinstance(chunk, list):
-        return map(str, chunk)
+    Each distinct value is spelled once and its row gathered by index.
+    Floats are keyed on their bits, so -0.0, 0.0 and every nan stay apart.
+    """
+    if isinstance(chunk, list):  # labels, coded in order of appearance
+        code = {label: i for i, label in enumerate(dict.fromkeys(chunk))}
+        inverse = np.fromiter(map(code.__getitem__, chunk), np.intp, len(chunk))
+        return np.take(_ascii_rows(map(str, code)), inverse, axis=0)
     chunk = np.asarray(chunk)
-    kind = chunk.dtype.kind
-    text = repr if kind == "f" else str
-    if kind in "fiu":
-        keys = chunk.view(f"u{chunk.dtype.itemsize}") if kind == "f" else chunk
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        if len(distinct) <= _DISTINCT_SHARE * len(chunk):
-            values = distinct.view(chunk.dtype).tolist()
-            return np.array(list(map(text, values)), dtype=object)[inverse].tolist()
-    return map(text, chunk.tolist())
+    if chunk.dtype.kind == "f":
+        bits = chunk.astype(np.float64, copy=False).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        return np.take(_float_rows(distinct), inverse, axis=0)
+    distinct, inverse = np.unique(chunk, return_inverse=True)
+    return np.take(_ascii_rows(map(str, distinct.tolist())), inverse, axis=0)
+
+
+def _ascii_rows(texts) -> np.ndarray:
+    """ASCII strings as the rows of a NUL-padded uint8 matrix."""
+    text = np.array(list(texts), dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
+
+
+def _float_rows(bits: np.ndarray) -> np.ndarray:
+    """repr of the float64 values with these bits, as _ascii_rows.
+
+    A value x that is +0.0 or lies in [1e-4, 2**48) is spelled as the
+    decimal n / 10**d for the smallest d in 1.._PLACES with n = rint(x 10**d),
+    n < 2**48 and n / 10**d == x: the digits of n // 10**d, ".", then those
+    of n % 10**d padded to d places.  That is repr(x):
+
+    - It round-trips.  n and 10**d are exact in float64, so n / 10**d is
+      the correctly rounded value of the rational n/10**d, as is reading
+      the decimal; both are x.
+    - No decimal with fewer places round-trips, and none other with d.  As
+      x < 2**48 / 10**d, ulp(x) < 10**-d / 16, so the reals that round to x
+      span less than 10**-d / 16, and for d' <= d the computed x 10**d'
+      (rounded by at most 1/32) lies within 1/16 of m for any d'-place
+      decimal m / 10**d' among them.  So the search at d' would have found
+      it (an integer at d' = 1).
+    - Fewest places is fewest significant digits: the decimals that round
+      to x share their leading digit's position, unless a power of ten
+      lies among them, and then it is the only one with fewest places.
+    - repr writes its shortest digits in fixed notation with at least one
+      fraction digit for 1e-4 <= x < 1e16.  The last of the d places is 0
+      only if d = 1, as d - 1 places would do otherwise, so the texts agree.
+
+    Every other value (negative, -0.0, nan, inf, small, large or long) is
+    spelled by repr.
+    """
+    x = bits.view(np.float64)
+    n = np.zeros(len(x), np.int64)
+    places = np.zeros(len(x), np.int64)
+    todo = np.flatnonzero((bits == 0) | ((bits >= _SHORT_MIN) & (bits < _SHORT_END)))
+    for d in range(1, _PLACES + 1):
+        scaled = np.rint(x[todo] * 10.0**d)
+        hit = (scaled < 2.0**48) & (scaled / 10.0**d == x[todo])
+        n[todo[hit]], places[todo[hit]] = scaled[hit], d
+        todo = todo[~hit]
+    decimal = places > 0
+    short = _decimal_rows(n[decimal], places[decimal])
+    other = _ascii_rows(map(repr, x[~decimal].tolist()))
+    rows = np.zeros((len(x), max(short.shape[1], other.shape[1])), np.uint8)
+    rows[decimal, :short.shape[1]] = short
+    rows[~decimal, :other.shape[1]] = other
+    return rows
+
+
+def _decimal_rows(n: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """n / 10**places as the rows of a NUL-padded uint8 matrix: the integer
+    part, ".", then exactly ``places`` fraction digits.  The digits are made
+    a column at a time, the last first; leading zeros stay NUL."""
+    whole, fraction = np.divmod(n, 10**places)
+    most = np.max(places, initial=1)
+    fraction *= 10**(most - places)  # left-aligned in `most` places
+    width = len(str(np.max(whole, initial=0)))
+    rows = np.zeros((len(n), width + 1 + most), np.uint8)
+    rows[:, width] = ord(".")
+    for col in range(width + most, width, -1):
+        rows[:, col] = np.where(col - width <= places, fraction % 10 + 48, 0)
+        fraction //= 10
+    for col in range(width - 1, -1, -1):
+        rows[:, col] = np.where((whole > 0) | (col == width - 1), whole % 10 + 48, 0)
+        whole //= 10
+    return rows
 
 
 def _write_json(path, doc: dict, version: int = SCHEMA_VERSION) -> None:

@@ -222,18 +222,20 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     This is the definition SciPy's poisson.ppf implements; lam = 0 gives
     0.  The search starts from the Cornish-Fisher guess
-    lam + sqrt(lam) z + (z^2 - 1) / 6 with z = ndtri(u), then steps down
-    while the count below still reaches u and up while k falls short; each
-    step evaluates pdtr only where k is still moving, about 2.5 calls per
-    draw.  u must lie in (0, 1); u = 1 would never stop stepping, and
-    neither would a mean so large that k - 1 == k in float64.
+    w = lam + sqrt(lam) z + (z^2 - 1) / 6 with z = ndtri(u), continuity
+    corrected to floor(w + 1/2), then steps down while the count below still
+    reaches u and up while k falls short; each step evaluates pdtr only
+    where k is still moving, about 2 calls per draw.  The start sets only
+    the number of steps: k is fixed by the pdtr comparisons alone.  u must
+    lie in (0, 1); u = 1 would never stop stepping, and neither would a
+    mean so large that k - 1 == k in float64.
     """
     from scipy.special import ndtri, pdtr
     if not np.all(lam <= MAX_MEAN_COUNT):  # also rejects NaN
         raise ParameterError(f"the mean count per bin must be at most "
                              f"{MAX_MEAN_COUNT:.0e}, got {np.max(lam):.3g}")
     z = ndtri(u)
-    k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0), 0.0)
+    k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0 + 0.5), 0.0)
     down = np.flatnonzero(k > 0)
     while down.size:
         down = down[pdtr(k[down] - 1.0, lam[down]) >= u[down]]

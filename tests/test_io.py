@@ -422,6 +422,19 @@ FLOAT_POOLS = st.one_of(
              min_size=1, max_size=3))
 INT_POOLS = st.lists(st.one_of(st.sampled_from(SPECIAL_INTS),
                                st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=3)
+# where the writer's short-decimal spelling starts and stops (1e-4, and
+# 2**48 / 10**d, each with its neighbours) and where repr turns to exponents
+BOUNDARY_FLOATS = [
+    1e-05, 1.2e-05, float(np.nextafter(1e-4, 0.0)), 1e-4, float(np.nextafter(1e-4, 1.0)),
+    *(float(np.nextafter(2.0**48 / 10**d, toward)) for d in range(9)
+      for toward in (0.0, 2.0**48 / 10**d, math.inf)),
+    1e15, 1e16, float(np.nextafter(1e16, 0.0)), -0.0, 0.0, 2.0**47 + 0.5,
+]
+# n / 10**d with d places, both signs, n up to and past 2**48
+DECIMALS = st.builds(lambda n, d, sign: sign * n / 10**d,
+                     st.one_of(st.integers(0, 10**4), st.integers(0, 2**48 + 16),
+                               st.integers(2**48 - 16, 2**48 + 16), st.integers(2**52, 2**53)),
+                     st.integers(0, 8), st.sampled_from([1, -1]))
 
 
 def _pool_column(data, pools, n):
@@ -431,7 +444,18 @@ def _pool_column(data, pools, n):
 
 def _oracle_column(data, n):
     kind = data.draw(st.sampled_from(["float_pool", "float", "strided", "int_pool",
-                                      "int", "flag_list"]))
+                                      "int", "flag_list", "decimal", "grid", "boundary"]))
+    if kind == "decimal":
+        return _column(data, DECIMALS, n).astype(np.float64)
+    if kind == "grid":  # bin times t0 + k T from some row k0 on
+        T = data.draw(st.one_of(st.sampled_from([0.01, 0.1, 1e-3, 0.25, 1.0]),
+                                st.floats(1e-6, 1e4)))
+        t0 = data.draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+        k0 = data.draw(st.integers(0, 10**9))
+        return t0 + (k0 + np.arange(n)) * T
+    if kind == "boundary":
+        return np.array(data.draw(st.lists(st.sampled_from(BOUNDARY_FLOATS),
+                                           min_size=n, max_size=n)), dtype=np.float64)
     if kind == "float_pool":
         return np.array(_pool_column(data, FLOAT_POOLS, n), dtype=np.float64)
     if kind == "float":
@@ -450,8 +474,8 @@ def _oracle_column(data, n):
 @given(data=st.data())
 def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch, data):
     """_write_table writes the bytes of formatting every cell on its own,
-    whether a chunk of a column is formatted per distinct value or per cell,
-    and with chunks that split the table anywhere."""
+    whether a float is spelled from its decimal digits or by repr, and with
+    chunks that split the table anywhere."""
     monkeypatch.setattr(io_formats, "_WRITE_ROWS", 8)
     n = data.draw(st.integers(0, 40))
     columns = [_oracle_column(data, n) for _ in range(data.draw(st.integers(1, 4)))]

@@ -1,6 +1,6 @@
 """SHA-256 digests of the data files of five reference chains.
 
-    python tools/reference_digests.py
+    python tools/reference_digests.py [--check]
 
 Runs fogsim's commands from this checkout's ``src/`` as fresh
 ``python -m fogsim.cli`` processes in a temporary directory, on five chains:
@@ -21,13 +21,24 @@ one JSON object, chain -> file -> digest, on stdout.  Two checkouts that
 print the same object write the same bytes.  Some digests depend on numpy's
 runtime SIMD dispatch, so stderr names the numpy and scipy versions and the
 SIMD extensions numpy found on this CPU (``np.show_config``'s "SIMD
-Extensions").  The whole run takes about 26 s on 2 cores, about 11 s of it
+Extensions").  The whole run takes about 28 s on 2 cores, about 11 s of it
 in the lowflux_1m chain, whose ``estimate`` peaks at about 185 MB of memory,
 and about 4 s in sparse_gaps.
+
+``reference_digests.json`` next to this file records the digests with the
+numpy and scipy versions and the SIMD extensions found that made them.
+``--check`` compares the digests with it and exits 1, naming each differing
+(chain, file), if any differs.  It compares ``fisher.csv`` only when numpy
+found the recorded SIMD extensions, since that file moves with them, and
+nothing under other numpy or scipy versions, whose kernels may round
+differently; it says on stderr what it left out.  A change that moves bytes
+on purpose puts this tool's output in the file's "digests" in the same
+change.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -37,6 +48,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+REFERENCE = Path(__file__).with_name("reference_digests.json")
 
 # chain -> (config document or None for no config file, --workers)
 CHAINS = {
@@ -71,38 +83,88 @@ def _commands(out: Path) -> list[list[str]]:
     ]
 
 
-def chain_digests(work: Path, name: str) -> dict[str, str]:
+def chain_arguments(work: Path, name: str) -> list[list[str]]:
+    """The fogsim argument lists of chain ``name``, one per command, which
+    write into ``work / name``."""
     document, workers = CHAINS[name]
     out = work / name
     out.mkdir()
-    base = [sys.executable, "-m", "fogsim.cli", "--out-dir", str(out),
-            "--workers", str(workers)]
+    base = ["--out-dir", str(out), "--workers", str(workers)]
     if document is not None:
         config = work / f"{name}.json"
         config.write_text(json.dumps(document))
         base += ["--config", str(config)]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    for command in _commands(out):
-        subprocess.run(base + command, env=env, check=True, stdout=subprocess.DEVNULL)
+    return [base + command for command in _commands(out)]
+
+
+def file_digests(out: Path) -> dict[str, str]:
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
 
 
-def print_environment() -> None:
-    """The numpy and scipy versions and numpy's SIMD extensions, on stderr."""
+def chain_digests(work: Path, name: str) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for arguments in chain_arguments(work, name):
+        subprocess.run([sys.executable, "-m", "fogsim.cli", *arguments], env=env,
+                       check=True, stdout=subprocess.DEVNULL)
+    return file_digests(work / name)
+
+
+def environment() -> dict:
+    """The numpy and scipy versions and the SIMD extensions numpy found."""
     import numpy as np
     import scipy
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    print(f"numpy {np.__version__}, scipy {scipy.__version__}, "
-          f"SIMD extensions {json.dumps(simd)}", file=sys.stderr)
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "simd_found": simd.get("found", [])}
 
 
-def main() -> int:
-    print_environment()
+def read_reference() -> dict:
+    return json.loads(REFERENCE.read_text())
+
+
+def version_mismatch(reference: dict, found: dict) -> str | None:
+    """Why the digests cannot be compared with the reference, or None."""
+    differ = [f"{lib} {found[lib]} (recorded {reference[lib]})"
+              for lib in ("numpy", "scipy") if found[lib] != reference[lib]]
+    return f"not compared under {', '.join(differ)}" if differ else None
+
+
+def differences(digests: dict, reference: dict, found: dict) -> list[tuple[str, str]]:
+    """The (chain, file) pairs of ``digests`` that differ from the reference;
+    fisher.csv only when numpy found the recorded SIMD extensions."""
+    simd_same = found["simd_found"] == reference["simd_found"]
+    return [(chain, name) for chain, files in digests.items()
+            for name, digest in files.items()
+            if (simd_same or name != "fisher.csv")
+            and digest != reference["digests"][chain][name]]
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with reference_digests.json; exit 1 if any differs")
+    check = parser.parse_args(argv).check
+    found = environment()
+    print(f"numpy {found['numpy']}, scipy {found['scipy']}, "
+          f"SIMD extensions found {json.dumps(found['simd_found'])}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: chain_digests(Path(tmp), name) for name in CHAINS}
     print(json.dumps(digests, indent=2))
-    return 0
+    if not check:
+        return 0
+    reference = read_reference()
+    reason = version_mismatch(reference, found)
+    if reason is not None:
+        print(f"reference digests {reason}", file=sys.stderr)
+        return 0
+    if found["simd_found"] != reference["simd_found"]:
+        print(f"fisher.csv not compared: recorded SIMD extensions "
+              f"{json.dumps(reference['simd_found'])}", file=sys.stderr)
+    differ = differences(digests, reference, found)
+    for chain, name in differ:
+        print(f"{chain}: {name} differs from {REFERENCE.name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
