@@ -34,7 +34,6 @@ from .model import (
     Spectrum,
     click_probabilities,
     fisher_information,
-    fisher_information_numeric,
 )
 from .simulate import (
     BrightScan,

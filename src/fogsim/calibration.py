@@ -112,13 +112,13 @@ class LinearCalibration:
 class ContrastPoint:
     """Normalized per-bin contrast dx = (c1 - c2) / (c1 + c2) and its error.
 
-    ``tau`` is the applied delay when known (nan otherwise); ``degenerate``
-    marks bins whose dark-corrected counts carry no usable contrast.
+    ``tau`` is the applied delay; ``degenerate`` marks bins whose
+    dark-corrected counts carry no usable contrast.
     """
 
     dx: float
     dx_err: float
-    tau: float = math.nan
+    tau: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -368,8 +368,6 @@ def fit_linear_calibration(points, window_volt: tuple[float, float] | None = Non
     tau = np.array([p.tau for p in usable], dtype=np.float64)
     dx = np.array([p.dx for p in usable], dtype=np.float64)
     err = np.array([p.dx_err for p in usable], dtype=np.float64)
-    if not np.all(np.isfinite(tau)):
-        raise FitError("all calibration points must have tau set")
     if not np.all(err > 0):
         raise FitError("all dx_err must be positive")
 

@@ -9,10 +9,6 @@ class ParameterError(FogsimError, ValueError):
     """A model or domain parameter violates its contract."""
 
 
-class OracleAccuracyError(ParameterError):
-    """A numeric-oracle setting would make the oracle unreliable."""
-
-
 class FitError(FogsimError, RuntimeError):
     """Least-squares fit failed to converge or the design is degenerate."""
 

@@ -26,7 +26,7 @@ from . import __version__
 from .calibration import CalibrationSet, FringeFit, LinearCalibration
 from .errors import DataError
 from .simulate import RNG_ALGORITHM, BrightScan, CalibrationScan, CountSeries
-from .stability import ORIGINS, AllanCurve
+from .stability import ORIGINS, AllanCurve, check_bin_times
 
 __all__ = [
     "write_fisher_curve",
@@ -276,10 +276,14 @@ def write_count_series(path, series: CountSeries) -> None:
     _write_table(path, COUNT_HEADER, series.t, series.c1, series.c2)
 
 
-def read_count_series(path, integration_time: float) -> CountSeries:
+def read_count_series(path, step: float, key: str) -> CountSeries:
+    """A count table of bins ``step`` seconds long, the value of the config
+    key ``key``; its bin times must lie on the grid of check_bin_times."""
     t, c1, c2 = _nonempty(path, _read_table(path, COUNT_HEADER, "f8,i8,i8"))
     with about_file(path):
-        return CountSeries(t, c1, c2, integration_time)
+        series = CountSeries(t, c1, c2, step)
+        check_bin_times(t, step, key)
+    return series
 
 
 def write_bright_scan(path, scan: BrightScan) -> None:
@@ -301,20 +305,25 @@ def write_calibration_scan(path, scan: CalibrationScan) -> None:
                  counts.t, counts.c1, counts.c2)
 
 
-def read_calibration_scan(path, integration_time: float) -> CalibrationScan:
+def read_calibration_scan(path, step: float, key: str) -> CalibrationScan:
     """Rebuild a stepped scan; a step's repeats are consecutive rows sharing a
-    voltage, and the bins of all steps read as one count table."""
+    finite voltage, and the bins of all steps read as one count table, as
+    read_count_series reads it."""
     v, t, c1, c2 = _nonempty(path, _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8"))
+    nonfinite = np.flatnonzero(~np.isfinite(v))
     starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
     sizes = np.diff(np.append(starts, len(v)))
-    v0 = v[starts]
     with about_file(path):
+        if len(nonfinite):
+            raise DataError("scan voltages must be finite", row=int(nonfinite[0]))
         uneven = np.flatnonzero(sizes != sizes[0])
         if len(uneven):
             raise DataError(f"unequal repeat counts across voltage steps: {sizes[0]} in "
                             f"the first, {sizes[uneven[0]]} from this row",
                             row=int(starts[uneven[0]]))
-        return CalibrationScan(v0, CountSeries(t, c1, c2, integration_time))
+        scan = CalibrationScan(v[starts], CountSeries(t, c1, c2, step))
+        check_bin_times(t, step, key)
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +334,18 @@ def write_delay_series(path, t, tau, sigma_tau, flags) -> None:
     _write_table(path, DELAY_HEADER, t, tau, sigma_tau, flags)
 
 
-def read_delay_series(path):
+def read_delay_series(path, step: float, key: str):
     """Returns (t, tau, sigma_tau, flags) arrays; flags is a str array.
 
-    An empty table is returned as empty arrays so length preconditions can
-    surface as usage errors downstream.
+    The bin times must lie on the grid of check_bin_times with step
+    ``step``, the value of the config key ``key``.  An empty table is
+    returned as empty arrays so length preconditions can surface as usage
+    errors downstream.
     """
     t, tau, sigma, flags = _read_table(path, DELAY_HEADER, "f8,f8,f8,U11")
     with about_file(path):
         _check_labels("flag", flags, DELAY_FLAGS)
+        check_bin_times(t, step, key)
     return t, tau, sigma, flags
 
 

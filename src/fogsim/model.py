@@ -14,23 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_VACUUM
-from .errors import OracleAccuracyError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "Spectrum",
     "ModulatorMap",
     "click_probabilities",
     "fisher_information",
-    "fisher_information_numeric",
 ]
 
 # |omega0*tau| and sigma*tau below which the Fisher formula is replaced by
 # its analytic tau -> 0 limit (the raw expression is 0/0 there and loses all
 # precision to cancellation well before that).
 _FISHER_LIMIT_THRESHOLD = 1e-6
-
-# Probability floor used only inside the numeric oracle's divisions.
-_PROB_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -141,30 +137,3 @@ def fisher_information(tau, spectrum: Spectrum):
         return float(out)
     return out
 
-
-def fisher_information_numeric(tau, spectrum: Spectrum, step: float = 1e-20):
-    """Finite-difference Fisher information, the independent oracle.
-
-    Sums (dP_m/dtau)^2 / P_m over the two outcomes with central differences
-    of :func:`click_probabilities`.  Probabilities are floored at 1e-30 in
-    the division only.  Because the probabilities are even in tau, a central
-    difference at tau = 0 would vanish identically, so |tau| is clamped to
-    ``step``; the formula is flat there to O((omega0 step)^2).
-    """
-    if not step > 0.0:
-        raise OracleAccuracyError(f"step must be positive, got {step}")
-    if step > 0.01 / spectrum.omega0:
-        raise OracleAccuracyError(
-            f"step {step} too large versus 1/omega0 = {1.0 / spectrum.omega0:.3e}; "
-            "the finite-difference oracle would be dominated by truncation error"
-        )
-    tau_arr = np.maximum(np.abs(np.asarray(tau, dtype=np.float64)), step)
-    p1_plus, p2_plus = click_probabilities(tau_arr + step, spectrum)
-    p1_minus, p2_minus = click_probabilities(tau_arr - step, spectrum)
-    p1, p2 = click_probabilities(tau_arr, spectrum)
-    d1 = (p1_plus - p1_minus) / (2.0 * step)
-    d2 = (p2_plus - p2_minus) / (2.0 * step)
-    out = d1**2 / np.maximum(p1, _PROB_FLOOR) + d2**2 / np.maximum(p2, _PROB_FLOOR)
-    if np.isscalar(tau):
-        return float(out)
-    return out

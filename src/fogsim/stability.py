@@ -120,14 +120,14 @@ def check_bin_times(t, step: float, key: str) -> None:
                         row=row)
 
 
-def series_from_delay_table(t, tau, flags, t0: float) -> tuple[DelaySeries, int]:
+def series_from_delay_table(tau, flags, t0: float) -> tuple[DelaySeries, int]:
     """The delay table as one series of bins t0 apart, its unusable bins set to nan.
 
     Degenerate and non-finite bins stay in place, so position is bin index
     and the even/odd split keeps parity across gaps (NIST SP 1065); window
     flags are warning-grade.  Returns the series and the unusable-bin count.
-    Bin times off the grid of ``check_bin_times`` under t0, the run's
-    bin length (run.integration_time_s), raise DataError naming the row.
+    The table's bin times are not read: read_delay_series has checked that
+    they lie t0 apart.
     """
     if len(tau) == 0:
         raise ParameterError("no delay samples")
@@ -138,7 +138,6 @@ def series_from_delay_table(t, tau, flags, t0: float) -> tuple[DelaySeries, int]
         raise ParameterError(
             f"delay series too short after dropping {dropped} flagged bins "
             f"({usable} < 8)")
-    check_bin_times(t, t0, "run.integration_time_s")
     return DelaySeries(t0, values, "raw"), dropped
 
 

@@ -25,7 +25,6 @@ from fogsim import (
     estimate_delays,
     figure_of_merit,
     fisher_information,
-    fisher_information_numeric,
     fit_fringe,
     ideal_linear_calibration,
     overlapping_allan_deviation,
@@ -36,6 +35,8 @@ from fogsim import (
 from fogsim.calibration import FringeParams
 from fogsim.constants import EARTH_RATE_RAD_PER_S, rad_per_s_to_deg_per_hour
 from fogsim.stability import default_m_grid, even_odd_split
+
+from test_model import fisher_information_numeric
 
 RATE = 631.6e3
 AREA = 125.0

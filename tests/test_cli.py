@@ -251,7 +251,7 @@ class TestEstimateCommand:
         assert run("--config", config, "simulate", "--out", counts) == 0
         assert run("--config", config, "estimate", "--counts", counts,
                    "--calibration", calibrated, "--out", delays) == 0
-        t, tau, sigma, flags = read_delay_series(delays)
+        t, tau, sigma, flags = read_delay_series(delays, 1.0, "run.integration_time_s")
         assert len(tau) == 400
         assert all(f == "ok" for f in flags)
         # statistical + calibration-systematic tolerance on the mean
@@ -274,7 +274,7 @@ class TestEstimateCommand:
         delays = tmp_path / "delays.csv"
         assert run("--config", config, "estimate", "--counts", counts,
                    "--calibration", calibrated, "--out", delays) == 0
-        _, tau, _, _ = read_delay_series(delays)
+        _, tau, _, _ = read_delay_series(delays, 1.0, "run.integration_time_s")
         np.testing.assert_allclose(tau, target, rtol=1e-9)
 
     def test_dark_dominated_rows_flagged(self, tmp_path, calibrated):
@@ -284,7 +284,7 @@ class TestEstimateCommand:
         delays = tmp_path / "delays.csv"
         assert run("estimate", "--counts", counts,
                    "--calibration", calibrated, "--out", delays) == 0
-        _, _, _, flags = read_delay_series(delays)
+        _, _, _, flags = read_delay_series(delays, 1.0, "run.integration_time_s")
         assert all(f == "degenerate" for f in flags)
 
 
@@ -668,7 +668,7 @@ BAD_INPUTS = {
                                               "run.duration_s": 5.0}), 2,
                             "mean count per bin"),
     "counts_time_inf": (_counts_times_case([0.0, math.inf, math.inf]), 3,
-                        "bin times must be finite"),
+                        "counts.csv: line 3: bin time inf s is not t0 + k T"),
     "counts_time_span_overflow": (_counts_times_case([-1e308, 1e308]), 3,
                                   "counts.csv: line 3: bin time 1e+308 s is not t0 + k T"),
     "scan_time_span_overflow": (_scan_span_case, 3,
@@ -703,7 +703,7 @@ BAD_INPUTS = {
     "config_file_not_object": (_config_file_case("[1, 2]"), 2,
                                "must contain a JSON object"),
     "counts_time_nan": (_counts_times_case([0.0, math.nan, math.nan]), 3,
-                        "bin times must be finite"),
+                        "counts.csv: line 3: bin time nan s is not t0 + k T"),
     "workers_zero": (_workers_case(0, "simulate", "--out"), 2, "--workers"),
     "workers_negative": (_workers_case(-3, "stability", "--delays"), 2, "--workers"),
     "schema_version_float": (_config_case("schema_version", 4.0), 2,

@@ -49,16 +49,20 @@ from fogsim.stability import ORIGINS
 
 # values with full 17-digit mantissas, subnormals and awkward decimals
 NASTY = [0.1, 1.294e-15, 2.2250738585072014e-308, 1 / 3, 9.87654321098765432e17]
+# the config keys that the readers' bin-time messages name
+RUN_KEY = "run.integration_time_s"
+SCAN_KEY = "calibration_protocol.integration_time_s"
 
 
 class TestCountSeriesRoundTrip:
     def test_bit_exact(self, tmp_path, rng):
-        t = np.cumsum(rng.uniform(0.9, 1.1, size=200)) + 0.1
+        # 10 ms bins, each time jittered within the grid's tolerance of 1e-8 s
+        t = 0.1 + 0.01 * np.arange(200) + rng.uniform(-4e-9, 4e-9, size=200)
         series = CountSeries(t, rng.integers(0, 10**6, 200),
-                             rng.integers(0, 10**6, 200), 1.0)
+                             rng.integers(0, 10**6, 200), 0.01)
         path = tmp_path / "counts.csv"
         write_count_series(path, series)
-        back = read_count_series(path, 1.0)
+        back = read_count_series(path, 0.01, RUN_KEY)
         assert back == series
         np.testing.assert_array_equal(back.t, series.t)
 
@@ -66,13 +70,13 @@ class TestCountSeriesRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("time,c1,c2\n0.0,1,2\n")
         with pytest.raises(DataError):
-            read_count_series(path, 1.0)
+            read_count_series(path, 1.0, RUN_KEY)
 
     def test_malformed_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_s,c1,c2\n0.0,one,2\n")
         with pytest.raises(DataError):
-            read_count_series(path, 1.0)
+            read_count_series(path, 1.0, RUN_KEY)
 
 
 class TestDelaySeriesRoundTrip:
@@ -84,7 +88,7 @@ class TestDelaySeriesRoundTrip:
         flags = ["ok", "degenerate", "window", "ok", "ok"]
         path = tmp_path / "delays.csv"
         write_delay_series(path, t, tau, sigma, flags)
-        t2, tau2, sigma2, flags2 = read_delay_series(path)
+        t2, tau2, sigma2, flags2 = read_delay_series(path, 1.0, RUN_KEY)
         np.testing.assert_array_equal(t2, t)
         np.testing.assert_array_equal(tau2, tau)
         np.testing.assert_array_equal(sigma2, sigma)
@@ -151,13 +155,20 @@ class TestCalibrationSetRoundTrip:
 # "nan" reads back as (repr drops a nan's sign and payload).
 FLOATS = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
 COUNTS = st.integers(0, 2**63 - 1)
-# a count table's bin times: any finite float, sorted by the table
-BIN_TIMES = st.floats(allow_nan=False, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# the bin length the count, calibration-scan and delay tables are read with
+STEP = 0.1
 ALLAN_KEYS = ("m", "t", "adev", "ci", "n_terms")
 
 
 def _column(data, elements, n):
     return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)))
+
+
+def _bin_times(data, n):
+    """n bin times STEP apart from any finite first time: the grid the
+    readers require."""
+    return data.draw(FINITE) + STEP * np.arange(n)
 
 
 def _fisher(data):
@@ -167,30 +178,26 @@ def _fisher(data):
 
 def _counts(data):
     n = data.draw(st.integers(1, 12))
-    return [np.sort(_column(data, BIN_TIMES, n)), _column(data, COUNTS, n),
-            _column(data, COUNTS, n)]
+    return [_bin_times(data, n), _column(data, COUNTS, n), _column(data, COUNTS, n)]
 
 
 def _bright(data):
     # a bright scan's cells must be finite
     n = data.draw(st.integers(1, 12))
-    return [_column(data, st.floats(allow_nan=False, allow_infinity=False), n)
-            for _ in range(3)]
+    return [_column(data, FINITE, n) for _ in range(3)]
 
 
 def _scan(data):
-    # neighbouring steps differ in voltage, so the reader regroups them; the
-    # bins follow the count table's rules
-    v0 = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=1,
-                                     max_size=5, unique=True)))
+    # neighbouring steps differ in finite voltage, so the reader regroups
+    # them; the bins follow the count table's rules
+    v0 = np.array(data.draw(st.lists(FINITE, min_size=1, max_size=5, unique=True)))
     n = len(v0) * data.draw(st.integers(1, 4))
-    return [v0, np.sort(_column(data, BIN_TIMES, n)),
-            _column(data, COUNTS, n), _column(data, COUNTS, n)]
+    return [v0, _bin_times(data, n), _column(data, COUNTS, n), _column(data, COUNTS, n)]
 
 
 def _delays(data):
     n = data.draw(st.integers(0, 12))
-    return [_column(data, FLOATS, n) for _ in range(3)] + \
+    return [_bin_times(data, n)] + [_column(data, FLOATS, n) for _ in range(2)] + \
         [np.array(data.draw(st.lists(st.sampled_from(DELAY_FLAGS), min_size=n,
                                      max_size=n)), dtype=str)]
 
@@ -207,11 +214,11 @@ def _allan(data):
 
 
 def _scan_write(path, c):
-    write_calibration_scan(path, CalibrationScan(c[0], CountSeries(*c[1:], 1.0)))
+    write_calibration_scan(path, CalibrationScan(c[0], CountSeries(*c[1:], STEP)))
 
 
 def _counts_read(path):
-    series = read_count_series(path, 1.0)
+    series = read_count_series(path, STEP, RUN_KEY)
     return [series.t, series.c1, series.c2]
 
 
@@ -221,7 +228,7 @@ def _bright_read(path):
 
 
 def _scan_read(path):
-    scan = read_calibration_scan(path, 1.0)
+    scan = read_calibration_scan(path, STEP, SCAN_KEY)
     return [scan.v0, scan.counts.t, scan.counts.c1, scan.counts.c2]
 
 
@@ -234,13 +241,13 @@ def _allan_read(path):
 TABLES = {
     "fisher": (_fisher, lambda path, c: write_fisher_curve(path, *c),
                lambda path: _read_table(path, FISHER_HEADER, "f8,f8"), "ff"),
-    "counts": (_counts, lambda path, c: write_count_series(path, CountSeries(*c, 1.0)),
+    "counts": (_counts, lambda path, c: write_count_series(path, CountSeries(*c, STEP)),
                _counts_read, "fii"),
     "bright": (_bright, lambda path, c: write_bright_scan(path, BrightScan(*c)),
                _bright_read, "fff"),
     "calibration_scan": (_scan, _scan_write, _scan_read, "ffii"),
     "delays": (_delays, lambda path, c: write_delay_series(path, *c),
-               lambda path: list(read_delay_series(path)), "fffs"),
+               lambda path: list(read_delay_series(path, STEP, RUN_KEY)), "fffs"),
     "allan": (_allan, write_allan_curves, _allan_read, "sifffi"),
 }
 BAD_CELLS = {"f": ["", "x", "1..5", "0x10"], "i": ["", "x", "1.5", "1e3"],
@@ -312,9 +319,9 @@ MALFORMED = {
     "scan_unequal_repeats": (CAL_SCAN_HEADER, SCAN_ROWS[:3]),
     "scan_negative_count": (CAL_SCAN_HEADER, SCAN_ROWS[:3] + ["4.4,0.3,-5,4"]),
 }
-READERS = {COUNT_HEADER: lambda path: read_count_series(path, 1.0),
+READERS = {COUNT_HEADER: lambda path: read_count_series(path, 1.0, RUN_KEY),
            BRIGHT_HEADER: read_bright_scan,
-           CAL_SCAN_HEADER: lambda path: read_calibration_scan(path, 1.0),
+           CAL_SCAN_HEADER: lambda path: read_calibration_scan(path, 0.1, SCAN_KEY),
            ALLAN_HEADER: read_allan_curves}
 
 
@@ -340,15 +347,19 @@ def test_bad_row_named_by_file_line(tmp_path, third_row, reason, blank_lines):
     rows = [COUNT_HEADER, "0.0,1,2"] + [""] * blank_lines + ["1.0,3,4", third_row]
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(DataError) as info:
-        read_count_series(path, 1.0)
+        read_count_series(path, 1.0, RUN_KEY)
     assert str(info.value) == f"cannot read {path}: {reason.format(line=4 + blank_lines)}"
+
+
+def _off_grid(time: str) -> str:
+    """The bin-time rule's message on a table of 1 s bins from t0 = 0."""
+    return (f"bin time {time} s is not t0 + k T with t0 = 0.0 s and T = {RUN_KEY} = 1.0 s; "
+            "bin times must be finite and one T apart, with no row missing or repeated")
 
 
 @pytest.mark.parametrize("third_row,reason", [
     ("2.0,1e-15,1e-18,bogus", "flag 'bogus' is not one of ('ok', 'degenerate', 'window')"),
-    ("3.0,1e-15,1e-18,ok", "bin time 3.0 s is not t0 + k T with t0 = 0.0 s and "
-                           "T = run.integration_time_s = 1.0 s; bin times must be finite "
-                           "and one T apart, with no row missing or repeated"),
+    ("3.0,1e-15,1e-18,ok", _off_grid("3.0")),
 ])
 @pytest.mark.parametrize("blank_lines", [0, 2])
 def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
@@ -365,14 +376,17 @@ def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
     assert error == f"fogsim: error: {path}: line {4 + blank_lines}: {reason}\n"
 
 
-# third data row (and the rows after it) -> the table rule it breaks
+# third data row (and the rows after it) -> the table rule it breaks; count
+# tables are read with 1 s bins, calibration scans with 0.1 s bins
 COUNT_RULES = {
     "negative_count": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["2.0,-5,4"],
                        "counts must be non-negative"),
-    "decreasing_time": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["0.5,5,4"],
-                        "bin times must be non-decreasing"),
-    "infinite_time": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["inf,5,4"],
-                      "bin times must be finite"),
+    "decreasing_time": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["0.5,5,4"], _off_grid("0.5")),
+    "infinite_time": (COUNT_HEADER, "0.0,1,2", "1.0,3,4", ["inf,5,4"], _off_grid("inf")),
+    "scan_voltage_inf": (CAL_SCAN_HEADER, "3.6,0.0,1,2", "3.6,0.1,3,4",
+                         ["inf,0.2,5,4", "inf,0.3,5,4"], "scan voltages must be finite"),
+    "scan_voltage_nan": (CAL_SCAN_HEADER, "3.6,0.0,1,2", "3.6,0.1,3,4",
+                         ["nan,0.2,5,4", "nan,0.3,5,4"], "scan voltages must be finite"),
     "scan_negative_count": (CAL_SCAN_HEADER, "3.6,0.0,1,2", "3.6,0.1,3,4",
                             ["3.7,0.2,-5,4", "3.7,0.3,5,4"], "counts must be non-negative"),
     "scan_unequal_repeats": (CAL_SCAN_HEADER, "3.6,0.0,1,2", "3.6,0.1,3,4",
