@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ParameterError
+from .errors import DataError, ParameterError
 from .model import ModulatorMap, Spectrum, click_probabilities
 
 __all__ = [
@@ -239,7 +239,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
         try:
             step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
         except np.linalg.LinAlgError as exc:
-            raise FitError(f"fringe fit step failed: {exc}") from exc
+            raise DataError(f"fringe fit step failed: {exc}") from exc
         cost = residual @ residual
         damping = 1.0
         while damping >= 1e-12:
@@ -249,7 +249,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
                 break
             damping *= 0.5
         else:
-            raise FitError("fringe fit line search stalled")
+            raise DataError("fringe fit line search stalled")
         rel_change = float(np.max(np.abs(damping * step) /
                                   np.maximum(np.abs(p_try), 1e-30)))
         p = p_try
@@ -257,7 +257,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
             converged = True
             break
     if not converged:
-        raise FitError(
+        raise DataError(
             f"fringe fit did not converge in {_GN_MAX_ITER} iterations "
             f"(last relative step {rel_change:.2e})")
 
@@ -272,7 +272,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
-        raise FitError("singular fringe-fit covariance") from exc
+        raise DataError("singular fringe-fit covariance") from exc
     residual = (y - FringeParams(*p).evaluate(v)) * weight
     errors = np.sqrt(np.diag(cov))
     return FringeFit(
@@ -358,18 +358,18 @@ def fit_linear_calibration(points, window_volt: tuple[float, float] | None = Non
     """Weighted linear least squares of dX against tau (closed form).
 
     Degenerate points are skipped; at least three usable points with
-    positive errors are required, else FitError.  The covariance of
+    positive errors are required, else DataError.  The covariance of
     (k1, k2) comes from the normal equations with the supplied errors taken
     as exact.
     """
     usable = [p for p in points if not p.degenerate]
     if len(usable) < 3:
-        raise FitError(f"need at least 3 usable calibration points, got {len(usable)}")
+        raise DataError(f"need at least 3 usable calibration points, got {len(usable)}")
     tau = np.array([p.tau for p in usable], dtype=np.float64)
     dx = np.array([p.dx for p in usable], dtype=np.float64)
     err = np.array([p.dx_err for p in usable], dtype=np.float64)
     if not np.all(err > 0):
-        raise FitError("all dx_err must be positive")
+        raise DataError("all dx_err must be positive")
 
     x = tau * _FS  # delays in fs keep the normal equations well scaled
     w = 1.0 / err**2
@@ -381,7 +381,7 @@ def fit_linear_calibration(points, window_volt: tuple[float, float] | None = Non
     delta = s_w * s_xx - s_x**2
     scale = s_w * s_xx
     if not delta > 1e-12 * scale:
-        raise FitError("degenerate calibration design (collinear delays)")
+        raise DataError("degenerate calibration design (collinear delays)")
     k1 = (s_w * s_xy - s_x * s_y) / delta
     k2 = (s_xx * s_y - s_x * s_xy) / delta
     var_k1 = s_w / delta

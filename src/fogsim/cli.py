@@ -3,10 +3,10 @@
 Subcommands: fisher, simulate, calibrate, estimate, stability.  ``main``
 loads the config, runs the subcommand and writes ``<last output>.manifest.json``
 with the digests of the files the subcommand read and wrote (fisher writes
-none).  Exit codes:
-0 success, 2 usage or configuration error, 3 data or fit error.  An
-arithmetic error (a floating-point overflow, invalid operation or division
-by zero) stops a command with exit 3, where numpy would warn and go on with
+none).  Exit codes: 0 success; 2 usage or configuration error
+(ParameterError); 3 data or fit error (DataError).  An arithmetic error (a
+floating-point overflow, invalid operation or division by zero) stops a
+command with exit 3, where numpy would warn and go on with
 inf or nan, and names the function it came from; in fisher, whose only
 inputs are its arguments and the config, it is a usage error.  A command
 that runs out of memory exits 3 and names the table or the size it was
@@ -29,7 +29,7 @@ import numpy as np
 from .calibration import (CalibrationSet, combine_inflection, contrast_points_from_scan,
                           estimate_delays, fit_fringe, fit_linear_calibration)
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, DataError, FitError, FogsimError, ParameterError
+from .errors import DataError, FogsimError, ParameterError
 from .io_formats import (file_digest, read_bright_scan, read_calibration_scan,
                          read_calibration_set, read_count_series, read_delay_series,
                          write_allan_curves, write_bright_scan,
@@ -98,7 +98,7 @@ def _fit_channels(bright, sigmas: tuple[float, float], channels: str):
             continue
         try:
             fits[name] = fit_fringe(np.column_stack([bright.v0, power]), sigma)
-        except (FitError, ParameterError) as exc:
+        except (DataError, ParameterError) as exc:
             raise type(exc)(f"fringe fit failed on {name}, weighted by "
                             f"bright_source.power_noise_{name}_w = {sigma!r} W: {exc}") from exc
     return fits
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
                                {name: file_digest(path) for name, path in inputs.items()},
                                {path.name: file_digest(path) for path in outputs})
         return 0
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         _report_error(json_errors, exc)
         return _USAGE_EXIT
     except (FogsimError, ArithmeticError) as exc:

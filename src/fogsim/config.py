@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import FringeParams
-from .errors import ConfigError
+from .errors import ParameterError
 from .geometry import GyroGeometry
 from .model import ModulatorMap, Spectrum
 from .simulate import (BrightSourceSettings, CalibrationProtocol, DriftModel, NoiseModel,
                        RunConfig, overnight_drift)
 
-__all__ = ["ExperimentConfig", "default_config_dict", "load_config", "config_from_dict",
-           "config_hash"]
+__all__ = ["ExperimentConfig", "default_config_dict", "load_config", "config_from_dict"]
 
 SCHEMA_VERSION = 5
 
@@ -98,7 +97,7 @@ def _merge_checked(defaults: dict, override: dict, path: str = "") -> dict:
             merged[key] = default_value
     unknown = set(override) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
+        raise ParameterError(f"unknown config keys: {sorted(path + k for k in unknown)}")
     return merged
 
 
@@ -125,7 +124,7 @@ def _checked(default, value, where: str):
         return float(value)
     else:
         expected = "a finite number"
-    raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    raise ParameterError(f"{where} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -143,13 +142,9 @@ class ExperimentConfig:
 
     @property
     def hash(self) -> str:
-        return config_hash(self.document)
-
-
-def config_hash(document: dict) -> str:
-    """SHA-256 of the canonical JSON rendering of a config document."""
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+        """SHA-256 of the canonical JSON rendering of the config document."""
+        canonical = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # drift config key -> DriftModel field
@@ -163,12 +158,12 @@ def _build_drift(node: dict) -> DriftModel:
     if preset == "custom":
         return DriftModel(**{field: node[key] for key, field in _DRIFT_TERMS.items()})
     if preset not in ("none", "overnight"):
-        raise ConfigError(f"noise.drift.preset must be 'none', 'overnight' or 'custom', "
-                          f"got {preset!r}")
+        raise ParameterError(f"noise.drift.preset must be 'none', 'overnight' or 'custom', "
+                             f"got {preset!r}")
     nonzero = [key for key in _DRIFT_TERMS if node[key]]
     if nonzero:
-        raise ConfigError(f"noise.drift terms {nonzero} apply only with preset "
-                          f"'custom', got preset {preset!r}")
+        raise ParameterError(f"noise.drift terms {nonzero} apply only with preset "
+                             f"'custom', got preset {preset!r}")
     return overnight_drift() if preset == "overnight" else DriftModel()
 
 
@@ -180,42 +175,37 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     """Validate a config document (or None for pure defaults) and construct it."""
     document = _merge_checked(default_config_dict(), user or {})
     if document["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
+        raise ParameterError(
             f"unsupported schema_version {document['schema_version']!r}; "
             f"this build reads version {SCHEMA_VERSION}")
 
-    try:
-        spec_node = document["spectrum"]
-        spectrum = Spectrum(spec_node["lambda0_m"], spec_node["sigma_omega"])
+    spec_node = document["spectrum"]
+    spectrum = Spectrum(spec_node["lambda0_m"], spec_node["sigma_omega"])
 
-        geo_node = document["geometry"]
-        geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],
-                                geo_node["refractive_index"])
+    geo_node = document["geometry"]
+    geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],
+                            geo_node["refractive_index"])
 
-        # The working point only; alpha's uncertainty is measured by calibrate.
-        modulator = ModulatorMap.from_inflection(document["modulator"]["v0i_volt"], 0.0,
-                                                 spectrum)
-        run_node = document["run"]
-        run = RunConfig(rate_total=run_node["rate_total_hz"],
-                        integration_time=run_node["integration_time_s"],
-                        duration=run_node["duration_s"],
-                        tau0=modulator.alpha * run_node["v0_volt"], seed=run_node["seed"])
+    # The working point only; alpha's uncertainty is measured by calibrate.
+    modulator = ModulatorMap.from_inflection(document["modulator"]["v0i_volt"], 0.0,
+                                             spectrum)
+    run_node = document["run"]
+    run = RunConfig(rate_total=run_node["rate_total_hz"],
+                    integration_time=run_node["integration_time_s"],
+                    duration=run_node["duration_s"],
+                    tau0=modulator.alpha * run_node["v0_volt"], seed=run_node["seed"])
 
-        noise_node = document["noise"]
-        noise = NoiseModel(dark_rate_1=noise_node["dark_rate_1_hz"],
-                           dark_rate_2=noise_node["dark_rate_2_hz"],
-                           pump_rel_sigma=noise_node["pump_rel_sigma"],
-                           drift=_build_drift(noise_node["drift"]))
-        bright_node = document["bright_source"]
-        bright = BrightSourceSettings(
-            (bright_node["power_noise_ch1_w"], bright_node["power_noise_ch2_w"]),
-            bright_node["scan_v_min"], bright_node["scan_v_max"], bright_node["scan_points"],
-            _fringe_params(bright_node["ch1"]), _fringe_params(bright_node["ch2"]))
-        protocol = CalibrationProtocol(**document["calibration_protocol"])
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    noise_node = document["noise"]
+    noise = NoiseModel(dark_rate_1=noise_node["dark_rate_1_hz"],
+                       dark_rate_2=noise_node["dark_rate_2_hz"],
+                       pump_rel_sigma=noise_node["pump_rel_sigma"],
+                       drift=_build_drift(noise_node["drift"]))
+    bright_node = document["bright_source"]
+    bright = BrightSourceSettings(
+        (bright_node["power_noise_ch1_w"], bright_node["power_noise_ch2_w"]),
+        bright_node["scan_v_min"], bright_node["scan_v_max"], bright_node["scan_points"],
+        _fringe_params(bright_node["ch1"]), _fringe_params(bright_node["ch2"]))
+    protocol = CalibrationProtocol(**document["calibration_protocol"])
 
     return ExperimentConfig(spectrum, geometry, modulator, run, noise, bright, protocol,
                             document)
@@ -227,12 +217,12 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         return config_from_dict(None)
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
     try:
         user = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
+        raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
-        raise ConfigError(f"config {path} must contain a JSON object")
+        raise ParameterError(f"config {path} must contain a JSON object")
     return config_from_dict(user)

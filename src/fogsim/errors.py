@@ -1,4 +1,4 @@
-"""Exception hierarchy."""
+"""Exception hierarchy: one class per exit code of the command line."""
 
 
 class FogsimError(Exception):
@@ -6,19 +6,13 @@ class FogsimError(Exception):
 
 
 class ParameterError(FogsimError, ValueError):
-    """A model or domain parameter violates its contract."""
-
-
-class FitError(FogsimError, RuntimeError):
-    """Least-squares fit failed to converge or the design is degenerate."""
-
-
-class ConfigError(FogsimError, ValueError):
-    """Configuration document is malformed or inconsistent."""
+    """A config document, a command-line argument or a model or domain
+    parameter violates its contract; the command line exits 2."""
 
 
 class DataError(FogsimError, ValueError):
-    """An input data file is malformed or unusable.
+    """An input data file is malformed or unusable, or a fit on its data
+    fails; the command line exits 3.
 
     Carries the 0-based index of the bad data row as ``row``, if there is one.
     """

@@ -179,10 +179,11 @@ def _write_json(path, doc: dict, version: int = SCHEMA_VERSION) -> None:
 def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
     """The columns of a CSV table, typed by ``dtype`` (e.g. "f8,i8,i8").
 
-    Integer cells must be plain integers and no line is a comment.  String
-    fields are sized one character past the longest valid value, because
-    loadtxt truncates longer strings to the field size.  A bad row is
-    reported by its line number in the file, the header being line 1.
+    The table needs at least one row.  Integer cells must be plain integers
+    and no line is a comment.  String fields are sized one character past
+    the longest valid value, because loadtxt truncates longer strings to the
+    field size.  A bad row raises DataError carrying its data row
+    (_loadtxt_reason); read inside about_file, which names the file.
     """
     try:
         with open(path) as fh:
@@ -190,22 +191,24 @@ def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
             if found == header:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # header-only file
-                    return np.loadtxt(fh, delimiter=",", dtype=np.dtype(dtype),
-                                      comments=None, ndmin=1, unpack=True)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"cannot read {path}: {_with_line_number(path, str(exc))}") from exc
-    raise DataError(f"{path}: expected header {header!r}, got {found!r}")
+                    columns = np.loadtxt(fh, delimiter=",", dtype=np.dtype(dtype),
+                                         comments=None, ndmin=1, unpack=True)
+    except ValueError as exc:  # a bad cell or cell count, or bytes that are not text
+        raise DataError(*_loadtxt_reason(str(exc))) from exc
+    if found != header:
+        raise DataError(f"expected header {header!r}, got {found!r}")
+    if len(columns[0]) == 0:
+        raise DataError("no data rows")
+    return columns
 
 
 _LOADTXT_ROW = re.compile(r" at row (\d+)")
 _LOADTXT_ADVICE = "; use `usecols` to select a subset and avoid this error"
 
 
-def _with_line_number(path, message: str) -> str:
-    """loadtxt's error message with its row number replaced by the file line
-    and without its advice on ``usecols``.
+def _loadtxt_reason(message: str) -> tuple[str, int | None]:
+    """loadtxt's error message without its row number and its advice on
+    ``usecols``, and the data row (from 0) that it names, if any.
 
     loadtxt counts the rows it reads after the header from 0 in a bad-value
     message but from 1 in a column-count message.
@@ -213,11 +216,9 @@ def _with_line_number(path, message: str) -> str:
     message = message.replace(_LOADTXT_ADVICE, "")
     match = _LOADTXT_ROW.search(message)
     if match is None:
-        return message
-    line = _file_line(path, int(match[1]) - (not message.startswith("could not convert")))
-    if line is None:
-        return message
-    return f"{message[:match.start()]} at line {line}{message[match.end():]}"
+        return message, None
+    row = int(match[1]) - (not message.startswith("could not convert"))
+    return message[:match.start()] + message[match.end():], row
 
 
 def _file_line(path, row: int) -> int | None:
@@ -232,21 +233,18 @@ def _file_line(path, row: int) -> int | None:
 
 @contextmanager
 def about_file(path):
-    """Name ``path``, and the file line of the bad row if known, in every
-    DataError raised about the data read from it.  Readers raise DataError
-    with ``row`` inside this; loadtxt's messages aside (_with_line_number),
-    it is the one place that turns a data row into ``path: line N``."""
+    """Name ``path`` in every DataError and OSError raised inside, as a
+    DataError reading ``path: reason``, or ``path: line N: reason`` when the
+    error carries a data row of the file (the header being line 1).  Every
+    reader runs inside this; it is the one place that names a data file."""
     try:
         yield
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except DataError as exc:
-        where = path if exc.row is None else f"{path}: line {_file_line(path, exc.row)}"
+        line = None if exc.row is None else _file_line(path, exc.row)
+        where = path if line is None else f"{path}: line {line}"
         raise DataError(f"{where}: {exc}") from exc
-
-
-def _nonempty(path, columns: list[np.ndarray]) -> list[np.ndarray]:
-    if len(columns[0]) == 0:
-        raise DataError(f"{path}: no data rows")
-    return columns
 
 
 def _check_labels(name: str, values: np.ndarray, allowed: tuple[str, ...]) -> None:
@@ -279,8 +277,8 @@ def write_count_series(path, series: CountSeries) -> None:
 def read_count_series(path, step: float, key: str) -> CountSeries:
     """A count table of bins ``step`` seconds long, the value of the config
     key ``key``; its bin times must lie on the grid of check_bin_times."""
-    t, c1, c2 = _nonempty(path, _read_table(path, COUNT_HEADER, "f8,i8,i8"))
     with about_file(path):
+        t, c1, c2 = _read_table(path, COUNT_HEADER, "f8,i8,i8")
         series = CountSeries(t, c1, c2, step)
         check_bin_times(t, step, key)
     return series
@@ -291,9 +289,9 @@ def write_bright_scan(path, scan: BrightScan) -> None:
 
 
 def read_bright_scan(path) -> BrightScan:
-    v0, power1, power2 = _nonempty(path, _read_table(path, BRIGHT_HEADER, "f8,f8,f8"))
-    bad = np.flatnonzero(~np.isfinite(np.column_stack([v0, power1, power2])).all(axis=1))
     with about_file(path):
+        v0, power1, power2 = _read_table(path, BRIGHT_HEADER, "f8,f8,f8")
+        bad = np.flatnonzero(~np.isfinite(np.column_stack([v0, power1, power2])).all(axis=1))
         if len(bad):
             raise DataError("bright-scan cells must be finite", row=int(bad[0]))
     return BrightScan(v0=v0, power1=power1, power2=power2)
@@ -309,11 +307,11 @@ def read_calibration_scan(path, step: float, key: str) -> CalibrationScan:
     """Rebuild a stepped scan; a step's repeats are consecutive rows sharing a
     finite voltage, and the bins of all steps read as one count table, as
     read_count_series reads it."""
-    v, t, c1, c2 = _nonempty(path, _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8"))
-    nonfinite = np.flatnonzero(~np.isfinite(v))
-    starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
-    sizes = np.diff(np.append(starts, len(v)))
     with about_file(path):
+        v, t, c1, c2 = _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8")
+        nonfinite = np.flatnonzero(~np.isfinite(v))
+        starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
+        sizes = np.diff(np.append(starts, len(v)))
         if len(nonfinite):
             raise DataError("scan voltages must be finite", row=int(nonfinite[0]))
         uneven = np.flatnonzero(sizes != sizes[0])
@@ -338,12 +336,10 @@ def read_delay_series(path, step: float, key: str):
     """Returns (t, tau, sigma_tau, flags) arrays; flags is a str array.
 
     The bin times must lie on the grid of check_bin_times with step
-    ``step``, the value of the config key ``key``.  An empty table is
-    returned as empty arrays so length preconditions can surface as usage
-    errors downstream.
+    ``step``, the value of the config key ``key``.
     """
-    t, tau, sigma, flags = _read_table(path, DELAY_HEADER, "f8,f8,f8,U11")
     with about_file(path):
+        t, tau, sigma, flags = _read_table(path, DELAY_HEADER, "f8,f8,f8,U11")
         _check_labels("flag", flags, DELAY_FLAGS)
         check_bin_times(t, step, key)
     return t, tau, sigma, flags
@@ -358,8 +354,8 @@ def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
 
 
 def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
-    origin, *columns = _read_table(path, ALLAN_HEADER, "U13,i8,f8,f8,f8,i8")
     with about_file(path):
+        origin, *columns = _read_table(path, ALLAN_HEADER, "U13,i8,f8,f8,f8,i8")
         _check_labels("origin", origin, ORIGINS)
     names, first = np.unique(origin, return_index=True)
     return {str(name): {key: column[origin == name] for key, column in
@@ -440,19 +436,20 @@ def write_calibration_set(path, calset: CalibrationSet) -> None:
 
 
 def read_calibration_set(path) -> CalibrationSet:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read calibration set {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    if doc.get("schema_version") != CALIBRATION_SCHEMA_VERSION:
-        raise DataError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}, "
-                        f"expected {CALIBRATION_SCHEMA_VERSION}")
-    try:
-        return _record(CalibrationSet, doc, str(path))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise DataError(f"{path}: missing or ill-typed field: {exc}") from exc
+    with about_file(path):
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (ValueError, RecursionError) as exc:  # not text, not JSON, or nested too deep
+            raise DataError(str(exc)) from exc
+        if not isinstance(doc, dict):
+            raise DataError("expected a JSON object")
+        if doc.get("schema_version") != CALIBRATION_SCHEMA_VERSION:
+            raise DataError(f"unsupported schema_version {doc.get('schema_version')!r}, "
+                            f"expected {CALIBRATION_SCHEMA_VERSION}")
+        try:
+            return _record(CalibrationSet, doc, str(path))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise DataError(f"missing or ill-typed field: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

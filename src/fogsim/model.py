@@ -3,7 +3,7 @@
 Click probabilities of the two interferometer outputs as a function of the
 inter-path delay, the Fisher information they carry about that delay, and
 the modulator voltage-to-delay map.
-All functions are pure and accept scalars or numpy arrays for the delay.
+All functions are pure; a scalar delay gives numpy float64 scalars.
 """
 
 from __future__ import annotations
@@ -99,8 +99,6 @@ def click_probabilities(tau, spectrum: Spectrum):
     fringe = envelope * np.cos(spectrum.omega0 * tau_arr)
     p1 = 0.5 * (1.0 - fringe)
     p2 = 0.5 * (1.0 + fringe)
-    if np.isscalar(tau):
-        return float(p1), float(p2)
     return p1, p2
 
 
@@ -132,8 +130,5 @@ def fisher_information(tau, spectrum: Spectrum):
         np.sqrt(np.abs(x)) < _FISHER_LIMIT_THRESHOLD
     )
     safe = np.where(denominator > 0.0, denominator, 1.0)
-    out = np.where(near_zero, limit, numerator / safe)
-    if np.isscalar(tau):
-        return float(out)
-    return out
+    return np.where(near_zero, limit, numerator / safe)[()]
 

@@ -129,8 +129,6 @@ def series_from_delay_table(tau, flags, t0: float) -> tuple[DelaySeries, int]:
     The table's bin times are not read: read_delay_series has checked that
     they lie t0 apart.
     """
-    if len(tau) == 0:
-        raise ParameterError("no delay samples")
     values = np.where(np.asarray(flags) == "degenerate", np.nan, tau)
     usable = int(np.isfinite(values).sum())
     dropped = len(values) - usable

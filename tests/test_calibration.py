@@ -25,7 +25,7 @@ from fogsim import (
 )
 from fogsim.calibration import (ContrastPoint, _canonicalize, _initial_guess,
                                 normalize_count_arrays)
-from fogsim.errors import FitError, ParameterError
+from fogsim.errors import DataError, ParameterError
 
 TABLE1 = {
     "ch1": FringeParams(f0=482e-9, a=364e-9, w=7.84, v0i=3.85),
@@ -100,7 +100,7 @@ class TestFitFringe:
     def test_failed_step_is_fit_error(self):
         scan = synthetic_scan(TABLE1["ch1"])
         scan[100, 1] = np.nan
-        with pytest.raises(FitError):
+        with pytest.raises(DataError):
             fit_fringe(scan, 1.0)
 
     def test_half_period_span_fits(self):
@@ -271,12 +271,12 @@ class TestFitLinearCalibration:
     def test_collinear_design_rejected(self):
         points = [ContrastPoint(dx=0.1, dx_err=1e-3, tau=1.3e-15)
                   for _ in range(5)]
-        with pytest.raises(FitError):
+        with pytest.raises(DataError):
             fit_linear_calibration(points)
 
     def test_too_few_points(self):
         points = self.points_from_line(TABLE2_K1, TABLE2_K2, [1.2, 1.3], 1e-3)
-        with pytest.raises(FitError):
+        with pytest.raises(DataError):
             fit_linear_calibration(points)
 
 

@@ -364,13 +364,15 @@ class TestStabilityCommand:
         assert run("stability", "--delays", delays,
                    "--out-prefix", tmp_path / "stab") == 2
 
-    def test_empty_input_usage_error(self, tmp_path):
+    def test_empty_input_data_error(self, tmp_path, capsys):
+        """A header-only delay table is a data error, as every empty table is."""
         delays = tmp_path / "delays.csv"
         delays.write_text("t_s,tau_s,sigma_tau_s,flag\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the header-only table reads quietly
             assert run("stability", "--delays", delays,
-                       "--out-prefix", tmp_path / "stab") == 2
+                       "--out-prefix", tmp_path / "stab") == 3
+        assert capsys.readouterr().err == f"fogsim: error: {delays}: no data rows\n"
 
 
 class TestStabilityGaps:
@@ -574,11 +576,13 @@ def _calibrate_case(key, value):
 
 
 def _config_file_case(text):
-    """fisher under a config file that holds ``text``, or that is missing
-    for None."""
+    """fisher under a config file that holds ``text`` (str or bytes), or that
+    is missing for None."""
     def argv(tmp_path, calibrated):
         config = tmp_path / "config.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            config.write_bytes(text)
+        elif text is not None:
             config.write_text(text)
         return ["--config", config, "fisher", "--n-points", 1, "--out", tmp_path / "f.csv"]
     return argv
@@ -700,6 +704,8 @@ BAD_INPUTS = {
         2, "random_walk scale must be non-negative"),
     "config_file_missing": (_config_file_case(None), 2, "cannot read config"),
     "config_file_not_json": (_config_file_case("{\"run\": "), 2, "is not valid JSON"),
+    "config_file_nested_too_deep": (_config_file_case("[" * 100_000), 2, "is not valid JSON"),
+    "config_file_not_text": (_config_file_case(b"{\"run\": \"\xff\"}"), 2, "cannot read config"),
     "config_file_not_object": (_config_file_case("[1, 2]"), 2,
                                "must contain a JSON object"),
     "counts_time_nan": (_counts_times_case([0.0, math.nan, math.nan]), 3,
@@ -1101,7 +1107,7 @@ class TestConfigHandling:
                    "--out", tmp_path / "x.csv")
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["type"] == "ParameterError"
         # a usage error is caught while the arguments are parsed
         assert run("--json-errors", "--workers", 0, "stability", "--delays", "x") == 2
         payload = json.loads(capsys.readouterr().err.strip())

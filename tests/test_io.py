@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import warnings
 from types import SimpleNamespace
 
@@ -196,7 +198,7 @@ def _scan(data):
 
 
 def _delays(data):
-    n = data.draw(st.integers(0, 12))
+    n = data.draw(st.integers(1, 12))
     return [_bin_times(data, n)] + [_column(data, FLOATS, n) for _ in range(2)] + \
         [np.array(data.draw(st.lists(st.sampled_from(DELAY_FLAGS), min_size=n,
                                      max_size=n)), dtype=str)]
@@ -318,11 +320,17 @@ MALFORMED = {
     "scan_no_rows": (CAL_SCAN_HEADER, []),
     "scan_unequal_repeats": (CAL_SCAN_HEADER, SCAN_ROWS[:3]),
     "scan_negative_count": (CAL_SCAN_HEADER, SCAN_ROWS[:3] + ["4.4,0.3,-5,4"]),
+    "delays_no_rows": (DELAY_HEADER, []),
 }
 READERS = {COUNT_HEADER: lambda path: read_count_series(path, 1.0, RUN_KEY),
            BRIGHT_HEADER: read_bright_scan,
            CAL_SCAN_HEADER: lambda path: read_calibration_scan(path, 0.1, SCAN_KEY),
+           DELAY_HEADER: lambda path: read_delay_series(path, 1.0, RUN_KEY),
            ALLAN_HEADER: read_allan_curves}
+# every reader of the package, by the file it reads
+READ_KINDS = {"counts": READERS[COUNT_HEADER], "bright": read_bright_scan,
+              "calibration_scan": READERS[CAL_SCAN_HEADER], "delays": READERS[DELAY_HEADER],
+              "allan": read_allan_curves, "calibration_set": read_calibration_set}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -334,21 +342,70 @@ def test_malformed_table_is_data_error(tmp_path, case):
         READERS[header](path)
 
 
+@pytest.mark.parametrize("header", sorted(READERS))
+def test_empty_table_names_file(tmp_path, header):
+    path = tmp_path / "table.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(DataError) as info:
+        READERS[header](path)
+    assert str(info.value) == f"{path}: no data rows"
+
+
+@pytest.mark.parametrize("kind", sorted(READ_KINDS))
+def test_missing_file_named_once(tmp_path, kind):
+    """A reader names a file it cannot open once, with the system's reason."""
+    path = tmp_path / "missing"
+    with pytest.raises(DataError) as info:
+        READ_KINDS[kind](path)
+    assert str(info.value) == f"{path}: {os.strerror(errno.ENOENT)}"
+
+
+@pytest.mark.parametrize("kind", sorted(READ_KINDS))
+def test_non_text_file_is_data_error(tmp_path, kind):
+    """Bytes that do not decode are a DataError that names the file."""
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00\n")
+    with pytest.raises(DataError) as info:
+        READ_KINDS[kind](path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_row_past_the_end_names_file_alone(tmp_path):
+    """A row the file does not have is left out of the message."""
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{COUNT_HEADER}\n0.0,1,2\n")
+    with pytest.raises(DataError) as info, io_formats.about_file(path):
+        raise DataError("reason", row=5)
+    assert str(info.value) == f"{path}: reason"
+
+
+def test_calibration_set_not_an_object(tmp_path):
+    path = tmp_path / "cal.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(DataError) as info:
+        read_calibration_set(path)
+    assert str(info.value) == f"{path}: expected a JSON object"
+    path.write_text("[" * 100_000)  # nested past the decoder's recursion limit
+    with pytest.raises(DataError, match="maximum recursion depth"):
+        read_calibration_set(path)
+
+
 @pytest.mark.parametrize("third_row,reason", [
-    ("2.0,x,5", "could not convert string 'x' to int64 at line {line}, column 2."),
-    ("2.0,5", "the dtype passed requires 3 columns but 2 were found at line {line}"),
+    ("2.0,x,5", "could not convert string 'x' to int64, column 2."),
+    ("2.0,5", "the dtype passed requires 3 columns but 2 were found"),
 ])
 @pytest.mark.parametrize("blank_lines", [0, 2])
 def test_bad_row_named_by_file_line(tmp_path, third_row, reason, blank_lines):
-    """A bad value and a wrong cell count both name the row's line in the
-    file (the header is line 1), counting the empty lines loadtxt skips, and
-    nothing else: no advice of numpy's follows."""
+    """A bad value and a wrong cell count both name the file and the row's
+    line in it (the header is line 1), counting the empty lines loadtxt
+    skips, and nothing else: neither numpy's row number nor its advice
+    follows."""
     path = tmp_path / "counts.csv"
     rows = [COUNT_HEADER, "0.0,1,2"] + [""] * blank_lines + ["1.0,3,4", third_row]
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(DataError) as info:
         read_count_series(path, 1.0, RUN_KEY)
-    assert str(info.value) == f"cannot read {path}: {reason.format(line=4 + blank_lines)}"
+    assert str(info.value) == f"{path}: line {4 + blank_lines}: {reason}"
 
 
 def _off_grid(time: str) -> str:
