@@ -44,6 +44,10 @@ _FS = 1e15
 # as extrapolating beyond the calibrated region.
 _WINDOW_SLACK = 0.10
 
+# Bins per block of estimate_delays, the delay writer's block size.
+_BLOCK_ROWS = 65536
+_FLAGS = np.array(["ok", "degenerate", "window"], dtype=object)
+
 
 @dataclass(frozen=True)
 class FringeParams:
@@ -428,15 +432,24 @@ def estimate_delays(counts, calset: "CalibrationSet"):
 
     ``counts`` needs ``c1``, ``c2`` and ``integration_time`` attributes.
     Returns (tau, sigma_tau, flags): seconds, seconds, and a list with one
-    of "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan.
+    of "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan
+    and flagged degenerate, never window.  The bins are worked _BLOCK_ROWS
+    at a time into preallocated results, so the temporaries of
+    normalize_count_arrays and delay_from_contrast stay block-sized; their
+    arithmetic is elementwise, so the bits are those of one call on the
+    whole series.
     """
-    dx, dx_err, degenerate = normalize_count_arrays(
-        counts.c1, counts.c2, calset.dark_rates, counts.integration_time)
-    tau, sigma, outside = delay_from_contrast(dx, dx_err, calset.linear)
-    flags = np.full(len(tau), "ok", dtype=object)
-    flags[outside & ~degenerate] = "window"
-    flags[degenerate] = "degenerate"
-    return tau, sigma, flags.tolist()
+    c1, c2 = np.asarray(counts.c1), np.asarray(counts.c2)
+    n = len(c1)
+    tau, sigma = np.empty(n), np.empty(n)
+    code = np.empty(n, np.uint8)  # index into _FLAGS
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        dx, dx_err, degenerate = normalize_count_arrays(
+            c1[block], c2[block], calset.dark_rates, counts.integration_time)
+        tau[block], sigma[block], outside = delay_from_contrast(dx, dx_err, calset.linear)
+        code[block] = np.where(degenerate, 1, np.where(outside, 2, 0))
+    return tau, sigma, _FLAGS[code].tolist()
 
 
 def ideal_linear_calibration(spectrum: Spectrum, tau0: float) -> LinearCalibration:

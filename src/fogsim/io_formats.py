@@ -248,10 +248,14 @@ def about_file(path):
 
 
 def _check_labels(name: str, values: np.ndarray, allowed: tuple[str, ...]) -> None:
-    bad = np.flatnonzero(~np.isin(values, allowed))
-    if len(bad):
-        raise DataError(f"{name} {str(values[bad[0]])!r} is not one of {allowed}",
-                        row=int(bad[0]))
+    """Every value must be one of ``allowed``; DataError names the first row
+    that is not.  One comparison per label: np.isin would sort a copy."""
+    good = values == allowed[0]
+    for label in allowed[1:]:
+        good |= values == label
+    if not good.all():
+        row = int(np.argmin(good))
+        raise DataError(f"{name} {str(values[row])!r} is not one of {allowed}", row=row)
 
 
 def file_digest(path) -> str:

@@ -108,12 +108,16 @@ def check_bin_times(t, step: float, key: str) -> None:
     up to k = 10^9.  Raises DataError naming the first row that is off.
     """
     t = np.asarray(t, dtype=np.float64)
-    # a time past the float range, or a nan, is off the grid
+    # |t - (t[0] + k step)| in one buffer; a time past the float range, or a
+    # nan, is off the grid
     with np.errstate(over="ignore", invalid="ignore"):
-        on_grid = np.abs(t - (t[:1] + np.arange(len(t)) * step)) <= 1e-6 * step
-    off = np.flatnonzero(~on_grid)
-    if len(off):
-        row = int(off[0])
+        distance = np.arange(len(t), dtype=np.float64)
+        distance *= step
+        distance += t[:1]
+        np.subtract(t, distance, out=distance)
+        on_grid = np.abs(distance, out=distance) <= 1e-6 * step
+    if not on_grid.all():
+        row = int(np.argmin(on_grid))
         raise DataError(f"bin time {float(t[row])!r} s is not t0 + k T with "
                         f"t0 = {float(t[0])!r} s and T = {key} = {step!r} s; bin times "
                         "must be finite and one T apart, with no row missing or repeated",
@@ -183,11 +187,20 @@ def overlapping_allan_deviation(series: DelaySeries,
     if not np.isfinite(x).all():
         raise ParameterError(f"{n - np.isfinite(x).sum()} non-finite samples in the "
                              f"{series.origin} series; drop them first (drop_nonfinite)")
-    centered = x - x.mean()  # the double difference is shift invariant
-    hi = np.concatenate([[0.0], np.cumsum(centered)])
-    b = hi[1:] - hi[:-1]  # TwoSum: the rounding error of each step of hi
-    lo = np.concatenate([[0.0], np.cumsum((hi[:-1] - (hi[1:] - b)) + (centered - b))])
-    del centered, b
+    # hi and lo built in place, lo[1:] first holding the centered series and
+    # then each TwoSum error: (hi[j] - (hi[j+1] - b)) + (centered[j] - b)
+    # with b = hi[j+1] - hi[j]
+    hi, lo = np.empty(n + 1), np.empty(n + 1)
+    hi[0] = lo[0] = 0.0
+    np.subtract(x, x.mean(), out=lo[1:])  # the double difference is shift invariant
+    np.cumsum(lo[1:], out=hi[1:])
+    b = np.subtract(hi[1:], hi[:-1])
+    lo[1:] -= b
+    np.subtract(hi[1:], b, out=b)
+    np.subtract(hi[:-1], b, out=b)
+    lo[1:] += b
+    del b
+    np.cumsum(lo[1:], out=lo[1:])
     adev = np.empty(len(m_arr))
     buffers = threading.local()
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import statistics
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fogsim import (
     combine_inflection,
     contrast_points_from_scan,
     delay_from_contrast,
+    estimate_delays,
     fit_fringe,
     fit_linear_calibration,
     ideal_linear_calibration,
@@ -341,3 +343,34 @@ class TestContrastPointsFromScan:
         assert points[2].degenerate and math.isnan(points[2].dx_err)
         assert [p.tau for p in points] == pytest.approx((modulator.alpha * v0).tolist(),
                                                         rel=1e-15)
+
+
+class TestEstimateDelays:
+    @pytest.mark.parametrize("edge_kind", ["degenerate", "window"])
+    def test_blocks_match_one_whole_array_call(self, rng, edge_kind):
+        """Worked in blocks of 65,536 bins, estimate_delays gives the bits and
+        flags of one normalize_count_arrays + delay_from_contrast call on the
+        whole series; the flagged bins sit on and next to the block edges."""
+        n = 150_001
+        edges = [65_535, 65_536, 131_072]
+        c1, c2 = rng.poisson(1133, n), rng.poisson(867, n)
+        other_kind = {"degenerate": "window", "window": "degenerate"}[edge_kind]
+        for kind, rows in ((edge_kind, edges), (other_kind, [65_534, 65_537, 131_073])):
+            if kind == "degenerate":
+                c1[rows] = 0
+            else:
+                c1[rows], c2[rows] = 2000, 10
+        counts = CountSeries(np.arange(n) * 0.01, c1, c2, 0.01)
+        calset = SimpleNamespace(dark_rates=(2.0, 3.0), linear=TestDelayFromContrast.calib())
+
+        tau, sigma, flags = estimate_delays(counts, calset)
+
+        dx, dx_err, degenerate = normalize_count_arrays(c1, c2, calset.dark_rates, 0.01)
+        want_tau, want_sigma, outside = delay_from_contrast(dx, dx_err, calset.linear)
+        want_flags = np.where(degenerate, "degenerate", np.where(outside, "window", "ok"))
+        assert np.array_equal(tau.view(np.uint64), want_tau.view(np.uint64))
+        assert np.array_equal(sigma.view(np.uint64), want_sigma.view(np.uint64))
+        assert isinstance(flags, list)
+        assert flags == want_flags.tolist()
+        assert [flags[row] for row in edges] == [edge_kind] * 3
+        assert flags.count("ok") == n - 6

@@ -433,6 +433,24 @@ def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
     assert error == f"fogsim: error: {path}: line {4 + blank_lines}: {reason}\n"
 
 
+@pytest.mark.parametrize("fault", ["flag", "time"])
+def test_fault_on_last_row_of_long_table(tmp_path, fault):
+    """A bad flag or an off-grid time on the last row of a delay table longer
+    than one block of the writer is named by its line."""
+    n = 70_000
+    t = np.arange(n) * 1.0
+    flags = ["ok"] * n
+    if fault == "flag":
+        flags[-1], reason = "bogus", "flag 'bogus' is not one of ('ok', 'degenerate', 'window')"
+    else:
+        t[-1], reason = 70_000.5, _off_grid("70000.5")
+    path = tmp_path / "delays.csv"
+    write_delay_series(path, t, np.full(n, 1e-15), np.full(n, 1e-18), flags)
+    with pytest.raises(DataError) as info:
+        read_delay_series(path, 1.0, RUN_KEY)
+    assert str(info.value) == f"{path}: line {n + 1}: {reason}"
+
+
 # third data row (and the rows after it) -> the table rule it breaks; count
 # tables are read with 1 s bins, calibration scans with 0.1 s bins
 COUNT_RULES = {
