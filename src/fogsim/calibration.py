@@ -46,7 +46,8 @@ _WINDOW_SLACK = 0.10
 
 # Bins per block of estimate_delays, the delay writer's block size.
 _BLOCK_ROWS = 65536
-_FLAGS = np.array(["ok", "degenerate", "window"], dtype=object)
+# The flag of a delay estimate, by the code estimate_delays gives it
+DELAY_FLAGS = ("ok", "degenerate", "window")
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,9 @@ class FringeParams:
 
 
 @dataclass(frozen=True)
-class FringeFit:
-    """Converged fringe fit: parameters, 1-sigma errors and residual stats."""
+class FringeFit(FringeParams):
+    """Converged fringe fit: the fringe, its 1-sigma errors and residual stats."""
 
-    f0: float
-    a: float
-    w: float
-    v0i: float
     f0_err: float
     a_err: float
     w_err: float
@@ -234,9 +231,6 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     weight = 1.0 / np.float64(sigma_power)  # numpy's divide: an overflow raises, not inf
 
     p = _initial_guess(v, y)
-    converged = False
-    rel_change = math.inf
-    iterations = 0
     for iterations in range(1, _GN_MAX_ITER + 1):
         residual = (y - FringeParams(*p).evaluate(v)) * weight
         jac = _fringe_jacobian(v, p) * weight
@@ -258,9 +252,8 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
                                   np.maximum(np.abs(p_try), 1e-30)))
         p = p_try
         if rel_change < _GN_REL_TOL:
-            converged = True
             break
-    if not converged:
+    else:
         raise DataError(
             f"fringe fit did not converge in {_GN_MAX_ITER} iterations "
             f"(last relative step {rel_change:.2e})")
@@ -279,13 +272,8 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
         raise DataError("singular fringe-fit covariance") from exc
     residual = (y - FringeParams(*p).evaluate(v)) * weight
     errors = np.sqrt(np.diag(cov))
-    return FringeFit(
-        f0=float(p[0]), a=float(p[1]), w=float(p[2]), v0i=float(p[3]),
-        f0_err=float(errors[0]), a_err=float(errors[1]),
-        w_err=float(errors[2]), v0i_err=float(errors[3]),
-        chi2=float(residual @ residual), dof=len(v) - 4,
-        n_iterations=iterations,
-    )
+    return FringeFit(*p.tolist(), *errors.tolist(), chi2=float(residual @ residual),
+                     dof=len(v) - 4, n_iterations=iterations)
 
 
 def combine_inflection(estimates) -> tuple[float, float]:
@@ -442,14 +430,14 @@ def estimate_delays(counts, calset: "CalibrationSet"):
     c1, c2 = np.asarray(counts.c1), np.asarray(counts.c2)
     n = len(c1)
     tau, sigma = np.empty(n), np.empty(n)
-    code = np.empty(n, np.uint8)  # index into _FLAGS
+    code = np.empty(n, np.uint8)  # index into DELAY_FLAGS
     for lo in range(0, n, _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
         dx, dx_err, degenerate = normalize_count_arrays(
             c1[block], c2[block], calset.dark_rates, counts.integration_time)
         tau[block], sigma[block], outside = delay_from_contrast(dx, dx_err, calset.linear)
         code[block] = np.where(degenerate, 1, np.where(outside, 2, 0))
-    return tau, sigma, _FLAGS[code].tolist()
+    return tau, sigma, np.array(DELAY_FLAGS, dtype=object)[code].tolist()
 
 
 def ideal_linear_calibration(spectrum: Spectrum, tau0: float) -> LinearCalibration:

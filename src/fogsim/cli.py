@@ -7,8 +7,9 @@ none).  Exit codes: 0 success; 2 usage or configuration error
 (ParameterError); 3 data or fit error (DataError).  An arithmetic error (a
 floating-point overflow, invalid operation or division by zero) stops a
 command with exit 3, where numpy would warn and go on with
-inf or nan, and names the function it came from; in fisher, whose only
-inputs are its arguments and the config, it is a usage error.  A command
+inf or nan, and names the function it came from; in fisher, and in the
+first stage of calibrate --simulate-bright, whose only inputs are their
+arguments and the config, it is a usage error that names the keys.  A command
 that runs out of memory exits 3 and names the table or the size it was
 given.  That holds once this module has loaded: running out at start-up,
 while numpy and its OpenBLAS load, ends in the interpreter's own error (a
@@ -90,17 +91,19 @@ def _cmd_simulate(args, config: ExperimentConfig):
     return {}, [out]
 
 
-def _fit_channels(bright, sigmas: tuple[float, float], channels: str):
-    """The fringe fits of the channels that --channels names, each weighted by its noise."""
+def _fit_channels(bright, sigmas: tuple[float, float], channels: str, arithmetic_error):
+    """The fringe fits of the channels that --channels names, each weighted by its
+    noise; a fit's arithmetic error is raised as ``arithmetic_error``."""
     fits = {}
     for name, power, sigma in zip(("ch1", "ch2"), (bright.power1, bright.power2), sigmas):
         if channels not in ("both", name):
             continue
         try:
             fits[name] = fit_fringe(np.column_stack([bright.v0, power]), sigma)
-        except (DataError, ParameterError) as exc:
-            raise type(exc)(f"fringe fit failed on {name}, weighted by "
-                            f"bright_source.power_noise_{name}_w = {sigma!r} W: {exc}") from exc
+        except (FogsimError, ArithmeticError) as exc:
+            error = arithmetic_error if isinstance(exc, ArithmeticError) else type(exc)
+            raise error(f"fringe fit failed on {name}, weighted by bright_source."
+                        f"power_noise_{name}_w = {sigma!r} W: {_error_text(exc)}") from exc
     return fits
 
 
@@ -109,7 +112,15 @@ def _cmd_calibrate(args, config: ExperimentConfig):
     protocol = config.protocol
 
     if args.simulate_bright:
-        bright = simulate_bright_scan(config.bright_source, config.run.seed)
+        try:
+            bright = simulate_bright_scan(config.bright_source, config.run.seed)
+        except ArithmeticError as exc:
+            # the scan is drawn from the config alone
+            raise ParameterError(
+                f"the bright scan could not be drawn: {_error_text(exc)}; check "
+                "bright_source.power_noise_ch1_w, bright_source.power_noise_ch2_w, "
+                "bright_source.scan_v_min, bright_source.scan_v_max, bright_source.ch1 "
+                "and bright_source.ch2") from exc
         if args.keep_intermediate:
             path = _out_path(args, "bright_scan.csv")
             write_bright_scan(path, bright)
@@ -118,7 +129,8 @@ def _cmd_calibrate(args, config: ExperimentConfig):
         bright = read_bright_scan(args.bright)
         inputs["bright_scan"] = Path(args.bright)
 
-    fits = _fit_channels(bright, config.bright_source.power_noise, args.channels)
+    fits = _fit_channels(bright, config.bright_source.power_noise, args.channels,
+                         ParameterError if args.simulate_bright else DataError)
     v0i, v0i_err = combine_inflection([(f.v0i, f.v0i_err) for f in fits.values()])
     modulator = ModulatorMap.from_inflection(v0i, v0i_err, config.spectrum)
 
@@ -310,10 +322,15 @@ def _raised_in(exc: BaseException) -> str:
     return where
 
 
-def _report_error(json_errors: bool, exc: Exception) -> None:
-    message = str(exc)
+def _error_text(exc: Exception) -> str:
+    """The message of an error; an arithmetic error's names where it was raised."""
     if isinstance(exc, ArithmeticError):
-        message = f"{_arithmetic_text(exc)} (in {_raised_in(exc)})"
+        return f"{_arithmetic_text(exc)} (in {_raised_in(exc)})"
+    return str(exc)
+
+
+def _report_error(json_errors: bool, exc: Exception) -> None:
+    message = _error_text(exc)
     if json_errors:
         payload = {"error": {"type": type(exc).__name__, "message": message}}
         print(json.dumps(payload), file=sys.stderr)

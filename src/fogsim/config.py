@@ -86,30 +86,23 @@ def default_config_dict() -> dict:
     }
 
 
-def _merge_checked(defaults: dict, override: dict, path: str = "") -> dict:
-    """Defaults overlaid with the user document, each value checked against
-    the JSON type of its default; unknown keys are fatal."""
-    merged = {}
-    for key, default_value in defaults.items():
-        if key in override:
-            merged[key] = _checked(default_value, override[key], path + key)
-        else:
-            merged[key] = default_value
-    unknown = set(override) - set(defaults)
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(path + k for k in unknown)}")
-    return merged
-
-
-def _checked(default, value, where: str):
+def _checked(default, value, where: str = ""):
     """``value`` if it has the JSON type of ``default``.
 
-    A string default takes a string, an integer default a JSON integer >= 0,
+    An object default takes an object: each value is checked against its
+    default, a missing key takes the default and an unknown key is fatal.  A
+    string default takes a string, an integer default a JSON integer >= 0,
     and a float default a finite number, stored as float; no key takes null.
     """
     if isinstance(default, dict):
         if isinstance(value, dict):
-            return _merge_checked(default, value, where + ".")
+            prefix = where + "." if where else ""
+            merged = {key: _checked(entry, value[key], prefix + key) if key in value
+                      else entry for key, entry in default.items()}
+            unknown = set(value) - set(default)
+            if unknown:
+                raise ParameterError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+            return merged
         expected = "an object"
     elif isinstance(default, str):
         if isinstance(value, str):
@@ -173,7 +166,7 @@ def _fringe_params(node: dict) -> FringeParams:
 
 def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     """Validate a config document (or None for pure defaults) and construct it."""
-    document = _merge_checked(default_config_dict(), user or {})
+    document = _checked(default_config_dict(), user or {})
     if document["schema_version"] != SCHEMA_VERSION:
         raise ParameterError(
             f"unsupported schema_version {document['schema_version']!r}; "

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import CalibrationSet, FringeFit, LinearCalibration
+from .calibration import DELAY_FLAGS, CalibrationSet, FringeFit, LinearCalibration
 from .errors import DataError
 from .simulate import RNG_ALGORITHM, BrightScan, CalibrationScan, CountSeries
 from .stability import ORIGINS, AllanCurve, check_bin_times
@@ -48,8 +48,6 @@ BRIGHT_HEADER = "v0_volt,power1_w,power2_w"
 CAL_SCAN_HEADER = "v0_volt,t_s,c1,c2"
 DELAY_HEADER = "t_s,tau_s,sigma_tau_s,flag"
 ALLAN_HEADER = "origin,m,t_s,adev_s,ci_s,n_terms"
-
-DELAY_FLAGS = ("ok", "degenerate", "window")
 
 _WRITE_ROWS = 65536
 # A float 1e-4 <= x < 2**48 that is n / 10**d with 1 <= d <= _PLACES and

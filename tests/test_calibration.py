@@ -25,6 +25,7 @@ from fogsim import (
     ideal_linear_calibration,
     simulate_calibration_scan,
 )
+from fogsim import calibration
 from fogsim.calibration import (ContrastPoint, _canonicalize, _initial_guess,
                                 normalize_count_arrays)
 from fogsim.errors import DataError, ParameterError
@@ -108,6 +109,19 @@ class TestFitFringe:
     def test_half_period_span_fits(self):
         fit = fit_fringe(synthetic_scan(TABLE1["ch1"], n=100, v_lo=0.0, v_hi=8.0), 1.0)
         assert fit.v0i == pytest.approx(3.85, rel=1e-6)
+
+    def test_no_convergence_is_data_error(self, monkeypatch):
+        monkeypatch.setattr(calibration, "_GN_MAX_ITER", 1)
+        with pytest.raises(DataError, match=r"did not converge in 1 iterations "
+                                            r"\(last relative step"):
+            fit_fringe(synthetic_scan(TABLE1["ch1"]), 1.0)
+
+    def test_fit_is_its_fringe(self):
+        fit = fit_fringe(synthetic_scan(TABLE1["ch2"]), 1.0)
+        v = np.linspace(-20.0, 20.0, 401)
+        assert isinstance(fit, FringeParams)
+        np.testing.assert_array_equal(
+            fit.evaluate(v), FringeParams(fit.f0, fit.a, fit.w, fit.v0i).evaluate(v))
 
 
 class TestFringeFitStart:

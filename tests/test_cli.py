@@ -622,6 +622,15 @@ def _overflow_case(workers):
     return argv
 
 
+def _allan_overflow_case(workers):
+    """stability on delays of +-1e200 s, whose squared differences pass the
+    float64 range inside the Allan pool's threads."""
+    def argv(tmp_path, calibrated):
+        tau = 1e200 * (-1.0) ** np.arange(20)
+        return ["--workers", workers, *_stability_case(tau, "ok")(tmp_path, calibrated)]
+    return argv
+
+
 # case -> (argv builder, exit code, a fragment the error message must contain)
 BAD_INPUTS = {
     "seed_fraction": (_config_case("run.seed", 1.9), 2, "run.seed"),
@@ -719,20 +728,36 @@ BAD_INPUTS = {
     "bright_power_nan": (_bright_scan_case("nan"), 3, "bright-scan cells"),
     "bright_power_inf": (_bright_scan_case("inf"), 3, "bright-scan cells"),
     "bright_fringe_w_zero": (_calibrate_case("bright_source.ch1.w_volt", 0.0), 2, "w_volt"),
-    "bright_noise_subnormal": (_calibrate_case("bright_source.power_noise_ch1_w", 5e-324), 3,
+    # stage one of calibrate --simulate-bright reads only the config: its
+    # arithmetic errors are usage errors that name the keys
+    "bright_noise_subnormal": (_calibrate_case("bright_source.power_noise_ch1_w", 5e-324), 2,
+                               "fringe fit failed on ch1, weighted by "
+                               "bright_source.power_noise_ch1_w = 5e-324 W: "
                                "overflow encountered in scalar divide "
                                "(in fogsim.calibration.fit_fringe)"),
-    "bright_noise_1e308": (_calibrate_case("bright_source.power_noise_ch1_w", 1e308), 3,
-                           "(in fogsim.simulate.simulate_bright_scan)"),
+    "bright_noise_1e-300": (_calibrate_case("bright_source.power_noise_ch1_w", 1e-300), 2,
+                            "fringe fit failed on ch1, weighted by "
+                            "bright_source.power_noise_ch1_w = 1e-300 W: "
+                            "overflow encountered in matmul (in fogsim.calibration.fit_fringe)"),
+    "bright_noise_1e308": (_calibrate_case("bright_source.power_noise_ch1_w", 1e308), 2,
+                           "the bright scan could not be drawn: overflow encountered in "
+                           "multiply (in fogsim.simulate.simulate_bright_scan); check "
+                           "bright_source.power_noise_ch1_w, "),
     "bright_power_overflow": (_bright_scan_case("1e308"), 3,
-                              "(in fogsim.calibration.fit_fringe)"),
-    "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 3,
-                                   "(in fogsim.calibration.evaluate)"),
+                              "fringe fit failed on ch1, weighted by "
+                              "bright_source.power_noise_ch1_w = 1e-09 W: overflow "
+                              "encountered in multiply (in fogsim.calibration.fit_fringe)"),
+    "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 2,
+                                   "(in fogsim.calibration.evaluate); check "),
     "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
                               "coil_radius"),
     "delay_time_inf": (_delay_time_case("inf"), 3, "delays.csv: line 2: bin time inf s"),
     "overflow_one_worker": (_overflow_case(1), 3, "(in fogsim.simulate._draw_counts)"),
     "overflow_two_workers": (_overflow_case(2), 3, "(in fogsim.simulate._draw_counts)"),
+    "allan_overflow_one_worker": (_allan_overflow_case(1), 3,
+                                  "overflow encountered in square (in fogsim.stability.compute)"),
+    "allan_overflow_two_workers": (_allan_overflow_case(2), 3,
+                                   "overflow encountered in square (in fogsim.stability.compute)"),
     "error_mode_unknown": (_config_case("calibration_protocol.error_mode", "sem"), 2,
                            "unknown config keys: ['calibration_protocol.error_mode']"),
     "fisher_tau_max_inf": (_fisher_case("--tau-max", "inf"), 2, "tau-max"),
