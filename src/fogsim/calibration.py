@@ -437,7 +437,11 @@ def estimate_delays(counts, calset: "CalibrationSet"):
             c1[block], c2[block], calset.dark_rates, counts.integration_time)
         tau[block], sigma[block], outside = delay_from_contrast(dx, dx_err, calset.linear)
         code[block] = np.where(degenerate, 1, np.where(outside, 2, 0))
-    return tau, sigma, np.array(DELAY_FLAGS, dtype=object)[code].tolist()
+    flags = ["ok"] * n  # only the flagged rows are set one by one
+    flagged = np.flatnonzero(code)
+    for row, flag in zip(flagged.tolist(), code[flagged].tolist()):
+        flags[row] = DELAY_FLAGS[flag]
+    return tau, sigma, flags
 
 
 def ideal_linear_calibration(spectrum: Spectrum, tau0: float) -> LinearCalibration:

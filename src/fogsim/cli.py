@@ -162,9 +162,13 @@ def _cmd_estimate(args, config: ExperimentConfig):
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time,
                                "run.integration_time_s")
+    # the columns are views of one table of 24 B per row, freed before the
+    # write; t is copied first
+    t = series.t.copy()
     tau, sigma, flags = estimate_delays(series, calset)
+    del series
     out = _out_path(args, args.out)
-    write_delay_series(out, series.t, tau, sigma, flags)
+    write_delay_series(out, t, tau, sigma, flags)
     print(f"wrote {out} ({len(tau)} bins, {len(flags) - flags.count('ok')} flagged)")
     return {"counts": Path(args.counts), "calibration": Path(args.calibration)}, [out]
 
@@ -173,8 +177,9 @@ def _cmd_stability(args, config: ExperimentConfig):
     t, tau, sigma, flags = read_delay_series(args.delays, config.run.integration_time,
                                              "run.integration_time_s")
     raw, dropped = series_from_delay_table(tau, flags, config.run.integration_time)
-    # views of one table of 68 B per row, 44 of them the flag: freed before the
-    # Allan kernel's 16 + 16 * workers B per sample; raw is a copy
+    # views of one table of 35 B per row, 11 of them the flag's bytes, and one
+    # flag code per row: freed before the Allan kernel's 16 + 8 * workers B
+    # per sample; raw is a copy
     del t, tau, sigma, flags
     curves = {series.origin: overlapping_allan_deviation(series.drop_nonfinite(),
                                                          workers=args.workers)

@@ -178,9 +178,9 @@ def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
     """The columns of a CSV table, typed by ``dtype`` (e.g. "f8,i8,i8").
 
     The table needs at least one row.  Integer cells must be plain integers
-    and no line is a comment.  String fields are sized one character past
-    the longest valid value, because loadtxt truncates longer strings to the
-    field size.  A bad row raises DataError carrying its data row
+    and no line is a comment.  Label fields are bytes sized one character
+    past the longest valid label, because loadtxt truncates longer cells to
+    the field size: none is cut to a valid label.  A bad row raises DataError carrying its data row
     (_loadtxt_reason); read inside about_file, which names the file.
     """
     try:
@@ -219,13 +219,13 @@ def _loadtxt_reason(message: str) -> tuple[str, int | None]:
     return message[:match.start()] + message[match.end():], row
 
 
-def _file_line(path, row: int) -> int | None:
+def _file_line(path, row: int) -> tuple[int, str] | None:
     """The line number in the file of data row ``row`` (from 0), the header
-    being line 1; the empty lines that the reader skips are counted.  None if
-    the file has fewer rows."""
+    being line 1, and the line's text; the empty lines that the reader skips
+    are counted.  None if the file has fewer rows."""
     with open(path, errors="replace") as fh:
         fh.readline()  # the header, line 1
-        lines = (n for n, line in enumerate(fh, start=2) if line != "\n")
+        lines = ((n, line) for n, line in enumerate(fh, start=2) if line != "\n")
         return next(itertools.islice(lines, row, None), None)
 
 
@@ -241,19 +241,29 @@ def about_file(path):
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except DataError as exc:
         line = None if exc.row is None else _file_line(path, exc.row)
-        where = path if line is None else f"{path}: line {line}"
+        where = path if line is None else f"{path}: line {line[0]}"
         raise DataError(f"{where}: {exc}") from exc
 
 
-def _check_labels(name: str, values: np.ndarray, allowed: tuple[str, ...]) -> None:
-    """Every value must be one of ``allowed``; DataError names the first row
-    that is not.  One comparison per label: np.isin would sort a copy."""
-    good = values == allowed[0]
-    for label in allowed[1:]:
-        good |= values == label
+def _label_codes(path, column: int, name: str, values: np.ndarray,
+                 allowed: tuple[str, ...]) -> np.ndarray:
+    """The index in ``allowed`` of each label of a bytes column, as uint8.
+
+    A label that is none of them raises DataError naming its row and the
+    cell as the file spells it: loadtxt stores a cell as Latin-1 bytes cut
+    to the field size, so the message takes the cell from the file's line.
+    """
+    codes = np.zeros(len(values), np.uint8)
+    good = values == allowed[0].encode()
+    for code, label in enumerate(allowed[1:], start=1):
+        hit = values == label.encode()
+        codes[hit] = code
+        good |= hit
     if not good.all():
         row = int(np.argmin(good))
-        raise DataError(f"{name} {str(values[row])!r} is not one of {allowed}", row=row)
+        cell = _file_line(path, row)[1].rstrip("\n").split(",")[column]
+        raise DataError(f"{name} {cell!r} is not one of {allowed}", row=row)
+    return codes
 
 
 def file_digest(path) -> str:
@@ -335,14 +345,15 @@ def write_delay_series(path, t, tau, sigma_tau, flags) -> None:
 
 
 def read_delay_series(path, step: float, key: str):
-    """Returns (t, tau, sigma_tau, flags) arrays; flags is a str array.
+    """Returns (t, tau, sigma_tau, flags) arrays; flags holds one uint8 code
+    per row, the index of its label in DELAY_FLAGS.
 
     The bin times must lie on the grid of check_bin_times with step
     ``step``, the value of the config key ``key``.
     """
     with about_file(path):
-        t, tau, sigma, flags = _read_table(path, DELAY_HEADER, "f8,f8,f8,U11")
-        _check_labels("flag", flags, DELAY_FLAGS)
+        t, tau, sigma, labels = _read_table(path, DELAY_HEADER, "f8,f8,f8,S11")
+        flags = _label_codes(path, 3, "flag", labels, DELAY_FLAGS)
         check_bin_times(t, step, key)
     return t, tau, sigma, flags
 
@@ -357,12 +368,12 @@ def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
 
 def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
     with about_file(path):
-        origin, *columns = _read_table(path, ALLAN_HEADER, "U13,i8,f8,f8,f8,i8")
-        _check_labels("origin", origin, ORIGINS)
-    names, first = np.unique(origin, return_index=True)
-    return {str(name): {key: column[origin == name] for key, column in
-                        zip(("m", "t", "adev", "ci", "n_terms"), columns)}
-            for name in names[np.argsort(first)]}
+        labels, *columns = _read_table(path, ALLAN_HEADER, "S13,i8,f8,f8,f8,i8")
+        origin = _label_codes(path, 0, "origin", labels, ORIGINS)
+    codes, first = np.unique(origin, return_index=True)
+    return {ORIGINS[code]: {key: column[origin == code] for key, column in
+                            zip(("m", "t", "adev", "ci", "n_terms"), columns)}
+            for code in codes[np.argsort(first)]}
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,14 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
 def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
                   spectrum: Spectrum, noise: NoiseModel, workers: int) -> CountSeries:
     """Counts of n_bins bins at t_k = k T around the set-point delay tau_set
-    (one value, or one per bin), under the run's seed and rate."""
+    (one value, or one per bin), under the run's seed and rate.  At most four
+    full-length columns are held at once: t and tau are freed while the counts
+    are drawn, and t is made again after."""
     key_counts, key_drift = derive_keys(run.seed, 2)
-    t = np.arange(n_bins, dtype=np.float64) * integration_time
-    tau = _delay_track(t, tau_set, noise, key_drift, integration_time)
+    tau = _delay_track(_bin_times(n_bins, integration_time), tau_set, noise, key_drift,
+                       integration_time)
     p1, p2 = click_probabilities(tau, spectrum)
+    del tau
     mean_total = run.rate_total * integration_time
     dark_counts = (noise.dark_rate_1 * integration_time,
                    noise.dark_rate_2 * integration_time)
@@ -276,7 +279,15 @@ def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
     # Pool threads start under numpy's default error handling; each takes the caller's.
     with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
         list(pool.map(fill, slices))
-    return CountSeries(t, c1, c2, integration_time)
+    del p1, p2
+    return CountSeries(_bin_times(n_bins, integration_time), c1, c2, integration_time)
+
+
+def _bin_times(n_bins: int, integration_time: float) -> np.ndarray:
+    """t_k = k T, s, in one buffer."""
+    t = np.arange(n_bins, dtype=np.float64)
+    t *= integration_time
+    return t
 
 
 def simulate_run(config: RunConfig, spectrum: Spectrum, noise: NoiseModel,

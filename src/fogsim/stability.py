@@ -18,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from .calibration import DELAY_FLAGS
 from .constants import EARTH_RATE_RAD_PER_S, rad_per_s_to_deg_per_hour
 from .errors import DataError, ParameterError
 from .geometry import GyroGeometry, delay_to_rotation, figure_of_merit, rotation_to_delay
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 ORIGINS = ("raw", "even", "odd", "differential")
+_DEGENERATE = DELAY_FLAGS.index("degenerate")
+# Terms per block of the Allan kernel's second buffer; blocks of 2,048 to
+# 8,192 terms ran about twice as slow at two workers, 32,768 and more did not.
+_TERM_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -127,13 +132,14 @@ def check_bin_times(t, step: float, key: str) -> None:
 def series_from_delay_table(tau, flags, t0: float) -> tuple[DelaySeries, int]:
     """The delay table as one series of bins t0 apart, its unusable bins set to nan.
 
-    Degenerate and non-finite bins stay in place, so position is bin index
-    and the even/odd split keeps parity across gaps (NIST SP 1065); window
-    flags are warning-grade.  Returns the series and the unusable-bin count.
-    The table's bin times are not read: read_delay_series has checked that
-    they lie t0 apart.
+    ``flags`` holds each bin's flag as read_delay_series gives it: its index
+    in DELAY_FLAGS.  Degenerate and non-finite bins stay in place, so
+    position is bin index and the even/odd split keeps parity across gaps
+    (NIST SP 1065); window flags are warning-grade.  Returns the series and
+    the unusable-bin count.  The table's bin times are not read:
+    read_delay_series has checked that they lie t0 apart.
     """
-    values = np.where(np.asarray(flags) == "degenerate", np.nan, tau)
+    values = np.where(np.asarray(flags) == _DEGENERATE, np.nan, tau)
     usable = int(np.isfinite(values).sum())
     dropped = len(values) - usable
     if usable < 8:
@@ -170,8 +176,11 @@ def overlapping_allan_deviation(series: DelaySeries,
     & Oishi 2005).  In basic float64 operations, whose bytes depend neither
     on the SIMD level nor on the platform's long double, that puts adev
     within 2 ulp of the rounded exact value on offset and drifting series.
-    Each pool thread works in two N-sample buffers.  Non-finite samples
-    raise ParameterError; see DelaySeries.drop_nonfinite.
+    Each pool thread fills one N-sample buffer with the squared terms,
+    _TERM_BLOCK of them at a time through a block-sized second buffer, and
+    sums the whole buffer in one np.sum, so the block size leaves adev's
+    bits alone.  Non-finite samples raise ParameterError; see
+    DelaySeries.drop_nonfinite.
     """
     x = series.values
     n = len(x)
@@ -208,18 +217,23 @@ def overlapping_allan_deviation(series: DelaySeries,
         m = int(m_arr[i])
         k = n - 2 * m + 1  # the overlapping terms at this m
         if not hasattr(buffers, "d"):
-            buffers.d, buffers.e = np.empty(n), np.empty(n)
-        d, e = buffers.d[:k], buffers.e[:k]
-        # hi as (S[j+2m] - S[j+m]) - (S[j+m] - S[j]): each difference is exact
-        # where its two prefix sums agree to a factor 2 (Sterbenz)
-        np.subtract(hi[2 * m:2 * m + k], hi[m:m + k], out=d)
-        np.subtract(hi[m:m + k], hi[:k], out=e)
-        d -= e
-        np.multiply(lo[m:m + k], 2.0, out=e)
-        np.subtract(lo[2 * m:2 * m + k], e, out=e)
-        e += lo[:k]
-        d += e
-        adev[i] = math.sqrt(float(np.sum(np.square(d, out=d))) / (2.0 * m * m * k))
+            buffers.d, buffers.e = np.empty(n), np.empty(min(n, _TERM_BLOCK))
+        d = buffers.d[:k]
+        for start in range(0, k, _TERM_BLOCK):
+            stop = min(start + _TERM_BLOCK, k)
+            s0, s1, s2 = (slice(start + shift, stop + shift) for shift in (0, m, 2 * m))
+            block, e = d[s0], buffers.e[:stop - start]
+            # hi as (S[j+2m] - S[j+m]) - (S[j+m] - S[j]): each difference is
+            # exact where its two prefix sums agree to a factor 2 (Sterbenz)
+            np.subtract(hi[s2], hi[s1], out=block)
+            np.subtract(hi[s1], hi[s0], out=e)
+            block -= e
+            np.multiply(lo[s1], 2.0, out=e)
+            np.subtract(lo[s2], e, out=e)
+            e += lo[s0]
+            block += e
+            np.square(block, out=block)
+        adev[i] = math.sqrt(float(np.sum(d)) / (2.0 * m * m * k))
 
     # Pool threads start under numpy's default error handling; each takes the caller's.
     with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:

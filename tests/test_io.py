@@ -94,7 +94,8 @@ class TestDelaySeriesRoundTrip:
         np.testing.assert_array_equal(t2, t)
         np.testing.assert_array_equal(tau2, tau)
         np.testing.assert_array_equal(sigma2, sigma)
-        assert flags2.tolist() == flags
+        assert flags2.dtype == np.uint8
+        assert [DELAY_FLAGS[code] for code in flags2] == flags
 
 
 class TestAllanCurveRoundTrip:
@@ -234,6 +235,11 @@ def _scan_read(path):
     return [scan.v0, scan.counts.t, scan.counts.c1, scan.counts.c2]
 
 
+def _delays_read(path):
+    *columns, flags = read_delay_series(path, STEP, RUN_KEY)
+    return [*columns, np.array(DELAY_FLAGS)[flags]]
+
+
 def _allan_read(path):
     return {origin: SimpleNamespace(**entry)
             for origin, entry in read_allan_curves(path).items()}
@@ -249,7 +255,7 @@ TABLES = {
                _bright_read, "fff"),
     "calibration_scan": (_scan, _scan_write, _scan_read, "ffii"),
     "delays": (_delays, lambda path, c: write_delay_series(path, *c),
-               lambda path: list(read_delay_series(path, STEP, RUN_KEY)), "fffs"),
+               _delays_read, "fffs"),
     "allan": (_allan, write_allan_curves, _allan_read, "sifffi"),
 }
 BAD_CELLS = {"f": ["", "x", "1..5", "0x10"], "i": ["", "x", "1.5", "1e3"],
@@ -417,12 +423,19 @@ def _off_grid(time: str) -> str:
 @pytest.mark.parametrize("third_row,reason", [
     ("2.0,1e-15,1e-18,bogus", "flag 'bogus' is not one of ('ok', 'degenerate', 'window')"),
     ("3.0,1e-15,1e-18,ok", _off_grid("3.0")),
+] + [(f"2.0,1e-15,1e-18,{flag}",
+      f"flag {flag!r} is not one of ('ok', 'degenerate', 'window')")
+     for flag in ("ök", "degenerateXYZ", "")] + [
+    ("2.0,1e-15,1e-18,€", "could not convert string '€' to |S11, column 4."),
 ])
 @pytest.mark.parametrize("blank_lines", [0, 2])
 def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
                                           blank_lines):
     """fogsim stability names a bad flag and a missing row of a 20-row delay
-    table by the file and the row's line in it."""
+    table by the file and the row's line in it.  The flags are read as
+    bytes, which loadtxt spells in Latin-1 and cuts to 11; a flag that is
+    not ASCII, too long or empty is shown as the file spells it, and one
+    outside Latin-1 fails in loadtxt itself."""
     path = tmp_path / "delays.csv"
     rows = [f"{float(i)!r},1e-15,1e-18,ok" for i in range(20)]
     rows[2] = third_row

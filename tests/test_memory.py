@@ -1,4 +1,4 @@
-"""Traced memory of the per-bin work of estimate and stability.
+"""Traced memory of the per-bin work of simulate, estimate and stability.
 
 Each bound is the traced peak (tracemalloc, which sees numpy's buffers) in
 bytes per bin of one call on 2 x 10^5 bins, measured with numpy 2.4, plus
@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fogsim import CountSeries, DelaySeries, LinearCalibration, overlapping_allan_deviation
+from fogsim import (CountSeries, DelaySeries, LinearCalibration, NoiseModel, RunConfig,
+                    Spectrum, overlapping_allan_deviation, simulate_run)
 from fogsim.calibration import estimate_delays
 from fogsim.io_formats import read_delay_series, write_delay_series
 
@@ -56,20 +57,47 @@ def test_estimate_delays(counts):
 
 
 def test_read_delay_series(tmp_path, counts):
-    """The four columns take 68 B per bin, 44 of them the flag strings.
-    77.0 B/bin measured; 114 with np.isin and a full-length grid check."""
+    """The four columns take 35 B per bin, 11 of them the flag's bytes, and
+    the flag codes 1 B.  45.0 B/bin measured; 77.0 with the flags read as
+    11-character strings, 114 with np.isin and a full-length grid check."""
     path = tmp_path / "delays.csv"
     write_delay_series(path, counts.t, *estimate_delays(counts, CALSET))
     small = tmp_path / "small.csv"
     write_delay_series(small, counts.t[:16], *estimate_delays(_counts(16), CALSET))
     read_delay_series(small, STEP, "run.integration_time_s")
-    assert traced_peak_per_bin(read_delay_series, path, STEP, "run.integration_time_s") < 92
+    assert traced_peak_per_bin(read_delay_series, path, STEP, "run.integration_time_s") < 56
+
+
+def _allan_peak_per_bin(workers: int) -> float:
+    values = 1.3e-15 + 1e-18 * np.random.default_rng(2402).standard_normal(N)
+    overlapping_allan_deviation(DelaySeries(STEP, values[:16]), workers=workers)
+    return traced_peak_per_bin(overlapping_allan_deviation, DelaySeries(STEP, values),
+                               workers=workers)
 
 
 def test_overlapping_allan_deviation():
-    """The prefix sums hi and lo and one worker's two buffers take 32 B per
-    bin.  33.2 B/bin measured; 40.0 with full-length prefix-sum temporaries."""
-    values = 1.3e-15 + 1e-18 * np.random.default_rng(2402).standard_normal(N)
-    overlapping_allan_deviation(DelaySeries(STEP, values[:16]), workers=1)
-    assert traced_peak_per_bin(overlapping_allan_deviation, DelaySeries(STEP, values),
-                               workers=1) < 38
+    """The prefix sums hi and lo take 16 B per bin and the worker's buffer of
+    terms 8 more, its second buffer being block-sized.  27.8 B/bin measured;
+    33.2 with two full-length buffers, 40.0 with full-length prefix-sum
+    temporaries."""
+    assert _allan_peak_per_bin(1) < 34
+
+
+def test_overlapping_allan_deviation_two_workers():
+    """Each worker adds one full-length buffer of terms and a block-sized
+    one.  38.4 B/bin measured; 49.2 with two full-length buffers per worker."""
+    assert _allan_peak_per_bin(2) < 48
+
+
+def _run(n: int) -> CountSeries:
+    config = RunConfig(rate_total=20e3, integration_time=STEP, duration=n * STEP,
+                       tau0=1.294e-15, seed=2403)
+    return simulate_run(config, Spectrum(1550e-9, 0.25e12), NoiseModel(2.0, 3.0, 0.01))
+
+
+def test_simulate_run():
+    """p1, p2, c1 and c2 take 32 B per bin while the counts are drawn, with
+    t and tau freed; each chunk's draw adds its own temporaries.  41.4
+    B/bin measured; 57.4 with t and tau held throughout."""
+    _run(16)
+    assert traced_peak_per_bin(_run, N) < 51

@@ -19,6 +19,7 @@ from fogsim import (
     stability_report,
 )
 from fogsim.errors import DataError, ParameterError
+from fogsim.stability import _TERM_BLOCK
 
 
 def oadev_brute_force(x: np.ndarray, m: int) -> float:
@@ -158,6 +159,32 @@ class TestOverlappingAllanDeviation:
             np.testing.assert_array_equal(curve.adev, curves[0].adev)
         alone = [overlapping_allan_deviation(series, [m]).adev[0] for m in curves[0].m]
         np.testing.assert_array_equal(alone, curves[0].adev)
+
+
+def oadev_whole_array(x: np.ndarray, m: int) -> float:
+    """The kernel's arithmetic on whole arrays: the TwoSum prefix sums hi
+    and lo, every term at once and one np.sum over them."""
+    centered = x - x.mean()
+    hi = np.concatenate([[0.0], np.cumsum(centered)])
+    b = hi[1:] - hi[:-1]
+    lo = np.concatenate([[0.0], np.cumsum((centered - b) + (hi[:-1] - (hi[1:] - b)))])
+    k = len(x) - 2 * m + 1
+    d = (hi[2 * m:2 * m + k] - hi[m:m + k]) - (hi[m:m + k] - hi[:k])
+    e = (lo[2 * m:2 * m + k] - 2.0 * lo[m:m + k]) + lo[:k]
+    return math.sqrt(float(np.sum(np.square(d + e))) / (2.0 * m * m * k))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_allan_blocks_leave_the_bits(rng, edge, workers):
+    """The kernel fills its terms in blocks of _TERM_BLOCK; at m = 1 with
+    _TERM_BLOCK + edge terms, and at the largest m, adev has the bits of the
+    same arithmetic on whole arrays."""
+    n = _TERM_BLOCK + edge + 1  # n - 1 terms at m = 1
+    x = 1.3e-15 + 1e-18 * rng.standard_normal(n) + 1e-21 * np.arange(n)
+    m_grid = [1, (n - 1) // 2]
+    curve = overlapping_allan_deviation(DelaySeries(0.01, x), m_grid, workers=workers)
+    assert curve.adev.tolist() == [oadev_whole_array(x, m) for m in m_grid]
 
 
 class TestDefaultMGrid:
