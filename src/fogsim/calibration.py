@@ -46,6 +46,10 @@ _WINDOW_SLACK = 0.10
 
 # Bins per block of estimate_delays, the delay writer's block size.
 _BLOCK_ROWS = 65536
+# The fewest data each fit takes
+MIN_SCAN_POINTS = 8  # bright-scan points of a fringe fit
+MIN_REPEATS = 2  # non-degenerate repeats of a step, for its std (ddof = 1)
+MIN_STEPS = 3  # usable steps of the contrast line fit
 # The flag of a delay estimate, by the code estimate_delays gives it
 DELAY_FLAGS = ("ok", "degenerate", "window")
 
@@ -223,8 +227,8 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
     covariance (J^T W J)^-1 at the optimum with sigma taken as exact.
     """
     arr = np.asarray(scan, dtype=np.float64)
-    if len(arr) < 8:
-        raise ParameterError(f"need at least 8 scan points, got {len(arr)}")
+    if len(arr) < MIN_SCAN_POINTS:
+        raise ParameterError(f"need at least {MIN_SCAN_POINTS} scan points, got {len(arr)}")
     if not sigma_power > 0:
         raise ParameterError(f"sigma_power must be positive, got {sigma_power!r}")
     v, y = arr[np.argsort(arr[:, 0])].T
@@ -325,7 +329,7 @@ def contrast_points_from_scan(scan, modulator: ModulatorMap,
     A step's delay is alpha * v0 under ``modulator``.  Every bin is normalized
     on its own; a step's contrast is the mean of its n non-degenerate repeats
     and its error the mean's standard error, std(ddof=1) / sqrt(n).  Steps with
-    fewer than two non-degenerate repeats come back flagged degenerate.
+    fewer than MIN_REPEATS non-degenerate repeats come back flagged degenerate.
     """
     counts = scan.counts
     dx, _, degenerate = normalize_count_arrays(counts.c1, counts.c2, dark,
@@ -336,7 +340,7 @@ def contrast_points_from_scan(scan, modulator: ModulatorMap,
                                              dx.reshape(steps), degenerate.reshape(steps)):
         dx_good = dx_step[~degenerate_step]
         n_good = len(dx_good)
-        if n_good < 2:
+        if n_good < MIN_REPEATS:
             points.append(ContrastPoint(dx=math.nan, dx_err=math.nan, tau=tau,
                                         degenerate=True))
             continue
@@ -349,14 +353,14 @@ def fit_linear_calibration(points, window_volt: tuple[float, float] | None = Non
                            ) -> LinearCalibration:
     """Weighted linear least squares of dX against tau (closed form).
 
-    Degenerate points are skipped; at least three usable points with
+    Degenerate points are skipped; at least MIN_STEPS usable points with
     positive errors are required, else DataError.  The covariance of
     (k1, k2) comes from the normal equations with the supplied errors taken
     as exact.
     """
     usable = [p for p in points if not p.degenerate]
-    if len(usable) < 3:
-        raise DataError(f"need at least 3 usable calibration points, got {len(usable)}")
+    if len(usable) < MIN_STEPS:
+        raise DataError(f"need at least {MIN_STEPS} usable calibration steps, got {len(usable)}")
     tau = np.array([p.tau for p in usable], dtype=np.float64)
     dx = np.array([p.dx for p in usable], dtype=np.float64)
     err = np.array([p.dx_err for p in usable], dtype=np.float64)

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import DELAY_FLAGS, CalibrationSet, FringeFit, LinearCalibration
+from .calibration import (DELAY_FLAGS, MIN_SCAN_POINTS, CalibrationSet, FringeFit,
+                          LinearCalibration)
 from .errors import DataError
 from .simulate import RNG_ALGORITHM, BrightScan, CalibrationScan, CountSeries
 from .stability import ORIGINS, AllanCurve, check_bin_times
@@ -301,11 +302,15 @@ def write_bright_scan(path, scan: BrightScan) -> None:
 
 
 def read_bright_scan(path) -> BrightScan:
+    """A bright scan of finite cells and at least MIN_SCAN_POINTS rows."""
     with about_file(path):
         v0, power1, power2 = _read_table(path, BRIGHT_HEADER, "f8,f8,f8")
         bad = np.flatnonzero(~np.isfinite(np.column_stack([v0, power1, power2])).all(axis=1))
         if len(bad):
             raise DataError("bright-scan cells must be finite", row=int(bad[0]))
+        if len(v0) < MIN_SCAN_POINTS:
+            raise DataError(f"{len(v0)} scan points, fewer than the {MIN_SCAN_POINTS} "
+                            "a fringe fit takes")
     return BrightScan(v0=v0, power1=power1, power2=power2)
 
 

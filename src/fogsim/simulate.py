@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import FringeParams
+from .calibration import MIN_REPEATS, MIN_SCAN_POINTS, MIN_STEPS, FringeParams
 from .errors import DataError, ParameterError
 from .model import ModulatorMap, Spectrum, click_probabilities
 
@@ -205,9 +205,15 @@ def _delay_track(t: np.ndarray, tau0, noise: NoiseModel,
     from scipy.special import ndtri
     tau = np.asarray(tau0, dtype=np.float64) + noise.drift.deterministic(t)
     if noise.drift.random_walk > 0.0 and len(t) > 1:
-        u = block_uniforms(key_drift, 0, len(t) - 1)
-        steps = noise.drift.random_walk * math.sqrt(integration_time) * ndtri(u[:, 0])
-        tau = tau + np.concatenate([[0.0], np.cumsum(steps)])
+        # step k is drawn from column 0 of index k's uniforms, _CHUNK steps at a
+        # time; the walk is their running sum, from 0 at bin 0
+        scale = noise.drift.random_walk * math.sqrt(integration_time)
+        walk = np.empty(len(t) - 1)
+        for lo in range(0, len(walk), _CHUNK):
+            block = walk[lo:lo + _CHUNK]
+            np.multiply(scale, ndtri(block_uniforms(key_drift, lo, len(block))[:, 0]),
+                        out=block)
+        tau[1:] += np.cumsum(walk, out=walk)
     return tau
 
 
@@ -319,8 +325,12 @@ class BrightSourceSettings:
     def __post_init__(self):
         if self.ch1.w == 0 or self.ch2.w == 0:
             raise ParameterError("a bright-source fringe needs w_volt != 0")
-        if self.scan_points < 2:
-            raise ParameterError(f"scan_points must be at least 2, got {self.scan_points}")
+        if not self.scan_v_min < self.scan_v_max:
+            raise ParameterError("scan_v_min must be below scan_v_max, got "
+                                 f"{self.scan_v_min} >= {self.scan_v_max}")
+        if self.scan_points < MIN_SCAN_POINTS:
+            raise ParameterError(f"scan_points must be at least {MIN_SCAN_POINTS}, the "
+                                 f"fewest a fringe fit takes, got {self.scan_points}")
         if min(self.power_noise) < 0:
             raise ParameterError("power_noise_ch1_w and power_noise_ch2_w must be "
                                  f"non-negative, got {self.power_noise}")
@@ -341,9 +351,9 @@ class CalibrationProtocol:
         if not self.v_a_volt < self.v_b_volt:
             raise ParameterError("v_a_volt must be below v_b_volt, got "
                                  f"{self.v_a_volt} >= {self.v_b_volt}")
-        for key in ("n_steps", "repeats"):
-            if getattr(self, key) < 2:
-                raise ParameterError(f"{key} must be at least 2, got {getattr(self, key)}")
+        for key, least in (("n_steps", MIN_STEPS), ("repeats", MIN_REPEATS)):
+            if getattr(self, key) < least:
+                raise ParameterError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if not self.integration_time_s > 0:
             raise ParameterError("integration_time_s must be positive, "
                                  f"got {self.integration_time_s}")

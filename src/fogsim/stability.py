@@ -39,6 +39,8 @@ __all__ = [
 
 ORIGINS = ("raw", "even", "odd", "differential")
 _DEGENERATE = DELAY_FLAGS.index("degenerate")
+# The fewest samples of an Allan curve: m = 1 is under the cap floor((N - 1) / 2) from N = 3
+MIN_SAMPLES = 3
 # Terms per block of the Allan kernel's second buffer; blocks of 2,048 to
 # 8,192 terms ran about twice as slow at two workers, 32,768 and more did not.
 _TERM_BLOCK = 65536
@@ -46,7 +48,7 @@ _TERM_BLOCK = 65536
 
 @dataclass(frozen=True)
 class DelaySeries:
-    """Evenly sampled delay estimates: values (s) every t0 seconds."""
+    """Evenly sampled delay estimates, any number of them: values (s) every t0 seconds."""
 
     t0: float
     values: np.ndarray
@@ -56,8 +58,6 @@ class DelaySeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if not self.t0 > 0:
             raise ParameterError(f"t0 must be positive, got {self.t0}")
-        if len(self.values) < 2:
-            raise ParameterError("a delay series needs at least 2 samples")
         if self.origin not in ORIGINS:
             raise ParameterError(f"origin must be one of {ORIGINS}, got {self.origin!r}")
 
@@ -135,24 +135,17 @@ def series_from_delay_table(tau, flags, t0: float) -> tuple[DelaySeries, int]:
     ``flags`` holds each bin's flag as read_delay_series gives it: its index
     in DELAY_FLAGS.  Degenerate and non-finite bins stay in place, so
     position is bin index and the even/odd split keeps parity across gaps
-    (NIST SP 1065); window flags are warning-grade.  Returns the series and
-    the unusable-bin count.  The table's bin times are not read:
-    read_delay_series has checked that they lie t0 apart.
+    (NIST SP 1065); window flags are warning-grade.  Returns the series, of
+    any length, and the unusable-bin count.  The table's bin times are not
+    read: read_delay_series has checked that they lie t0 apart.
     """
     values = np.where(np.asarray(flags) == _DEGENERATE, np.nan, tau)
-    usable = int(np.isfinite(values).sum())
-    dropped = len(values) - usable
-    if usable < 8:
-        raise ParameterError(
-            f"delay series too short after dropping {dropped} flagged bins "
-            f"({usable} < 8)")
+    dropped = len(values) - int(np.isfinite(values).sum())
     return DelaySeries(t0, values, "raw"), dropped
 
 
 def default_m_grid(n_samples: int) -> np.ndarray:
-    """29 log-spaced integer m per decade, deduplicated, capped at floor((N-1)/2)."""
-    if n_samples < 3:
-        raise ParameterError("need at least 3 samples for an Allan analysis")
+    """29 log-spaced integer m per decade, deduplicated, capped at floor((N-1)/2) >= 1."""
     m_max = (n_samples - 1) // 2
     exponents = np.arange(0.0, math.log10(m_max) + 1e-12, 1.0 / 29)
     grid = np.unique(np.round(10.0**exponents).astype(np.int64))
@@ -179,11 +172,14 @@ def overlapping_allan_deviation(series: DelaySeries,
     Each pool thread fills one N-sample buffer with the squared terms,
     _TERM_BLOCK of them at a time through a block-sized second buffer, and
     sums the whole buffer in one np.sum, so the block size leaves adev's
-    bits alone.  Non-finite samples raise ParameterError; see
-    DelaySeries.drop_nonfinite.
+    bits alone.  Fewer than MIN_SAMPLES samples, or non-finite ones, raise
+    ParameterError naming the series' origin; see DelaySeries.drop_nonfinite.
     """
     x = series.values
     n = len(x)
+    if n < MIN_SAMPLES:
+        raise ParameterError(f"the {series.origin} series has {n} samples; an "
+                             f"Allan curve needs at least {MIN_SAMPLES}")
     if m_grid is None:
         m_grid = default_m_grid(n)
     m_arr = np.unique(np.asarray(m_grid, dtype=np.int64))
@@ -246,10 +242,9 @@ def even_odd_split(series: DelaySeries) -> tuple[DelaySeries, DelaySeries, Delay
     """Split into even-index and odd-index sub-series and their difference.
 
     Index 0 is "even"; diff_k = even_k - odd_k, truncated to the shorter
-    length.  All three series sample at 2 * t0.
+    length, which may be too short for an Allan curve.  All three series
+    sample at 2 * t0.
     """
-    if len(series) < 4:
-        raise ParameterError("need at least 4 samples to split even/odd")
     even = series.values[0::2]
     odd = series.values[1::2]
     n = min(len(even), len(odd))

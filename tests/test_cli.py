@@ -365,6 +365,15 @@ class TestStabilityCommand:
         assert run("stability", "--delays", delays,
                    "--out-prefix", tmp_path / "stab") == 2
 
+    def test_seven_bins_run(self, tmp_path):
+        """Seven usable bins give each of the four curves 3 samples or more."""
+        delays = tmp_path / "delays.csv"
+        write_delays(delays, np.arange(7), 1e-15 + 1e-18 * np.sin(np.arange(7)), 1e-18,
+                     ["ok"] * 7)
+        assert run("stability", "--delays", delays, "--out-prefix", tmp_path / "stab") == 0
+        report = json.loads((tmp_path / "stab_report.json").read_text())
+        assert report["series"] == {"n_samples": 7, "t0_s": 1.0, "dropped_bins": 0}
+
     def test_empty_input_data_error(self, tmp_path, capsys):
         """A header-only delay table is a data error, as every empty table is."""
         delays = tmp_path / "delays.csv"
@@ -560,6 +569,23 @@ def _bright_scan_case(token):
     return argv
 
 
+def _odd_bins_degenerate(tmp_path, calibrated):
+    """stability on 16 delays whose odd bins are all degenerate."""
+    delays = tmp_path / "delays.csv"
+    write_delays(delays, np.arange(16), 1e-15 + 1e-18 * np.arange(16) ** 2, 1e-18,
+                 ["ok", "degenerate"] * 8)
+    return ["stability", "--delays", delays, "--out-prefix", tmp_path / "stab"]
+
+
+def _short_bright_scan(tmp_path, calibrated):
+    """calibrate on a bright-scan file of 5 rows."""
+    bright = tmp_path / "bright_scan.csv"
+    bright.write_text("v0_volt,power1_w,power2_w\n" +
+                      "".join(f"{v}.0,1e-07,2e-07\n" for v in range(5)))
+    return ["calibrate", "--bright", bright, "--simulate-counts",
+            "--out", tmp_path / "cal.json"]
+
+
 def _delay_time_case(token):
     def argv(tmp_path, calibrated):
         args = _stability_case(1e-15 + 1e-18 * np.sin(np.arange(20)), "ok")(tmp_path,
@@ -750,6 +776,17 @@ BAD_INPUTS = {
                               "encountered in multiply (in fogsim.calibration.fit_fringe)"),
     "bright_scan_range_overflow": (_calibrate_case("bright_source.scan_v_max", 1e308), 2,
                                    "(in fogsim.calibration.evaluate); check "),
+    # a config that no calibration could finish is refused at load
+    "n_steps_2": (_calibrate_case("calibration_protocol.n_steps", 2), 2,
+                  "n_steps must be at least 3, got 2"),
+    "scan_points_5": (_calibrate_case("bright_source.scan_points", 5), 2,
+                      "scan_points must be at least 8, the fewest a fringe fit takes, got 5"),
+    "bright_window_empty": (_calibrate_case("bright_source.scan_v_min", 16.0), 2,
+                            "scan_v_min must be below scan_v_max, got 16.0 >= 16.0"),
+    "bright_scan_short": (_short_bright_scan, 3, "bright_scan.csv: 5 scan points, fewer "
+                          "than the 8 a fringe fit takes"),
+    "odd_bins_degenerate": (_odd_bins_degenerate, 2,
+                            "the odd series has 0 samples; an Allan curve needs at least 3"),
     "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
                               "coil_radius"),
     "delay_time_inf": (_delay_time_case("inf"), 3, "delays.csv: line 2: bin time inf s"),
@@ -838,11 +875,14 @@ def test_retired_config_fails_every_command(key, tmp_path, small_tables):
 # A broken rule of the calibration sections -> the key its message names
 CALIBRATION_RULES = {
     "scan_points_1": ({"bright_source.scan_points": 1}, "scan_points"),
+    "scan_points_7": ({"bright_source.scan_points": 7}, "scan_points"),
+    "scan_v_max_equal_min": ({"bright_source.scan_v_max": 0.0}, "scan_v_max"),
     "power_noise_negative": ({"bright_source.power_noise_ch1_w": -1e-9},
                              "power_noise_ch1_w"),
     "v_b_equal_v_a": ({"calibration_protocol.v_b_volt": 3.6}, "v_b_volt"),
     "v_b_below_v_a": ({"calibration_protocol.v_b_volt": 3.0}, "v_b_volt"),
     "n_steps_1": ({"calibration_protocol.n_steps": 1}, "n_steps"),
+    "n_steps_2": ({"calibration_protocol.n_steps": 2}, "n_steps"),
     "repeats_1": ({"calibration_protocol.repeats": 1}, "repeats"),
     "integration_time_zero": ({"calibration_protocol.integration_time_s": 0.0},
                               "integration_time_s"),

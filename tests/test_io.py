@@ -19,7 +19,7 @@ from fogsim import (
     overlapping_allan_deviation,
 )
 from fogsim import io_formats
-from fogsim.calibration import FringeFit
+from fogsim.calibration import MIN_SCAN_POINTS, FringeFit
 from fogsim.cli import main
 from fogsim.errors import DataError
 from fogsim.io_formats import (
@@ -185,8 +185,8 @@ def _counts(data):
 
 
 def _bright(data):
-    # a bright scan's cells must be finite
-    n = data.draw(st.integers(1, 12))
+    # a bright scan's cells must be finite, and a fringe fit takes its rows
+    n = data.draw(st.integers(MIN_SCAN_POINTS, 12))
     return [_column(data, FINITE, n) for _ in range(3)]
 
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import pdtr
+from scipy.special import ndtri, pdtr
 from scipy.stats import poisson
 
 from fogsim import (
@@ -24,7 +24,8 @@ from fogsim import (
 )
 from fogsim.calibration import fit_fringe, normalize_count_arrays
 from fogsim.errors import DataError, ParameterError
-from fogsim.simulate import MAX_BINS, _poisson_quantile, _uniforms_from_words, block_uniforms
+from fogsim.simulate import (MAX_BINS, _CHUNK, _delay_track, _poisson_quantile,
+                             _uniforms_from_words, block_uniforms, derive_keys)
 from fogsim.stability import check_bin_times
 
 RATE = 631.6e3
@@ -224,6 +225,18 @@ class TestSimulateRun:
                            tau0=1.294e-15, seed=29)
         assert simulate_run(config, spectrum, noise) == \
             simulate_run(config, spectrum, noise)
+
+    @pytest.mark.parametrize("steps", [4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
+    def test_random_walk_blocks_leave_the_bits(self, steps):
+        """The walk drawn _CHUNK steps at a time is the walk drawn in one
+        block_uniforms call, bit for bit, on both sides of a chunk edge."""
+        noise = NoiseModel(drift=DriftModel(linear=2e-21, random_walk=1e-19))
+        key, t = derive_keys(29, 2)[1], 0.01 * np.arange(steps + 1)
+        whole = block_uniforms(key, 0, steps)[:, 0]
+        walk = np.cumsum(noise.drift.random_walk * math.sqrt(0.01) * ndtri(whole))
+        want = (1.294e-15 + noise.drift.deterministic(t)) + np.concatenate([[0.0], walk])
+        got = _delay_track(t, 1.294e-15, noise, key, 0.01)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_invalid_config(self):
         with pytest.raises(ParameterError):

@@ -19,7 +19,7 @@ from fogsim import (
     stability_report,
 )
 from fogsim.errors import DataError, ParameterError
-from fogsim.stability import _TERM_BLOCK
+from fogsim.stability import ORIGINS, _TERM_BLOCK
 
 
 def oadev_brute_force(x: np.ndarray, m: int) -> float:
@@ -143,6 +143,19 @@ class TestOverlappingAllanDeviation:
         np.testing.assert_allclose(curve.t, 2.0 * curve.m)
         assert np.all(curve.ci == curve.adev / np.sqrt(curve.n_terms))
 
+    @pytest.mark.parametrize("origin", ORIGINS)
+    def test_fewest_samples(self, origin):
+        """A curve takes at least 3 samples, the fewest that put m = 1 under
+        the cap floor((N - 1) / 2); the error names the series."""
+        for n in range(3):
+            with pytest.raises(ParameterError, match=f"^the {origin} series has {n} "
+                               "samples; an Allan curve needs at least 3$"):
+                overlapping_allan_deviation(DelaySeries(1.0, np.arange(n), origin))
+        x = np.array([0.0, 1.0, 3.0])
+        curve = overlapping_allan_deviation(DelaySeries(1.0, x, origin))
+        assert curve.m.tolist() == [1]
+        assert curve.adev[0] == pytest.approx(oadev_brute_force(x, 1), rel=1e-15)
+
     def test_m_out_of_range(self, rng):
         series = DelaySeries(1.0, rng.standard_normal(100))
         with pytest.raises(ParameterError):
@@ -235,8 +248,13 @@ class TestEvenOddSplit:
         np.testing.assert_allclose(adev_diff / math.sqrt(2.0), adev_even, rtol=5e-2)
 
     def test_too_short(self):
-        with pytest.raises(ParameterError):
-            even_odd_split(DelaySeries(1.0, np.array([1.0, 2.0, 3.0])))
+        """A series too short for an Allan curve of each part still splits;
+        the kernel names the part that is too short."""
+        even, odd, diff = even_odd_split(DelaySeries(1.0, np.array([1.0, 2.0, 4.0, 8.0, 9.0])))
+        assert (len(even), len(odd), len(diff)) == (3, 2, 2)
+        overlapping_allan_deviation(even)
+        with pytest.raises(ParameterError, match="the odd series has 2 samples"):
+            overlapping_allan_deviation(odd)
 
 
 class TestDifferentialImmunity:
@@ -431,7 +449,5 @@ class TestDelaySeries:
     def test_validation(self):
         with pytest.raises(ParameterError):
             DelaySeries(0.0, np.array([1.0, 2.0]))
-        with pytest.raises(ParameterError):
-            DelaySeries(1.0, np.array([1.0]))
         with pytest.raises(ParameterError):
             DelaySeries(1.0, np.array([1.0, 2.0]), origin="weird")
