@@ -48,10 +48,14 @@ _WINDOW_SLACK = 0.10
 _BLOCK_ROWS = 65536
 # The fewest data each fit takes
 MIN_SCAN_POINTS = 8  # bright-scan points of a fringe fit
+MIN_SCAN_HALF_PERIODS = 1  # fringe half-periods (w volts each) a fringe fit's scan spans
 MIN_REPEATS = 2  # non-degenerate repeats of a step, for its std (ddof = 1)
 MIN_STEPS = 3  # usable steps of the contrast line fit
 # The flag of a delay estimate, by the code estimate_delays gives it
 DELAY_FLAGS = ("ok", "degenerate", "window")
+OK_CODE = DELAY_FLAGS.index("ok")
+DEGENERATE_CODE = DELAY_FLAGS.index("degenerate")
+WINDOW_CODE = DELAY_FLAGS.index("window")
 
 
 @dataclass(frozen=True)
@@ -264,7 +268,7 @@ def fit_fringe(scan, sigma_power: float) -> FringeFit:
 
     p = _canonicalize(p, float(v[0]), float(v[-1]))
     span = float(v[-1] - v[0])
-    if span < p[2]:
+    if span < MIN_SCAN_HALF_PERIODS * p[2]:
         raise ParameterError(
             f"scan span {span:.3g} V covers less than half a fringe period "
             f"(w = {p[2]:.3g} V); fit is unconstrained"
@@ -440,9 +444,10 @@ def estimate_delays(counts, calset: "CalibrationSet"):
         dx, dx_err, degenerate = normalize_count_arrays(
             c1[block], c2[block], calset.dark_rates, counts.integration_time)
         tau[block], sigma[block], outside = delay_from_contrast(dx, dx_err, calset.linear)
-        code[block] = np.where(degenerate, 1, np.where(outside, 2, 0))
+        code[block] = np.where(degenerate, DEGENERATE_CODE,
+                               np.where(outside, WINDOW_CODE, OK_CODE))
     flags = ["ok"] * n  # only the flagged rows are set one by one
-    flagged = np.flatnonzero(code)
+    flagged = np.flatnonzero(code != OK_CODE)
     for row, flag in zip(flagged.tolist(), code[flagged].tolist()):
         flags[row] = DELAY_FLAGS[flag]
     return tau, sigma, flags

@@ -7,9 +7,11 @@ none).  Exit codes: 0 success; 2 usage or configuration error
 (ParameterError); 3 data or fit error (DataError).  An arithmetic error (a
 floating-point overflow, invalid operation or division by zero) stops a
 command with exit 3, where numpy would warn and go on with
-inf or nan, and names the function it came from; in fisher, and in the
-first stage of calibrate --simulate-bright, whose only inputs are their
-arguments and the config, it is a usage error that names the keys.  A command
+inf or nan, and names the function it came from.  One rule, ``_computing``,
+makes it a usage error that names the computation and its keys where the
+computation's only inputs are the arguments and the config: fisher's curve,
+simulate's run, and calibrate's simulated bright scan, its fringe fits and
+the counting scan drawn from them under --simulate-bright.  A command
 that runs out of memory exits 3 and names the table or the size it was
 given.  That holds once this module has loaded: running out at start-up,
 while numpy and its OpenBLAS load, ends in the interpreter's own error (a
@@ -23,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,22 @@ from .stability import (even_odd_split, overlapping_allan_deviation,
 
 _USAGE_EXIT = 2
 _DATA_EXIT = 3
+
+
+@contextmanager
+def _computing(what: str, from_config: bool = True, check: str = ""):
+    """Name the failing computation ``what``: a FogsimError keeps its class and
+    gains the prefix ``what: ``; an arithmetic error becomes a usage error if the
+    arguments and the config are its only inputs (``from_config``), else a data
+    error, and names where it was raised and then the keys to ``check``."""
+    try:
+        yield
+    except FogsimError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
+    except ArithmeticError as exc:
+        error = ParameterError if from_config else DataError
+        keys = f"; check {check}" if check else ""
+        raise error(f"{what}: {_error_text(exc)}{keys}") from exc
 
 
 def _out_path(args, name: str) -> Path:
@@ -71,40 +90,22 @@ def _cmd_fisher(args, config: ExperimentConfig) -> None:
     if args.n_points > 1 and not args.tau_max > args.tau_min:
         raise ParameterError("tau-max must exceed tau-min")
     grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
-    try:
+    with _computing("the Fisher information failed", check="--tau-min, --tau-max, "
+                    "spectrum.lambda0_m and spectrum.sigma_omega"):
         values = fisher_information(grid, config.spectrum)
-    except ArithmeticError as exc:
-        # fisher reads no data file: its arguments and the config are the inputs
-        raise ParameterError(f"the Fisher information failed: {_arithmetic_text(exc)}; "
-                             "check --tau-min, --tau-max, spectrum.lambda0_m and "
-                             "spectrum.sigma_omega") from exc
     out = _out_path(args, args.out)
     write_fisher_curve(out, grid, values)
     print(f"wrote {out} ({len(grid)} points)")
 
 
 def _cmd_simulate(args, config: ExperimentConfig):
-    series = simulate_run(config.run, config.spectrum, config.noise, workers=args.workers)
+    with _computing("the run could not be drawn",
+                    check="the run, noise, spectrum and modulator keys"):
+        series = simulate_run(config.run, config.spectrum, config.noise, workers=args.workers)
     out = _out_path(args, args.out)
     write_count_series(out, series)
     print(f"wrote {out} ({len(series)} bins)")
     return {}, [out]
-
-
-def _fit_channels(bright, sigmas: tuple[float, float], channels: str, arithmetic_error):
-    """The fringe fits of the channels that --channels names, each weighted by its
-    noise; a fit's arithmetic error is raised as ``arithmetic_error``."""
-    fits = {}
-    for name, power, sigma in zip(("ch1", "ch2"), (bright.power1, bright.power2), sigmas):
-        if channels not in ("both", name):
-            continue
-        try:
-            fits[name] = fit_fringe(np.column_stack([bright.v0, power]), sigma)
-        except (FogsimError, ArithmeticError) as exc:
-            error = arithmetic_error if isinstance(exc, ArithmeticError) else type(exc)
-            raise error(f"fringe fit failed on {name}, weighted by bright_source."
-                        f"power_noise_{name}_w = {sigma!r} W: {_error_text(exc)}") from exc
-    return fits
 
 
 def _cmd_calibrate(args, config: ExperimentConfig):
@@ -112,15 +113,11 @@ def _cmd_calibrate(args, config: ExperimentConfig):
     protocol = config.protocol
 
     if args.simulate_bright:
-        try:
-            bright = simulate_bright_scan(config.bright_source, config.run.seed)
-        except ArithmeticError as exc:
-            # the scan is drawn from the config alone
-            raise ParameterError(
-                f"the bright scan could not be drawn: {_error_text(exc)}; check "
+        with _computing("the bright scan could not be drawn", check=(
                 "bright_source.power_noise_ch1_w, bright_source.power_noise_ch2_w, "
                 "bright_source.scan_v_min, bright_source.scan_v_max, bright_source.ch1 "
-                "and bright_source.ch2") from exc
+                "and bright_source.ch2")):
+            bright = simulate_bright_scan(config.bright_source, config.run.seed)
         if args.keep_intermediate:
             path = _out_path(args, "bright_scan.csv")
             write_bright_scan(path, bright)
@@ -129,14 +126,23 @@ def _cmd_calibrate(args, config: ExperimentConfig):
         bright = read_bright_scan(args.bright)
         inputs["bright_scan"] = Path(args.bright)
 
-    fits = _fit_channels(bright, config.bright_source.power_noise, args.channels,
-                         ParameterError if args.simulate_bright else DataError)
+    fits = {}
+    for name, power, sigma in zip(("ch1", "ch2"), (bright.power1, bright.power2),
+                                  config.bright_source.power_noise):
+        if args.channels in ("both", name):
+            with _computing(f"fringe fit failed on {name}, weighted by bright_source."
+                            f"power_noise_{name}_w = {sigma!r} W", args.simulate_bright):
+                fits[name] = fit_fringe(np.column_stack([bright.v0, power]), sigma)
     v0i, v0i_err = combine_inflection([(f.v0i, f.v0i_err) for f in fits.values()])
     modulator = ModulatorMap.from_inflection(v0i, v0i_err, config.spectrum)
 
     if args.simulate_counts:
-        scan = simulate_calibration_scan(protocol, config.run, config.spectrum, modulator,
-                                         config.noise, workers=args.workers)
+        # stage one's alpha comes from the config alone only under --simulate-bright
+        with _computing("the calibration scan could not be drawn", args.simulate_bright,
+                        check="run.rate_total_hz and the calibration_protocol, noise "
+                        "and spectrum keys"):
+            scan = simulate_calibration_scan(protocol, config.run, config.spectrum,
+                                             modulator, config.noise, workers=args.workers)
         if args.keep_intermediate:
             path = _out_path(args, "calibration_scan.csv")
             write_calibration_scan(path, scan)
@@ -307,11 +313,6 @@ def main(argv=None) -> int:
         return _DATA_EXIT
 
 
-def _arithmetic_text(exc: ArithmeticError) -> str:
-    """The message of an arithmetic error; Python's float ** gives (errno, text)."""
-    return str(exc.args[-1]) if exc.args else type(exc).__name__
-
-
 def _raised_in(exc: BaseException) -> str:
     """module.function of the innermost fogsim frame an exception passed through,
     skipping frames such as ``<listcomp>`` (Python < 3.12) that name no function."""
@@ -328,9 +329,11 @@ def _raised_in(exc: BaseException) -> str:
 
 
 def _error_text(exc: Exception) -> str:
-    """The message of an error; an arithmetic error's names where it was raised."""
+    """The message of an error; an arithmetic error's names where it was raised
+    (Python's float ** gives its args as (errno, text))."""
     if isinstance(exc, ArithmeticError):
-        return f"{_arithmetic_text(exc)} (in {_raised_in(exc)})"
+        text = str(exc.args[-1]) if exc.args else type(exc).__name__
+        return f"{text} (in {_raised_in(exc)})"
     return str(exc)
 
 

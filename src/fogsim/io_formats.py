@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import re
+import sys
 import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -386,9 +387,11 @@ def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 def _num(value, where: str):
-    """A JSON number, unchanged; TypeError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{where} must be a number, got {value!r}")
+    """A finite JSON number, unchanged, under the config's float rule (which
+    also refuses an integer past the float range); TypeError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise TypeError(f"{where} must be a finite number, got {value!r}")
     return value
 
 

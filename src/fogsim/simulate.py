@@ -19,7 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import MIN_REPEATS, MIN_SCAN_POINTS, MIN_STEPS, FringeParams
+from .calibration import (MIN_REPEATS, MIN_SCAN_HALF_PERIODS, MIN_SCAN_POINTS, MIN_STEPS,
+                          FringeParams)
 from .errors import DataError, ParameterError
 from .model import ModulatorMap, Spectrum, click_probabilities
 
@@ -328,6 +329,13 @@ class BrightSourceSettings:
         if not self.scan_v_min < self.scan_v_max:
             raise ParameterError("scan_v_min must be below scan_v_max, got "
                                  f"{self.scan_v_min} >= {self.scan_v_max}")
+        span = self.scan_v_max - self.scan_v_min
+        for name, fringe in (("ch1", self.ch1), ("ch2", self.ch2)):
+            if span < MIN_SCAN_HALF_PERIODS * abs(fringe.w):
+                raise ParameterError(
+                    f"the scan from scan_v_min to scan_v_max spans {span} V, less than "
+                    f"half of {name}'s fringe period, |{name}.w_volt| = {abs(fringe.w)} V, "
+                    "the least a fringe fit takes")
         if self.scan_points < MIN_SCAN_POINTS:
             raise ParameterError(f"scan_points must be at least {MIN_SCAN_POINTS}, the "
                                  f"fewest a fringe fit takes, got {self.scan_points}")

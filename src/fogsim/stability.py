@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import DELAY_FLAGS
+from .calibration import DEGENERATE_CODE
 from .constants import EARTH_RATE_RAD_PER_S, rad_per_s_to_deg_per_hour
 from .errors import DataError, ParameterError
 from .geometry import GyroGeometry, delay_to_rotation, figure_of_merit, rotation_to_delay
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 ORIGINS = ("raw", "even", "odd", "differential")
-_DEGENERATE = DELAY_FLAGS.index("degenerate")
 # The fewest samples of an Allan curve: m = 1 is under the cap floor((N - 1) / 2) from N = 3
 MIN_SAMPLES = 3
 # Terms per block of the Allan kernel's second buffer; blocks of 2,048 to
@@ -139,7 +138,7 @@ def series_from_delay_table(tau, flags, t0: float) -> tuple[DelaySeries, int]:
     any length, and the unusable-bin count.  The table's bin times are not
     read: read_delay_series has checked that they lie t0 apart.
     """
-    values = np.where(np.asarray(flags) == _DEGENERATE, np.nan, tau)
+    values = np.where(np.asarray(flags) == DEGENERATE_CODE, np.nan, tau)
     dropped = len(values) - int(np.isfinite(values).sum())
     return DelaySeries(t0, values, "raw"), dropped
 

@@ -595,10 +595,11 @@ def _delay_time_case(token):
     return argv
 
 
-def _calibrate_case(key, value):
+def _calibrate_case(key, value, *options):
     def argv(tmp_path, calibrated):
         return ["--config", write_config(tmp_path, **{key: value}), "calibrate",
-                "--simulate-bright", "--simulate-counts", "--out", tmp_path / "cal.json"]
+                "--simulate-bright", "--simulate-counts", *options,
+                "--out", tmp_path / "cal.json"]
     return argv
 
 
@@ -646,6 +647,26 @@ def _overflow_case(workers):
     def argv(tmp_path, calibrated):
         return ["--workers", workers,
                 *_simulate_case(**_OVERFLOWING_RUN)(tmp_path, calibrated)]
+    return argv
+
+
+# At a calibration bin of 1 s, a pump gain above 1.03 takes gain * rate * T
+# past the float64 range, whatever the step's click probability.
+_OVERFLOWING_SCAN = {"run.rate_total_hz": 1.75e308,
+                     "calibration_protocol.integration_time_s": 1.0}
+
+
+def _scan_overflow_case(simulate_bright):
+    """calibrate whose simulated counting scan overflows, drawn at the alpha of
+    a simulated bright scan or of one read from a file."""
+    def argv(tmp_path, calibrated):
+        stage_one = ["--simulate-bright"]
+        if not simulate_bright:
+            assert run("--out-dir", tmp_path, "calibrate", "--simulate-bright",
+                       "--simulate-counts", "--keep-intermediate") == 0
+            stage_one = ["--bright", tmp_path / "bright_scan.csv"]
+        return ["--config", write_config(tmp_path, **_OVERFLOWING_SCAN), "calibrate",
+                *stage_one, "--simulate-counts", "--out", tmp_path / "cal.json"]
     return argv
 
 
@@ -755,8 +776,8 @@ BAD_INPUTS = {
     "bright_power_nan": (_bright_scan_case("nan"), 3, "bright-scan cells"),
     "bright_power_inf": (_bright_scan_case("inf"), 3, "bright-scan cells"),
     "bright_fringe_w_zero": (_calibrate_case("bright_source.ch1.w_volt", 0.0), 2, "w_volt"),
-    # stage one of calibrate --simulate-bright reads only the config: its
-    # arithmetic errors are usage errors that name the keys
+    # an arithmetic error in a computation whose only inputs are the config
+    # and the arguments is a usage error that names the computation
     "bright_noise_subnormal": (_calibrate_case("bright_source.power_noise_ch1_w", 5e-324), 2,
                                "fringe fit failed on ch1, weighted by "
                                "bright_source.power_noise_ch1_w = 5e-324 W: "
@@ -783,6 +804,13 @@ BAD_INPUTS = {
                       "scan_points must be at least 8, the fewest a fringe fit takes, got 5"),
     "bright_window_empty": (_calibrate_case("bright_source.scan_v_min", 16.0), 2,
                             "scan_v_min must be below scan_v_max, got 16.0 >= 16.0"),
+    "bright_scan_narrow": (_calibrate_case("bright_source.scan_v_max", 3.0), 2,
+                           "the scan from scan_v_min to scan_v_max spans 3.0 V, less than "
+                           "half of ch1's fringe period, |ch1.w_volt| = 7.84 V"),
+    # both fringes are always simulated, so the rule holds for an unfitted channel
+    "bright_scan_narrow_other_channel": (
+        _calibrate_case("bright_source.ch2.w_volt", -16.5, "--channels", "ch1"), 2,
+        "spans 16.0 V, less than half of ch2's fringe period, |ch2.w_volt| = 16.5 V"),
     "bright_scan_short": (_short_bright_scan, 3, "bright_scan.csv: 5 scan points, fewer "
                           "than the 8 a fringe fit takes"),
     "odd_bins_degenerate": (_odd_bins_degenerate, 2,
@@ -790,8 +818,16 @@ BAD_INPUTS = {
     "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
                               "coil_radius"),
     "delay_time_inf": (_delay_time_case("inf"), 3, "delays.csv: line 2: bin time inf s"),
-    "overflow_one_worker": (_overflow_case(1), 3, "(in fogsim.simulate._draw_counts)"),
-    "overflow_two_workers": (_overflow_case(2), 3, "(in fogsim.simulate._draw_counts)"),
+    "overflow_one_worker": (_overflow_case(1), 2, "(in fogsim.simulate._draw_counts)"),
+    "overflow_two_workers": (_overflow_case(2), 2, "(in fogsim.simulate._draw_counts)"),
+    "scan_overflow_simulated_bright": (_scan_overflow_case(True), 2,
+                                       "the calibration scan could not be drawn: overflow "
+                                       "encountered in multiply "
+                                       "(in fogsim.simulate._draw_counts); check "),
+    "scan_overflow_bright_file": (_scan_overflow_case(False), 3,
+                                  "the calibration scan could not be drawn: overflow "
+                                  "encountered in multiply "
+                                  "(in fogsim.simulate._draw_counts); check "),
     "allan_overflow_one_worker": (_allan_overflow_case(1), 3,
                                   "overflow encountered in square (in fogsim.stability.compute)"),
     "allan_overflow_two_workers": (_allan_overflow_case(2), 3,
@@ -818,6 +854,38 @@ BAD_INPUTS = {
     "two_counts_sources": (_two_sources_case("--counts"), 2,
                            "argument --simulate-counts: not allowed with argument --counts"),
 }
+
+
+# case -> the path of a number in a calibration file
+CALIBRATION_NUMBERS = {"k1": ("linear", "k1_per_fs"), "k2": ("linear", "k2"),
+                       "v0i": ("v0i_volt",), "tau_window": ("linear", "tau_window_s", 1),
+                       "fringe_w": ("fringe_fits", "ch1", "w_volt")}
+NOT_FINITE = {"nan": "NaN", "inf": "Infinity", "minus_inf": "-Infinity",
+              "1e400": "1e400", "int_400_digits": "1" + "0" * 400}
+
+
+@pytest.mark.parametrize("token", sorted(NOT_FINITE))
+@pytest.mark.parametrize("field", sorted(CALIBRATION_NUMBERS))
+def test_calibration_number_must_be_finite(field, token, tmp_path, calibrated):
+    """Every number of a calibration file is finite, as in the config: nan,
+    +-inf or an integer past the float range stops estimate with exit 3 and
+    names the file and the key."""
+    *parents, leaf = CALIBRATION_NUMBERS[field]
+
+    def edit(doc):
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = "@"
+    path = _calibration_with(tmp_path, calibrated, edit)
+    path.write_text(path.read_text().replace('"@"', NOT_FINITE[token]))
+    counts = _counts_csv(tmp_path / "counts.csv", [(500, 400)] * 4)
+    code, err = _run_quietly(["estimate", "--counts", counts, "--calibration", path,
+                              "--out", tmp_path / "delays.csv"])
+    assert code == 3
+    key = leaf if isinstance(leaf, str) else parents[-1]
+    assert err.startswith(f"fogsim: error: {path}: missing or ill-typed field: "
+                          f"{key} must be a finite number, got ")
 
 
 def _run_quietly(argv) -> tuple[int, str]:
@@ -877,6 +945,8 @@ CALIBRATION_RULES = {
     "scan_points_1": ({"bright_source.scan_points": 1}, "scan_points"),
     "scan_points_7": ({"bright_source.scan_points": 7}, "scan_points"),
     "scan_v_max_equal_min": ({"bright_source.scan_v_max": 0.0}, "scan_v_max"),
+    "scan_narrower_than_ch1": ({"bright_source.scan_v_max": 3.0}, "ch1.w_volt"),
+    "scan_narrower_than_ch2": ({"bright_source.ch2.w_volt": -16.5}, "ch2.w_volt"),
     "power_noise_negative": ({"bright_source.power_noise_ch1_w": -1e-9},
                              "power_noise_ch1_w"),
     "v_b_equal_v_a": ({"calibration_protocol.v_b_volt": 3.6}, "v_b_volt"),
