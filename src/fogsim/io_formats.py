@@ -395,6 +395,13 @@ def _num(value, where: str):
     return value
 
 
+def _count(value, where: str):
+    """A non-negative JSON integer, unchanged; TypeError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError(f"{where} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _pair(value, where: str, item=_num) -> tuple:
     """A JSON list of two entries, each checked by ``item``."""
     if not isinstance(value, list) or len(value) != 2:
@@ -428,15 +435,15 @@ _RECORD_KEYS = {
         "f0": ("f0_w", _num), "a": ("a_w", _num), "w": ("w_volt", _num),
         "v0i": ("v0i_volt", _num), "f0_err": ("f0_err_w", _num),
         "a_err": ("a_err_w", _num), "w_err": ("w_err_volt", _num),
-        "v0i_err": ("v0i_err_volt", _num), "chi2": ("chi2", _num), "dof": ("dof", _num),
-        "n_iterations": ("n_iterations", _num),
+        "v0i_err": ("v0i_err_volt", _num), "chi2": ("chi2", _num), "dof": ("dof", _count),
+        "n_iterations": ("n_iterations", _count),
     },
     LinearCalibration: {
         "k1": ("k1_per_fs", _num), "k2": ("k2", _num),
         "covariance": ("covariance", partial(_pair, item=_pair)),
         "tau_window": ("tau_window_s", _pair_or_null),
         "window_volt": ("window_volt", _pair_or_null),
-        "chi2": ("chi2", _num), "dof": ("dof", _num),
+        "chi2": ("chi2", _num), "dof": ("dof", _count),
     },
 }
 

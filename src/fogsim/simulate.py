@@ -203,7 +203,6 @@ class RunConfig:
 def _delay_track(t: np.ndarray, tau0, noise: NoiseModel,
                  key_drift: np.ndarray, integration_time: float) -> np.ndarray:
     """Per-bin delay: set point plus deterministic drift plus random walk."""
-    from scipy.special import ndtri
     tau = np.asarray(tau0, dtype=np.float64) + noise.drift.deterministic(t)
     if noise.drift.random_walk > 0.0 and len(t) > 1:
         # step k is drawn from column 0 of index k's uniforms, _CHUNK steps at a
@@ -212,10 +211,144 @@ def _delay_track(t: np.ndarray, tau0, noise: NoiseModel,
         walk = np.empty(len(t) - 1)
         for lo in range(0, len(walk), _CHUNK):
             block = walk[lo:lo + _CHUNK]
-            np.multiply(scale, ndtri(block_uniforms(key_drift, lo, len(block))[:, 0]),
+            np.multiply(scale, _ndtri(block_uniforms(key_drift, lo, len(block))[:, 0]),
                         out=block)
         tau[1:] += np.cumsum(walk, out=walk)
     return tau
+
+
+# cephes ndtri, the standard normal quantile scipy.special.ndtri computes:
+# a rational function of (u - 1/2)^2 where |u - 1/2| <= 1/2 - e^-2, and in
+# each tail one of 1/x with x = sqrt(-2 log u) below and from 8 on.
+# Coefficients from the highest power down; each Q leads with cephes' implied 1.
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """The polynomial with ``coefs`` (highest power first) at x, by Horner's rule."""
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _per_element(fn, x: np.ndarray) -> np.ndarray:
+    """The float function ``fn`` of the math module at each element of x."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
+
+
+def _ndtri(u: np.ndarray, log=partial(_per_element, math.log)) -> np.ndarray:
+    """The standard normal quantile at each u in (0, 1), in cephes' operation
+    order: bit-equal to scipy.special.ndtri with the default ``log``, math.log,
+    as np.log rounds its last bit by the SIMD level.  Only the tails take logs."""
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    x = np.empty_like(y)
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    c2 = c * c
+    x[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) \
+        * 2.50662827463100050242
+    tail = np.flatnonzero(~mid)
+    s = np.sqrt(-2.0 * log(y[tail]))
+    z = 1.0 / s
+    x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    far = s >= 8.0
+    x1[far] = z[far] * _polevl(z[far], _NDTRI_P2) / _polevl(z[far], _NDTRI_Q2)
+    x[tail] = np.where(upper[tail], 1.0, -1.0) * (s - log(s) / s - x1)
+    return x
+
+
+# d[j][n] of Temme's expansion (DLMF 8.12.12), from the lowest power up, as
+# float() of scipy.special._precompute.gammainc_asy.compute_d(4, 16) computed
+# under mpmath.workdps(50) (mpmath 1.3.0; about 4 minutes)
+_TEMME_D = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+     0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05,
+     -2.1854485106799924e-06, -1.85406221071516e-06, 8.296711340953087e-07,
+     -1.7665952736826078e-07, 6.707853543401498e-09, 1.0261809784240309e-08,
+     -4.382036018453353e-09, 9.14769958223679e-10, -2.551419399494625e-11),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+     4.162792991842583e-10),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.00010736653226365161, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062932e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+     -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617112e-09,
+     9.428356159014678e-13),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+     -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
+     -9.460496661855133e-10),
+)
+# _poisson_cdf settles pdtr(k, lam) >= u where k + 1 >= _TEMME_MIN_K1,
+# lam <= _TEMME_MAX_MEAN and |lam / (k + 1) - 1| <= _TEMME_MAX_T, and
+# |F - u| > _TIE, 37 times its largest difference from pdtr there (2.7e-14
+# on 2.4e7 points).  Above _TEMME_MAX_MEAN pdtr itself strays from the
+# expansion and from mpmath, by up to 4e-11 below 1e6 and 7e-9 below 3e6.
+_TEMME_MIN_K1 = 1e3
+_TEMME_MAX_MEAN = 4e5
+_TEMME_MAX_T = 0.3
+_TIE = 1e-12
+
+
+def _poisson_cdf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """P(N <= k) = Q(k + 1, lam) for N ~ Poisson(lam), by Temme's uniform
+    expansion of the incomplete gamma function to order (k + 1)^-3 (DLMF 8.12;
+    DiDonato and Morris, ACM TOMS 12, 1986).  Accurate only in the region above."""
+    a = k + 1.0
+    t = (lam - a) / a
+    # t - log1p(t) >= 0, but its rounding may fall below 0 next to t = 0
+    eta = np.sign(t) * np.sqrt(np.maximum(2.0 * (t - np.log1p(t)), 0.0))
+    series = np.zeros_like(a)
+    for row in reversed(_TEMME_D):
+        series = series / a + _polevl(eta, row[::-1])
+    return (0.5 * _per_element(math.erfc, eta * np.sqrt(0.5 * a))
+            + np.exp(-0.5 * a * eta * eta) / np.sqrt(2.0 * np.pi * a) * series)
+
+
+def _pdtr_reaches(k: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """pdtr(k, lam) >= u, elementwise.  _poisson_cdf settles each comparison
+    it is sure of; scipy's pdtr, imported here and nowhere else, settles the
+    rest, so pdtr alone still defines every count."""
+    a = k + 1.0
+    inside = np.flatnonzero((a >= _TEMME_MIN_K1) & (lam <= _TEMME_MAX_MEAN)
+                            & (np.abs(lam - a) <= _TEMME_MAX_T * a))
+    reaches = np.zeros(len(k), dtype=bool)
+    unsure = np.ones(len(k), dtype=bool)
+    if inside.size:
+        gap = _poisson_cdf(k[inside], lam[inside]) - u[inside]
+        reaches[inside] = gap > 0.0
+        unsure[inside] = np.abs(gap) <= _TIE
+    if unsure.any():
+        from scipy.special import pdtr
+        reaches[unsure] = pdtr(k[unsure], lam[unsure]) >= u[unsure]
+    return reaches
 
 
 def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -223,29 +356,29 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     This is the definition SciPy's poisson.ppf implements; lam = 0 gives
     0.  The search starts from the Cornish-Fisher guess
-    w = lam + sqrt(lam) z + (z^2 - 1) / 6 with z = ndtri(u), continuity
-    corrected to floor(w + 1/2), then steps down while the count below still
-    reaches u and up while k falls short; each step evaluates pdtr only
-    where k is still moving, about 2 calls per draw.  The start sets only
-    the number of steps: k is fixed by the pdtr comparisons alone.  u must
-    lie in (0, 1); u = 1 would never stop stepping, and neither would a
-    mean so large that k - 1 == k in float64.
+    w = lam + sqrt(lam) z + (z^2 - 1) / 6 with z the normal quantile of u,
+    continuity corrected to floor(w + 1/2), then steps down while the count
+    below still reaches u and up while k falls short; each step compares only
+    where k is still moving, about 2 comparisons per draw, each settled by
+    _pdtr_reaches.  The start sets only the number of steps, so its z may
+    take np.log: k is fixed by the pdtr comparisons alone.  u must lie in
+    (0, 1); u = 1 would never stop stepping, and neither would a mean so
+    large that k - 1 == k in float64.
     """
-    from scipy.special import ndtri, pdtr
     if not np.all(lam <= MAX_MEAN_COUNT):  # also rejects NaN
         raise ParameterError(f"the mean count per bin must be at most "
                              f"{MAX_MEAN_COUNT:.0e}, got {np.max(lam):.3g}")
-    z = ndtri(u)
+    z = _ndtri(u, np.log)
     k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0 + 0.5), 0.0)
     down = np.flatnonzero(k > 0)
     while down.size:
-        down = down[pdtr(k[down] - 1.0, lam[down]) >= u[down]]
+        down = down[_pdtr_reaches(k[down] - 1.0, lam[down], u[down])]
         k[down] -= 1.0
         down = down[k[down] > 0]
-    up = np.flatnonzero(pdtr(k, lam) < u)
+    up = np.flatnonzero(~_pdtr_reaches(k, lam, u))
     while up.size:
         k[up] += 1.0
-        up = up[pdtr(k[up], lam[up]) < u[up]]
+        up = up[~_pdtr_reaches(k[up], lam[up], u[up])]
     return k.astype(np.int64)
 
 
@@ -253,9 +386,8 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
                  p2: np.ndarray, mean_total: float, dark_counts: tuple[float, float],
                  pump_rel_sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts for bins start, start + 1, ...; a pure function of (key, bin index)."""
-    from scipy.special import ndtri
     u = block_uniforms(key_counts, start, len(p1))
-    gain = np.maximum(1.0 + pump_rel_sigma * ndtri(u[:, 0]), 0.0)
+    gain = np.maximum(1.0 + pump_rel_sigma * _ndtri(u[:, 0]), 0.0)
     lam1 = gain * mean_total * p1 + dark_counts[0]
     lam2 = gain * mean_total * p2 + dark_counts[1]
     return _poisson_quantile(u[:, 1], lam1), _poisson_quantile(u[:, 2], lam2)
@@ -392,11 +524,10 @@ def simulate_bright_scan(settings: BrightSourceSettings, seed: int) -> BrightSca
     power_i(v) = f0_i + a_i sin(pi (v - v0i_i) / w_i) plus Gaussian noise of
     the channel's sigma (W), none for a sigma of 0; deterministic under the seed.
     """
-    from scipy.special import ndtri
     v0 = np.linspace(settings.scan_v_min, settings.scan_v_max, settings.scan_points)
     key = derive_keys(seed, 1)[0]
     u = block_uniforms(key, 0, settings.scan_points)
-    powers = [params.evaluate(v0) + sigma * ndtri(u[:, channel])
+    powers = [params.evaluate(v0) + sigma * _ndtri(u[:, channel])
               for channel, (params, sigma) in enumerate(zip((settings.ch1, settings.ch2),
                                                             settings.power_noise))]
     return BrightScan(v0, *powers)

@@ -888,6 +888,34 @@ def test_calibration_number_must_be_finite(field, token, tmp_path, calibrated):
                           f"{key} must be a finite number, got ")
 
 
+# case -> the path of an integer in a calibration file
+CALIBRATION_COUNTS = {"fringe_dof": ("fringe_fits", "ch1", "dof"),
+                      "fringe_iterations": ("fringe_fits", "ch1", "n_iterations"),
+                      "linear_dof": ("linear", "dof")}
+NOT_COUNTS = {"minus_2_5": -2.5, "1_5": 1.5, "minus_1": -1, "true": True}
+
+
+@pytest.mark.parametrize("value", sorted(NOT_COUNTS))
+@pytest.mark.parametrize("field", sorted(CALIBRATION_COUNTS))
+def test_calibration_count_must_be_non_negative_integer(field, value, tmp_path, calibrated):
+    """dof and n_iterations are counts: a fraction, a negative or a boolean
+    stops estimate with exit 3 and names the file and the key."""
+    *parents, leaf = CALIBRATION_COUNTS[field]
+
+    def edit(doc):
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = NOT_COUNTS[value]
+    path = _calibration_with(tmp_path, calibrated, edit)
+    counts = _counts_csv(tmp_path / "counts.csv", [(500, 400)] * 4)
+    code, err = _run_quietly(["estimate", "--counts", counts, "--calibration", path,
+                              "--out", tmp_path / "delays.csv"])
+    assert code == 3
+    assert err == (f"fogsim: error: {path}: missing or ill-typed field: {leaf} must be "
+                   f"a non-negative integer, got {NOT_COUNTS[value]!r}\n")
+
+
 def _run_quietly(argv) -> tuple[int, str]:
     """The exit code and stderr of a command that raises nothing and warns
     nothing; on the command line each warning would be printed to stderr."""
@@ -1137,12 +1165,35 @@ def test_analysis_commands_leave_out_scipy(tmp_path, small_tables):
     assert json.loads(stdout.splitlines()[-1]) == [[], [], []]
 
 
+def test_drawing_commands_leave_out_scipy_at_the_papers_flux(tmp_path):
+    """At the default config's 3*10^5 counts per bin, numpy settles every
+    count comparison, so simulate and calibrate load no scipy; a run of about
+    100 counts per bin still asks scipy's pdtr."""
+    low = write_config(tmp_path, **{"run.rate_total_hz": 20000.0,
+                                    "run.integration_time_s": 0.01, "run.duration_s": 10.0})
+    base = ["--out-dir", str(tmp_path)]
+    commands = [[*base, "simulate"],
+                [*base, "calibrate", "--simulate-bright", "--simulate-counts"],
+                ["--config", low, *base, "simulate", "--out", str(tmp_path / "low.csv")]]
+    code = ("import json, sys\n"
+            "from fogsim.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded.append('scipy.special' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+    stdout = _fresh_python(code, json.dumps(commands))
+    assert json.loads(stdout.splitlines()[-1]) == [False, False, True]
+
+
 _MAIN = "import sys; from fogsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def test_fresh_process_workers_write_same_bytes(tmp_path):
     """--workers 1 and 2 write the same counts when each run is the first
-    in its process to import scipy; 70,000 bins span several chunks."""
+    in its process to draw; 70,000 bins span several chunks.  At about 3,000
+    counts per bin numpy settles the count comparisons, so neither run is
+    likely to import scipy."""
     config = write_config(tmp_path, **{"run.integration_time_s": 0.01,
                                        "run.duration_s": 700.0})
     digests = []

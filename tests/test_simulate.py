@@ -24,8 +24,10 @@ from fogsim import (
 )
 from fogsim.calibration import fit_fringe, normalize_count_arrays
 from fogsim.errors import DataError, ParameterError
-from fogsim.simulate import (MAX_BINS, _CHUNK, _delay_track, _poisson_quantile,
-                             _uniforms_from_words, block_uniforms, derive_keys)
+from fogsim.simulate import (_TEMME_MAX_MEAN, _TEMME_MAX_T, _TEMME_MIN_K1, _TIE, MAX_BINS,
+                             _CHUNK, _delay_track, _ndtri, _pdtr_reaches, _poisson_cdf,
+                             _poisson_quantile, _uniforms_from_words, block_uniforms,
+                             derive_keys)
 from fogsim.stability import check_bin_times
 
 RATE = 631.6e3
@@ -139,6 +141,98 @@ class TestPoissonQuantile:
         for lam in (1e300, math.nan):
             with pytest.raises(ParameterError):
                 _poisson_quantile(np.array([0.5]), np.array([lam]))
+
+
+class TestNdtri:
+    """The numpy normal quantile against scipy.special.ndtri, bit for bit:
+    the pump gain, the drift walk and the bright-scan noise are written."""
+
+    def test_bit_equal_on_philox_uniforms(self):
+        u = block_uniforms(np.array([2029, 7], dtype=np.uint64), 0, 2**18).ravel()
+        np.testing.assert_array_equal(_ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+
+    def test_bit_equal_at_branch_edges(self):
+        """The extreme uniforms, e^-2 and 1 - e^-2 where the central branch
+        ends, and e^-32, where the tail switches at x = 8, each with its
+        neighbouring doubles."""
+        edges = [2.0**-54, 1.0 - 2.0**-53, math.exp(-2.0), 1.0 - math.exp(-2.0),
+                 math.exp(-32.0)]
+        u = np.array([v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))])
+        u = u[(u > 0.0) & (u < 1.0)]
+        assert len(u) == 14
+        np.testing.assert_array_equal(_ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+
+
+def _counting_pdtr(monkeypatch) -> list:
+    """Replace scipy.special.pdtr with a wrapper that records each mean it is
+    asked about; the list it returns fills as the wrapper is called."""
+    import scipy.special
+    asked = []
+
+    def wrapper(k, lam):
+        asked.extend(np.atleast_1d(lam).tolist())
+        return pdtr(k, lam)
+    monkeypatch.setattr(scipy.special, "pdtr", wrapper)
+    return asked
+
+
+class TestPdtrReaches:
+    """_pdtr_reaches(k, lam, u) is pdtr(k, lam) >= u, whichever of numpy's
+    Temme expansion or scipy's pdtr settles it."""
+
+    def test_expansion_close_to_pdtr_inside(self):
+        """Where numpy settles, it is 10 times closer to pdtr than _TIE."""
+        rng = np.random.default_rng(29)
+        lam = np.exp(rng.uniform(np.log(_TEMME_MIN_K1), np.log(_TEMME_MAX_MEAN), 10**6))
+        k = np.floor(lam + rng.uniform(-8.5, 8.5, lam.shape) * np.sqrt(lam))
+        inside = k + 1.0 >= _TEMME_MIN_K1
+        k, lam = k[inside], lam[inside]
+        assert np.max(np.abs(_poisson_cdf(k, lam) - pdtr(k, lam))) < _TIE / 10
+
+    def test_agrees_with_pdtr_inside_and_at_the_bounds(self, monkeypatch):
+        """10^6 comparisons inside the region, on its bounds and one step or
+        one double outside them; u lies within 10^-9 of pdtr or anywhere in
+        (0, 1).  Scipy is asked exactly outside the region and where numpy's
+        value lies within _TIE of u."""
+        rng = np.random.default_rng(2029)
+        n = 10**6
+        a = np.floor(np.exp(rng.uniform(np.log(0.9 * _TEMME_MIN_K1),
+                                        np.log(1.5 * _TEMME_MAX_MEAN), n)))
+        lam = a * (1.0 + rng.uniform(-1.1 * _TEMME_MAX_T, 1.1 * _TEMME_MAX_T, n))
+        edge = np.arange(n) % 8 == 0
+        lam[edge] = a[edge] * rng.choice([1.0 - _TEMME_MAX_T, 1.0 + _TEMME_MAX_T], edge.sum())
+        a[np.arange(n) % 8 == 1] = _TEMME_MIN_K1 - rng.integers(0, 2, n // 8)
+        lam[np.arange(n) % 8 == 2] = np.nextafter(_TEMME_MAX_MEAN, rng.choice([0.0, 1e6],
+                                                                                n // 8))
+        lam[np.arange(n) % 8 == 3] = _TEMME_MAX_MEAN
+        k = a - 1.0
+        exact = pdtr(k, lam)
+        u = np.where(np.arange(n) % 2 == 0,
+                     np.clip(exact + rng.uniform(-1e-9, 1e-9, n), 2.0**-54, 1.0 - 2.0**-53),
+                     rng.uniform(0.0, 1.0, n))
+        asked = _counting_pdtr(monkeypatch)
+        np.testing.assert_array_equal(_pdtr_reaches(k, lam, u), exact >= u)
+        inside = (a >= _TEMME_MIN_K1) & (lam <= _TEMME_MAX_MEAN) \
+            & (np.abs(lam - a) <= _TEMME_MAX_T * a)
+        assert 0.3 * n < inside.sum() < 0.9 * n
+        unsure = ~inside
+        unsure[inside] = np.abs(_poisson_cdf(k[inside], lam[inside]) - u[inside]) <= _TIE
+        assert unsure[inside].sum() > 0
+        np.testing.assert_array_equal(np.sort(asked), np.sort(lam[unsure]))
+
+    def test_near_ties_reach_scipy(self, monkeypatch):
+        """u within _TIE of numpy's value is settled by pdtr, and only there."""
+        rng = np.random.default_rng(4)
+        lam = np.exp(rng.uniform(np.log(2e3), np.log(3e5), 1000))
+        k = np.floor(lam + rng.uniform(-3.0, 3.0, lam.shape) * np.sqrt(lam))
+        near = _poisson_cdf(k, lam) + rng.choice([-0.5, 0.5], lam.shape) * _TIE
+        far = _poisson_cdf(k, lam) + rng.choice([-20.0, 20.0], lam.shape) * _TIE
+        asked = _counting_pdtr(monkeypatch)
+        np.testing.assert_array_equal(_pdtr_reaches(k, lam, near), pdtr(k, lam) >= near)
+        assert asked == lam.tolist()
+        asked.clear()
+        np.testing.assert_array_equal(_pdtr_reaches(k, lam, far), pdtr(k, lam) >= far)
+        assert asked == []
 
 
 class TestSimulateRun:
