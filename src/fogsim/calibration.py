@@ -96,7 +96,8 @@ class LinearCalibration:
     k1 is in 1/fs, k2 dimensionless; ``covariance`` is the 2x2 (k1, k2)
     covariance in the same units.  ``tau_window`` (s) is the delay range
     covered by the calibration points; ``window_volt`` the voltage range
-    that produced them, when known.
+    that produced them, when known.  Each range is (lowest, highest), the
+    first entry below the second.
     """
 
     k1: float
@@ -115,6 +116,11 @@ class LinearCalibration:
                 and -math.inf < cov_12 < math.inf and cov_12 == cov_21):
             raise ParameterError("covariance must be symmetric and finite with a "
                                  f"non-negative diagonal, got {self.covariance}")
+        for name in ("tau_window", "window_volt"):
+            window = getattr(self, name)
+            if window is not None and not window[0] < window[1]:
+                raise ParameterError(f"{name} must have its first entry below its second, "
+                                     f"got {window}")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,13 @@ computation's only inputs are the arguments and the config: fisher's curve,
 simulate's run, and calibrate's simulated bright scan, its fringe fits and
 the counting scan drawn from them under --simulate-bright.  A command
 that runs out of memory exits 3 and names the table or the size it was
-given.  That holds once this module has loaded: running out at start-up,
-while numpy and its OpenBLAS load, ends in the interpreter's own error (a
-traceback, or OpenBLAS's abort) with exit 1.  With --json-errors failures
-are also emitted as a machine-readable JSON object on stderr.
+given; calibrate, which cannot tell which stage ran out, names both: the
+bright scan's table or scan_points, and the counting scan's table or
+n_steps * repeats.  That holds once this module has loaded: running out
+at start-up, while numpy and its OpenBLAS load, ends in the interpreter's
+own error (a traceback, or OpenBLAS's abort) with exit 1.  With
+--json-errors failures are also emitted as a machine-readable JSON object
+on stderr.
 """
 
 from __future__ import annotations
@@ -289,12 +292,18 @@ def main(argv=None) -> int:
                 record = args.func(args, config)
             except MemoryError as exc:
                 table = getattr(args, "delays", None) or getattr(args, "counts", None)
-                if table:
+                if args.command == "calibrate":
+                    size = " and ".join((
+                        f"the bright scan is the table {args.bright}" if args.bright else
+                        "the bright scan has scan_points = "
+                        f"{config.bright_source.scan_points} points",
+                        f"the counting scan is the table {args.counts}" if args.counts else
+                        "the counting scan has n_steps * repeats = "
+                        f"{config.protocol.n_bins} bins"))
+                elif table:
                     size = f"it was given the table {table}"
                 elif args.command == "fisher":
                     size = f"it was given --n-points = {args.n_points}"
-                elif args.command == "calibrate":
-                    size = f"the scan has n_steps * repeats = {config.protocol.n_bins} bins"
                 else:
                     size = f"the run has config.run.n_bins = {config.run.n_bins} bins"
                 raise DataError(f"{args.command} ran out of memory; {size}") from exc

@@ -471,6 +471,9 @@ class BrightSourceSettings:
         if self.scan_points < MIN_SCAN_POINTS:
             raise ParameterError(f"scan_points must be at least {MIN_SCAN_POINTS}, the "
                                  f"fewest a fringe fit takes, got {self.scan_points}")
+        if self.scan_points > MAX_BINS:
+            raise ParameterError(f"a bright scan may have at most {MAX_BINS:.0e} points, "
+                                 f"got scan_points = {self.scan_points}")
         if min(self.power_noise) < 0:
             raise ParameterError("power_noise_ch1_w and power_noise_ch2_w must be "
                                  f"non-negative, got {self.power_noise}")

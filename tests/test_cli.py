@@ -451,6 +451,11 @@ def _calibration_with(tmp_path: Path, calibrated: Path, edit) -> Path:
     return path
 
 
+def _window_case(key, reorder):
+    """estimate on a calibration whose line's window ``key`` is ``reorder(lo, hi)``."""
+    return _estimate_case(lambda d: d["linear"].update({key: reorder(*d["linear"][key])}))
+
+
 def _config_case(key, value):
     def argv(tmp_path, calibrated):
         return ["--config", write_config(tmp_path, **{key: value}),
@@ -706,6 +711,19 @@ BAD_INPUTS = {
         3, "covariance"),
     "calibration_fit_without_chi2": (
         _estimate_case(lambda d: d["fringe_fits"]["ch1"].pop("chi2")), 3, "chi2"),
+    # a reversed window would flag every bin as outside it
+    "calibration_tau_window_reversed": (
+        _window_case("tau_window_s", lambda lo, hi: [hi, lo]), 3,
+        "missing or ill-typed field: tau_window must have its first entry below its second"),
+    "calibration_tau_window_equal": (
+        _window_case("tau_window_s", lambda lo, hi: [lo, lo]), 3,
+        "missing or ill-typed field: tau_window must have its first entry below its second"),
+    "calibration_window_volt_reversed": (
+        _window_case("window_volt", lambda lo, hi: [hi, lo]), 3,
+        "missing or ill-typed field: window_volt must have its first entry below its second"),
+    "calibration_window_volt_equal": (
+        _window_case("window_volt", lambda lo, hi: [lo, lo]), 3,
+        "missing or ill-typed field: window_volt must have its first entry below its second"),
     "negative_counts": (_negative_counts, 3, "counts.csv: line 3: counts must be non-negative"),
     "negative_scan_counts": (_negative_scan_counts, 3,
                              "scan.csv: line 3: counts must be non-negative"),
@@ -972,6 +990,8 @@ def test_retired_config_fails_every_command(key, tmp_path, small_tables):
 CALIBRATION_RULES = {
     "scan_points_1": ({"bright_source.scan_points": 1}, "scan_points"),
     "scan_points_7": ({"bright_source.scan_points": 7}, "scan_points"),
+    "scan_points_over_bin_cap": ({"bright_source.scan_points": 10**9 + 1}, "scan_points"),
+    "scan_points_2_62": ({"bright_source.scan_points": 2**62}, "scan_points"),
     "scan_v_max_equal_min": ({"bright_source.scan_v_max": 0.0}, "scan_v_max"),
     "scan_narrower_than_ch1": ({"bright_source.scan_v_max": 3.0}, "ch1.w_volt"),
     "scan_narrower_than_ch2": ({"bright_source.ch2.w_volt": -16.5}, "ch2.w_volt"),
@@ -1205,7 +1225,8 @@ def test_fresh_process_workers_write_same_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
-# command -> (config, arguments, the size its out-of-memory message names)
+# case -> (config, arguments, the size its out-of-memory message names); calibrate
+# names both stages' sizes, as it cannot tell which stage ran out
 OUT_OF_MEMORY = {
     "simulate": ({"run.duration_s": 2e6, "run.integration_time_s": 0.01}, ["simulate"],
                  "the run has config.run.n_bins = 200000000 bins"),
@@ -1213,7 +1234,12 @@ OUT_OF_MEMORY = {
     "calibrate": ({"calibration_protocol.n_steps": 100_000,
                    "calibration_protocol.repeats": 10_000},
                   ["calibrate", "--simulate-bright", "--simulate-counts"],
-                  "the scan has n_steps * repeats = 1000000000 bins"),
+                  "the bright scan has scan_points = 200 points and the counting scan "
+                  "has n_steps * repeats = 1000000000 bins"),
+    "calibrate_bright_scan": ({"bright_source.scan_points": 10**9},
+                              ["calibrate", "--simulate-bright", "--simulate-counts"],
+                              "the bright scan has scan_points = 1000000000 points and "
+                              "the counting scan has n_steps * repeats = 1000 bins"),
 }
 
 
@@ -1228,7 +1254,32 @@ def test_out_of_memory_exits_3_without_traceback(command, tmp_path):
                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
-    assert result.stderr == f"fogsim: error: {command} ran out of memory; {size}\n"
+    assert result.stderr == f"fogsim: error: {argv[0]} ran out of memory; {size}\n"
+
+
+@pytest.mark.parametrize("stage", ["bright", "counts"])
+def test_calibrate_out_of_memory_names_both_stages(stage, tmp_path, small_tables):
+    """calibrate names each stage by the table it reads, else by its size,
+    whichever stage ran out: here the stage that draws its scan, after the
+    other stage's table."""
+    tables = small_tables[0]
+    if stage == "bright":
+        config = {"bright_source.scan_points": 10**9}
+        argv = ["--simulate-bright", "--counts", tables / "calibration_scan.csv"]
+        size = ("the bright scan has scan_points = 1000000000 points and the counting "
+                f"scan is the table {tables / 'calibration_scan.csv'}")
+    else:
+        config = {"calibration_protocol.n_steps": 100_000,
+                  "calibration_protocol.repeats": 10_000}
+        argv = ["--bright", tables / "bright_scan.csv", "--simulate-counts"]
+        size = (f"the bright scan is the table {tables / 'bright_scan.csv'} and the "
+                "counting scan has n_steps * repeats = 1000000000 bins")
+    cap = 1_500_000_000
+    result = _fresh_run(_MAIN, "--config", write_config(tmp_path, **config),
+                        "--out-dir", tmp_path, "calibrate", *argv,
+                        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert result.returncode == 3
+    assert result.stderr == f"fogsim: error: calibrate ran out of memory; {size}\n"
 
 
 def test_out_of_memory_names_the_table(tmp_path):
