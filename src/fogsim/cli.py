@@ -11,13 +11,12 @@ inf or nan, and names the function it came from.  One rule, ``_computing``,
 makes it a usage error that names the computation and its keys where the
 computation's only inputs are the arguments and the config: fisher's curve,
 simulate's run, and calibrate's simulated bright scan, its fringe fits and
-the counting scan drawn from them under --simulate-bright.  A command
-that runs out of memory exits 3 and names the table or the size it was
-given; calibrate, which cannot tell which stage ran out, names both: the
-bright scan's table or scan_points, and the counting scan's table or
-n_steps * repeats.  That holds once this module has loaded: running out
-at start-up, while numpy and its OpenBLAS load, ends in the interpreter's
-own error (a traceback, or OpenBLAS's abort) with exit 1.  With
+the counting scan drawn from them under --simulate-bright.  A file that
+cannot be read or written, or runs out of memory, is named by its path
+(io_formats.about_file); a computation that runs out of memory by itself
+and its keys; anything else by the command; all exit 3.  That holds once
+this module has loaded: running out at start-up, while numpy and its
+OpenBLAS load, ends in the interpreter's own error with exit 1.  With
 --json-errors failures are also emitted as a machine-readable JSON object
 on stderr.
 """
@@ -37,9 +36,9 @@ from .calibration import (CalibrationSet, combine_inflection, contrast_points_fr
                           estimate_delays, fit_fringe, fit_linear_calibration)
 from .config import ExperimentConfig, load_config
 from .errors import DataError, FogsimError, ParameterError
-from .io_formats import (file_digest, read_bright_scan, read_calibration_scan,
-                         read_calibration_set, read_count_series, read_delay_series,
-                         write_allan_curves, write_bright_scan,
+from .io_formats import (about_file, file_digest, read_bright_scan,
+                         read_calibration_scan, read_calibration_set, read_count_series,
+                         read_delay_series, write_allan_curves, write_bright_scan,
                          write_calibration_scan, write_calibration_set,
                          write_count_series, write_delay_series, write_fisher_curve,
                          write_manifest, write_report)
@@ -58,22 +57,26 @@ def _computing(what: str, from_config: bool = True, check: str = ""):
     """Name the failing computation ``what``: a FogsimError keeps its class and
     gains the prefix ``what: ``; an arithmetic error becomes a usage error if the
     arguments and the config are its only inputs (``from_config``), else a data
-    error, and names where it was raised and then the keys to ``check``."""
+    error, and names where it was raised; running out of memory is a data
+    error.  Both then name the keys to ``check``."""
+    keys = f"; check {check}" if check else ""
     try:
         yield
     except FogsimError as exc:
         raise type(exc)(f"{what}: {exc}") from exc
     except ArithmeticError as exc:
         error = ParameterError if from_config else DataError
-        keys = f"; check {check}" if check else ""
         raise error(f"{what}: {_error_text(exc)}{keys}") from exc
+    except MemoryError as exc:
+        raise DataError(f"{what}: ran out of memory{keys}") from exc
 
 
 def _out_path(args, name: str) -> Path:
     path = Path(name)
     if not path.is_absolute() and args.out_dir:
         path = Path(args.out_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+    with about_file(path.parent):
+        path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -92,9 +95,9 @@ def _cmd_fisher(args, config: ExperimentConfig) -> None:
         raise ParameterError(f"tau-max must be finite, got {args.tau_max}")
     if args.n_points > 1 and not args.tau_max > args.tau_min:
         raise ParameterError("tau-max must exceed tau-min")
-    grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
-    with _computing("the Fisher information failed", check="--tau-min, --tau-max, "
-                    "spectrum.lambda0_m and spectrum.sigma_omega"):
+    with _computing("the Fisher information failed", check="--n-points, --tau-min, "
+                    "--tau-max, spectrum.lambda0_m and spectrum.sigma_omega"):
+        grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
         values = fisher_information(grid, config.spectrum)
     out = _out_path(args, args.out)
     write_fisher_curve(out, grid, values)
@@ -118,8 +121,8 @@ def _cmd_calibrate(args, config: ExperimentConfig):
     if args.simulate_bright:
         with _computing("the bright scan could not be drawn", check=(
                 "bright_source.power_noise_ch1_w, bright_source.power_noise_ch2_w, "
-                "bright_source.scan_v_min, bright_source.scan_v_max, bright_source.ch1 "
-                "and bright_source.ch2")):
+                "bright_source.scan_points, bright_source.scan_v_min, "
+                "bright_source.scan_v_max, bright_source.ch1 and bright_source.ch2")):
             bright = simulate_bright_scan(config.bright_source, config.run.seed)
         if args.keep_intermediate:
             path = _out_path(args, "bright_scan.csv")
@@ -290,23 +293,8 @@ def main(argv=None) -> int:
             config = load_config(args.config)
             try:
                 record = args.func(args, config)
-            except MemoryError as exc:
-                table = getattr(args, "delays", None) or getattr(args, "counts", None)
-                if args.command == "calibrate":
-                    size = " and ".join((
-                        f"the bright scan is the table {args.bright}" if args.bright else
-                        "the bright scan has scan_points = "
-                        f"{config.bright_source.scan_points} points",
-                        f"the counting scan is the table {args.counts}" if args.counts else
-                        "the counting scan has n_steps * repeats = "
-                        f"{config.protocol.n_bins} bins"))
-                elif table:
-                    size = f"it was given the table {table}"
-                elif args.command == "fisher":
-                    size = f"it was given --n-points = {args.n_points}"
-                else:
-                    size = f"the run has config.run.n_bins = {config.run.n_bins} bins"
-                raise DataError(f"{args.command} ran out of memory; {size}") from exc
+            except MemoryError as exc:  # outside every file and computation named
+                raise DataError(f"{args.command} ran out of memory") from exc
             if record is not None:
                 inputs, outputs = record
                 write_manifest(Path(f"{outputs[-1]}.manifest.json"), config.hash,

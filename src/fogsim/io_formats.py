@@ -69,7 +69,7 @@ def _write_table(path, header: str, *columns) -> None:
     leaves the chunk's text.  The bytes are those of formatting each cell on
     its own.
     """
-    with open(path, "wb") as fh:
+    with about_file(path), open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         total = len(columns[0])
         for lo in range(0, total, _WRITE_ROWS):
@@ -171,7 +171,7 @@ def _decimal_rows(n: np.ndarray, places: np.ndarray) -> np.ndarray:
 
 
 def _write_json(path, doc: dict, version: int = SCHEMA_VERSION) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with about_file(path), open(path, "w", newline="\n") as fh:
         json.dump({"schema_version": version, **doc}, fh, indent=2)
         fh.write("\n")
 
@@ -233,14 +233,17 @@ def _file_line(path, row: int) -> tuple[int, str] | None:
 
 @contextmanager
 def about_file(path):
-    """Name ``path`` in every DataError and OSError raised inside, as a
-    DataError reading ``path: reason``, or ``path: line N: reason`` when the
-    error carries a data row of the file (the header being line 1).  Every
-    reader runs inside this; it is the one place that names a data file."""
+    """Name ``path`` in every DataError, OSError and MemoryError raised inside,
+    as a DataError reading ``path: reason``, or ``path: line N: reason`` when
+    the error carries a data row of the file (the header being line 1).  Every
+    reader and writer runs inside this; it is the one place that names a data
+    file."""
     try:
         yield
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except MemoryError as exc:
+        raise DataError(f"{path}: ran out of memory") from exc
     except DataError as exc:
         line = None if exc.row is None else _file_line(path, exc.row)
         where = path if line is None else f"{path}: line {line[0]}"

@@ -1225,66 +1225,70 @@ def test_fresh_process_workers_write_same_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
-# case -> (config, arguments, the size its out-of-memory message names); calibrate
-# names both stages' sizes, as it cannot tell which stage ran out
+# case -> (config, arguments, the line that names where it ran out): each runs
+# out inside the draw that _computing names, with the keys that size it
 OUT_OF_MEMORY = {
     "simulate": ({"run.duration_s": 2e6, "run.integration_time_s": 0.01}, ["simulate"],
-                 "the run has config.run.n_bins = 200000000 bins"),
-    "fisher": ({}, ["fisher", "--n-points", 10**9], "it was given --n-points = 1000000000"),
+                 "the run could not be drawn: ran out of memory; check the run, noise, "
+                 "spectrum and modulator keys"),
+    "fisher": ({}, ["fisher", "--n-points", 10**9],
+               "the Fisher information failed: ran out of memory; check --n-points, "
+               "--tau-min, --tau-max, spectrum.lambda0_m and spectrum.sigma_omega"),
     "calibrate": ({"calibration_protocol.n_steps": 100_000,
                    "calibration_protocol.repeats": 10_000},
                   ["calibrate", "--simulate-bright", "--simulate-counts"],
-                  "the bright scan has scan_points = 200 points and the counting scan "
-                  "has n_steps * repeats = 1000000000 bins"),
+                  "the calibration scan could not be drawn: ran out of memory; check "
+                  "run.rate_total_hz and the calibration_protocol, noise and spectrum keys"),
     "calibrate_bright_scan": ({"bright_source.scan_points": 10**9},
                               ["calibrate", "--simulate-bright", "--simulate-counts"],
-                              "the bright scan has scan_points = 1000000000 points and "
-                              "the counting scan has n_steps * repeats = 1000 bins"),
+                              "the bright scan could not be drawn: ran out of memory; check "
+                              "bright_source.power_noise_ch1_w, "
+                              "bright_source.power_noise_ch2_w, bright_source.scan_points, "
+                              "bright_source.scan_v_min, bright_source.scan_v_max, "
+                              "bright_source.ch1 and bright_source.ch2"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(OUT_OF_MEMORY))
 def test_out_of_memory_exits_3_without_traceback(command, tmp_path):
     """A command in a process whose address space is capped at 1.5 GB, a
-    cap set in that process alone, names the size it was given."""
-    config, argv, size = OUT_OF_MEMORY[command]
+    cap set in that process alone, names the computation that ran out."""
+    config, argv, line = OUT_OF_MEMORY[command]
     cap = 1_500_000_000
     result = _fresh_run(_MAIN, "--config", write_config(tmp_path, **config),
                         "--out-dir", tmp_path, *argv,
                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
-    assert result.stderr == f"fogsim: error: {argv[0]} ran out of memory; {size}\n"
+    assert result.stderr == f"fogsim: error: {line}\n"
 
 
 @pytest.mark.parametrize("stage", ["bright", "counts"])
-def test_calibrate_out_of_memory_names_both_stages(stage, tmp_path, small_tables):
-    """calibrate names each stage by the table it reads, else by its size,
-    whichever stage ran out: here the stage that draws its scan, after the
-    other stage's table."""
+def test_calibrate_out_of_memory_names_the_stage_that_ran_out(stage, tmp_path, small_tables):
+    """calibrate names the stage that draws its scan and runs out, and not
+    the other stage, which reads its table."""
     tables = small_tables[0]
     if stage == "bright":
         config = {"bright_source.scan_points": 10**9}
         argv = ["--simulate-bright", "--counts", tables / "calibration_scan.csv"]
-        size = ("the bright scan has scan_points = 1000000000 points and the counting "
-                f"scan is the table {tables / 'calibration_scan.csv'}")
+        line = OUT_OF_MEMORY["calibrate_bright_scan"][2]
     else:
         config = {"calibration_protocol.n_steps": 100_000,
                   "calibration_protocol.repeats": 10_000}
         argv = ["--bright", tables / "bright_scan.csv", "--simulate-counts"]
-        size = (f"the bright scan is the table {tables / 'bright_scan.csv'} and the "
-                "counting scan has n_steps * repeats = 1000000000 bins")
+        line = OUT_OF_MEMORY["calibrate"][2]
     cap = 1_500_000_000
     result = _fresh_run(_MAIN, "--config", write_config(tmp_path, **config),
                         "--out-dir", tmp_path, "calibrate", *argv,
                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert result.returncode == 3
-    assert result.stderr == f"fogsim: error: calibrate ran out of memory; {size}\n"
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"fogsim: error: {line}\n"
 
 
 def test_out_of_memory_names_the_table(tmp_path):
     """A command that runs out of memory reading a table names that table,
-    not a size from the config.  4 x 10^6 rows take 36 MB on disk and
+    as it names a table it cannot read.  4 x 10^6 rows take 36 MB on disk and
     140 MB once read (35 B per row), more than the child's 200 MB cap leaves
     after its start-up of about 110 MB with one OpenBLAS thread."""
     table = tmp_path / "delays.csv"
@@ -1294,8 +1298,57 @@ def test_out_of_memory_names_the_table(tmp_path):
                         env={"OPENBLAS_NUM_THREADS": "1"},
                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert result.returncode == 3
-    assert result.stderr == ("fogsim: error: stability ran out of memory; "
-                             f"it was given the table {table}\n")
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"fogsim: error: {table}: ran out of memory\n"
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_out_of_memory_elsewhere_names_the_command(json_errors, tmp_path, calibrated,
+                                                   monkeypatch, capsys):
+    """Running out of memory outside every file and computation that names
+    itself, here in estimate_delays, names the command."""
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("fogsim.cli.estimate_delays", exhausted)
+    counts = _counts_csv(tmp_path / "counts.csv", [(500, 400)] * 4)
+    flag = ["--json-errors"] if json_errors else []
+    assert run(*flag, "estimate", "--counts", counts, "--calibration", calibrated,
+               "--out", tmp_path / "delays.csv") == 3
+    err = capsys.readouterr().err
+    if json_errors:
+        assert json.loads(err) == {"error": {"type": "DataError",
+                                             "message": "estimate ran out of memory"}}
+    else:
+        assert err == "fogsim: error: estimate ran out of memory\n"
+
+
+# case -> (the arguments in a test's directory, the path the write fails on
+# there, the reason): a regular file where the output directory should be, a
+# directory where the output or its manifest should be
+WRITE_FAILURES = {
+    "out_dir_is_a_file": (lambda d: ["--out-dir", d / "F", "fisher", "--n-points", 3],
+                          "F", "File exists"),
+    "out_is_a_directory": (lambda d: ["fisher", "--n-points", 3, "--out", d / "D"],
+                           "D", "Is a directory"),
+    "manifest_is_a_directory": (lambda d: ["--config", d / "tiny.json", "simulate",
+                                           "--out", d / "x.csv"],
+                                "x.csv.manifest.json", "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_FAILURES))
+def test_write_failure_names_the_path(case, tmp_path):
+    """A file or directory that cannot be written exits 3 as ``path: reason``,
+    as an input that cannot be read does."""
+    (tmp_path / "F").touch()
+    (tmp_path / "D").mkdir()
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    (tmp_path / "tiny.json").write_text('{"run": {"duration_s": 100.0}}')
+    argv, name, reason = WRITE_FAILURES[case]
+    code, err = _run_quietly(argv(tmp_path))
+    assert code == 3
+    assert err == f"fogsim: error: {tmp_path / name}: {reason}\n"
 
 
 def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):

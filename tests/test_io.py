@@ -385,6 +385,14 @@ def test_row_past_the_end_names_file_alone(tmp_path):
     assert str(info.value) == f"{path}: reason"
 
 
+def test_out_of_memory_names_file_alone(tmp_path):
+    """Running out of memory inside a file's context names the file."""
+    path = tmp_path / "counts.csv"
+    with pytest.raises(DataError) as info, io_formats.about_file(path):
+        raise MemoryError
+    assert str(info.value) == f"{path}: ran out of memory"
+
+
 def test_calibration_set_not_an_object(tmp_path):
     path = tmp_path / "cal.json"
     path.write_text("[1, 2]")
