@@ -2,9 +2,11 @@
 
 Subcommands: fisher, simulate, calibrate, estimate, stability.  ``main``
 loads the config, runs the subcommand and writes ``<last output>.manifest.json``
-with the digests of the files the subcommand read and wrote (fisher writes
-none).  Exit codes: 0 success; 2 usage or configuration error
-(ParameterError); 3 data or fit error (DataError).  An arithmetic error (a
+with its arguments and the digests of the files it read (its input flags)
+and wrote (every path ``_out_path`` named).  Exit codes: 0 success; 2 usage
+or configuration error (ParameterError), among them an output that would
+overwrite the config, an input or an earlier output of the same command; 3
+data or fit error (DataError).  An arithmetic error (a
 floating-point overflow, invalid operation or division by zero) stops a
 command with exit 3, where numpy would warn and go on with
 inf or nan, and names the function it came from.  One rule, ``_computing``,
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -50,6 +53,8 @@ from .stability import (even_odd_split, overlapping_allan_deviation,
 
 _USAGE_EXIT = 2
 _DATA_EXIT = 3
+# the dests of the input flags, each the name a manifest gives the file's digest
+_INPUTS = ("counts", "calibration", "delays", "bright_scan", "calibration_scan")
 
 
 @contextmanager
@@ -72,18 +77,27 @@ def _computing(what: str, from_config: bool = True, check: str = ""):
 
 
 def _out_path(args, name: str) -> Path:
+    """The path of the output ``name``, under --out-dir unless absolute, added
+    to ``args.outputs``.  A path that resolves to the config, to an input or to
+    an output named before it is a usage error, raised before it is written."""
     path = Path(name)
     if not path.is_absolute() and args.out_dir:
         path = Path(args.out_dir) / path
+    target = os.path.realpath(path)  # Path.resolve() raises on a symlink loop
+    for what, other in (("the config", args.config),
+                        *((f"the input {role}", p) for role, p in args.inputs.items()),
+                        *(("an earlier output", p) for p in args.outputs)):
+        if other is not None and os.path.realpath(other) == target:
+            raise ParameterError(f"{path}: an output may not overwrite {what} ({other})")
     with about_file(path.parent):
         path.parent.mkdir(parents=True, exist_ok=True)
+    args.outputs.append(path)
     return path
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each reads its inputs, calls the layers and writes its outputs,
-# and returns the inputs it read (name -> path) and the outputs it wrote, or
-# None to write no manifest
+# subcommands: each reads its inputs, calls the layers and writes its outputs
+# to the paths _out_path names
 # ---------------------------------------------------------------------------
 
 def _cmd_fisher(args, config: ExperimentConfig) -> None:
@@ -104,18 +118,16 @@ def _cmd_fisher(args, config: ExperimentConfig) -> None:
     print(f"wrote {out} ({len(grid)} points)")
 
 
-def _cmd_simulate(args, config: ExperimentConfig):
+def _cmd_simulate(args, config: ExperimentConfig) -> None:
     with _computing("the run could not be drawn",
                     check="the run, noise, spectrum and modulator keys"):
         series = simulate_run(config.run, config.spectrum, config.noise, workers=args.workers)
     out = _out_path(args, args.out)
     write_count_series(out, series)
     print(f"wrote {out} ({len(series)} bins)")
-    return {}, [out]
 
 
-def _cmd_calibrate(args, config: ExperimentConfig):
-    inputs: dict[str, Path] = {}
+def _cmd_calibrate(args, config: ExperimentConfig) -> None:
     protocol = config.protocol
 
     if args.simulate_bright:
@@ -125,12 +137,9 @@ def _cmd_calibrate(args, config: ExperimentConfig):
                 "bright_source.scan_v_max, bright_source.ch1 and bright_source.ch2")):
             bright = simulate_bright_scan(config.bright_source, config.run.seed)
         if args.keep_intermediate:
-            path = _out_path(args, "bright_scan.csv")
-            write_bright_scan(path, bright)
-            inputs["bright_scan"] = path
+            write_bright_scan(_out_path(args, "bright_scan.csv"), bright)
     else:
-        bright = read_bright_scan(args.bright)
-        inputs["bright_scan"] = Path(args.bright)
+        bright = read_bright_scan(args.bright_scan)
 
     fits = {}
     for name, power, sigma in zip(("ch1", "ch2"), (bright.power1, bright.power2),
@@ -150,13 +159,10 @@ def _cmd_calibrate(args, config: ExperimentConfig):
             scan = simulate_calibration_scan(protocol, config.run, config.spectrum,
                                              modulator, config.noise, workers=args.workers)
         if args.keep_intermediate:
-            path = _out_path(args, "calibration_scan.csv")
-            write_calibration_scan(path, scan)
-            inputs["calibration_scan"] = path
+            write_calibration_scan(_out_path(args, "calibration_scan.csv"), scan)
     else:
-        scan = read_calibration_scan(args.counts, protocol.integration_time_s,
+        scan = read_calibration_scan(args.calibration_scan, protocol.integration_time_s,
                                      "calibration_protocol.integration_time_s")
-        inputs["calibration_scan"] = Path(args.counts)
 
     dark = (config.noise.dark_rate_1, config.noise.dark_rate_2)
     points = contrast_points_from_scan(scan, modulator, dark)
@@ -167,10 +173,9 @@ def _cmd_calibrate(args, config: ExperimentConfig):
     print(f"wrote {out}: alpha = {modulator.alpha:.4e} s/V, "
           f"k1 = {linear.k1:.4f} /fs, k2 = {linear.k2:.4f}, "
           f"{sum(p.degenerate for p in points)} degenerate steps")
-    return inputs, [out]
 
 
-def _cmd_estimate(args, config: ExperimentConfig):
+def _cmd_estimate(args, config: ExperimentConfig) -> None:
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time,
                                "run.integration_time_s")
@@ -182,10 +187,9 @@ def _cmd_estimate(args, config: ExperimentConfig):
     out = _out_path(args, args.out)
     write_delay_series(out, t, tau, sigma, flags)
     print(f"wrote {out} ({len(tau)} bins, {len(flags) - flags.count('ok')} flagged)")
-    return {"counts": Path(args.counts), "calibration": Path(args.calibration)}, [out]
 
 
-def _cmd_stability(args, config: ExperimentConfig):
+def _cmd_stability(args, config: ExperimentConfig) -> None:
     t, tau, sigma, flags = read_delay_series(args.delays, config.run.integration_time,
                                              "run.integration_time_s")
     raw, dropped = series_from_delay_table(tau, flags, config.run.integration_time)
@@ -206,7 +210,6 @@ def _cmd_stability(args, config: ExperimentConfig):
     dl_tau = report["detection_limit_tau"]
     print(f"wrote {allan_path} and {report_path}; "
           f"DL(tau) = {dl_tau['sigma_s']:.3e} s at t = {dl_tau['t_s']:.0f} s")
-    return {"delays": Path(args.delays)}, [allan_path, report_path]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="run the two-stage calibration; each stage "
                        "takes exactly one source, a file or a simulation")
     stage = p.add_mutually_exclusive_group(required=True)
-    stage.add_argument("--bright", help="bright-scan CSV")
+    stage.add_argument("--bright", dest="bright_scan", help="bright-scan CSV")
     stage.add_argument("--simulate-bright", action="store_true")
     stage = p.add_mutually_exclusive_group(required=True)
-    stage.add_argument("--counts", help="calibration-scan CSV")
+    stage.add_argument("--counts", dest="calibration_scan", help="calibration-scan CSV")
     stage.add_argument("--simulate-counts", action="store_true")
     p.add_argument("--channels", choices=["both", "ch1", "ch2"], default="both")
     p.add_argument("--keep-intermediate", action="store_true",
@@ -291,16 +294,17 @@ def main(argv=None) -> int:
         json_errors = args.json_errors
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             config = load_config(args.config)
+            args.inputs = {name: getattr(args, name) for name in _INPUTS
+                           if getattr(args, name, None) is not None}
+            args.outputs = []
             try:
-                record = args.func(args, config)
+                args.func(args, config)
             except MemoryError as exc:  # outside every file and computation named
                 raise DataError(f"{args.command} ran out of memory") from exc
-            if record is not None:
-                inputs, outputs = record
-                write_manifest(Path(f"{outputs[-1]}.manifest.json"), config.hash,
-                               config.run.seed,
-                               {name: file_digest(path) for name, path in inputs.items()},
-                               {path.name: file_digest(path) for path in outputs})
+            write_manifest(Path(f"{args.outputs[-1]}.manifest.json"), config.hash,
+                           config.run.seed, argv,
+                           {name: file_digest(path) for name, path in args.inputs.items()},
+                           {path.name: file_digest(path) for path in args.outputs})
         return 0
     except ParameterError as exc:
         _report_error(json_errors, exc)

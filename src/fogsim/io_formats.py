@@ -491,12 +491,13 @@ def write_report(path, report: dict) -> None:
     _write_json(path, report)
 
 
-def write_manifest(path, config_hash: str, seed: int, inputs: dict[str, str],
-                   outputs: dict[str, str]) -> None:
-    """Reproducibility record: rerunning with the same config hash, seed and
-    inputs must reproduce the same output digests (the timestamp aside).
-    ``inputs`` and ``outputs`` map names to SHA-256 digests."""
-    _write_json(path, {"config_hash": config_hash, "seed": seed,
+def write_manifest(path, config_hash: str, seed: int, arguments: list[str],
+                   inputs: dict[str, str], outputs: dict[str, str]) -> None:
+    """Reproducibility record: rerunning with the same config hash, seed,
+    command-line ``arguments`` and inputs must reproduce the same output
+    digests (the timestamp aside).  ``inputs`` and ``outputs`` map names to
+    SHA-256 digests."""
+    _write_json(path, {"config_hash": config_hash, "seed": seed, "arguments": arguments,
                        "tool_version": __version__, "rng_algorithm": RNG_ALGORITHM,
                        "inputs": inputs, "outputs": outputs,
                        "created_utc": datetime.now(timezone.utc).isoformat()})

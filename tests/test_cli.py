@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import warnings
@@ -114,12 +115,42 @@ class TestSimulateCommand:
         assert "at least one integration bin" in err
 
     def test_manifest_written(self, tmp_path):
-        out = tmp_path / "counts.csv"
+        """Each command of the chain, and a calibration re-run from the kept
+        scans, records its inputs under their role names and every file it
+        wrote, each with that file's digest."""
         config = write_config(tmp_path, **{"run.duration_s": 60.0})
-        assert run("--config", config, "simulate", "--out", out) == 0
-        manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
-        assert manifest["rng_algorithm"] == "philox4x64-10"
-        assert manifest["outputs"]["counts.csv"] == file_digest(out)
+        out = tmp_path / "out"
+        for argv in (["fisher", "--n-points", 3], ["simulate"],
+                     ["calibrate", "--simulate-bright", "--simulate-counts",
+                      "--keep-intermediate"],
+                     ["calibrate", "--bright", out / "bright_scan.csv",
+                      "--counts", out / "calibration_scan.csv", "--out", "rerun.json"],
+                     ["estimate", "--counts", out / "counts.csv",
+                      "--calibration", out / "calibration.json"],
+                     ["stability", "--delays", out / "delays.csv"]):
+            assert run("--config", config, "--out-dir", out, *argv) == 0
+        expected = {  # manifest -> (input role -> file, outputs)
+            "fisher.csv": ({}, ["fisher.csv"]),
+            "counts.csv": ({}, ["counts.csv"]),
+            "calibration.json": ({}, ["bright_scan.csv", "calibration_scan.csv",
+                                      "calibration.json"]),
+            "rerun.json": ({"bright_scan": "bright_scan.csv",
+                            "calibration_scan": "calibration_scan.csv"}, ["rerun.json"]),
+            "delays.csv": ({"counts": "counts.csv", "calibration": "calibration.json"},
+                           ["delays.csv"]),
+            "stability_report.json": ({"delays": "delays.csv"},
+                                      ["stability_allan.csv", "stability_report.json"]),
+        }
+        written = set()
+        for name, (inputs, outputs) in expected.items():
+            manifest = json.loads((out / f"{name}.manifest.json").read_text())
+            assert manifest["rng_algorithm"] == "philox4x64-10"
+            assert manifest["inputs"] == {role: file_digest(out / file)
+                                          for role, file in inputs.items()}
+            assert manifest["outputs"] == {file: file_digest(out / file)
+                                           for file in outputs}
+            written.update([*outputs, f"{name}.manifest.json"])
+        assert written == {path.name for path in out.iterdir()}
 
 
 class TestCalibrateCommand:
@@ -202,6 +233,23 @@ class TestCalibrateCommand:
                    "--out", single) == 0
         assert read_calibration_set(single).v0i_err > \
             read_calibration_set(both).v0i_err
+
+    def test_manifest_records_the_arguments(self, tmp_path):
+        """Two calibrations that differ only in --channels write different
+        files, and their manifests say why."""
+        out = tmp_path / "cal.json"
+        manifests = []
+        for channels in ([], ["--channels", "ch2"]):
+            assert run("calibrate", "--simulate-bright", "--simulate-counts",
+                       *channels, "--out", out) == 0
+            manifests.append(json.loads((tmp_path / "cal.json.manifest.json").read_text()))
+        both, ch2 = manifests
+        assert [key for key in both if both[key] != ch2[key]] == [
+            "arguments", "outputs", "created_utc"]
+        assert both["arguments"] == ["calibrate", "--simulate-bright", "--simulate-counts",
+                                     "--out", str(out)]
+        assert ch2["arguments"] == ["calibrate", "--simulate-bright", "--simulate-counts",
+                                    "--channels", "ch2", "--out", str(out)]
 
     def test_missing_inputs_usage_error(self, tmp_path):
         assert run("calibrate", "--out", tmp_path / "cal.json") == 2
@@ -1325,7 +1373,8 @@ def test_out_of_memory_elsewhere_names_the_command(json_errors, tmp_path, calibr
 
 # case -> (the arguments in a test's directory, the path the write fails on
 # there, the reason): a regular file where the output directory should be, a
-# directory where the output or its manifest should be
+# directory where the output or its manifest should be, a symbolic link to
+# itself as the output
 WRITE_FAILURES = {
     "out_dir_is_a_file": (lambda d: ["--out-dir", d / "F", "fisher", "--n-points", 3],
                           "F", "File exists"),
@@ -1334,6 +1383,8 @@ WRITE_FAILURES = {
     "manifest_is_a_directory": (lambda d: ["--config", d / "tiny.json", "simulate",
                                            "--out", d / "x.csv"],
                                 "x.csv.manifest.json", "Is a directory"),
+    "out_is_a_symlink_loop": (lambda d: ["fisher", "--n-points", 3, "--out", d / "loop"],
+                              "loop", "Too many levels of symbolic links"),
 }
 
 
@@ -1344,11 +1395,87 @@ def test_write_failure_names_the_path(case, tmp_path):
     (tmp_path / "F").touch()
     (tmp_path / "D").mkdir()
     (tmp_path / "x.csv.manifest.json").mkdir()
+    (tmp_path / "loop").symlink_to("loop")
     (tmp_path / "tiny.json").write_text('{"run": {"duration_s": 100.0}}')
     argv, name, reason = WRITE_FAILURES[case]
     code, err = _run_quietly(argv(tmp_path))
     assert code == 3
     assert err == f"fogsim: error: {tmp_path / name}: {reason}\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tmp_path_factory):
+    """A 100 s run's config, counts, calibration and delays, each with its
+    manifest; the delays are named d_allan.csv."""
+    tmp_path = tmp_path_factory.mktemp("tiny_chain")
+    (tmp_path / "tiny.json").write_text('{"run": {"duration_s": 100.0}}')
+    base = ["--config", tmp_path / "tiny.json", "--out-dir", tmp_path]
+    assert run(*base, "simulate", "--out", "c.csv") == 0
+    assert run(*base, "calibrate", "--simulate-bright", "--simulate-counts",
+               "--out", "cal.json") == 0
+    assert run(*base, "estimate", "--counts", tmp_path / "c.csv",
+               "--calibration", tmp_path / "cal.json", "--out", "d_allan.csv") == 0
+    return tmp_path
+
+
+def _estimate(d):
+    return ["--config", d / "tiny.json", "estimate", "--counts", d / "c.csv",
+            "--calibration", d / "cal.json"]
+
+
+# case -> (the arguments in a copy of tiny_chain, the output they name there,
+# what it would overwrite and that file there): an output that is the config,
+# an input, under --out-dir or through a symbolic link, or an output the
+# command named before
+OVERWRITES = {
+    "estimate_out_is_its_counts": (lambda d: [*_estimate(d), "--out", d / "c.csv"],
+                                   "c.csv", "the input counts", "c.csv"),
+    "estimate_out_is_its_calibration": (lambda d: [*_estimate(d), "--out", d / "cal.json"],
+                                        "cal.json", "the input calibration", "cal.json"),
+    "simulate_out_is_the_config": (
+        lambda d: ["--config", d / "tiny.json", "simulate", "--out", d / "tiny.json"],
+        "tiny.json", "the config", "tiny.json"),
+    "stability_allan_table_is_its_delays": (
+        lambda d: ["--config", d / "tiny.json", "stability", "--delays", d / "d_allan.csv",
+                   "--out-prefix", d / "d"],
+        "d_allan.csv", "the input delays", "d_allan.csv"),
+    "out_dir_holds_the_counts": (
+        lambda d: ["--config", d / "tiny.json", "--out-dir", d / "D", "estimate",
+                   "--counts", d / "D" / "c.csv", "--calibration", d / "cal.json",
+                   "--out", "c.csv"],
+        "D/c.csv", "the input counts", "D/c.csv"),
+    "out_is_a_symlink_to_the_counts": (lambda d: [*_estimate(d), "--out", d / "link.csv"],
+                                       "link.csv", "the input counts", "c.csv"),
+    "calibration_is_its_kept_bright_scan": (
+        lambda d: ["--config", d / "tiny.json", "--out-dir", d, "calibrate",
+                   "--simulate-bright", "--simulate-counts", "--keep-intermediate",
+                   "--out", "bright_scan.csv"],
+        "bright_scan.csv", "an earlier output", "bright_scan.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITES))
+def test_output_may_not_overwrite_an_input(case, tmp_path, tiny_chain):
+    """An output that resolves to the config, an input or an earlier output
+    is a usage error, raised before it is written: no file or manifest that
+    was there changes and no manifest is written."""
+    d = tmp_path / "chain"
+    shutil.copytree(tiny_chain, d)
+    (d / "D").mkdir()
+    shutil.copy(d / "c.csv", d / "D" / "c.csv")
+    (d / "link.csv").symlink_to("c.csv")
+    before = {path: path.read_bytes() for path in d.rglob("*")
+              if path.is_file() and not path.is_symlink()}
+    argv, out, what, other = OVERWRITES[case]
+    code, err = _run_quietly(argv(d))
+    assert code == 2
+    assert err == (f"fogsim: error: {d / out}: an output may not overwrite "
+                   f"{what} ({d / other})\n")
+    after = {path: path.read_bytes() for path in d.rglob("*")
+             if path.is_file() and not path.is_symlink()}
+    assert {path: after[path] for path in before} == before
+    assert {path for path in after if path.name.endswith(".manifest.json")} == \
+        {path for path in before if path.name.endswith(".manifest.json")}
 
 
 def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):
