@@ -76,19 +76,35 @@ def _computing(what: str, from_config: bool = True, check: str = ""):
         raise DataError(f"{what}: ran out of memory{keys}") from exc
 
 
+def _manifest_path(path: Path) -> Path:
+    """The manifest ``main`` writes next to a command's last output ``path``."""
+    return Path(f"{path}.manifest.json")
+
+
+def _same_file(path, other) -> bool:
+    """Whether two paths name one file: by os.path.samefile where both exist,
+    so a hard link counts, else by real path (Path.resolve() raises on a
+    symlink loop)."""
+    if os.path.exists(path) and os.path.exists(other):
+        return os.path.samefile(path, other)
+    return os.path.realpath(path) == os.path.realpath(other)
+
+
 def _out_path(args, name: str) -> Path:
     """The path of the output ``name``, under --out-dir unless absolute, added
-    to ``args.outputs``.  A path that resolves to the config, to an input or to
-    an output named before it is a usage error, raised before it is written."""
+    to ``args.outputs``.  A path that is the config, an input or an output
+    named before it is a usage error, raised before it is written, and so is
+    a path whose manifest would be one of them."""
     path = Path(name)
     if not path.is_absolute() and args.out_dir:
         path = Path(args.out_dir) / path
-    target = os.path.realpath(path)  # Path.resolve() raises on a symlink loop
-    for what, other in (("the config", args.config),
-                        *((f"the input {role}", p) for role, p in args.inputs.items()),
-                        *(("an earlier output", p) for p in args.outputs)):
-        if other is not None and os.path.realpath(other) == target:
-            raise ParameterError(f"{path}: an output may not overwrite {what} ({other})")
+    for target in (path, _manifest_path(path)):
+        for what, other in (("the config", args.config),
+                            *((f"the input {role}", p) for role, p in args.inputs.items()),
+                            *(("an earlier output", p) for p in args.outputs)):
+            if other is not None and _same_file(target, other):
+                raise ParameterError(f"{target}: an output may not overwrite {what} "
+                                     f"({other})")
     with about_file(path.parent):
         path.parent.mkdir(parents=True, exist_ok=True)
     args.outputs.append(path)
@@ -301,7 +317,7 @@ def main(argv=None) -> int:
                 args.func(args, config)
             except MemoryError as exc:  # outside every file and computation named
                 raise DataError(f"{args.command} ran out of memory") from exc
-            write_manifest(Path(f"{args.outputs[-1]}.manifest.json"), config.hash,
+            write_manifest(_manifest_path(args.outputs[-1]), config.hash,
                            config.run.seed, argv,
                            {name: file_digest(path) for name, path in args.inputs.items()},
                            {path.name: file_digest(path) for path in args.outputs})

@@ -279,8 +279,11 @@ def _ndtri(u: np.ndarray, log=partial(_per_element, math.log)) -> np.ndarray:
 
 
 # d[j][n] of Temme's expansion (DLMF 8.12.12), from the lowest power up, as
-# float() of scipy.special._precompute.gammainc_asy.compute_d(4, 16) computed
-# under mpmath.workdps(50) (mpmath 1.3.0; about 4 minutes)
+# float() of scipy.special._precompute.gammainc_asy.compute_d(K, 16) computed
+# under mpmath.workdps(50) (mpmath 1.3.0): rows 0-3 with K = 4, rows 4-7 with
+# K = 8 (about 5 minutes; its rows 0-3 differ from these in the last bit of 5
+# entries).  Row j keeps its first 16 - 2j powers; the rest would move a
+# value in the region below by at most 3e-15 at a = 20 and 1e-16 from a = 30.
 _TEMME_D = (
     (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
      0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05,
@@ -291,60 +294,101 @@ _TEMME_D = (
      -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
      -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
      4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
-     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
-     4.162792991842583e-10),
+     1.1951628599778148e-08, -1.7543241719747647e-11),
     (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
      2.0093878600823047e-06, -0.00010736653226365161, 5.2923448829120125e-05,
      -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062932e-06,
-     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
-     -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617112e-09,
-     9.428356159014678e-13),
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10),
     (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
      0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
      1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
-     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
-     -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
-     -9.460496661855133e-10),
+     -2.7861080291528143e-11),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05, 2.507497226237533e-10),
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07),
+    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+     7.902353232660328e-07),
+    (0.00034436760689237765, 5.171790908260592e-05),
 )
-# _poisson_cdf settles pdtr(k, lam) >= u where k + 1 >= _TEMME_MIN_K1,
-# lam <= _TEMME_MAX_MEAN and |lam / (k + 1) - 1| <= _TEMME_MAX_T, and
-# |F - u| > _TIE, 37 times its largest difference from pdtr there (2.7e-14
-# on 2.4e7 points).  Above _TEMME_MAX_MEAN pdtr itself strays from the
-# expansion and from mpmath, by up to 4e-11 below 1e6 and 7e-9 below 3e6.
-_TEMME_MIN_K1 = 1e3
+# log Gamma*(a) = log Gamma(a) - (a - 1/2) log a + a - log(2 pi) / 2 by
+# Stirling's series, B_2n / (2n (2n - 1)) a^(1 - 2n) for n = 1 ... 5, from the
+# lowest power up; the next term is below 1e-17 for a >= 20
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+# erfc(x) = t exp(P(s) - x^2) for 0 <= x <= 7, with t = 3 / (3 + x) and
+# s = (20 t - 13) / 7 in [-1, 1]; P, highest power first, is float() of
+# mpmath.chebyfit(P, [-1, 1], 22) with P(s) = log(erfc(x) e^(x^2) / t), under
+# mpmath.mp.dps = 40 (mpmath 1.3.0; fit error 1.3e-17 in P)
+_ERFC_P = (-1.0691093017676069e-10, 7.871985480684816e-11, 1.4428983632232904e-09,
+           -6.037443000482116e-10, -1.2701161083733564e-08, 3.6047679945657025e-10,
+           9.857276889141443e-08, 3.7878332644749386e-08, -7.26972715812846e-07,
+           -5.98264848703629e-07, 5.1501681914785064e-06, 6.980845440668737e-06,
+           -3.47568571834187e-05, -7.41067546208107e-05, 0.00021550601005214772,
+           0.0007730945833597455, -0.001021496199376262, -0.008447139070323132,
+           -0.003950984760311483, 0.1066388310002959, 0.6669163660958566,
+           -0.7610262447451971)
+# _poisson_cdf(k, lam) holds where a = k + 1 >= _TEMME_MIN_K1, lam <=
+# _TEMME_MAX_MEAN and _TEMME_MIN_T <= lam / a - 1 <= _TEMME_MAX_T, which takes
+# in every start a draw with a >= 20 can reach.  There its values and those
+# one and two pmf steps away settle pdtr(k, lam) >= u where |F - u| > _TIE,
+# 36 times their largest difference from pdtr (2.7e-14 on 2.2e7 points, five
+# values each).  Above _TEMME_MAX_MEAN pdtr itself strays from the expansion
+# and from mpmath, by up to 4e-11 below 1e6 and 7e-9 below 3e6.
+_TEMME_MIN_K1 = 20.0
 _TEMME_MAX_MEAN = 4e5
-_TEMME_MAX_T = 0.3
+_TEMME_MIN_T = -0.8
+_TEMME_MAX_T = 3.5
 _TIE = 1e-12
 
 
-def _poisson_cdf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """P(N <= k) = Q(k + 1, lam) for N ~ Poisson(lam), by Temme's uniform
-    expansion of the incomplete gamma function to order (k + 1)^-3 (DLMF 8.12;
-    DiDonato and Morris, ACM TOMS 12, 1986).  Accurate only in the region above."""
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc at each x, within 1e-15: the fit above at |x|, its polynomial held
+    at 7 beyond (where erfc is below 5e-23), and 2 - erfc(-x) below 0."""
+    y = np.abs(x)
+    t = 3.0 / (3.0 + np.minimum(y, 7.0))
+    e = t * np.exp(_polevl((20.0 * t - 13.0) / 7.0, _ERFC_P) - y * y)
+    return 1.0 - np.copysign(1.0 - e, x)
+
+
+def _expansion_holds(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Whether _poisson_cdf(k, lam) lies in its region, elementwise."""
+    a = k + 1.0
+    return ((a >= _TEMME_MIN_K1) & (lam <= _TEMME_MAX_MEAN)
+            & (lam >= (1.0 + _TEMME_MIN_T) * a) & (lam <= (1.0 + _TEMME_MAX_T) * a))
+
+
+def _poisson_cdf(k: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(N <= k) = Q(k + 1, lam) and P(N = k + 1) for N ~ Poisson(lam), by
+    Temme's uniform expansion of the incomplete gamma function to order
+    (k + 1)^-7 (DLMF 8.12; DiDonato and Morris, ACM TOMS 12, 1986).  With
+    a = k + 1 and t = lam / a - 1 the pmf is e^(-a (t - log1p t)) over
+    sqrt(2 pi a) Gamma*(a), from the expansion's own exponent; (k + 1) log lam
+    - lam - lgamma(k + 2) would cancel to 4e-10 relative at lam = 3e5.
+    Accurate only in the region above."""
     a = k + 1.0
     t = (lam - a) / a
     # t - log1p(t) >= 0, but its rounding may fall below 0 next to t = 0
-    eta = np.sign(t) * np.sqrt(np.maximum(2.0 * (t - np.log1p(t)), 0.0))
+    half_eta2 = np.maximum(t - np.log1p(t), 0.0)
+    eta = np.copysign(np.sqrt(2.0 * half_eta2), t)
     series = np.zeros_like(a)
     for row in reversed(_TEMME_D):
-        series = series / a + _polevl(eta, row[::-1])
-    return (0.5 * _per_element(math.erfc, eta * np.sqrt(0.5 * a))
-            + np.exp(-0.5 * a * eta * eta) / np.sqrt(2.0 * np.pi * a) * series)
+        series /= a
+        series += _polevl(eta, row[::-1])
+    density = np.exp(-a * half_eta2) / np.sqrt(2.0 * np.pi * a)
+    return (0.5 * _erfc(eta * np.sqrt(0.5 * a)) + density * series,
+            density * np.exp(-_polevl(1.0 / (a * a), _STIRLING[::-1]) / a))
 
 
-def _pdtr_reaches(k: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """pdtr(k, lam) >= u, elementwise.  _poisson_cdf settles each comparison
-    it is sure of; scipy's pdtr, imported here and nowhere else, settles the
-    rest, so pdtr alone still defines every count."""
-    a = k + 1.0
-    inside = np.flatnonzero((a >= _TEMME_MIN_K1) & (lam <= _TEMME_MAX_MEAN)
-                            & (np.abs(lam - a) <= _TEMME_MAX_T * a))
-    reaches = np.zeros(len(k), dtype=bool)
-    unsure = np.ones(len(k), dtype=bool)
-    if inside.size:
-        gap = _poisson_cdf(k[inside], lam[inside]) - u[inside]
-        reaches[inside] = gap > 0.0
-        unsure[inside] = np.abs(gap) <= _TIE
+def _pdtr_reaches(k: np.ndarray, lam: np.ndarray, u: np.ndarray, cdf: np.ndarray,
+                  held: np.ndarray) -> np.ndarray:
+    """pdtr(k, lam) >= u, elementwise.  Where ``held``, ``cdf`` is numpy's
+    value of pdtr(k, lam) and settles each comparison it is sure of; scipy's
+    pdtr, imported here and nowhere else, settles the rest, so pdtr alone
+    still defines every count."""
+    gap = cdf - u
+    reaches = gap > 0.0
+    unsure = ~held | (np.abs(gap) <= _TIE)
     if unsure.any():
         from scipy.special import pdtr
         reaches[unsure] = pdtr(k[unsure], lam[unsure]) >= u[unsure]
@@ -359,26 +403,41 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     w = lam + sqrt(lam) z + (z^2 - 1) / 6 with z the normal quantile of u,
     continuity corrected to floor(w + 1/2), then steps down while the count
     below still reaches u and up while k falls short; each step compares only
-    where k is still moving, about 2 comparisons per draw, each settled by
-    _pdtr_reaches.  The start sets only the number of steps, so its z may
-    take np.log: k is fixed by the pdtr comparisons alone.  u must lie in
-    (0, 1); u = 1 would never stop stepping, and neither would a mean so
-    large that k - 1 == k in float64.
+    where k is still moving, and _pdtr_reaches settles each comparison.  Where
+    _poisson_cdf holds at the start, its one evaluation gives pdtr(k - 1, lam)
+    and the pmf at k, and each step carries both along by the recurrences
+    pmf(k - 1) = pmf(k) k / lam and pmf(k + 1) = pmf(k) lam / (k + 1).  The
+    start sets only the number of steps, so its z may take np.log: k is fixed
+    by the pdtr comparisons alone.  u must lie in (0, 1); u = 1 would never
+    stop stepping, and neither would a mean so large that k - 1 == k in
+    float64.
     """
     if not np.all(lam <= MAX_MEAN_COUNT):  # also rejects NaN
         raise ParameterError(f"the mean count per bin must be at most "
                              f"{MAX_MEAN_COUNT:.0e}, got {np.max(lam):.3g}")
     z = _ndtri(u, np.log)
     k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0 + 0.5), 0.0)
+    # pdtr(k - 1, lam) and the pmf at k, where held
+    held = _expansion_holds(k - 1.0, lam)
+    below = np.zeros_like(lam)
+    pmf = np.zeros_like(lam)
+    at = np.flatnonzero(held)
+    below[at], pmf[at] = _poisson_cdf(k[at] - 1.0, lam[at])
     down = np.flatnonzero(k > 0)
     while down.size:
-        down = down[_pdtr_reaches(k[down] - 1.0, lam[down], u[down])]
+        down = down[_pdtr_reaches(k[down] - 1.0, lam[down], u[down], below[down], held[down])]
+        at = down[held[down]]
+        pmf[at] *= k[at] / lam[at]
+        below[at] -= pmf[at]
         k[down] -= 1.0
         down = down[k[down] > 0]
-    up = np.flatnonzero(~_pdtr_reaches(k, lam, u))
+    up = np.flatnonzero(~_pdtr_reaches(k, lam, u, below + pmf, held))
     while up.size:
+        at = up[held[up]]
+        below[at] += pmf[at]
         k[up] += 1.0
-        up = up[~_pdtr_reaches(k[up], lam[up], u[up])]
+        pmf[at] *= lam[at] / k[at]
+        up = up[~_pdtr_reaches(k[up], lam[up], u[up], below[up] + pmf[up], held[up])]
     return k.astype(np.int64)
 
 

@@ -1234,15 +1234,23 @@ def test_analysis_commands_leave_out_scipy(tmp_path, small_tables):
 
 
 def test_drawing_commands_leave_out_scipy_at_the_papers_flux(tmp_path):
-    """At the default config's 3*10^5 counts per bin, numpy settles every
-    count comparison, so simulate and calibrate load no scipy; a run of about
-    100 counts per bin still asks scipy's pdtr."""
-    low = write_config(tmp_path, **{"run.rate_total_hz": 20000.0,
-                                    "run.integration_time_s": 0.01, "run.duration_s": 10.0})
+    """At the default config's 3*10^5 counts per bin and at the low-flux
+    run's 100, numpy settles every count comparison, so simulate and
+    calibrate load no scipy; a run of about 5 counts per bin still asks
+    scipy's pdtr."""
+    configs = {}
+    for name, rate in (("low", 20000.0), ("sparse", 1000.0)):
+        (tmp_path / name).mkdir()
+        configs[name] = write_config(tmp_path / name, **{
+            "run.rate_total_hz": rate, "run.integration_time_s": 0.01,
+            "run.duration_s": 1000.0})
     base = ["--out-dir", str(tmp_path)]
     commands = [[*base, "simulate"],
                 [*base, "calibrate", "--simulate-bright", "--simulate-counts"],
-                ["--config", low, *base, "simulate", "--out", str(tmp_path / "low.csv")]]
+                ["--config", configs["low"], *base, "simulate", "--out", "low.csv"],
+                ["--config", configs["low"], *base, "calibrate", "--simulate-bright",
+                 "--simulate-counts", "--out", "low.json"],
+                ["--config", configs["sparse"], *base, "simulate", "--out", "sparse.csv"]]
     code = ("import json, sys\n"
             "from fogsim.cli import main\n"
             "loaded = []\n"
@@ -1251,7 +1259,7 @@ def test_drawing_commands_leave_out_scipy_at_the_papers_flux(tmp_path):
             "    loaded.append('scipy.special' in sys.modules)\n"
             "print(json.dumps(loaded))\n")
     stdout = _fresh_python(code, json.dumps(commands))
-    assert json.loads(stdout.splitlines()[-1]) == [False, False, True]
+    assert json.loads(stdout.splitlines()[-1]) == [False, False, False, False, True]
 
 
 _MAIN = "import sys; from fogsim.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -1446,6 +1454,13 @@ OVERWRITES = {
         "D/c.csv", "the input counts", "D/c.csv"),
     "out_is_a_symlink_to_the_counts": (lambda d: [*_estimate(d), "--out", d / "link.csv"],
                                        "link.csv", "the input counts", "c.csv"),
+    "out_is_a_hard_link_to_the_counts": (lambda d: [*_estimate(d), "--out", d / "hard.csv"],
+                                         "hard.csv", "the input counts", "c.csv"),
+    "manifest_is_its_counts": (
+        lambda d: ["--config", d / "tiny.json", "estimate", "--counts",
+                   d / "x.csv.manifest.json", "--calibration", d / "cal.json",
+                   "--out", d / "x.csv"],
+        "x.csv.manifest.json", "the input counts", "x.csv.manifest.json"),
     "calibration_is_its_kept_bright_scan": (
         lambda d: ["--config", d / "tiny.json", "--out-dir", d, "calibrate",
                    "--simulate-bright", "--simulate-counts", "--keep-intermediate",
@@ -1456,14 +1471,17 @@ OVERWRITES = {
 
 @pytest.mark.parametrize("case", sorted(OVERWRITES))
 def test_output_may_not_overwrite_an_input(case, tmp_path, tiny_chain):
-    """An output that resolves to the config, an input or an earlier output
-    is a usage error, raised before it is written: no file or manifest that
-    was there changes and no manifest is written."""
+    """An output that is the config, an input or an earlier output, through
+    a symbolic or a hard link too, or whose manifest would be one of them, is
+    a usage error, raised before it is written: no file or manifest that was
+    there changes and no manifest is written."""
     d = tmp_path / "chain"
     shutil.copytree(tiny_chain, d)
     (d / "D").mkdir()
     shutil.copy(d / "c.csv", d / "D" / "c.csv")
     (d / "link.csv").symlink_to("c.csv")
+    os.link(d / "c.csv", d / "hard.csv")
+    shutil.copy(d / "c.csv", d / "x.csv.manifest.json")
     before = {path: path.read_bytes() for path in d.rglob("*")
               if path.is_file() and not path.is_symlink()}
     argv, out, what, other = OVERWRITES[case]

@@ -24,10 +24,10 @@ from fogsim import (
 )
 from fogsim.calibration import fit_fringe, normalize_count_arrays
 from fogsim.errors import DataError, ParameterError
-from fogsim.simulate import (_TEMME_MAX_MEAN, _TEMME_MAX_T, _TEMME_MIN_K1, _TIE, MAX_BINS,
-                             _CHUNK, _delay_track, _ndtri, _pdtr_reaches, _poisson_cdf,
-                             _poisson_quantile, _uniforms_from_words, block_uniforms,
-                             derive_keys)
+from fogsim.simulate import (_TEMME_MAX_MEAN, _TEMME_MAX_T, _TEMME_MIN_K1, _TEMME_MIN_T, _TIE,
+                             MAX_BINS, _CHUNK, _delay_track, _erfc, _expansion_holds, _ndtri,
+                             _pdtr_reaches, _poisson_cdf, _poisson_quantile,
+                             _uniforms_from_words, block_uniforms, derive_keys)
 from fogsim.stability import check_bin_times
 
 RATE = 631.6e3
@@ -101,7 +101,7 @@ class TestPoissonQuantile:
         u = np.concatenate([[2.0**-54, 1e-16, 1e-12, 1e-6, 1e-3],
                             np.linspace(0.01, 0.99, 21),
                             1.0 - np.array([1e-3, 1e-6, 1e-10, 1e-13, 1e-14])])
-        for lam0 in (0.0, 2.5, 1e2, 1e4, 3.2e5):
+        for lam0 in (0.0, 2.5, 20.0, 50.0, 1e2, 1e3, 1e4, 3.2e5):
             for _ in range(3):
                 lam = lam0 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, u.shape))
                 np.testing.assert_array_equal(_poisson_quantile(u, lam),
@@ -134,6 +134,36 @@ class TestPoissonQuantile:
         assert k[0] == 0
         assert np.all(k[1:] > lam[1:])
         assert np.all(k < lam + 20.0 * np.sqrt(lam) + 50.0)
+
+    @pytest.mark.parametrize("lam0", [1e2, 3e5])
+    def test_one_cdf_evaluation_per_draw(self, monkeypatch, lam0):
+        """At the low-flux run's and the overnight run's means, each draw
+        evaluates the expansion once and steps by the pmf, and scipy is
+        never asked."""
+        import fogsim.simulate
+        u = block_uniforms(np.array([34, int(lam0)], dtype=np.uint64), 0, 2**15).ravel()
+        lam = lam0 * (1.0 + 0.2 * (u[::-1] - 0.5))
+        assert len(u) >= 10**5
+        expected = poisson.ppf(u, lam).astype(np.int64)
+        seen = []
+
+        def counting(k, lam):
+            seen.append(len(k))
+            return _poisson_cdf(k, lam)
+        monkeypatch.setattr(fogsim.simulate, "_poisson_cdf", counting)
+        asked = _counting_pdtr(monkeypatch)
+        np.testing.assert_array_equal(_poisson_quantile(u, lam), expected)
+        assert sum(seen) <= len(u)
+        assert asked == []
+
+    def test_tiny_means_raise_no_arithmetic_error(self):
+        """Means too small for the expansion, subnormal ones included, take
+        scipy's pdtr without a division by zero or an overflow."""
+        lam = np.array([0.0, 5e-324, 1e-300, 1e-3, 19.0])
+        u = np.full(lam.shape, 1.0 - 2.0**-53)
+        with np.errstate(all="raise"):
+            k = _poisson_quantile(u, lam)
+        np.testing.assert_array_equal(k, poisson.ppf(u, lam).astype(np.int64))
 
     def test_mean_beyond_exact_counts_rejected(self):
         """Above 2**53 a step of one count is lost in rounding and the search
@@ -176,18 +206,30 @@ def _counting_pdtr(monkeypatch) -> list:
     return asked
 
 
+def test_erfc_within_1e_15():
+    """The numpy erfc against scipy's on both sides of 0 and past the fit's
+    end at 7."""
+    from scipy.special import erfc
+    x = np.concatenate([np.linspace(-10.0, 10.0, 400_001), [0.0, -0.0, 7.0, 30.0, -30.0]])
+    assert np.max(np.abs(_erfc(x) - erfc(x))) < 1e-15
+
+
 class TestPdtrReaches:
-    """_pdtr_reaches(k, lam, u) is pdtr(k, lam) >= u, whichever of numpy's
-    Temme expansion or scipy's pdtr settles it."""
+    """_pdtr_reaches(k, lam, u, cdf, held) is pdtr(k, lam) >= u, whichever of
+    numpy's Temme expansion or scipy's pdtr settles it."""
 
     def test_expansion_close_to_pdtr_inside(self):
-        """Where numpy settles, it is 10 times closer to pdtr than _TIE."""
+        """Where numpy settles, it is 10 times closer to pdtr than _TIE, and so
+        is its value one count up, the cdf plus the pmf."""
         rng = np.random.default_rng(29)
         lam = np.exp(rng.uniform(np.log(_TEMME_MIN_K1), np.log(_TEMME_MAX_MEAN), 10**6))
         k = np.floor(lam + rng.uniform(-8.5, 8.5, lam.shape) * np.sqrt(lam))
-        inside = k + 1.0 >= _TEMME_MIN_K1
+        inside = _expansion_holds(k, lam)
+        assert inside.mean() > 0.9
         k, lam = k[inside], lam[inside]
-        assert np.max(np.abs(_poisson_cdf(k, lam) - pdtr(k, lam))) < _TIE / 10
+        cdf, pmf = _poisson_cdf(k, lam)
+        assert np.max(np.abs(cdf - pdtr(k, lam))) < _TIE / 10
+        assert np.max(np.abs(cdf + pmf - pdtr(k + 1.0, lam))) < _TIE / 10
 
     def test_agrees_with_pdtr_inside_and_at_the_bounds(self, monkeypatch):
         """10^6 comparisons inside the region, on its bounds and one step or
@@ -198,9 +240,9 @@ class TestPdtrReaches:
         n = 10**6
         a = np.floor(np.exp(rng.uniform(np.log(0.9 * _TEMME_MIN_K1),
                                         np.log(1.5 * _TEMME_MAX_MEAN), n)))
-        lam = a * (1.0 + rng.uniform(-1.1 * _TEMME_MAX_T, 1.1 * _TEMME_MAX_T, n))
+        lam = a * (1.0 + rng.uniform(1.1 * _TEMME_MIN_T, 1.1 * _TEMME_MAX_T, n))
         edge = np.arange(n) % 8 == 0
-        lam[edge] = a[edge] * rng.choice([1.0 - _TEMME_MAX_T, 1.0 + _TEMME_MAX_T], edge.sum())
+        lam[edge] = a[edge] * rng.choice([1.0 + _TEMME_MIN_T, 1.0 + _TEMME_MAX_T], edge.sum())
         a[np.arange(n) % 8 == 1] = _TEMME_MIN_K1 - rng.integers(0, 2, n // 8)
         lam[np.arange(n) % 8 == 2] = np.nextafter(_TEMME_MAX_MEAN, rng.choice([0.0, 1e6],
                                                                                 n // 8))
@@ -210,13 +252,13 @@ class TestPdtrReaches:
         u = np.where(np.arange(n) % 2 == 0,
                      np.clip(exact + rng.uniform(-1e-9, 1e-9, n), 2.0**-54, 1.0 - 2.0**-53),
                      rng.uniform(0.0, 1.0, n))
-        asked = _counting_pdtr(monkeypatch)
-        np.testing.assert_array_equal(_pdtr_reaches(k, lam, u), exact >= u)
-        inside = (a >= _TEMME_MIN_K1) & (lam <= _TEMME_MAX_MEAN) \
-            & (np.abs(lam - a) <= _TEMME_MAX_T * a)
+        inside = _expansion_holds(k, lam)
         assert 0.3 * n < inside.sum() < 0.9 * n
-        unsure = ~inside
-        unsure[inside] = np.abs(_poisson_cdf(k[inside], lam[inside]) - u[inside]) <= _TIE
+        cdf = np.zeros(n)
+        cdf[inside] = _poisson_cdf(k[inside], lam[inside])[0]
+        asked = _counting_pdtr(monkeypatch)
+        np.testing.assert_array_equal(_pdtr_reaches(k, lam, u, cdf, inside), exact >= u)
+        unsure = ~inside | (np.abs(cdf - u) <= _TIE)
         assert unsure[inside].sum() > 0
         np.testing.assert_array_equal(np.sort(asked), np.sort(lam[unsure]))
 
@@ -225,13 +267,16 @@ class TestPdtrReaches:
         rng = np.random.default_rng(4)
         lam = np.exp(rng.uniform(np.log(2e3), np.log(3e5), 1000))
         k = np.floor(lam + rng.uniform(-3.0, 3.0, lam.shape) * np.sqrt(lam))
-        near = _poisson_cdf(k, lam) + rng.choice([-0.5, 0.5], lam.shape) * _TIE
-        far = _poisson_cdf(k, lam) + rng.choice([-20.0, 20.0], lam.shape) * _TIE
+        cdf = _poisson_cdf(k, lam)[0]
+        held = np.ones(lam.shape, dtype=bool)
+        near = cdf + rng.choice([-0.5, 0.5], lam.shape) * _TIE
+        far = cdf + rng.choice([-20.0, 20.0], lam.shape) * _TIE
         asked = _counting_pdtr(monkeypatch)
-        np.testing.assert_array_equal(_pdtr_reaches(k, lam, near), pdtr(k, lam) >= near)
+        np.testing.assert_array_equal(_pdtr_reaches(k, lam, near, cdf, held),
+                                      pdtr(k, lam) >= near)
         assert asked == lam.tolist()
         asked.clear()
-        np.testing.assert_array_equal(_pdtr_reaches(k, lam, far), pdtr(k, lam) >= far)
+        np.testing.assert_array_equal(_pdtr_reaches(k, lam, far, cdf, held), pdtr(k, lam) >= far)
         assert asked == []
 
 
