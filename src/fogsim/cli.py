@@ -5,8 +5,9 @@ loads the config, runs the subcommand and writes ``<last output>.manifest.json``
 with its arguments and the digests of the files it read (its input flags)
 and wrote (every path ``_out_path`` named).  Exit codes: 0 success; 2 usage
 or configuration error (ParameterError), among them an output that would
-overwrite the config, an input or an earlier output of the same command; 3
-data or fit error (DataError).  An arithmetic error (a
+overwrite the config, an input or an output the same command named before,
+refused before the command reads, computes or writes anything; 3 data or
+fit error (DataError).  An arithmetic error (a
 floating-point overflow, invalid operation or division by zero) stops a
 command with exit 3, where numpy would warn and go on with
 inf or nan, and names the function it came from.  One rule, ``_computing``,
@@ -93,8 +94,9 @@ def _same_file(path, other) -> bool:
 def _out_path(args, name: str) -> Path:
     """The path of the output ``name``, under --out-dir unless absolute, added
     to ``args.outputs``.  A path that is the config, an input or an output
-    named before it is a usage error, raised before it is written, and so is
-    a path whose manifest would be one of them."""
+    the command named before is a usage error, and so is a path whose
+    manifest would be one of them: each command names its outputs first, so
+    it is refused before the command reads, computes or writes anything."""
     path = Path(name)
     if not path.is_absolute() and args.out_dir:
         path = Path(args.out_dir) / path
@@ -112,8 +114,8 @@ def _out_path(args, name: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each reads its inputs, calls the layers and writes its outputs
-# to the paths _out_path names
+# subcommands: each names its outputs with _out_path, reads its inputs, calls
+# the layers and writes its outputs to the paths named
 # ---------------------------------------------------------------------------
 
 def _cmd_fisher(args, config: ExperimentConfig) -> None:
@@ -125,26 +127,31 @@ def _cmd_fisher(args, config: ExperimentConfig) -> None:
         raise ParameterError(f"tau-max must be finite, got {args.tau_max}")
     if args.n_points > 1 and not args.tau_max > args.tau_min:
         raise ParameterError("tau-max must exceed tau-min")
+    out = _out_path(args, args.out)
     with _computing("the Fisher information failed", check="--n-points, --tau-min, "
                     "--tau-max, spectrum.lambda0_m and spectrum.sigma_omega"):
         grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
         values = fisher_information(grid, config.spectrum)
-    out = _out_path(args, args.out)
     write_fisher_curve(out, grid, values)
     print(f"wrote {out} ({len(grid)} points)")
 
 
 def _cmd_simulate(args, config: ExperimentConfig) -> None:
+    out = _out_path(args, args.out)
     with _computing("the run could not be drawn",
                     check="the run, noise, spectrum and modulator keys"):
         series = simulate_run(config.run, config.spectrum, config.noise, workers=args.workers)
-    out = _out_path(args, args.out)
     write_count_series(out, series)
     print(f"wrote {out} ({len(series)} bins)")
 
 
 def _cmd_calibrate(args, config: ExperimentConfig) -> None:
     protocol = config.protocol
+    bright_out = (_out_path(args, "bright_scan.csv")
+                  if args.keep_intermediate and args.simulate_bright else None)
+    scan_out = (_out_path(args, "calibration_scan.csv")
+                if args.keep_intermediate and args.simulate_counts else None)
+    out = _out_path(args, args.out)
 
     if args.simulate_bright:
         with _computing("the bright scan could not be drawn", check=(
@@ -152,8 +159,8 @@ def _cmd_calibrate(args, config: ExperimentConfig) -> None:
                 "bright_source.scan_points, bright_source.scan_v_min, "
                 "bright_source.scan_v_max, bright_source.ch1 and bright_source.ch2")):
             bright = simulate_bright_scan(config.bright_source, config.run.seed)
-        if args.keep_intermediate:
-            write_bright_scan(_out_path(args, "bright_scan.csv"), bright)
+        if bright_out:
+            write_bright_scan(bright_out, bright)
     else:
         bright = read_bright_scan(args.bright_scan)
 
@@ -174,8 +181,8 @@ def _cmd_calibrate(args, config: ExperimentConfig) -> None:
                         "and spectrum keys"):
             scan = simulate_calibration_scan(protocol, config.run, config.spectrum,
                                              modulator, config.noise, workers=args.workers)
-        if args.keep_intermediate:
-            write_calibration_scan(_out_path(args, "calibration_scan.csv"), scan)
+        if scan_out:
+            write_calibration_scan(scan_out, scan)
     else:
         scan = read_calibration_scan(args.calibration_scan, protocol.integration_time_s,
                                      "calibration_protocol.integration_time_s")
@@ -184,7 +191,6 @@ def _cmd_calibrate(args, config: ExperimentConfig) -> None:
     points = contrast_points_from_scan(scan, modulator, dark)
     linear = fit_linear_calibration(points, window_volt=(float(scan.v0.min()),
                                                          float(scan.v0.max())))
-    out = _out_path(args, args.out)
     write_calibration_set(out, CalibrationSet(fits, v0i, v0i_err, linear, dark))
     print(f"wrote {out}: alpha = {modulator.alpha:.4e} s/V, "
           f"k1 = {linear.k1:.4f} /fs, k2 = {linear.k2:.4f}, "
@@ -192,6 +198,7 @@ def _cmd_calibrate(args, config: ExperimentConfig) -> None:
 
 
 def _cmd_estimate(args, config: ExperimentConfig) -> None:
+    out = _out_path(args, args.out)
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time,
                                "run.integration_time_s")
@@ -200,12 +207,13 @@ def _cmd_estimate(args, config: ExperimentConfig) -> None:
     t = series.t.copy()
     tau, sigma, flags = estimate_delays(series, calset)
     del series
-    out = _out_path(args, args.out)
     write_delay_series(out, t, tau, sigma, flags)
     print(f"wrote {out} ({len(tau)} bins, {len(flags) - flags.count('ok')} flagged)")
 
 
 def _cmd_stability(args, config: ExperimentConfig) -> None:
+    allan_path = _out_path(args, args.out_prefix + "_allan.csv")
+    report_path = _out_path(args, args.out_prefix + "_report.json")
     t, tau, sigma, flags = read_delay_series(args.delays, config.run.integration_time,
                                              "run.integration_time_s")
     raw, dropped = series_from_delay_table(tau, flags, config.run.integration_time)
@@ -218,9 +226,6 @@ def _cmd_stability(args, config: ExperimentConfig) -> None:
               for series in (raw, *even_odd_split(raw))}
     report = stability_report(curves, dropped, config.run.rate_total, config.spectrum,
                               config.geometry)
-
-    allan_path = _out_path(args, args.out_prefix + "_allan.csv")
-    report_path = _out_path(args, args.out_prefix + "_report.json")
     write_allan_curves(allan_path, curves)
     write_report(report_path, report)
     dl_tau = report["detection_limit_tau"]

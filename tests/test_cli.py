@@ -1414,13 +1414,16 @@ def test_write_failure_names_the_path(case, tmp_path):
 @pytest.fixture(scope="module")
 def tiny_chain(tmp_path_factory):
     """A 100 s run's config, counts, calibration and delays, each with its
-    manifest; the delays are named d_allan.csv."""
+    manifest, and the calibration's kept counting scan; the delays are named
+    d_allan.csv and the scan s.json.manifest.json."""
     tmp_path = tmp_path_factory.mktemp("tiny_chain")
     (tmp_path / "tiny.json").write_text('{"run": {"duration_s": 100.0}}')
     base = ["--config", tmp_path / "tiny.json", "--out-dir", tmp_path]
     assert run(*base, "simulate", "--out", "c.csv") == 0
     assert run(*base, "calibrate", "--simulate-bright", "--simulate-counts",
-               "--out", "cal.json") == 0
+               "--keep-intermediate", "--out", "cal.json") == 0
+    (tmp_path / "calibration_scan.csv").rename(tmp_path / "s.json.manifest.json")
+    (tmp_path / "bright_scan.csv").unlink()
     assert run(*base, "estimate", "--counts", tmp_path / "c.csv",
                "--calibration", tmp_path / "cal.json", "--out", "d_allan.csv") == 0
     return tmp_path
@@ -1466,6 +1469,12 @@ OVERWRITES = {
                    "--simulate-bright", "--simulate-counts", "--keep-intermediate",
                    "--out", "bright_scan.csv"],
         "bright_scan.csv", "an earlier output", "bright_scan.csv"),
+    # refused before the bright scan it would keep is drawn
+    "calibration_manifest_is_its_scan": (
+        lambda d: ["--config", d / "tiny.json", "--out-dir", d, "calibrate",
+                   "--simulate-bright", "--counts", d / "s.json.manifest.json",
+                   "--keep-intermediate", "--out", "s.json"],
+        "s.json.manifest.json", "the input calibration_scan", "s.json.manifest.json"),
 }
 
 
@@ -1473,8 +1482,9 @@ OVERWRITES = {
 def test_output_may_not_overwrite_an_input(case, tmp_path, tiny_chain):
     """An output that is the config, an input or an earlier output, through
     a symbolic or a hard link too, or whose manifest would be one of them, is
-    a usage error, raised before it is written: no file or manifest that was
-    there changes and no manifest is written."""
+    a usage error, raised before the command reads, computes or writes
+    anything: no file that was there changes and no file of any kind
+    appears."""
     d = tmp_path / "chain"
     shutil.copytree(tiny_chain, d)
     (d / "D").mkdir()
@@ -1482,18 +1492,29 @@ def test_output_may_not_overwrite_an_input(case, tmp_path, tiny_chain):
     (d / "link.csv").symlink_to("c.csv")
     os.link(d / "c.csv", d / "hard.csv")
     shutil.copy(d / "c.csv", d / "x.csv.manifest.json")
-    before = {path: path.read_bytes() for path in d.rglob("*")
+    paths = set(d.rglob("*"))
+    before = {path: path.read_bytes() for path in paths
               if path.is_file() and not path.is_symlink()}
     argv, out, what, other = OVERWRITES[case]
     code, err = _run_quietly(argv(d))
     assert code == 2
     assert err == (f"fogsim: error: {d / out}: an output may not overwrite "
                    f"{what} ({d / other})\n")
-    after = {path: path.read_bytes() for path in d.rglob("*")
-             if path.is_file() and not path.is_symlink()}
-    assert {path: after[path] for path in before} == before
-    assert {path for path in after if path.name.endswith(".manifest.json")} == \
-        {path for path in before if path.name.endswith(".manifest.json")}
+    assert set(d.rglob("*")) == paths
+    assert {path: path.read_bytes() for path in before} == before
+
+
+def test_refused_output_costs_no_computation(tmp_path, tiny_chain, monkeypatch):
+    """A refused output is refused before the command computes: estimate
+    never estimates a delay for an --out that is its counts."""
+    def estimated(*args):
+        raise AssertionError("estimate_delays was called")
+
+    monkeypatch.setattr("fogsim.cli.estimate_delays", estimated)
+    d = tmp_path / "chain"
+    shutil.copytree(tiny_chain, d)
+    code, _ = _run_quietly(OVERWRITES["estimate_out_is_its_counts"][0](d))
+    assert code == 2
 
 
 def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):
