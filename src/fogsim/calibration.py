@@ -10,6 +10,7 @@ counts into delay estimates.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "contrast_points_from_scan",
     "fit_linear_calibration",
     "delay_from_contrast",
+    "DelayFlags",
     "estimate_delays",
     "ideal_linear_calibration",
 ]
@@ -44,8 +46,8 @@ _FS = 1e15
 # as extrapolating beyond the calibrated region.
 _WINDOW_SLACK = 0.10
 
-# Bins per block of estimate_delays, the delay writer's block size.
-_BLOCK_ROWS = 65536
+# Bins per block of estimate_delays
+_BLOCK_ROWS = 16384
 # The fewest data each fit takes
 MIN_SCAN_POINTS = 8  # bright-scan points of a fringe fit
 MIN_SCAN_HALF_PERIODS = 1  # fringe half-periods (w volts each) a fringe fit's scan spans
@@ -56,6 +58,51 @@ DELAY_FLAGS = ("ok", "degenerate", "window")
 OK_CODE = DELAY_FLAGS.index("ok")
 DEGENERATE_CODE = DELAY_FLAGS.index("degenerate")
 WINDOW_CODE = DELAY_FLAGS.index("window")
+
+
+class DelayFlags(Sequence):
+    """The flag of each bin, held as one read-only uint8 code per bin (its
+    label's index in DELAY_FLAGS) and read as the label.
+
+    A slice is a DelayFlags; ``count(label)`` counts the codes, and the
+    sequence equals a list of the same labels or a DelayFlags of the same codes.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes):
+        codes = np.asarray(codes, dtype=np.uint8).view()  # the caller's array stays writable
+        if codes.ndim != 1 or np.any(codes >= len(DELAY_FLAGS)):
+            raise ParameterError(f"flag codes must be a 1-D array of indices into "
+                                 f"{DELAY_FLAGS}")
+        codes.flags.writeable = False
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DelayFlags(self.codes[index])
+        return DELAY_FLAGS[self.codes[index]]
+
+    def __iter__(self):
+        return map(DELAY_FLAGS.__getitem__, self.codes.tolist())
+
+    def count(self, label) -> int:
+        if label not in DELAY_FLAGS:
+            return 0
+        return int(np.count_nonzero(self.codes == DELAY_FLAGS.index(label)))
+
+    def __eq__(self, other):
+        if isinstance(other, DelayFlags):
+            return bool(np.array_equal(self.codes, other.codes))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DelayFlags({', '.join(f'{f}={self.count(f)}' for f in DELAY_FLAGS)})"
 
 
 @dataclass(frozen=True)
@@ -433,8 +480,8 @@ def estimate_delays(counts, calset: "CalibrationSet"):
     """Convert a count series into per-bin delay estimates.
 
     ``counts`` needs ``c1``, ``c2`` and ``integration_time`` attributes.
-    Returns (tau, sigma_tau, flags): seconds, seconds, and a list with one
-    of "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan
+    Returns (tau, sigma_tau, flags): seconds, seconds, and a DelayFlags of
+    one "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan
     and flagged degenerate, never window.  The bins are worked _BLOCK_ROWS
     at a time into preallocated results, so the temporaries of
     normalize_count_arrays and delay_from_contrast stay block-sized; their
@@ -452,11 +499,7 @@ def estimate_delays(counts, calset: "CalibrationSet"):
         tau[block], sigma[block], outside = delay_from_contrast(dx, dx_err, calset.linear)
         code[block] = np.where(degenerate, DEGENERATE_CODE,
                                np.where(outside, WINDOW_CODE, OK_CODE))
-    flags = ["ok"] * n  # only the flagged rows are set one by one
-    flagged = np.flatnonzero(code != OK_CODE)
-    for row, flag in zip(flagged.tolist(), code[flagged].tolist()):
-        flags[row] = DELAY_FLAGS[flag]
-    return tau, sigma, flags
+    return tau, sigma, DelayFlags(code)
 
 
 def ideal_linear_calibration(spectrum: Spectrum, tau0: float) -> LinearCalibration:

@@ -40,7 +40,7 @@ from .calibration import (CalibrationSet, combine_inflection, contrast_points_fr
                           estimate_delays, fit_fringe, fit_linear_calibration)
 from .config import ExperimentConfig, load_config
 from .errors import DataError, FogsimError, ParameterError
-from .io_formats import (about_file, file_digest, read_bright_scan,
+from .io_formats import (file_digest, read_bright_scan,
                          read_calibration_scan, read_calibration_set, read_count_series,
                          read_delay_series, write_allan_curves, write_bright_scan,
                          write_calibration_scan, write_calibration_set,
@@ -96,7 +96,8 @@ def _out_path(args, name: str) -> Path:
     to ``args.outputs``.  A path that is the config, an input or an output
     the command named before is a usage error, and so is a path whose
     manifest would be one of them: each command names its outputs first, so
-    it is refused before the command reads, computes or writes anything."""
+    it is refused before the command reads, computes or writes anything.
+    The writer makes the directory, so a command that stops first leaves none."""
     path = Path(name)
     if not path.is_absolute() and args.out_dir:
         path = Path(args.out_dir) / path
@@ -107,8 +108,6 @@ def _out_path(args, name: str) -> Path:
             if other is not None and _same_file(target, other):
                 raise ParameterError(f"{target}: an output may not overwrite {what} "
                                      f"({other})")
-    with about_file(path.parent):
-        path.parent.mkdir(parents=True, exist_ok=True)
     args.outputs.append(path)
     return path
 
@@ -202,12 +201,11 @@ def _cmd_estimate(args, config: ExperimentConfig) -> None:
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time,
                                "run.integration_time_s")
-    # the columns are views of one table of 24 B per row, freed before the
-    # write; t is copied first
-    t = series.t.copy()
+    # t, c1 and c2 are views of one table of 24 B per row, held to the end
+    # with the results' 17 B per bin (tau, sigma and one flag code): copying
+    # t out to free the table would hold 8 B more per bin for a moment
     tau, sigma, flags = estimate_delays(series, calset)
-    del series
-    write_delay_series(out, t, tau, sigma, flags)
+    write_delay_series(out, series.t, tau, sigma, flags)
     print(f"wrote {out} ({len(tau)} bins, {len(flags) - flags.count('ok')} flagged)")
 
 
@@ -219,11 +217,13 @@ def _cmd_stability(args, config: ExperimentConfig) -> None:
     raw, dropped = series_from_delay_table(tau, flags, config.run.integration_time)
     # views of one table of 35 B per row, 11 of them the flag's bytes, and one
     # flag code per row: freed before the Allan kernel's 16 + 8 * workers B
-    # per sample; raw is a copy
+    # per sample; raw is a copy.  The even, odd and differential series are
+    # made after raw's curve, so they are not held with its kernel buffers
     del t, tau, sigma, flags
-    curves = {series.origin: overlapping_allan_deviation(series.drop_nonfinite(),
-                                                         workers=args.workers)
-              for series in (raw, *even_odd_split(raw))}
+    curves = {"raw": overlapping_allan_deviation(raw.drop_nonfinite(), workers=args.workers)}
+    for series in even_odd_split(raw):
+        curves[series.origin] = overlapping_allan_deviation(series.drop_nonfinite(),
+                                                            workers=args.workers)
     report = stability_report(curves, dropped, config.run.rate_total, config.spectrum,
                               config.geometry)
     write_allan_curves(allan_path, curves)

@@ -3,9 +3,9 @@
 CSV files carry a header row, dot-decimal floats rendered with shortest
 round-trip precision, LF line endings and seconds as the only time unit.
 A table is written in blocks of bytes spelled by numpy (_write_table), with
-the bytes of formatting each cell on its own.  JSON documents carry a
-schema_version field.  Reading back a written file reproduces every
-floating value bit for bit.
+the bytes of formatting each cell on its own.  A writer makes its file's
+directory.  JSON documents carry a schema_version field.  Reading back a
+written file reproduces every floating value bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (DELAY_FLAGS, MIN_SCAN_POINTS, CalibrationSet, FringeFit,
-                          LinearCalibration)
+from .calibration import (DELAY_FLAGS, MIN_SCAN_POINTS, CalibrationSet, DelayFlags,
+                          FringeFit, LinearCalibration)
 from .errors import DataError
 from .simulate import RNG_ALGORITHM, BrightScan, CalibrationScan, CountSeries
 from .stability import ORIGINS, AllanCurve, check_bin_times
@@ -51,53 +51,75 @@ CAL_SCAN_HEADER = "v0_volt,t_s,c1,c2"
 DELAY_HEADER = "t_s,tau_s,sigma_tau_s,flag"
 ALLAN_HEADER = "origin,m,t_s,adev_s,ci_s,n_terms"
 
-_WRITE_ROWS = 65536
+_WRITE_ROWS = 65536  # rows whose distinct values are spelled once
+_GATHER_ROWS = 8192  # rows gathered, joined and compacted at a time
 # A float 1e-4 <= x < 2**48 that is n / 10**d with 1 <= d <= _PLACES and
 # n < 2**48 is spelled from the digits of n (see _float_rows).
 _PLACES = 6
 _SHORT_MIN, _SHORT_END = np.array([1e-4, 2.0**48]).view(np.uint64)
 
 
+@contextmanager
+def _created(path, mode: str, **kwargs):
+    """``path`` opened for writing inside about_file, its directory made
+    first, so a command that stops before it writes leaves none behind; a
+    directory that cannot be made is named itself."""
+    path = Path(path)
+    with about_file(path.parent):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with about_file(path), open(path, mode, **kwargs) as fh:
+        yield fh
+
+
 def _write_table(path, header: str, *columns) -> None:
     """One CSV row per entry of the columns: floats via repr, the rest via str.
 
-    repr of a Python float is the shortest decimal that round-trips it.  The
-    table is written _WRITE_ROWS rows at a time, each chunk as one block of
-    bytes: every column's cells are the rows of a NUL-padded byte matrix
-    (_cell_rows), the matrices sit side by side with a column of commas
-    between them and one of newlines at the end, and dropping the NUL bytes
-    leaves the chunk's text.  The bytes are those of formatting each cell on
-    its own.
+    repr of a Python float is the shortest decimal that round-trips it.
+    Each column's distinct values are spelled once per _WRITE_ROWS rows
+    (_spelled), and those rows are written by _write_rows.  The bytes are
+    those of formatting each cell on its own.
     """
-    with about_file(path), open(path, "wb") as fh:
+    with _created(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         total = len(columns[0])
-        for lo in range(0, total, _WRITE_ROWS):
-            commas = np.full((min(total - lo, _WRITE_ROWS), 1), ord(","), np.uint8)
-            rows = np.hstack([part for c in columns  # the cell matrices go once joined
-                              for part in (_cell_rows(c[lo:lo + _WRITE_ROWS]), commas)])
-            rows[:, -1] = ord("\n")
-            fh.write(rows[rows != 0])
+        for lo in range(0, total, _WRITE_ROWS):  # one chunk's spellings held at a time
+            _write_rows(fh, [_spelled(c[lo:lo + _WRITE_ROWS]) for c in columns])
 
 
-def _cell_rows(chunk) -> np.ndarray:
-    """The chunk's cells as the rows of a NUL-padded uint8 matrix: floats via
-    repr, the rest (integers, labels) via str.
+def _write_rows(fh, spelled: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Write the rows whose cells are given, column by column, as distinct
+    spellings and the index of each cell's (_spelled), _GATHER_ROWS rows at
+    a time: each column's spellings are gathered into a NUL-padded byte
+    matrix, the matrices sit side by side with a column of commas between
+    them and one of newlines at the end, and dropping the NUL bytes leaves
+    the block's text."""
+    commas = np.full((_GATHER_ROWS, 1), ord(","), np.uint8)
+    for start in range(0, len(spelled[0][1]), _GATHER_ROWS):
+        picked = slice(start, start + _GATHER_ROWS)
+        rows = np.hstack([part for texts, index in spelled
+                          for part in (np.take(texts, index[picked], axis=0),
+                                       commas[:len(index[picked])])])
+        rows[:, -1] = ord("\n")
+        fh.write(rows[rows != 0])
 
-    Each distinct value is spelled once and its row gathered by index.
+
+def _spelled(chunk) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's distinct cells as the rows of a NUL-padded uint8 matrix,
+    floats via repr and the rest (integers, labels) via str, and the row of
+    each cell.
+
     Floats are keyed on their bits, so -0.0, 0.0 and every nan stay apart.
+    DelayFlags give their codes as the rows of their labels.
     """
-    if isinstance(chunk, list):  # labels, coded in order of appearance
-        code = {label: i for i, label in enumerate(dict.fromkeys(chunk))}
-        inverse = np.fromiter(map(code.__getitem__, chunk), np.intp, len(chunk))
-        return np.take(_ascii_rows(map(str, code)), inverse, axis=0)
+    if isinstance(chunk, DelayFlags):
+        return _ascii_rows(DELAY_FLAGS), chunk.codes
     chunk = np.asarray(chunk)
     if chunk.dtype.kind == "f":
         bits = chunk.astype(np.float64, copy=False).view(np.uint64)
         distinct, inverse = np.unique(bits, return_inverse=True)
-        return np.take(_float_rows(distinct), inverse, axis=0)
+        return _float_rows(distinct), inverse
     distinct, inverse = np.unique(chunk, return_inverse=True)
-    return np.take(_ascii_rows(map(str, distinct.tolist())), inverse, axis=0)
+    return _ascii_rows(map(str, distinct.tolist())), inverse
 
 
 def _ascii_rows(texts) -> np.ndarray:
@@ -171,7 +193,7 @@ def _decimal_rows(n: np.ndarray, places: np.ndarray) -> np.ndarray:
 
 
 def _write_json(path, doc: dict, version: int = SCHEMA_VERSION) -> None:
-    with about_file(path), open(path, "w", newline="\n") as fh:
+    with _created(path, "w", newline="\n") as fh:
         json.dump({"schema_version": version, **doc}, fh, indent=2)
         fh.write("\n")
 

@@ -40,8 +40,9 @@ __all__ = [
 ORIGINS = ("raw", "even", "odd", "differential")
 # The fewest samples of an Allan curve: m = 1 is under the cap floor((N - 1) / 2) from N = 3
 MIN_SAMPLES = 3
-# Terms per block of the Allan kernel's second buffer; blocks of 2,048 to
-# 8,192 terms ran about twice as slow at two workers, 32,768 and more did not.
+# Terms per block of the Allan kernel's second buffer, and bin times per block
+# of check_bin_times; blocks of 2,048 to 8,192 terms ran about twice as slow
+# at two workers in the kernel, 32,768 and more did not.
 _TERM_BLOCK = 65536
 
 
@@ -112,20 +113,23 @@ def check_bin_times(t, step: float, key: str) -> None:
     up to k = 10^9.  Raises DataError naming the first row that is off.
     """
     t = np.asarray(t, dtype=np.float64)
-    # |t - (t[0] + k step)| in one buffer; a time past the float range, or a
-    # nan, is off the grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        distance = np.arange(len(t), dtype=np.float64)
-        distance *= step
-        distance += t[:1]
-        np.subtract(t, distance, out=distance)
-        on_grid = np.abs(distance, out=distance) <= 1e-6 * step
-    if not on_grid.all():
-        row = int(np.argmin(on_grid))
-        raise DataError(f"bin time {float(t[row])!r} s is not t0 + k T with "
-                        f"t0 = {float(t[0])!r} s and T = {key} = {step!r} s; bin times "
-                        "must be finite and one T apart, with no row missing or repeated",
-                        row=row)
+    # |t - (t[0] + k step)| in one block-sized buffer; a time past the float
+    # range, or a nan, is off the grid
+    for start in range(0, len(t), _TERM_BLOCK):
+        chunk = t[start:start + _TERM_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            distance = np.arange(start, start + len(chunk), dtype=np.float64)
+            distance *= step
+            distance += t[:1]
+            np.subtract(chunk, distance, out=distance)
+            on_grid = np.abs(distance, out=distance) <= 1e-6 * step
+        if not on_grid.all():
+            row = start + int(np.argmin(on_grid))
+            raise DataError(f"bin time {float(t[row])!r} s is not t0 + k T with "
+                            f"t0 = {float(t[0])!r} s and T = {key} = {step!r} s; bin "
+                            "times must be finite and one T apart, with no row missing "
+                            "or repeated",
+                            row=row)
 
 
 def series_from_delay_table(tau, flags, t0: float) -> tuple[DelaySeries, int]:
@@ -193,17 +197,22 @@ def overlapping_allan_deviation(series: DelaySeries,
                              f"{series.origin} series; drop them first (drop_nonfinite)")
     # hi and lo built in place, lo[1:] first holding the centered series and
     # then each TwoSum error: (hi[j] - (hi[j+1] - b)) + (centered[j] - b)
-    # with b = hi[j+1] - hi[j]
+    # with b = hi[j+1] - hi[j], _TERM_BLOCK of them at a time
     hi, lo = np.empty(n + 1), np.empty(n + 1)
     hi[0] = lo[0] = 0.0
     np.subtract(x, x.mean(), out=lo[1:])  # the double difference is shift invariant
     np.cumsum(lo[1:], out=hi[1:])
-    b = np.subtract(hi[1:], hi[:-1])
-    lo[1:] -= b
-    np.subtract(hi[1:], b, out=b)
-    np.subtract(hi[:-1], b, out=b)
-    lo[1:] += b
-    del b
+    b = np.empty(min(n, _TERM_BLOCK))
+    for start in range(0, n, _TERM_BLOCK):
+        stop = min(start + _TERM_BLOCK, n)
+        prev, this, err = hi[start:stop], hi[start + 1:stop + 1], lo[start + 1:stop + 1]
+        part = b[:stop - start]
+        np.subtract(this, prev, out=part)
+        err -= part
+        np.subtract(this, part, out=part)
+        np.subtract(prev, part, out=part)
+        err += part
+    del b, part
     np.cumsum(lo[1:], out=lo[1:])
     adev = np.empty(len(m_arr))
     buffers = threading.local()

@@ -11,6 +11,7 @@ from fogsim import (
     CalibrationProtocol,
     CalibrationScan,
     CountSeries,
+    DelayFlags,
     FringeParams,
     LinearCalibration,
     ModulatorMap,
@@ -359,12 +360,33 @@ class TestContrastPointsFromScan:
                                                         rel=1e-15)
 
 
+class TestDelayFlags:
+    def test_reads_each_code_as_its_label(self):
+        codes = np.array([0, 1, 2, 0], np.uint8)
+        flags = DelayFlags(codes)
+        assert len(flags) == 4 and list(flags) == ["ok", "degenerate", "window", "ok"]
+        assert (flags[1], flags[-1]) == ("degenerate", "ok")
+        assert isinstance(flags[1:3], DelayFlags) and flags[1:3] == ["degenerate", "window"]
+        assert flags.count("ok") == 2 and flags.count("bogus") == 0
+        assert "window" in flags and flags.index("window") == 2
+        assert flags == DelayFlags(codes.copy()) and flags != DelayFlags(codes[:3])
+        assert flags != ["ok"] and flags != tuple(flags)
+        assert codes.flags.writeable and not flags.codes.flags.writeable
+        assert repr(flags) == "DelayFlags(ok=2, degenerate=1, window=1)"
+
+    @pytest.mark.parametrize("codes", [[3], [[0, 1]]])
+    def test_codes_must_index_the_labels(self, codes):
+        with pytest.raises(ParameterError, match="flag codes"):
+            DelayFlags(codes)
+
+
 class TestEstimateDelays:
     @pytest.mark.parametrize("edge_kind", ["degenerate", "window"])
     def test_blocks_match_one_whole_array_call(self, rng, edge_kind):
-        """Worked in blocks of 65,536 bins, estimate_delays gives the bits and
+        """Worked in blocks of 16,384 bins, estimate_delays gives the bits and
         flags of one normalize_count_arrays + delay_from_contrast call on the
-        whole series; the flagged bins sit on and next to the block edges."""
+        whole series, one uint8 code per bin read as its label; the flagged
+        bins sit on and next to the block edges."""
         n = 150_001
         edges = [65_535, 65_536, 131_072]
         c1, c2 = rng.poisson(1133, n), rng.poisson(867, n)
@@ -384,7 +406,9 @@ class TestEstimateDelays:
         want_flags = np.where(degenerate, "degenerate", np.where(outside, "window", "ok"))
         assert np.array_equal(tau.view(np.uint64), want_tau.view(np.uint64))
         assert np.array_equal(sigma.view(np.uint64), want_sigma.view(np.uint64))
-        assert isinstance(flags, list)
+        assert flags.codes.dtype == np.uint8 and flags.codes.shape == (n,)
+        assert not flags.codes.flags.writeable
+        assert np.array(calibration.DELAY_FLAGS)[flags.codes].tolist() == want_flags.tolist()
         assert flags == want_flags.tolist()
         assert [flags[row] for row in edges] == [edge_kind] * 3
         assert flags.count("ok") == n - 6

@@ -1517,6 +1517,34 @@ def test_refused_output_costs_no_computation(tmp_path, tiny_chain, monkeypatch):
     assert code == 2
 
 
+# case -> (the arguments in a copy of tiny_chain, with an --out-dir "new"
+# that does not exist yet, and the exit code): a command that stops on an
+# input it cannot read, or on an output it refuses, before it writes
+STOPS_BEFORE_WRITING = {
+    "missing_counts": (lambda d: ["--config", d / "tiny.json", "--out-dir", d / "new",
+                                  "estimate", "--counts", d / "missing.csv",
+                                  "--calibration", d / "cal.json"], 3),
+    "refused_later_output": (lambda d: ["--config", d / "tiny.json", "--out-dir", d / "new",
+                                        "calibrate", "--simulate-bright", "--simulate-counts",
+                                        "--keep-intermediate", "--out", "bright_scan.csv"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOPS_BEFORE_WRITING))
+def test_out_dir_is_made_by_the_first_write(case, tmp_path, tiny_chain):
+    """--out-dir is made when the command writes its first file, so one that
+    stops before leaves no directory behind; one that writes makes it, its
+    parents too."""
+    d = tmp_path / "chain"
+    shutil.copytree(tiny_chain, d)
+    argv, exit_code = STOPS_BEFORE_WRITING[case]
+    code, _ = _run_quietly(argv(d))
+    assert code == exit_code
+    assert not (d / "new").exists()
+    assert run("--out-dir", d / "new" / "deeper", "fisher", "--n-points", 3) == 0
+    assert (d / "new" / "deeper" / "fisher.csv.manifest.json").is_file()
+
+
 def test_default_chain_bytes_do_not_depend_on_simd_level(tmp_path):
     """The default chain writes the same data files with numpy's dispatch
     native and held to its baseline, every target it found above that

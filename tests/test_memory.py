@@ -6,16 +6,22 @@ at most 25 %.  A warm-up call on a few bins first keeps one-off allocations
 of a first call out of the peak.
 """
 
+import contextlib
+import io
+import json
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fogsim import (CountSeries, DelaySeries, DriftModel, LinearCalibration, NoiseModel,
-                    RunConfig, Spectrum, overlapping_allan_deviation, simulate_run)
+from fogsim import (CalibrationSet, CountSeries, DelaySeries, DriftModel, LinearCalibration,
+                    NoiseModel, RunConfig, Spectrum, overlapping_allan_deviation,
+                    simulate_run)
 from fogsim.calibration import estimate_delays
-from fogsim.io_formats import read_delay_series, write_delay_series
+from fogsim.cli import main
+from fogsim.io_formats import (read_delay_series, write_calibration_set, write_count_series,
+                               write_delay_series)
 
 N = 200_000
 STEP = 0.01
@@ -49,17 +55,19 @@ def counts():
 
 
 def test_estimate_delays(counts):
-    """The results (tau, sigma, the flag list) take 24 B per bin; the
-    temporaries are block-sized.  41.6 B/bin measured; 101 at whole-array
+    """The results (tau, sigma and one flag code) take 17 B per bin; the
+    temporaries are block-sized.  23.2 B/bin measured; 41.6 with the flags
+    as a list of labels and blocks of 65,536 bins, 101 at whole-array
     temporaries."""
     estimate_delays(_counts(16), CALSET)
-    assert traced_peak_per_bin(estimate_delays, counts, CALSET) < 50
+    assert traced_peak_per_bin(estimate_delays, counts, CALSET) < 29
 
 
 def test_read_delay_series(tmp_path, counts):
     """The four columns take 35 B per bin, 11 of them the flag's bytes, and
-    the flag codes 1 B.  45.0 B/bin measured; 77.0 with the flags read as
-    11-character strings, 114 with np.isin and a full-length grid check."""
+    the flag codes 1 B; the bin times are checked a block at a time.  41.6
+    B/bin measured; 45.0 with a full-length grid check, 77.0 with the flags
+    read as 11-character strings as well, 114 with np.isin too."""
     path = tmp_path / "delays.csv"
     write_delay_series(path, counts.t, *estimate_delays(counts, CALSET))
     small = tmp_path / "small.csv"
@@ -87,6 +95,58 @@ def test_overlapping_allan_deviation_two_workers():
     """Each worker adds one full-length buffer of terms and a block-sized
     one.  38.4 B/bin measured; 49.2 with two full-length buffers per worker."""
     assert _allan_peak_per_bin(2) < 48
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    """A config of 10 ms bins, a calibration, and the counts and delays of
+    16 bins (for warm-up calls) and of N bins, all from CALSET."""
+    d = tmp_path_factory.mktemp("memory")
+    (d / "config.json").write_text(json.dumps({"run": {"integration_time_s": STEP}}))
+    write_calibration_set(d / "cal.json", CalibrationSet(
+        fringe_fits={}, v0i=3.8596, v0i_err=0.0095, linear=CALSET.linear,
+        dark_rates=CALSET.dark_rates))
+    for name, n in (("small", 16), ("big", N)):
+        counts = _counts(n)
+        write_count_series(d / f"{name}_counts.csv", counts)
+        write_delay_series(d / f"{name}_delays.csv", counts.t,
+                           *estimate_delays(counts, CALSET))
+    return d
+
+
+def _command_peak_per_bin(d, command) -> float:
+    """The traced peak of ``fogsim --workers 1 <command(size)>`` on the big
+    files, after one run on the small ones."""
+    def run(size: str) -> int:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["--config", str(d / "config.json"), "--out-dir", str(d),
+                         *command(size)])
+    assert run("small") == 0
+    return traced_peak_per_bin(run, "big")
+
+
+def test_estimate_command(chain_files):
+    """estimate holds the count table (24 B per bin) with the results (17 B:
+    tau, sigma and one flag code), and works both a block at a time.  69.7
+    B/bin measured; 106 with a copy of the table's times, the flags as a
+    list of labels and the writer's rows joined 65,536 at a time."""
+    d = chain_files
+    peak = _command_peak_per_bin(d, lambda size: [
+        "estimate", "--counts", str(d / f"{size}_counts.csv"),
+        "--calibration", str(d / "cal.json"), "--out", f"{size}_out.csv"])
+    assert peak < 87
+
+
+def test_stability_command(chain_files):
+    """stability reads one table of 35 B per row and the flag codes (1 B)
+    and makes the raw series (8 B) from them, which sets the peak; the Allan
+    curves come after the table is freed.  45.5 B/bin measured; 47.8 with a
+    full-length buffer in the bin-time check.  The bound sits between the
+    two, 3 % over the measurement."""
+    d = chain_files
+    peak = _command_peak_per_bin(d, lambda size: [
+        "stability", "--delays", str(d / f"{size}_delays.csv"), "--out-prefix", size])
+    assert peak < 47
 
 
 def _run(n: int, noise: NoiseModel = NoiseModel(2.0, 3.0, 0.01)) -> CountSeries:
