@@ -476,21 +476,25 @@ def delay_from_contrast(dx, dx_err, calib: LinearCalibration):
     return tau, sigma, outside
 
 
-def estimate_delays(counts, calset: "CalibrationSet"):
+def estimate_delays(counts, calset: "CalibrationSet", out=None):
     """Convert a count series into per-bin delay estimates.
 
     ``counts`` needs ``c1``, ``c2`` and ``integration_time`` attributes.
     Returns (tau, sigma_tau, flags): seconds, seconds, and a DelayFlags of
     one "ok" / "degenerate" / "window" per bin.  Degenerate bins come back nan
     and flagged degenerate, never window.  The bins are worked _BLOCK_ROWS
-    at a time into preallocated results, so the temporaries of
-    normalize_count_arrays and delay_from_contrast stay block-sized; their
-    arithmetic is elementwise, so the bits are those of one call on the
-    whole series.
+    at a time, so the temporaries of normalize_count_arrays and
+    delay_from_contrast stay block-sized; their arithmetic is elementwise,
+    so the bits are those of one call on the whole series.
+
+    ``out``, a (tau, sigma_tau) pair of float64 arrays of one entry per bin,
+    takes the results instead of new arrays.  Each may share memory with
+    c1 or c2 bin for bin, as float64 views of the counts do: a block's
+    counts are read before its results are written over them.
     """
     c1, c2 = np.asarray(counts.c1), np.asarray(counts.c2)
     n = len(c1)
-    tau, sigma = np.empty(n), np.empty(n)
+    tau, sigma = (np.empty(n), np.empty(n)) if out is None else out
     code = np.empty(n, np.uint8)  # index into DELAY_FLAGS
     for lo in range(0, n, _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)

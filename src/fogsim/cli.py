@@ -201,10 +201,11 @@ def _cmd_estimate(args, config: ExperimentConfig) -> None:
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time,
                                "run.integration_time_s")
-    # t, c1 and c2 are views of one table of 24 B per row, held to the end
-    # with the results' 17 B per bin (tau, sigma and one flag code): copying
-    # t out to free the table would hold 8 B more per bin for a moment
-    tau, sigma, flags = estimate_delays(series, calset)
+    # t, c1 and c2 are views of one table of 24 B per row, held to the end:
+    # tau and sigma are written over c1 and c2 (estimate_delays' out), a
+    # block at a time, so the results add only the flag codes' 1 B per bin
+    tau, sigma, flags = estimate_delays(
+        series, calset, (series.c1.view(np.float64), series.c2.view(np.float64)))
     write_delay_series(out, series.t, tau, sigma, flags)
     print(f"wrote {out} ({len(tau)} bins, {len(flags) - flags.count('ok')} flagged)")
 

@@ -57,6 +57,7 @@ _GATHER_ROWS = 8192  # rows gathered, joined and compacted at a time
 # n < 2**48 is spelled from the digits of n (see _float_rows).
 _PLACES = 6
 _SHORT_MIN, _SHORT_END = np.array([1e-4, 2.0**48]).view(np.uint64)
+_REPR_WIDTH = len(repr(-2.2250738585072014e-308))  # the longest repr of a float64
 
 
 @contextmanager
@@ -109,6 +110,7 @@ def _spelled(chunk) -> tuple[np.ndarray, np.ndarray]:
     each cell.
 
     Floats are keyed on their bits, so -0.0, 0.0 and every nan stay apart.
+    numpy's cast to bytes spells an integer or an ASCII label as str does.
     DelayFlags give their codes as the rows of their labels.
     """
     if isinstance(chunk, DelayFlags):
@@ -119,12 +121,12 @@ def _spelled(chunk) -> tuple[np.ndarray, np.ndarray]:
         distinct, inverse = np.unique(bits, return_inverse=True)
         return _float_rows(distinct), inverse
     distinct, inverse = np.unique(chunk, return_inverse=True)
-    return _ascii_rows(map(str, distinct.tolist())), inverse
+    return _ascii_rows(distinct.astype(bytes)), inverse
 
 
 def _ascii_rows(texts) -> np.ndarray:
     """ASCII strings as the rows of a NUL-padded uint8 matrix."""
-    text = np.array(list(texts), dtype=bytes)
+    text = np.asarray(texts, dtype=bytes)
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
@@ -153,7 +155,8 @@ def _float_rows(bits: np.ndarray) -> np.ndarray:
       only if d = 1, as d - 1 places would do otherwise, so the texts agree.
 
     Every other value (negative, -0.0, nan, inf, small, large or long) is
-    spelled by repr.
+    spelled by repr, _GATHER_ROWS values at a time into the one matrix, so
+    that only so many Python strings are alive at once.
     """
     x = bits.view(np.float64)
     n = np.zeros(len(x), np.int64)
@@ -166,11 +169,19 @@ def _float_rows(bits: np.ndarray) -> np.ndarray:
         todo = todo[~hit]
     decimal = places > 0
     short = _decimal_rows(n[decimal], places[decimal])
-    other = _ascii_rows(map(repr, x[~decimal].tolist()))
-    rows = np.zeros((len(x), max(short.shape[1], other.shape[1])), np.uint8)
+    del n, places
+    if decimal.all():
+        return short
+    rows = np.zeros((len(x), max(short.shape[1], _REPR_WIDTH)), np.uint8)
     rows[decimal, :short.shape[1]] = short
-    rows[~decimal, :other.shape[1]] = other
-    return rows
+    width = short.shape[1]
+    other = np.flatnonzero(~decimal)
+    for lo in range(0, len(other), _GATHER_ROWS):
+        at = other[lo:lo + _GATHER_ROWS]
+        text = _ascii_rows([repr(v) for v in x[at].tolist()])
+        rows[at, :text.shape[1]] = text
+        width = max(width, text.shape[1])
+    return rows[:, :width]
 
 
 def _decimal_rows(n: np.ndarray, places: np.ndarray) -> np.ndarray:
@@ -210,11 +221,11 @@ def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
     try:
         with open(path) as fh:
             found = fh.readline().rstrip("\n")
-            if found == header:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # header-only file
-                    columns = np.loadtxt(fh, delimiter=",", dtype=np.dtype(dtype),
-                                         comments=None, ndmin=1, unpack=True)
+        if found == header:  # loadtxt reads a path in blocks, a handle line by line
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header-only file
+                columns = np.loadtxt(path, delimiter=",", dtype=np.dtype(dtype),
+                                     comments=None, skiprows=1, ndmin=1, unpack=True)
     except ValueError as exc:  # a bad cell or cell count, or bytes that are not text
         raise DataError(*_loadtxt_reason(str(exc))) from exc
     if found != header:

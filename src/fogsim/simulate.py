@@ -13,12 +13,12 @@ nearby parameter changes perturb rather than reshuffle a realization.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from ._pool import call_each
 from .calibration import (MIN_REPEATS, MIN_SCAN_HALF_PERIODS, MIN_SCAN_POINTS, MIN_STEPS,
                           FringeParams)
 from .errors import DataError, ParameterError
@@ -455,14 +455,13 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
 def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
                   spectrum: Spectrum, noise: NoiseModel, workers: int) -> CountSeries:
     """Counts of n_bins bins at t_k = k T around the set-point delay tau_set
-    (one value, or one per bin), under the run's seed and rate.  At most four
-    full-length columns are held at once: t and tau are freed while the counts
-    are drawn, and t is made again after."""
+    (one value, or one per bin), under the run's seed and rate.  At most three
+    full-length columns are held at once: tau, c1 and c2 while the counts are
+    drawn, each chunk's click probabilities from its own delays, and t is
+    made again after."""
     key_counts, key_drift = derive_keys(run.seed, 2)
     tau = _delay_track(_bin_times(n_bins, integration_time), tau_set, noise, key_drift,
                        integration_time)
-    p1, p2 = click_probabilities(tau, spectrum)
-    del tau
     mean_total = run.rate_total * integration_time
     dark_counts = (noise.dark_rate_1 * integration_time,
                    noise.dark_rate_2 * integration_time)
@@ -471,13 +470,12 @@ def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
     slices = [slice(lo, min(lo + _CHUNK, n_bins)) for lo in range(0, n_bins, _CHUNK)]
 
     def fill(sl: slice) -> None:
-        c1[sl], c2[sl] = _draw_counts(sl.start, key_counts, p1[sl], p2[sl],
+        p1, p2 = click_probabilities(tau[sl], spectrum)
+        c1[sl], c2[sl] = _draw_counts(sl.start, key_counts, p1, p2,
                                       mean_total, dark_counts, noise.pump_rel_sigma)
 
-    # Pool threads start under numpy's default error handling; each takes the caller's.
-    with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
-        list(pool.map(fill, slices))
-    del p1, p2
+    call_each(fill, slices, workers)
+    del tau
     return CountSeries(_bin_times(n_bins, integration_time), c1, c2, integration_time)
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
+from ._pool import call_each
 from .calibration import DEGENERATE_CODE
 from .constants import EARTH_RATE_RAD_PER_S, rad_per_s_to_deg_per_hour
 from .errors import DataError, ParameterError
@@ -151,8 +150,17 @@ def default_m_grid(n_samples: int) -> np.ndarray:
     """29 log-spaced integer m per decade, deduplicated, capped at floor((N-1)/2) >= 1."""
     m_max = (n_samples - 1) // 2
     exponents = np.arange(0.0, math.log10(m_max) + 1e-12, 1.0 / 29)
-    grid = np.unique(np.round(10.0**exponents).astype(np.int64))
+    grid = _distinct(np.round(10.0**exponents).astype(np.int64))
     return grid[(grid >= 1) & (grid <= m_max)]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending, as np.unique gives them; plain
+    np.unique imports numpy.ma, which costs a process about 20 ms."""
+    values = np.sort(values)
+    first = np.ones(len(values), bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def overlapping_allan_deviation(series: DelaySeries,
@@ -172,7 +180,7 @@ def overlapping_allan_deviation(series: DelaySeries,
     & Oishi 2005).  In basic float64 operations, whose bytes depend neither
     on the SIMD level nor on the platform's long double, that puts adev
     within 2 ulp of the rounded exact value on offset and drifting series.
-    Each pool thread fills one N-sample buffer with the squared terms,
+    Each worker thread fills one N-sample buffer with the squared terms,
     _TERM_BLOCK of them at a time through a block-sized second buffer, and
     sums the whole buffer in one np.sum, so the block size leaves adev's
     bits alone.  Fewer than MIN_SAMPLES samples, or non-finite ones, raise
@@ -185,7 +193,7 @@ def overlapping_allan_deviation(series: DelaySeries,
                              f"Allan curve needs at least {MIN_SAMPLES}")
     if m_grid is None:
         m_grid = default_m_grid(n)
-    m_arr = np.unique(np.asarray(m_grid, dtype=np.int64))
+    m_arr = _distinct(np.asarray(m_grid, dtype=np.int64).ravel())
     m_cap = (n - 1) // 2
     bad = m_arr[(m_arr < 1) | (m_arr > m_cap)]
     if len(bad):
@@ -239,9 +247,7 @@ def overlapping_allan_deviation(series: DelaySeries,
             np.square(block, out=block)
         adev[i] = math.sqrt(float(np.sum(d)) / (2.0 * m * m * k))
 
-    # Pool threads start under numpy's default error handling; each takes the caller's.
-    with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
-        list(pool.map(compute, range(len(m_arr))))
+    call_each(compute, range(len(m_arr)), workers)
 
     return AllanCurve(m=m_arr, adev=adev, n_samples=n, t0=series.t0)
 

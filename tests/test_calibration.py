@@ -412,3 +412,45 @@ class TestEstimateDelays:
         assert flags == want_flags.tolist()
         assert [flags[row] for row in edges] == [edge_kind] * 3
         assert flags.count("ok") == n - 6
+
+    @staticmethod
+    def _table_counts(rng, n: int) -> CountSeries:
+        """n bins whose t, c1 and c2 are views of one table, as a count file
+        reads; some bins degenerate and some out of the window."""
+        table = np.zeros(n, dtype="f8,i8,i8")
+        table["f0"] = np.arange(n) * 0.01
+        table["f1"], table["f2"] = rng.poisson(1133, n), rng.poisson(867, n)
+        table["f1"][::997] = 0
+        table["f1"][5::1009], table["f2"][5::1009] = 2000, 10
+        return CountSeries(table["f0"], table["f1"], table["f2"], 0.01)
+
+    def test_results_written_over_the_counts(self, rng):
+        """Given float64 views of the counts' own columns as ``out``, as
+        estimate passes them, each block's results overwrite the counts it
+        read, with the bits and flags of the call without ``out``; 50,001
+        bins end in a partial block."""
+        n = 50_001
+        assert n % calibration._BLOCK_ROWS
+        counts = self._table_counts(rng, n)
+        calset = SimpleNamespace(dark_rates=(2.0, 3.0), linear=TestDelayFromContrast.calib())
+        want_tau, want_sigma, want_flags = estimate_delays(
+            CountSeries(counts.t, counts.c1.copy(), counts.c2.copy(), 0.01), calset)
+        out = (counts.c1.view(np.float64), counts.c2.view(np.float64))
+
+        tau, sigma, flags = estimate_delays(counts, calset, out=out)
+
+        assert tau is out[0] and sigma is out[1]
+        assert np.array_equal(tau.view(np.uint64), want_tau.view(np.uint64))
+        assert np.array_equal(sigma.view(np.uint64), want_sigma.view(np.uint64))
+        assert flags == want_flags
+        assert 0 < flags.count("degenerate") and 0 < flags.count("window")
+
+    def test_counts_kept_without_out(self, rng):
+        """Without ``out`` the results are new arrays and the caller's counts
+        keep their values."""
+        counts = self._table_counts(rng, 20_000)
+        c1, c2 = counts.c1.copy(), counts.c2.copy()
+        calset = SimpleNamespace(dark_rates=(2.0, 3.0), linear=TestDelayFromContrast.calib())
+        tau, sigma, _ = estimate_delays(counts, calset)
+        assert not np.shares_memory(tau, counts.c1) and not np.shares_memory(sigma, counts.c2)
+        assert np.array_equal(counts.c1, c1) and np.array_equal(counts.c2, c2)

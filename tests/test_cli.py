@@ -1233,6 +1233,22 @@ def test_analysis_commands_leave_out_scipy(tmp_path, small_tables):
     assert json.loads(stdout.splitlines()[-1]) == [[], [], []]
 
 
+def test_stability_leaves_out_numpy_ma(tmp_path, small_tables):
+    """stability dedups its Allan grids without plain np.unique, which
+    imports numpy.ma (about 20 ms a process with numpy 2.4); so, with one
+    worker or two, it loads no numpy.ma."""
+    source, config = small_tables
+    code = ("import sys\n"
+            "from fogsim.cli import main\n"
+            "delays, *base = sys.argv[1:]\n"
+            "for workers in ('1', '2'):\n"
+            "    assert main([*base, '--workers', workers, 'stability', '--delays', delays]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    stdout = _fresh_python(code, source / "delays.csv", "--config", config,
+                           "--out-dir", tmp_path)
+    assert stdout.splitlines()[-1] == "False"
+
+
 def test_drawing_commands_leave_out_scipy_at_the_papers_flux(tmp_path):
     """At the default config's 3*10^5 counts per bin and at the low-flux
     run's 100, numpy settles every count comparison, so simulate and

@@ -85,7 +85,7 @@ def _allan_peak_per_bin(workers: int) -> float:
 
 def test_overlapping_allan_deviation():
     """The prefix sums hi and lo take 16 B per bin and the worker's buffer of
-    terms 8 more, its second buffer being block-sized.  27.8 B/bin measured;
+    terms 8 more, its second buffer being block-sized.  26.7 B/bin measured;
     33.2 with two full-length buffers, 40.0 with full-length prefix-sum
     temporaries."""
     assert _allan_peak_per_bin(1) < 34
@@ -126,15 +126,17 @@ def _command_peak_per_bin(d, command) -> float:
 
 
 def test_estimate_command(chain_files):
-    """estimate holds the count table (24 B per bin) with the results (17 B:
-    tau, sigma and one flag code), and works both a block at a time.  69.7
-    B/bin measured; 106 with a copy of the table's times, the flags as a
-    list of labels and the writer's rows joined 65,536 at a time."""
+    """estimate holds the count table (24 B per bin), writes tau and sigma
+    over its counts and adds one flag code (1 B), and works both a block at
+    a time.  55.6 B/bin measured; 69.7 with tau and sigma in arrays of their
+    own and every float spelled by repr in a chunk held as Python strings,
+    106 with a copy of the table's times, the flags as a list of labels and
+    the writer's rows joined 65,536 at a time."""
     d = chain_files
     peak = _command_peak_per_bin(d, lambda size: [
         "estimate", "--counts", str(d / f"{size}_counts.csv"),
         "--calibration", str(d / "cal.json"), "--out", f"{size}_out.csv"])
-    assert peak < 87
+    assert peak < 65
 
 
 def test_stability_command(chain_files):
@@ -156,18 +158,20 @@ def _run(n: int, noise: NoiseModel = NoiseModel(2.0, 3.0, 0.01)) -> CountSeries:
 
 
 def test_simulate_run():
-    """p1, p2, c1 and c2 take 32 B per bin while the counts are drawn, with
-    t and tau freed; each chunk's draw adds its own temporaries.  41.4
-    B/bin measured; 57.4 with t and tau held throughout."""
+    """tau, c1 and c2 take 24 B per bin while the counts are drawn, with t
+    freed; each chunk's click probabilities and draw add their own
+    temporaries, 3.6 MB at 16,384 bins.  43.1 B/bin measured; 50.0 with p1
+    and p2 made for the whole run first, 57.4 with t and tau held as well.
+    The bound lies between the first two."""
     _run(16)
-    assert traced_peak_per_bin(_run, N) < 51
+    assert traced_peak_per_bin(_run, N) < 48
 
 
 def test_simulate_run_random_walk():
     """The random walk's steps take one buffer of 8 B per bin, drawn a chunk
     at a time and freed before the counts are drawn, so the draws still set
-    the peak.  41.3 B/bin measured; 112.0 with every uniform of the walk
-    drawn at once."""
+    the peak.  43.1 B/bin measured; 50.0 with p1 and p2 made for the whole
+    run first, 112.0 with every uniform of the walk drawn at once."""
     noise = NoiseModel(2.0, 3.0, 0.01, DriftModel(random_walk=1e-19))
     _run(16, noise)
-    assert traced_peak_per_bin(_run, N, noise) < 51
+    assert traced_peak_per_bin(_run, N, noise) < 48
