@@ -27,6 +27,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -51,6 +52,12 @@ from .simulate import (MAX_BINS, simulate_bright_scan, simulate_calibration_scan
                        simulate_run)
 from .stability import (even_odd_split, overlapping_allan_deviation,
                         series_from_delay_table, stability_report)
+
+# What the imports made lives as long as the process.  Frozen, it is left out
+# of every later garbage collection, the last ones at exit among them (about
+# 20 ms of a 180 ms command).  Refcounting still frees it; only cycles made
+# before this line are never collected.
+gc.freeze()
 
 _USAGE_EXIT = 2
 _DATA_EXIT = 3

@@ -52,6 +52,7 @@ DELAY_HEADER = "t_s,tau_s,sigma_tau_s,flag"
 ALLAN_HEADER = "origin,m,t_s,adev_s,ci_s,n_terms"
 
 _WRITE_ROWS = 65536  # rows whose distinct values are spelled once
+_INDEX = np.min_scalar_type(_WRITE_ROWS - 1)  # uint16: indexes any of a chunk's cells
 _GATHER_ROWS = 8192  # rows gathered, joined and compacted at a time
 # A float 1e-4 <= x < 2**48 that is n / 10**d with 1 <= d <= _PLACES and
 # n < 2**48 is spelled from the digits of n (see _float_rows).
@@ -111,17 +112,18 @@ def _spelled(chunk) -> tuple[np.ndarray, np.ndarray]:
 
     Floats are keyed on their bits, so -0.0, 0.0 and every nan stay apart.
     numpy's cast to bytes spells an integer or an ASCII label as str does.
-    DelayFlags give their codes as the rows of their labels.
+    DelayFlags give their codes as the rows of their labels.  The rows are
+    indexed by _INDEX, 2 B a cell, not np.unique's 8.
     """
     if isinstance(chunk, DelayFlags):
         return _ascii_rows(DELAY_FLAGS), chunk.codes
     chunk = np.asarray(chunk)
-    if chunk.dtype.kind == "f":
-        bits = chunk.astype(np.float64, copy=False).view(np.uint64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        return _float_rows(distinct), inverse
+    floats = chunk.dtype.kind == "f"
+    if floats:
+        chunk = chunk.astype(np.float64, copy=False).view(np.uint64)
     distinct, inverse = np.unique(chunk, return_inverse=True)
-    return _ascii_rows(distinct.astype(bytes)), inverse
+    inverse = inverse.astype(_INDEX)  # before the spellings' temporaries
+    return (_float_rows(distinct) if floats else _ascii_rows(distinct.astype(bytes))), inverse
 
 
 def _ascii_rows(texts) -> np.ndarray:

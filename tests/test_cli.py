@@ -1249,6 +1249,29 @@ def test_stability_leaves_out_numpy_ma(tmp_path, small_tables):
     assert stdout.splitlines()[-1] == "False"
 
 
+def test_one_worker_leaves_out_the_thread_pool(tmp_path, small_tables):
+    """At one worker no command starts a pool, so none imports
+    concurrent.futures (with logging and queue, about 5 ms a process);
+    stability at two workers runs its pool."""
+    source, config = small_tables
+    base = ["--config", config, "--out-dir", str(tmp_path), "--workers"]
+    commands = [[*base, "1", "fisher", "--n-points", "1"],
+                [*base, "1", "simulate"],
+                [*base, "1", "estimate", "--counts", str(source / "counts.csv"),
+                 "--calibration", str(source / "calibration.json")],
+                [*base, "1", "stability", "--delays", str(source / "delays.csv")],
+                [*base, "2", "stability", "--delays", str(source / "delays.csv")]]
+    code = ("import json, sys\n"
+            "from fogsim.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded.append('concurrent.futures' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+    stdout = _fresh_python(code, json.dumps(commands))
+    assert json.loads(stdout.splitlines()[-1]) == [False, False, False, False, True]
+
+
 def test_drawing_commands_leave_out_scipy_at_the_papers_flux(tmp_path):
     """At the default config's 3*10^5 counts per bin and at the low-flux
     run's 100, numpy settles every count comparison, so simulate and

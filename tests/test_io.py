@@ -595,6 +595,20 @@ def test_writer_matches_per_cell_formatting(tmp_path, monkeypatch, data):
     assert path.read_text() == _per_cell_table(header, *columns)
 
 
+def test_writer_indexes_every_cell_of_a_full_chunk(tmp_path):
+    """A first chunk of _WRITE_ROWS distinct cells, so its narrow index
+    reaches its largest value, and one row after it."""
+    n = io_formats._WRITE_ROWS + 1
+    columns = [np.arange(n)[::-1] * 1e-3 - 7.0, np.arange(n, dtype=np.int64)[::-1] - 2**40]
+    path = tmp_path / "table.csv"
+    _write_table(path, "t,k", *columns)
+    got = path.read_text().splitlines()
+    want = _per_cell_table("t,k", *columns).splitlines()
+    assert len(got) == len(want)
+    # the first rows that differ: pytest's diff of the whole texts takes minutes
+    assert [i for i, row in enumerate(got) if row != want[i]][:3] == []
+
+
 @pytest.mark.parametrize("size", [0, 1, 3 * 2**20 + 12345])
 def test_file_digest_of_several_blocks(tmp_path, rng, size):
     """The digest, taken 1 MiB at a time, is the SHA-256 of the whole file."""
