@@ -146,7 +146,7 @@ def _cmd_simulate(args, config: ExperimentConfig) -> None:
     out = _out_path(args, args.out)
     with _computing("the run could not be drawn",
                     check="the run, noise, spectrum and modulator keys"):
-        series = simulate_run(config.run, config.spectrum, config.noise, workers=args.workers)
+        series = simulate_run(config.run, config.spectrum, config.noise)
     write_count_series(out, series)
     print(f"wrote {out} ({len(series)} bins)")
 
@@ -186,7 +186,7 @@ def _cmd_calibrate(args, config: ExperimentConfig) -> None:
                         check="run.rate_total_hz and the calibration_protocol, noise "
                         "and spectrum keys"):
             scan = simulate_calibration_scan(protocol, config.run, config.spectrum,
-                                             modulator, config.noise, workers=args.workers)
+                                             modulator, config.noise)
         if scan_out:
             write_calibration_scan(scan_out, scan)
     else:
@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json-errors", action="store_true",
                         help="emit errors as JSON on stderr")
     parser.add_argument("--workers", type=_worker_count, default=1,
-                        help="worker threads for bin generation / Allan analysis")
+                        help="worker threads for the Allan analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fisher", help="tabulate the Fisher information curve")

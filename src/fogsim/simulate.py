@@ -6,8 +6,8 @@ common-mode pump fluctuation and a configurable slow delay drift.
 
 Every random quantity is an inverse-CDF transform of open-interval uniforms
 drawn from a counter-based Philox4x64-10 stream keyed per bin, so output is
-bit-identical for a given seed regardless of chunking or worker count, and
-nearby parameter changes perturb rather than reshuffle a realization.
+bit-identical for a given seed regardless of chunking, and nearby parameter
+changes perturb rather than reshuffle a realization.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import partial
 
 import numpy as np
 
-from ._pool import call_each
 from .calibration import (MIN_REPEATS, MIN_SCAN_HALF_PERIODS, MIN_SCAN_POINTS, MIN_STEPS,
                           FringeParams)
 from .errors import DataError, ParameterError
@@ -453,12 +452,14 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
 
 
 def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
-                  spectrum: Spectrum, noise: NoiseModel, workers: int) -> CountSeries:
+                  spectrum: Spectrum, noise: NoiseModel) -> CountSeries:
     """Counts of n_bins bins at t_k = k T around the set-point delay tau_set
     (one value, or one per bin), under the run's seed and rate.  At most three
     full-length columns are held at once: tau, c1 and c2 while the counts are
     drawn, each chunk's click probabilities from its own delays, and t is
-    made again after."""
+    made again after.  The chunks are drawn in order on the calling thread:
+    threads bought no wall time, passing the GIL between numpy calls of
+    6-16 us, and each kept its own memory arena."""
     key_counts, key_drift = derive_keys(run.seed, 2)
     tau = _delay_track(_bin_times(n_bins, integration_time), tau_set, noise, key_drift,
                        integration_time)
@@ -467,14 +468,11 @@ def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
                    noise.dark_rate_2 * integration_time)
     c1 = np.empty(n_bins, dtype=np.int64)
     c2 = np.empty(n_bins, dtype=np.int64)
-    slices = [slice(lo, min(lo + _CHUNK, n_bins)) for lo in range(0, n_bins, _CHUNK)]
-
-    def fill(sl: slice) -> None:
+    for lo in range(0, n_bins, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
         p1, p2 = click_probabilities(tau[sl], spectrum)
-        c1[sl], c2[sl] = _draw_counts(sl.start, key_counts, p1, p2,
+        c1[sl], c2[sl] = _draw_counts(lo, key_counts, p1, p2,
                                       mean_total, dark_counts, noise.pump_rel_sigma)
-
-    call_each(fill, slices, workers)
     del tau
     return CountSeries(_bin_times(n_bins, integration_time), c1, c2, integration_time)
 
@@ -486,17 +484,16 @@ def _bin_times(n_bins: int, integration_time: float) -> np.ndarray:
     return t
 
 
-def simulate_run(config: RunConfig, spectrum: Spectrum, noise: NoiseModel,
-                 workers: int = 1) -> CountSeries:
+def simulate_run(config: RunConfig, spectrum: Spectrum, noise: NoiseModel) -> CountSeries:
     """Simulate a counting run of floor(duration / T) bins.
 
     Bin k at t_k = k T sees delay tau0 + drift(t_k); both channels draw
     Poisson counts with mean g_k R T p_i + dark_i T, where g_k is the
     common-mode pump multiplier (clipped at zero).  Identical
-    (config, spectrum, noise) give bit-identical output for any ``workers``.
+    (config, spectrum, noise) give bit-identical output.
     """
     return _count_series(config.n_bins, config.integration_time, config.tau0, config,
-                         spectrum, noise, workers)
+                         spectrum, noise)
 
 
 @dataclass(frozen=True)
@@ -613,7 +610,7 @@ class CalibrationScan:
 
 def simulate_calibration_scan(protocol: CalibrationProtocol, run: RunConfig,
                               spectrum: Spectrum, modulator: ModulatorMap,
-                              noise: NoiseModel, workers: int = 1) -> CalibrationScan:
+                              noise: NoiseModel) -> CalibrationScan:
     """Step the voltage from v_a_volt to v_b_volt, acquiring ``repeats`` bins
     of the protocol's bin length per step.
 
@@ -625,4 +622,4 @@ def simulate_calibration_scan(protocol: CalibrationProtocol, run: RunConfig,
     v0 = np.linspace(protocol.v_a_volt, protocol.v_b_volt, protocol.n_steps)
     tau_set = np.repeat(modulator.alpha * v0, protocol.repeats)
     return CalibrationScan(v0, _count_series(protocol.n_bins, protocol.integration_time_s,
-                                             tau_set, run, spectrum, noise, workers))
+                                             tau_set, run, spectrum, noise))

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._pool import call_each
 from .calibration import DEGENERATE_CODE
 from .constants import EARTH_RATE_RAD_PER_S, rad_per_s_to_deg_per_hour
 from .errors import DataError, ParameterError
@@ -247,7 +247,17 @@ def overlapping_allan_deviation(series: DelaySeries,
             np.square(block, out=block)
         adev[i] = math.sqrt(float(np.sum(d)) / (2.0 * m * m * k))
 
-    call_each(compute, range(len(m_arr)), workers)
+    if workers == 1:
+        # no thread, so no thread's memory arena kept, and no concurrent.futures
+        # import (with logging and queue, about 5 ms a process)
+        for i in range(len(m_arr)):
+            compute(i)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Pool threads start under numpy's default error handling; each takes the caller's.
+        with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
+            list(pool.map(compute, range(len(m_arr))))
 
     return AllanCurve(m=m_arr, adev=adev, n_samples=n, t0=series.t0)
 

@@ -215,7 +215,7 @@ def test_criterion_07_differential_drift_immunity(spectrum):
                            pump_rel_sigma=0.01, drift=drift)
         config = RunConfig(rate_total=RATE, integration_time=1.0,
                            duration=9 * 3600.0, tau0=tau0, seed=SEED_DRIFT)
-        series = simulate_run(config, spectrum, noise, workers=2)
+        series = simulate_run(config, spectrum, noise)
         tau, _, _ = estimate_delays(series, calset)
         raw = DelaySeries(1.0, tau, "raw")
         _, _, diff = even_odd_split(raw)

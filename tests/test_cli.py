@@ -1261,6 +1261,24 @@ def test_one_worker_leaves_out_the_thread_pool(tmp_path, small_tables):
                  "--calibration", str(source / "calibration.json")],
                 [*base, "1", "stability", "--delays", str(source / "delays.csv")],
                 [*base, "2", "stability", "--delays", str(source / "delays.csv")]]
+    assert _loads_the_thread_pool(commands) == [False, False, False, False, True]
+
+
+def test_only_the_allan_kernel_starts_a_pool(tmp_path, small_tables):
+    """simulate and calibrate draw their chunks on the calling thread at any
+    --workers, so at two workers they import no concurrent.futures either;
+    stability, run after them in the same process, still does."""
+    source, config = small_tables
+    base = ["--config", config, "--out-dir", str(tmp_path), "--workers", "2"]
+    commands = [[*base, "simulate"],
+                [*base, "calibrate", "--simulate-bright", "--simulate-counts"],
+                [*base, "stability", "--delays", str(source / "delays.csv")]]
+    assert _loads_the_thread_pool(commands) == [False, False, True]
+
+
+def _loads_the_thread_pool(commands) -> list[bool]:
+    """Whether concurrent.futures is loaded after each command, run in turn
+    by one fresh process."""
     code = ("import json, sys\n"
             "from fogsim.cli import main\n"
             "loaded = []\n"
@@ -1268,8 +1286,7 @@ def test_one_worker_leaves_out_the_thread_pool(tmp_path, small_tables):
             "    assert main(argv) == 0, argv\n"
             "    loaded.append('concurrent.futures' in sys.modules)\n"
             "print(json.dumps(loaded))\n")
-    stdout = _fresh_python(code, json.dumps(commands))
-    assert json.loads(stdout.splitlines()[-1]) == [False, False, False, False, True]
+    return json.loads(_fresh_python(code, json.dumps(commands)).splitlines()[-1])
 
 
 def test_drawing_commands_leave_out_scipy_at_the_papers_flux(tmp_path):

@@ -312,16 +312,20 @@ class TestSimulateRun:
         assert abs(series.c1.mean() - mu) < 3 * sigma_mean
         assert abs(series.c2.mean() - mu) < 3 * sigma_mean
 
-    def test_deterministic_and_parallel_invariant(self, spectrum):
+    def test_deterministic_and_parallel_invariant(self, spectrum, monkeypatch):
+        """Each chunk's draw is a pure function of (key, bin index), so the
+        2,000 bins drawn in chunks of 256, the last one short, are the bins
+        drawn in one chunk; chunks could be drawn in any order or thread."""
         config = RunConfig(rate_total=RATE, integration_time=1.0, duration=2000.0,
                            tau0=1.294e-15, seed=17)
         noise = NoiseModel(dark_rate_1=25.0, dark_rate_2=25.0, pump_rel_sigma=0.01,
                            drift=overnight_drift())
         first = simulate_run(config, spectrum, noise)
         second = simulate_run(config, spectrum, noise)
-        threaded = simulate_run(config, spectrum, noise, workers=4)
+        monkeypatch.setattr("fogsim.simulate._CHUNK", 256)
+        chunked = simulate_run(config, spectrum, noise)
         assert first == second
-        assert first == threaded
+        assert first == chunked
 
     def test_seed_changes_output(self, spectrum):
         base = RunConfig(rate_total=RATE, integration_time=1.0, duration=100.0,

@@ -322,7 +322,7 @@ class TestDriftedRunDetectionLimit:
                            duration=9 * 3600.0, tau0=tau0, seed=7001)
         noise = NoiseModel(dark_rate_1=25.0, dark_rate_2=25.0,
                            pump_rel_sigma=0.01, drift=overnight_drift())
-        series = simulate_run(config, spectrum, noise, workers=2)
+        series = simulate_run(config, spectrum, noise)
         tau, _, _ = estimate_delays(series, calset)
         even, _, _ = even_odd_split(DelaySeries(1.0, tau, "raw"))
         curve = overlapping_allan_deviation(even)

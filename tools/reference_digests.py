@@ -23,8 +23,8 @@ runtime SIMD dispatch, so stderr names the numpy and scipy versions and the
 SIMD extensions numpy found on this CPU (``np.show_config``'s "SIMD
 Extensions").  The whole run takes about 23 s on 2 cores, about 9 s of it
 in the lowflux_1m chain, whose ``stability`` peaks at about 77 MB of memory
-(``simulate`` at about 75 MB, ``estimate`` at about 65 MB and each
-``calibrate`` at about 39 MB), and about 4 s in sparse_gaps.
+(``simulate`` at about 66 MB, ``estimate`` at about 65 MB and each
+``calibrate`` at about 38 MB), and about 4 s in sparse_gaps.
 
 ``reference_digests.json`` next to this file records the digests with the
 numpy and scipy versions and the SIMD extensions found that made them.
