@@ -222,12 +222,13 @@ def _cmd_stability(args, config: ExperimentConfig) -> None:
     report_path = _out_path(args, args.out_prefix + "_report.json")
     t, tau, sigma, flags = read_delay_series(args.delays, config.run.integration_time,
                                              "run.integration_time_s")
+    # four columns of 25 B per row in all; t and sigma are freed before raw, a
+    # copy, is made, and tau and the flag codes before the Allan kernel's
+    # prefix sums (16 B per sample).  The even, odd and differential series
+    # are made after raw's curve, so they are not held with its prefix sums
+    del t, sigma
     raw, dropped = series_from_delay_table(tau, flags, config.run.integration_time)
-    # views of one table of 35 B per row, 11 of them the flag's bytes, and one
-    # flag code per row: freed before the Allan kernel's 16 + 8 * workers B
-    # per sample; raw is a copy.  The even, odd and differential series are
-    # made after raw's curve, so they are not held with its kernel buffers
-    del t, tau, sigma, flags
+    del tau, flags
     curves = {"raw": overlapping_allan_deviation(raw.drop_nonfinite(), workers=args.workers)}
     for series in even_odd_split(raw):
         curves[series.origin] = overlapping_allan_deviation(series.drop_nonfinite(),

@@ -59,6 +59,7 @@ _GATHER_ROWS = 8192  # rows gathered, joined and compacted at a time
 _PLACES = 6
 _SHORT_MIN, _SHORT_END = np.array([1e-4, 2.0**48]).view(np.uint64)
 _REPR_WIDTH = len(repr(-2.2250738585072014e-308))  # the longest repr of a float64
+_READ_ROWS = 4096  # rows of a delay table parsed at a time, 143 KB of table
 
 
 @contextmanager
@@ -218,23 +219,44 @@ def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
     and no line is a comment.  Label fields are bytes sized one character
     past the longest valid label, because loadtxt truncates longer cells to
     the field size: none is cut to a valid label.  A bad row raises DataError carrying its data row
-    (_loadtxt_reason); read inside about_file, which names the file.
+    (_parsed); read inside about_file, which names the file.
     """
+    with open(path) as fh:
+        _check_header(fh, header)
+    # loadtxt reads a path in blocks, a handle line by line
+    table = _parsed(path, dtype, skiprows=1)
+    if len(table) == 0:
+        raise DataError("no data rows")
+    return [table[name] for name in table.dtype.names]
+
+
+def _check_header(fh, header: str) -> None:
+    """Read the first line of a table and check that it is ``header``."""
     try:
-        with open(path) as fh:
-            found = fh.readline().rstrip("\n")
-        if found == header:  # loadtxt reads a path in blocks, a handle line by line
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # header-only file
-                columns = np.loadtxt(path, delimiter=",", dtype=np.dtype(dtype),
-                                     comments=None, skiprows=1, ndmin=1, unpack=True)
-    except ValueError as exc:  # a bad cell or cell count, or bytes that are not text
-        raise DataError(*_loadtxt_reason(str(exc))) from exc
+        found = fh.readline().rstrip("\n")
+    except UnicodeDecodeError as exc:  # bytes that are not text
+        raise DataError(str(exc)) from exc
     if found != header:
         raise DataError(f"expected header {header!r}, got {found!r}")
-    if len(columns[0]) == 0:
-        raise DataError("no data rows")
-    return columns
+
+
+def _parsed(source, dtype: str, first_row: int = 0, skiprows: int = 0,
+            max_rows: int | None = None) -> np.ndarray:
+    """The rows of ``source``, a path or an open text file, as a structured
+    array of ``dtype``: after ``skiprows`` lines, at most ``max_rows`` rows;
+    empty lines are skipped and not counted.  A bad cell, a wrong cell count
+    or bytes that are not text raise DataError carrying the data row of the
+    table that loadtxt names (_loadtxt_reason), the rows of ``source``
+    counted from ``first_row``.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            return np.loadtxt(source, delimiter=",", dtype=np.dtype(dtype), comments=None,
+                              skiprows=skiprows, max_rows=max_rows, ndmin=1)
+    except ValueError as exc:
+        message, row = _loadtxt_reason(str(exc))
+        raise DataError(message, row=None if row is None else first_row + row) from exc
 
 
 _LOADTXT_ROW = re.compile(r" at row (\d+)")
@@ -285,25 +307,26 @@ def about_file(path):
         raise DataError(f"{where}: {exc}") from exc
 
 
-def _label_codes(path, column: int, name: str, values: np.ndarray,
-                 allowed: tuple[str, ...]) -> np.ndarray:
-    """The index in ``allowed`` of each label of a bytes column, as uint8.
+def _label_codes(values: np.ndarray, allowed: tuple[str, ...]) -> np.ndarray:
+    """The index in ``allowed`` of each label of a bytes column, as uint8;
+    len(allowed) for a label that is none of them (_check_codes)."""
+    codes = np.full(len(values), len(allowed), np.uint8)
+    for code, label in enumerate(allowed):
+        codes[values == label.encode()] = code
+    return codes
 
-    A label that is none of them raises DataError naming its row and the
-    cell as the file spells it: loadtxt stores a cell as Latin-1 bytes cut
-    to the field size, so the message takes the cell from the file's line.
-    """
-    codes = np.zeros(len(values), np.uint8)
-    good = values == allowed[0].encode()
-    for code, label in enumerate(allowed[1:], start=1):
-        hit = values == label.encode()
-        codes[hit] = code
-        good |= hit
-    if not good.all():
-        row = int(np.argmin(good))
+
+def _check_codes(path, column: int, name: str, codes: np.ndarray,
+                 allowed: tuple[str, ...]) -> None:
+    """Raise DataError on the first label that _label_codes found in none of
+    ``allowed``, naming its row and the cell as the file spells it: loadtxt
+    stores a cell as Latin-1 bytes cut to the field size, so the message
+    takes the cell from the file's line."""
+    bad = codes == len(allowed)
+    if bad.any():
+        row = int(np.argmax(bad))
         cell = _file_line(path, row)[1].rstrip("\n").split(",")[column]
         raise DataError(f"{name} {cell!r} is not one of {allowed}", row=row)
-    return codes
 
 
 def file_digest(path) -> str:
@@ -393,13 +416,47 @@ def read_delay_series(path, step: float, key: str):
     per row, the index of its label in DELAY_FLAGS.
 
     The bin times must lie on the grid of check_bin_times with step
-    ``step``, the value of the config key ``key``.
+    ``step``, the value of the config key ``key``.  The table is parsed
+    _READ_ROWS rows at a time into the four columns, 25 B per row, sized
+    once by the file's line ends; one parse of the whole table would hold its
+    35 B rows (11 of them the flag's bytes) as well.  The checks and messages
+    are _read_table's and _check_codes', in the same order: a bad cell first,
+    then a bad flag, then a bin time off the grid.
     """
     with about_file(path):
-        t, tau, sigma, labels = _read_table(path, DELAY_HEADER, "f8,f8,f8,S11")
-        flags = _label_codes(path, 3, "flag", labels, DELAY_FLAGS)
+        size = _line_ends(path)  # the header's covers a last row without one
+        t, tau, sigma = np.empty(size), np.empty(size), np.empty(size)
+        flags = np.empty(size, np.uint8)
+        rows = 0
+        with open(path) as fh:
+            _check_header(fh, DELAY_HEADER)
+            while True:  # loadtxt leaves a handle after max_rows rows
+                block = _parsed(fh, "f8,f8,f8,S11", first_row=rows, max_rows=_READ_ROWS)
+                stop = rows + len(block)
+                t[rows:stop], tau[rows:stop] = block["f0"], block["f1"]
+                sigma[rows:stop] = block["f2"]
+                flags[rows:stop] = _label_codes(block["f3"], DELAY_FLAGS)
+                rows = stop
+                if len(block) < _READ_ROWS:
+                    break
+        if rows == 0:
+            raise DataError("no data rows")
+        t, tau, sigma, flags = t[:rows], tau[:rows], sigma[:rows], flags[:rows]
+        _check_codes(path, 3, "flag", flags, DELAY_FLAGS)
         check_bin_times(t, step, key)
     return t, tau, sigma, flags
+
+
+def _line_ends(path) -> int:
+    """The count of line ends, LF or CR, in a file: at least the number of
+    lines after its first, as a text-mode file splits them."""
+    count = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            count += block.count(b"\n")
+            if b"\r" in block:  # a search, where a count is a slower loop
+                count += block.count(b"\r")
+    return count
 
 
 def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
@@ -413,7 +470,8 @@ def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
 def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
     with about_file(path):
         labels, *columns = _read_table(path, ALLAN_HEADER, "S13,i8,f8,f8,f8,i8")
-        origin = _label_codes(path, 0, "origin", labels, ORIGINS)
+        origin = _label_codes(labels, ORIGINS)
+        _check_codes(path, 0, "origin", origin, ORIGINS)
     codes, first = np.unique(origin, return_index=True)
     return {ORIGINS[code]: {key: column[origin == code] for key, column in
                             zip(("m", "t", "adev", "ci", "n_terms"), columns)}

@@ -39,10 +39,13 @@ __all__ = [
 ORIGINS = ("raw", "even", "odd", "differential")
 # The fewest samples of an Allan curve: m = 1 is under the cap floor((N - 1) / 2) from N = 3
 MIN_SAMPLES = 3
-# Terms per block of the Allan kernel's second buffer, and bin times per block
-# of check_bin_times; blocks of 2,048 to 8,192 terms ran about twice as slow
-# at two workers in the kernel, 32,768 and more did not.
+# Terms per leaf of the Allan kernel's sums, and bin times per block of
+# check_bin_times; blocks of 2,048 to 8,192 terms ran about twice as slow at
+# two workers in the kernel, 32,768 and more did not.
 _TERM_BLOCK = 65536
+# numpy's pairwise summation adds at most this many values in one loop of
+# eight partial sums; longer runs it splits in two
+_PAIRWISE_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,26 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def _pairwise_sum(leaf, start: int, stop: int, most: int) -> float:
+    """The sum of the values start to stop - 1 in the order of numpy's pairwise
+    summation, which np.sum applies to a contiguous float64 array: a run of
+    more than 128 values is split after half of them, less that half's
+    remainder mod 8, and the two halves' sums are added.  Runs of at most
+    ``most`` values (at least 128) are summed by ``leaf(start, stop)`` with
+    np.sum, so the result has the bits of one np.sum over all the values.
+
+    A module-level function, not one nested in its caller: a nested function
+    that calls itself is a reference cycle, which would keep the caller's
+    arrays alive until the garbage collector ran.
+    """
+    if stop - start <= most:
+        return leaf(start, stop)
+    half = (stop - start) // 2
+    half -= half % 8
+    return (_pairwise_sum(leaf, start, start + half, most)
+            + _pairwise_sum(leaf, start + half, stop, most))
+
+
 def overlapping_allan_deviation(series: DelaySeries,
                                 m_grid: np.ndarray | None = None,
                                 workers: int = 1) -> AllanCurve:
@@ -180,9 +203,10 @@ def overlapping_allan_deviation(series: DelaySeries,
     & Oishi 2005).  In basic float64 operations, whose bytes depend neither
     on the SIMD level nor on the platform's long double, that puts adev
     within 2 ulp of the rounded exact value on offset and drifting series.
-    Each worker thread fills one N-sample buffer with the squared terms,
-    _TERM_BLOCK of them at a time through a block-sized second buffer, and
-    sums the whole buffer in one np.sum, so the block size leaves adev's
+    Each worker thread sums an m's squared terms in leaves of at most
+    _TERM_BLOCK of them, split and added back as _pairwise_sum says, which
+    gives the bits of one np.sum over all N - 2m + 1 terms; so it holds two
+    leaf-sized buffers, not one of N samples, and the leaf size leaves adev's
     bits alone.  Fewer than MIN_SAMPLES samples, or non-finite ones, raise
     ParameterError naming the series' origin; see DelaySeries.drop_nonfinite.
     """
@@ -222,42 +246,45 @@ def overlapping_allan_deviation(series: DelaySeries,
         err += part
     del b, part
     np.cumsum(lo[1:], out=lo[1:])
+    leaf = max(_TERM_BLOCK, _PAIRWISE_LEAF)  # the most terms summed in one np.sum
     adev = np.empty(len(m_arr))
     buffers = threading.local()
 
-    def compute(i: int) -> None:
+    def compute(m: int, start: int, stop: int) -> float:
+        """The sum of the squared terms start to stop - 1 at this m."""
+        if not hasattr(buffers, "d"):
+            buffers.d, buffers.e = np.empty(min(n, leaf)), np.empty(min(n, leaf))
+        s0, s1, s2 = (slice(start + shift, stop + shift) for shift in (0, m, 2 * m))
+        d, e = buffers.d[:stop - start], buffers.e[:stop - start]
+        # hi as (S[j+2m] - S[j+m]) - (S[j+m] - S[j]): each difference is
+        # exact where its two prefix sums agree to a factor 2 (Sterbenz)
+        np.subtract(hi[s2], hi[s1], out=d)
+        np.subtract(hi[s1], hi[s0], out=e)
+        d -= e
+        np.multiply(lo[s1], 2.0, out=e)
+        np.subtract(lo[s2], e, out=e)
+        e += lo[s0]
+        d += e
+        np.square(d, out=d)
+        return float(np.sum(d))
+
+    def curve(i: int) -> None:
         m = int(m_arr[i])
         k = n - 2 * m + 1  # the overlapping terms at this m
-        if not hasattr(buffers, "d"):
-            buffers.d, buffers.e = np.empty(n), np.empty(min(n, _TERM_BLOCK))
-        d = buffers.d[:k]
-        for start in range(0, k, _TERM_BLOCK):
-            stop = min(start + _TERM_BLOCK, k)
-            s0, s1, s2 = (slice(start + shift, stop + shift) for shift in (0, m, 2 * m))
-            block, e = d[s0], buffers.e[:stop - start]
-            # hi as (S[j+2m] - S[j+m]) - (S[j+m] - S[j]): each difference is
-            # exact where its two prefix sums agree to a factor 2 (Sterbenz)
-            np.subtract(hi[s2], hi[s1], out=block)
-            np.subtract(hi[s1], hi[s0], out=e)
-            block -= e
-            np.multiply(lo[s1], 2.0, out=e)
-            np.subtract(lo[s2], e, out=e)
-            e += lo[s0]
-            block += e
-            np.square(block, out=block)
-        adev[i] = math.sqrt(float(np.sum(d)) / (2.0 * m * m * k))
+        total = _pairwise_sum(partial(compute, m), 0, k, leaf)
+        adev[i] = math.sqrt(total / (2.0 * m * m * k))
 
     if workers == 1:
         # no thread, so no thread's memory arena kept, and no concurrent.futures
         # import (with logging and queue, about 5 ms a process)
         for i in range(len(m_arr)):
-            compute(i)
+            curve(i)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         # Pool threads start under numpy's default error handling; each takes the caller's.
         with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
-            list(pool.map(compute, range(len(m_arr))))
+            list(pool.map(curve, range(len(m_arr))))
 
     return AllanCurve(m=m_arr, adev=adev, n_samples=n, t0=series.t0)
 

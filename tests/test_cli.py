@@ -639,11 +639,12 @@ def _short_bright_scan(tmp_path, calibrated):
             "--out", tmp_path / "cal.json"]
 
 
-def _delay_time_case(token):
+def _delay_cell_case(token, row=0, column=0, rows=20):
+    """stability on a delay table of ``rows`` rows, one cell replaced by ``token``."""
     def argv(tmp_path, calibrated):
-        args = _stability_case(1e-15 + 1e-18 * np.sin(np.arange(20)), "ok")(tmp_path,
-                                                                             calibrated)
-        _with_cell(tmp_path / "delays.csv", 0, 0, token)
+        args = _stability_case(1e-15 + 1e-18 * np.sin(np.arange(rows)), "ok")(tmp_path,
+                                                                               calibrated)
+        _with_cell(tmp_path / "delays.csv", row, column, token)
         return args
     return argv
 
@@ -883,7 +884,19 @@ BAD_INPUTS = {
                             "the odd series has 0 samples; an Allan curve needs at least 3"),
     "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
                               "coil_radius"),
-    "delay_time_inf": (_delay_time_case("inf"), 3, "delays.csv: line 2: bin time inf s"),
+    "delay_time_inf": (_delay_cell_case("inf"), 3, "delays.csv: line 2: bin time inf s"),
+    # a fault in row 4,100 of 5,000, past the delay reader's first block of lines
+    "delay_cell_later_block": (_delay_cell_case("x", 4100, 1, 5000), 3,
+                               "delays.csv: line 4102: could not convert string 'x' to "
+                               "float64, column 2.\n"),
+    "delay_cell_count_later_block": (_delay_cell_case("1e-15,0", 4100, 1, 5000), 3,
+                                     "delays.csv: line 4102: the dtype passed requires 4 "
+                                     "columns but 5 were found\n"),
+    "delay_flag_later_block": (_delay_cell_case("bogus", 4100, 3, 5000), 3,
+                               "delays.csv: line 4102: flag 'bogus' is not one of "
+                               "('ok', 'degenerate', 'window')\n"),
+    "delay_time_later_block": (_delay_cell_case("4100.5", 4100, 0, 5000), 3,
+                               "delays.csv: line 4102: bin time 4100.5 s is not t0 + k T"),
     "overflow_one_worker": (_overflow_case(1), 2, "(in fogsim.simulate._draw_counts)"),
     "overflow_two_workers": (_overflow_case(2), 2, "(in fogsim.simulate._draw_counts)"),
     "scan_overflow_simulated_bright": (_scan_overflow_case(True), 2,

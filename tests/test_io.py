@@ -327,6 +327,10 @@ MALFORMED = {
     "scan_unequal_repeats": (CAL_SCAN_HEADER, SCAN_ROWS[:3]),
     "scan_negative_count": (CAL_SCAN_HEADER, SCAN_ROWS[:3] + ["4.4,0.3,-5,4"]),
     "delays_no_rows": (DELAY_HEADER, []),
+    "delays_blank_rows": (DELAY_HEADER, ["", "", ""]),
+    # "\udcff" is written as the byte 0xff, which is not UTF-8
+    "delays_not_text": (DELAY_HEADER, ["0.0,1e-15,1e-18,ok", "1.0,1e-15,1e-18,ok",
+                                       "2.0,1e-15,1e-18,\udcff"]),
 }
 READERS = {COUNT_HEADER: lambda path: read_count_series(path, 1.0, RUN_KEY),
            BRIGHT_HEADER: read_bright_scan,
@@ -340,12 +344,15 @@ READ_KINDS = {"counts": READERS[COUNT_HEADER], "bright": read_bright_scan,
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_table_is_data_error(tmp_path, case):
+def test_malformed_table_is_data_error(tmp_path, monkeypatch, case):
+    """Also with the delay table read two rows at a time."""
     header, rows = MALFORMED[case]
     path = tmp_path / "table.csv"
-    path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(DataError):
-        READERS[header](path)
+    path.write_bytes(("\n".join([header, *rows]) + "\n").encode("utf-8", "surrogateescape"))
+    for read_rows in (io_formats._READ_ROWS, 2):
+        monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
+        with pytest.raises(DataError):
+            READERS[header](path)
 
 
 @pytest.mark.parametrize("header", sorted(READERS))
@@ -435,23 +442,29 @@ def _off_grid(time: str) -> str:
       f"flag {flag!r} is not one of ('ok', 'degenerate', 'window')")
      for flag in ("ök", "degenerateXYZ", "")] + [
     ("2.0,1e-15,1e-18,€", "could not convert string '€' to |S11, column 4."),
+    ("2.0,x,1e-18,ok", "could not convert string 'x' to float64, column 2."),
+    ("2.0,1e-15,ok", "the dtype passed requires 4 columns but 3 were found"),
 ])
 @pytest.mark.parametrize("blank_lines", [0, 2])
-def test_bad_delay_row_named_by_file_line(tmp_path, capsys, third_row, reason,
+def test_bad_delay_row_named_by_file_line(tmp_path, capsys, monkeypatch, third_row, reason,
                                           blank_lines):
-    """fogsim stability names a bad flag and a missing row of a 20-row delay
-    table by the file and the row's line in it.  The flags are read as
-    bytes, which loadtxt spells in Latin-1 and cuts to 11; a flag that is
-    not ASCII, too long or empty is shown as the file spells it, and one
-    outside Latin-1 fails in loadtxt itself."""
+    """fogsim stability names a bad cell, a wrong cell count, a bad flag and a
+    missing row of a 20-row delay table by the file and the row's line in
+    it, also when the table is read two rows at a time, so that the row
+    lies in a later block and the empty lines straddle a block's end.  The
+    flags are read as bytes, which loadtxt spells in Latin-1 and cuts to
+    11; a flag that is not ASCII, too long or empty is shown as the file
+    spells it, and one outside Latin-1 fails in loadtxt itself."""
     path = tmp_path / "delays.csv"
     rows = [f"{float(i)!r},1e-15,1e-18,ok" for i in range(20)]
     rows[2] = third_row
     path.write_text("\n".join([DELAY_HEADER, rows[0]] + [""] * blank_lines + rows[1:]) + "\n")
-    assert main(["stability", "--delays", str(path),
-                 "--out-prefix", str(tmp_path / "stab")]) == 3
-    error = capsys.readouterr().err
-    assert error == f"fogsim: error: {path}: line {4 + blank_lines}: {reason}\n"
+    for read_rows in (io_formats._READ_ROWS, 2):
+        monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
+        assert main(["stability", "--delays", str(path),
+                     "--out-prefix", str(tmp_path / "stab")]) == 3
+        error = capsys.readouterr().err
+        assert error == f"fogsim: error: {path}: line {4 + blank_lines}: {reason}\n"
 
 
 @pytest.mark.parametrize("fault", ["flag", "time"])

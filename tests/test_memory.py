@@ -64,16 +64,18 @@ def test_estimate_delays(counts):
 
 
 def test_read_delay_series(tmp_path, counts):
-    """The four columns take 35 B per bin, 11 of them the flag's bytes, and
-    the flag codes 1 B; the bin times are checked a block at a time.  41.6
-    B/bin measured; 45.0 with a full-length grid check, 77.0 with the flags
-    read as 11-character strings as well, 114 with np.isin too."""
+    """The table is parsed a block of lines at a time into its columns: 24 B
+    per bin for t, tau and sigma and 1 B for the flag codes; the bin times
+    are checked a block at a time.  31.2 B/bin measured; 41.6 with the whole
+    table parsed at once (35 B per row, 11 of them the flag's bytes), 45.0
+    with a full-length grid check as well, 77.0 with the flags read as
+    11-character strings too, 114 with np.isin too."""
     path = tmp_path / "delays.csv"
     write_delay_series(path, counts.t, *estimate_delays(counts, CALSET))
     small = tmp_path / "small.csv"
     write_delay_series(small, counts.t[:16], *estimate_delays(_counts(16), CALSET))
     read_delay_series(small, STEP, "run.integration_time_s")
-    assert traced_peak_per_bin(read_delay_series, path, STEP, "run.integration_time_s") < 56
+    assert traced_peak_per_bin(read_delay_series, path, STEP, "run.integration_time_s") < 36
 
 
 def _allan_peak_per_bin(workers: int) -> float:
@@ -84,17 +86,17 @@ def _allan_peak_per_bin(workers: int) -> float:
 
 
 def test_overlapping_allan_deviation():
-    """The prefix sums hi and lo take 16 B per bin and the worker's buffer of
-    terms 8 more, its second buffer being block-sized.  26.7 B/bin measured;
-    33.2 with two full-length buffers, 40.0 with full-length prefix-sum
-    temporaries."""
-    assert _allan_peak_per_bin(1) < 34
+    """The prefix sums hi and lo take 16 B per bin; the worker sums its terms
+    in leaves, with two leaf-sized buffers.  21.3 B/bin measured; 26.7 with
+    a full-length buffer of terms, 33.2 with two, 40.0 with full-length
+    prefix-sum temporaries as well."""
+    assert _allan_peak_per_bin(1) < 25
 
 
 def test_overlapping_allan_deviation_two_workers():
-    """Each worker adds one full-length buffer of terms and a block-sized
-    one.  38.4 B/bin measured; 49.2 with two full-length buffers per worker."""
-    assert _allan_peak_per_bin(2) < 48
+    """Each worker adds its two leaf-sized buffers.  27.7 B/bin measured;
+    38.5 with a full-length buffer of terms per worker, 49.2 with two."""
+    assert _allan_peak_per_bin(2) < 33
 
 
 @pytest.fixture(scope="module")
@@ -141,15 +143,16 @@ def test_estimate_command(chain_files):
 
 
 def test_stability_command(chain_files):
-    """stability reads one table of 35 B per row and the flag codes (1 B)
-    and makes the raw series (8 B) from them, which sets the peak; the Allan
-    curves come after the table is freed.  45.5 B/bin measured; 47.8 with a
-    full-length buffer in the bin-time check.  The bound sits between the
-    two, 3 % over the measurement."""
+    """stability reads four columns of 25 B per row in all, a block of lines
+    at a time, and frees t and sigma before it makes the raw series (8 B)
+    from tau and the flag codes; the Allan curves come after those are
+    freed, with the prefix sums (16 B).  37.5 B/bin measured; 45.5 with the
+    whole table parsed at once (35 B per row) and held with the raw series,
+    47.8 with a full-length buffer in the bin-time check as well."""
     d = chain_files
     peak = _command_peak_per_bin(d, lambda size: [
         "stability", "--delays", str(d / f"{size}_delays.csv"), "--out-prefix", size])
-    assert peak < 47
+    assert peak < 41
 
 
 def _run(n: int, noise: NoiseModel = NoiseModel(2.0, 3.0, 0.01)) -> CountSeries:

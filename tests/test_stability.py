@@ -19,7 +19,8 @@ from fogsim import (
     stability_report,
 )
 from fogsim.errors import DataError, ParameterError
-from fogsim.stability import ORIGINS, _TERM_BLOCK
+from fogsim import stability
+from fogsim.stability import ORIGINS, _TERM_BLOCK, _pairwise_sum
 
 
 def oadev_brute_force(x: np.ndarray, m: int) -> float:
@@ -190,14 +191,39 @@ def oadev_whole_array(x: np.ndarray, m: int) -> float:
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("edge", [-1, 0, 1])
 def test_allan_blocks_leave_the_bits(rng, edge, workers):
-    """The kernel fills its terms in blocks of _TERM_BLOCK; at m = 1 with
-    _TERM_BLOCK + edge terms, and at the largest m, adev has the bits of the
-    same arithmetic on whole arrays."""
+    """The kernel sums its terms in leaves of at most _TERM_BLOCK; at m = 1
+    with _TERM_BLOCK + edge terms, and at the largest m, adev has the bits of
+    the same arithmetic on whole arrays."""
     n = _TERM_BLOCK + edge + 1  # n - 1 terms at m = 1
     x = 1.3e-15 + 1e-18 * rng.standard_normal(n) + 1e-21 * np.arange(n)
     m_grid = [1, (n - 1) // 2]
     curve = overlapping_allan_deviation(DelaySeries(0.01, x), m_grid, workers=workers)
     assert curve.adev.tolist() == [oadev_whole_array(x, m) for m in m_grid]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, _TERM_BLOCK - 1, _TERM_BLOCK + 1,
+                               2 * _TERM_BLOCK + 7, 1_000_003])
+def test_pairwise_sum_has_the_bits_of_np_sum(rng, n):
+    """Leaves of at most _TERM_BLOCK values, split and added back as numpy's
+    pairwise summation splits one array, give np.sum's bits, on values
+    spread over 16 decades, where another order of the sums moves them."""
+    values = np.square(rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n)
+
+    def leaf(start, stop):
+        assert stop - start <= _TERM_BLOCK
+        return float(np.sum(values[start:stop]))
+    assert _pairwise_sum(leaf, 0, n, _TERM_BLOCK) == float(np.sum(values))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_small_leaves_leave_the_bits(rng, monkeypatch, workers):
+    """With _TERM_BLOCK at 64 (numpy's leaves of 128 values then set the
+    kernel's), a drifting series of 10^4 samples has the default's bits."""
+    x = 1.3e-15 + 1e-18 * rng.standard_normal(10_000) + 1e-21 * np.arange(10_000)
+    want = overlapping_allan_deviation(DelaySeries(0.01, x)).adev
+    monkeypatch.setattr(stability, "_TERM_BLOCK", 64)
+    got = overlapping_allan_deviation(DelaySeries(0.01, x), workers=workers).adev
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDefaultMGrid:
