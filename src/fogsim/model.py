@@ -92,23 +92,13 @@ def click_probabilities(tau, spectrum: Spectrum):
     """Click probabilities (p1, p2) of the two outputs at inter-path delay tau.
 
     p2 = (1 + exp(-sigma^2 tau^2 / 2) cos(omega0 tau)) / 2 carries the "+"
-    fringe, p1 the "-" fringe; p1 + p2 = 1 for every tau.  Worked in place in
-    the two result buffers, in the formula's order of operations.
+    fringe, p1 the "-" fringe; p1 + p2 = 1 for every tau.  A scalar tau gives
+    numpy.float64 scalars.
     """
     tau_arr = np.asarray(tau, dtype=np.float64)
-    p1, p2 = np.empty_like(tau_arr), np.empty_like(tau_arr)
-    np.multiply(spectrum.sigma_omega, tau_arr, out=p2)
-    np.square(p2, out=p2)
-    p2 *= -0.5
-    np.exp(p2, out=p2)  # the envelope
-    np.multiply(spectrum.omega0, tau_arr, out=p1)
-    np.cos(p1, out=p1)
-    p2 *= p1  # the fringe
-    np.subtract(1.0, p2, out=p1)
-    p1 *= 0.5
-    p2 += 1.0
-    p2 *= 0.5
-    return p1[()], p2[()]
+    fringe = (np.exp(np.square(spectrum.sigma_omega * tau_arr) * -0.5)  # the envelope
+              * np.cos(spectrum.omega0 * tau_arr))
+    return (1.0 - fringe) * 0.5, (fringe + 1.0) * 0.5
 
 
 def fisher_information(tau, spectrum: Spectrum):

@@ -59,8 +59,8 @@ def block_uniforms(key: np.ndarray, start: int, n: int) -> np.ndarray:
     [k, 0, 0, 0] under ``key``.  numpy increments the counter before it
     produces a block, so the generator is set to start - 1; for start 0
     that is the all-ones counter, which wraps to 0.  Each call builds its
-    own bit generator, so threads share no state and chunk order cannot
-    matter.
+    own bit generator, so a block does not depend on the blocks drawn
+    before it.
     """
     bits = np.random.Philox(key=key, counter=(start - 1) % 2**256)
     return _uniforms_from_words(bits.random_raw(4 * n).reshape(n, 4))

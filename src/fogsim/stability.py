@@ -115,16 +115,13 @@ def check_bin_times(t, step: float, key: str) -> None:
     up to k = 10^9.  Raises DataError naming the first row that is off.
     """
     t = np.asarray(t, dtype=np.float64)
-    # |t - (t[0] + k step)| in one block-sized buffer; a time past the float
-    # range, or a nan, is off the grid
+    # |(t[0] + k step) - t|; a time past the float range, or a nan, is off the
+    # grid.  The grid is an unnamed left operand, so numpy reuses it in place.
     for start in range(0, len(t), _TERM_BLOCK):
         chunk = t[start:start + _TERM_BLOCK]
         with np.errstate(over="ignore", invalid="ignore"):
-            distance = np.arange(start, start + len(chunk), dtype=np.float64)
-            distance *= step
-            distance += t[:1]
-            np.subtract(chunk, distance, out=distance)
-            on_grid = np.abs(distance, out=distance) <= 1e-6 * step
+            on_grid = np.abs(np.arange(start, start + len(chunk), dtype=np.float64) * step
+                             + t[:1] - chunk) <= 1e-6 * step
         if not on_grid.all():
             row = start + int(np.argmin(on_grid))
             raise DataError(f"bin time {float(t[row])!r} s is not t0 + k T with "
@@ -227,24 +224,17 @@ def overlapping_allan_deviation(series: DelaySeries,
     if not np.isfinite(x).all():
         raise ParameterError(f"{n - np.isfinite(x).sum()} non-finite samples in the "
                              f"{series.origin} series; drop them first (drop_nonfinite)")
-    # hi and lo built in place, lo[1:] first holding the centered series and
-    # then each TwoSum error: (hi[j] - (hi[j+1] - b)) + (centered[j] - b)
-    # with b = hi[j+1] - hi[j], _TERM_BLOCK of them at a time
+    # lo[1:] holds the centered series, then the TwoSum error of each step of
+    # its running sum hi, a block at a time, then the running sum of those
     hi, lo = np.empty(n + 1), np.empty(n + 1)
     hi[0] = lo[0] = 0.0
     np.subtract(x, x.mean(), out=lo[1:])  # the double difference is shift invariant
     np.cumsum(lo[1:], out=hi[1:])
-    b = np.empty(min(n, _TERM_BLOCK))
     for start in range(0, n, _TERM_BLOCK):
         stop = min(start + _TERM_BLOCK, n)
         prev, this, err = hi[start:stop], hi[start + 1:stop + 1], lo[start + 1:stop + 1]
-        part = b[:stop - start]
-        np.subtract(this, prev, out=part)
-        err -= part
-        np.subtract(this, part, out=part)
-        np.subtract(prev, part, out=part)
-        err += part
-    del b, part
+        b = this - prev
+        err[:] = (prev - (this - b)) + (err - b)
     np.cumsum(lo[1:], out=lo[1:])
     leaf = max(_TERM_BLOCK, _PAIRWISE_LEAF)  # the most terms summed in one np.sum
     adev = np.empty(len(m_arr))

@@ -755,6 +755,9 @@ BAD_INPUTS = {
         _estimate_case(lambda d: d["linear"].update(k1_per_fs="1.09")), 3, "k1_per_fs"),
     "calibration_negative_dark_rate": (
         _estimate_case(lambda d: d.update(dark_rates_hz=[-1e5, 0.0])), 3, "dark_rates"),
+    "calibration_dark_rates_one_entry": (
+        _estimate_case(lambda d: d.update(dark_rates_hz=[25.0])), 3,
+        "missing or ill-typed field: dark_rates_hz must be a list of two entries, got [25.0]"),
     "calibration_negative_covariance": (
         _estimate_case(lambda d: d["linear"].update(covariance=[[-1.0, 0.0], [0.0, -1.0]])),
         3, "covariance"),

@@ -97,6 +97,20 @@ class TestDelaySeriesRoundTrip:
         assert flags2.dtype == np.uint8
         assert [DELAY_FLAGS[code] for code in flags2] == flags
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends(self, tmp_path, monkeypatch, newline):
+        """The reader sizes its columns from the count of LF and CR; each
+        kind of line end reads back the same table, in one block or in
+        blocks of two rows."""
+        t, tau = np.arange(len(NASTY)) * STEP, np.array(NASTY)
+        flags = ["ok", "degenerate", "window", "ok", "ok"]
+        path = tmp_path / "delays.csv"
+        write_delay_series(path, t, tau, tau / 7.0, flags)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        for read_rows in (io_formats._READ_ROWS, 2):
+            monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
+            assert_same_bits(_delays_read(path), [t, tau, tau / 7.0, np.array(flags)])
+
 
 class TestAllanCurveRoundTrip:
     def test_bit_exact(self, tmp_path, rng):
@@ -331,6 +345,12 @@ MALFORMED = {
     # "\udcff" is written as the byte 0xff, which is not UTF-8
     "delays_not_text": (DELAY_HEADER, ["0.0,1e-15,1e-18,ok", "1.0,1e-15,1e-18,ok",
                                        "2.0,1e-15,1e-18,\udcff"]),
+    # the byte lies past the first 8 KB, which the header check decodes, so
+    # loadtxt meets it, and its message names no row
+    "counts_not_text_deep": (COUNT_HEADER, [f"{k}.0,5,4" for k in range(2000)]
+                             + ["2000.0,5,\udcff"]),
+    "delays_not_text_deep": (DELAY_HEADER, [f"{k}.0,1e-15,1e-18,ok" for k in range(1000)]
+                             + ["1000.0,1e-15,1e-18,\udcff"]),
 }
 READERS = {COUNT_HEADER: lambda path: read_count_series(path, 1.0, RUN_KEY),
            BRIGHT_HEADER: read_bright_scan,
@@ -351,8 +371,10 @@ def test_malformed_table_is_data_error(tmp_path, monkeypatch, case):
     path.write_bytes(("\n".join([header, *rows]) + "\n").encode("utf-8", "surrogateescape"))
     for read_rows in (io_formats._READ_ROWS, 2):
         monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as raised:
             READERS[header](path)
+        if "not_text" in case:
+            assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("header", sorted(READERS))

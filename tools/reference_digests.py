@@ -22,9 +22,8 @@ print the same object write the same bytes.  Some digests depend on numpy's
 runtime SIMD dispatch, so stderr names the numpy and scipy versions and the
 SIMD extensions numpy found on this CPU (``np.show_config``'s "SIMD
 Extensions").  The whole run takes about 23 s on 2 cores, about 9 s of it
-in the lowflux_1m chain, whose ``simulate`` peaks at about 66 MB of memory
-(``estimate`` at about 65 MB, ``stability`` at about 62 MB and each
-``calibrate`` at about 38 MB), and about 4 s in sparse_gaps.
+in the lowflux_1m chain and about 4 s in sparse_gaps; README "Memory" gives
+each command's peak memory on the lowflux_1m chain.
 
 ``reference_digests.json`` next to this file records the digests with the
 numpy and scipy versions and the SIMD extensions found that made them.
