@@ -242,18 +242,15 @@ def _initial_guess(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     w = period / 2.0
 
     center = 0.5 * (v[0] + v[-1])
-    up, down = [], []
-    for i in range(n - 1):
-        if centered[i] == centered[i + 1]:
-            continue
-        frac = -centered[i] / (centered[i + 1] - centered[i])
-        if 0.0 <= frac <= 1.0:
-            crossing = v[i] + frac * (v[i + 1] - v[i])
-            (up if centered[i] < centered[i + 1] else down).append(crossing)
-    if up:
-        v0i = min(up, key=lambda z: abs(z - center))
-    elif down:
-        v0i = min(down, key=lambda z: abs(z - center)) - w
+    lo, hi = centered[:-1], centered[1:]
+    frac = np.divide(-lo, hi - lo, out=np.full(n - 1, np.nan), where=lo != hi)
+    crossing = v[:-1] + frac * np.diff(v)
+    crosses = (frac >= 0.0) & (frac <= 1.0)
+    up, down = crossing[crosses & (lo < hi)], crossing[crosses & (lo > hi)]
+    if len(up):
+        v0i = up[np.argmin(np.abs(up - center))]
+    elif len(down):
+        v0i = down[np.argmin(np.abs(down - center))] - w
     else:
         v0i = center
     return np.array([f0, a, w, v0i])

@@ -412,8 +412,8 @@ def write_delay_series(path, t, tau, sigma_tau, flags) -> None:
 
 
 def read_delay_series(path, step: float, key: str):
-    """Returns (t, tau, sigma_tau, flags) arrays; flags holds one uint8 code
-    per row, the index of its label in DELAY_FLAGS.
+    """Returns (t, tau, sigma_tau, flags): three arrays and, as
+    estimate_delays gives them, the flags as DelayFlags.
 
     The bin times must lie on the grid of check_bin_times with step
     ``step``, the value of the config key ``key``.  The table is parsed
@@ -444,18 +444,21 @@ def read_delay_series(path, step: float, key: str):
         t, tau, sigma, flags = t[:rows], tau[:rows], sigma[:rows], flags[:rows]
         _check_codes(path, 3, "flag", flags, DELAY_FLAGS)
         check_bin_times(t, step, key)
-    return t, tau, sigma, flags
+    return t, tau, sigma, DelayFlags(flags)
 
 
 def _line_ends(path) -> int:
-    """The count of line ends, LF or CR, in a file: at least the number of
-    lines after its first, as a text-mode file splits them."""
-    count = 0
+    """The count of line ends, LF, CR or CRLF, in a file: at least the number
+    of lines after its first, as a text-mode file splits them."""
+    count, last = 0, b""
     with open(path, "rb") as fh:
         while block := fh.read(1 << 20):
             count += block.count(b"\n")
             if b"\r" in block:  # a search, where a count is a slower loop
-                count += block.count(b"\r")
+                count += block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):  # a CRLF split by the blocks
+                count -= 1
+            last = block[-1:]
     return count
 
 

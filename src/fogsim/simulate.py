@@ -199,23 +199,6 @@ class RunConfig:
         return int(math.floor(self.duration / self.integration_time + 1e-9))
 
 
-def _delay_track(t: np.ndarray, tau0, noise: NoiseModel,
-                 key_drift: np.ndarray, integration_time: float) -> np.ndarray:
-    """Per-bin delay: set point plus deterministic drift plus random walk."""
-    tau = np.asarray(tau0, dtype=np.float64) + noise.drift.deterministic(t)
-    if noise.drift.random_walk > 0.0 and len(t) > 1:
-        # step k is drawn from column 0 of index k's uniforms, _CHUNK steps at a
-        # time; the walk is their running sum, from 0 at bin 0
-        scale = noise.drift.random_walk * math.sqrt(integration_time)
-        walk = np.empty(len(t) - 1)
-        for lo in range(0, len(walk), _CHUNK):
-            block = walk[lo:lo + _CHUNK]
-            np.multiply(scale, _ndtri(block_uniforms(key_drift, lo, len(block))[:, 0]),
-                        out=block)
-        tau[1:] += np.cumsum(walk, out=walk)
-    return tau
-
-
 # cephes ndtri, the standard normal quantile scipy.special.ndtri computes:
 # a rational function of (u - 1/2)^2 where |u - 1/2| <= 1/2 - e^-2, and in
 # each tail one of 1/x with x = sqrt(-2 log u) below and from 8 on.
@@ -454,15 +437,24 @@ def _draw_counts(start: int, key_counts: np.ndarray, p1: np.ndarray,
 def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
                   spectrum: Spectrum, noise: NoiseModel) -> CountSeries:
     """Counts of n_bins bins at t_k = k T around the set-point delay tau_set
-    (one value, or one per bin), under the run's seed and rate.  At most three
-    full-length columns are held at once: tau, c1 and c2 while the counts are
-    drawn, each chunk's click probabilities from its own delays, and t is
-    made again after.  The chunks are drawn in order on the calling thread:
-    threads bought no wall time, passing the GIL between numpy calls of
-    6-16 us, and each kept its own memory arena."""
+    (one value, or one per bin), under the run's seed and rate.
+
+    tau starts as the set point plus the deterministic drift.  Each chunk
+    adds its stretch of the random walk, then draws its counts from its own
+    delays.  Step k of the walk, into bin k + 1, is column 0 of the drift
+    key's uniforms at index k; the walk is one running sum carried from chunk
+    to chunk, and np.cumsum adds in order, so its bits do not depend on the
+    chunk size.  At most three full-length columns are held at once: tau, c1
+    and c2 while the counts are drawn, and t is made again after.
+    """
     key_counts, key_drift = derive_keys(run.seed, 2)
-    tau = _delay_track(_bin_times(n_bins, integration_time), tau_set, noise, key_drift,
-                       integration_time)
+    # numpy scales a float64 arange in place, eliding the temporary; freeing
+    # these bin times raises glibc's mmap threshold above a chunk's arrays,
+    # which are then reused rather than mapped afresh each time
+    tau = tau_set + noise.drift.deterministic(
+        np.arange(n_bins, dtype=np.float64) * integration_time)
+    scale = noise.drift.random_walk * math.sqrt(integration_time)
+    walked = np.zeros(1)
     mean_total = run.rate_total * integration_time
     dark_counts = (noise.dark_rate_1 * integration_time,
                    noise.dark_rate_2 * integration_time)
@@ -470,18 +462,19 @@ def _count_series(n_bins: int, integration_time: float, tau_set, run: RunConfig,
     c2 = np.empty(n_bins, dtype=np.int64)
     for lo in range(0, n_bins, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        p1, p2 = click_probabilities(tau[sl], spectrum)
+        chunk = tau[sl]
+        if scale > 0.0:
+            steps = scale * _ndtri(block_uniforms(key_drift, lo, len(chunk))[:, 0])
+            walk = np.cumsum(np.concatenate([walked, steps]))
+            chunk += walk[:-1]
+            walked = walk[-1:].copy()
+            del steps, walk  # not held through the count draw
+        p1, p2 = click_probabilities(chunk, spectrum)
         c1[sl], c2[sl] = _draw_counts(lo, key_counts, p1, p2,
                                       mean_total, dark_counts, noise.pump_rel_sigma)
-    del tau
-    return CountSeries(_bin_times(n_bins, integration_time), c1, c2, integration_time)
-
-
-def _bin_times(n_bins: int, integration_time: float) -> np.ndarray:
-    """t_k = k T, s, in one buffer."""
-    t = np.arange(n_bins, dtype=np.float64)
-    t *= integration_time
-    return t
+    del tau, chunk
+    t = np.arange(n_bins, dtype=np.float64) * integration_time
+    return CountSeries(t, c1, c2, integration_time)
 
 
 def simulate_run(config: RunConfig, spectrum: Spectrum, noise: NoiseModel) -> CountSeries:

@@ -134,14 +134,14 @@ def check_bin_times(t, step: float, key: str) -> None:
 def series_from_delay_table(tau, flags, t0: float) -> tuple[DelaySeries, int]:
     """The delay table as one series of bins t0 apart, its unusable bins set to nan.
 
-    ``flags`` holds each bin's flag as read_delay_series gives it: its index
-    in DELAY_FLAGS.  Degenerate and non-finite bins stay in place, so
-    position is bin index and the even/odd split keeps parity across gaps
+    ``flags`` is a DelayFlags, as read_delay_series and estimate_delays
+    give it.  Degenerate and non-finite bins stay in place, so position is
+    bin index and the even/odd split keeps parity across gaps
     (NIST SP 1065); window flags are warning-grade.  Returns the series, of
     any length, and the unusable-bin count.  The table's bin times are not
     read: read_delay_series has checked that they lie t0 apart.
     """
-    values = np.where(np.asarray(flags) == DEGENERATE_CODE, np.nan, tau)
+    values = np.where(flags.codes == DEGENERATE_CODE, np.nan, tau)
     dropped = len(values) - int(np.isfinite(values).sum())
     return DelaySeries(t0, values, "raw"), dropped
 

@@ -20,7 +20,6 @@ from fogsim import DriftModel, ModulatorMap, Spectrum, crb_curve, overnight_drif
 from fogsim.cli import main
 from fogsim.config import config_from_dict, default_config_dict
 from fogsim.io_formats import (
-    DELAY_FLAGS,
     file_digest,
     read_allan_curves,
     read_calibration_set,
@@ -302,7 +301,7 @@ class TestEstimateCommand:
                    "--calibration", calibrated, "--out", delays) == 0
         t, tau, sigma, flags = read_delay_series(delays, 1.0, "run.integration_time_s")
         assert len(tau) == 400
-        assert (flags == DELAY_FLAGS.index("ok")).all()
+        assert flags.count("ok") == len(flags)
         # statistical + calibration-systematic tolerance on the mean
         n = len(tau)
         sigma_total = math.sqrt(np.mean(sigma**2) / n
@@ -334,7 +333,7 @@ class TestEstimateCommand:
         assert run("estimate", "--counts", counts,
                    "--calibration", calibrated, "--out", delays) == 0
         _, _, _, flags = read_delay_series(delays, 1.0, "run.integration_time_s")
-        assert (flags == DELAY_FLAGS.index("degenerate")).all()
+        assert flags.count("degenerate") == len(flags)
 
 
 def write_delays(path: Path, t, tau, sigma, flags) -> None:

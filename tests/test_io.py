@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from fogsim import (
     CalibrationSet,
     CountSeries,
+    DelayFlags,
     DelaySeries,
     LinearCalibration,
     overlapping_allan_deviation,
@@ -94,22 +96,34 @@ class TestDelaySeriesRoundTrip:
         np.testing.assert_array_equal(t2, t)
         np.testing.assert_array_equal(tau2, tau)
         np.testing.assert_array_equal(sigma2, sigma)
-        assert flags2.dtype == np.uint8
-        assert [DELAY_FLAGS[code] for code in flags2] == flags
+        assert isinstance(flags2, DelayFlags) and flags2 == flags
+        again = tmp_path / "again.csv"
+        write_delay_series(again, t2, tau2, sigma2, flags2)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_line_ends(self, tmp_path, monkeypatch, newline):
-        """The reader sizes its columns from the count of LF and CR; each
-        kind of line end reads back the same table, in one block or in
-        blocks of two rows."""
-        t, tau = np.arange(len(NASTY)) * STEP, np.array(NASTY)
-        flags = ["ok", "degenerate", "window", "ok", "ok"]
+        """The reader sizes its columns from the count of line ends, a CRLF
+        counting once; each kind of line end reads back the same table, in one
+        block or in blocks of two rows, into columns of the same size."""
+        t, tau = np.arange(200) * STEP, np.resize(NASTY, 200)
+        flags = ["ok", "degenerate", "window", "ok"] * 50
         path = tmp_path / "delays.csv"
         write_delay_series(path, t, tau, tau / 7.0, flags)
+        _held_by_read(path)  # one-off allocations of a first call
+        lf_held = _held_by_read(path)
         path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        assert _held_by_read(path) == lf_held
         for read_rows in (io_formats._READ_ROWS, 2):
             monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
             assert_same_bits(_delays_read(path), [t, tau, tau / 7.0, np.array(flags)])
+
+    def test_crlf_across_read_blocks(self, tmp_path):
+        """A CR that ends one 1 MiB block and the LF that starts the next are
+        one line end."""
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"x" * ((1 << 20) - 1) + b"\r\n" + b"y\r\n" + b"z\r")
+        assert io_formats._line_ends(path) == 3
 
 
 class TestAllanCurveRoundTrip:
@@ -249,9 +263,21 @@ def _scan_read(path):
     return [scan.v0, scan.counts.t, scan.counts.c1, scan.counts.c2]
 
 
+def _held_by_read(path) -> int:
+    """The traced bytes that read_delay_series's result holds."""
+    tracemalloc.start()
+    try:
+        table = read_delay_series(path, STEP, RUN_KEY)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del table
+    return held
+
+
 def _delays_read(path):
     *columns, flags = read_delay_series(path, STEP, RUN_KEY)
-    return [*columns, np.array(DELAY_FLAGS)[flags]]
+    return [*columns, np.array(DELAY_FLAGS)[flags.codes]]
 
 
 def _allan_read(path):

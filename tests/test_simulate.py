@@ -24,8 +24,9 @@ from fogsim import (
 )
 from fogsim.calibration import fit_fringe, normalize_count_arrays
 from fogsim.errors import DataError, ParameterError
+from fogsim.model import click_probabilities
 from fogsim.simulate import (_TEMME_MAX_MEAN, _TEMME_MAX_T, _TEMME_MIN_K1, _TEMME_MIN_T, _TIE,
-                             MAX_BINS, _CHUNK, _delay_track, _erfc, _expansion_holds, _ndtri,
+                             MAX_BINS, _CHUNK, _draw_counts, _erfc, _expansion_holds, _ndtri,
                              _pdtr_reaches, _poisson_cdf, _poisson_quantile,
                              _uniforms_from_words, block_uniforms, derive_keys)
 from fogsim.stability import check_bin_times
@@ -313,17 +314,19 @@ class TestSimulateRun:
         assert abs(series.c2.mean() - mu) < 3 * sigma_mean
 
     def test_deterministic_and_parallel_invariant(self, spectrum, monkeypatch):
-        """Each chunk's draw is a pure function of (key, bin index), so the
-        2,000 bins drawn in chunks of 256, the last one short, are the bins
-        drawn in one chunk; chunks could be drawn in any order or thread."""
+        """Each chunk's draw is a pure function of (key, bin index) and the
+        walk carried in from the chunk before, so the 2,000 bins drawn in
+        chunks of 256, the last one short, are the bins drawn in one chunk,
+        with the overnight drift and with a random walk."""
         config = RunConfig(rate_total=RATE, integration_time=1.0, duration=2000.0,
                            tau0=1.294e-15, seed=17)
-        noise = NoiseModel(dark_rate_1=25.0, dark_rate_2=25.0, pump_rel_sigma=0.01,
-                           drift=overnight_drift())
-        first = simulate_run(config, spectrum, noise)
-        second = simulate_run(config, spectrum, noise)
+        noises = [NoiseModel(dark_rate_1=25.0, dark_rate_2=25.0, pump_rel_sigma=0.01,
+                             drift=drift)
+                  for drift in (overnight_drift(), DriftModel(random_walk=1e-19))]
+        first = [simulate_run(config, spectrum, noise) for noise in noises]
+        second = [simulate_run(config, spectrum, noise) for noise in noises]
         monkeypatch.setattr("fogsim.simulate._CHUNK", 256)
-        chunked = simulate_run(config, spectrum, noise)
+        chunked = [simulate_run(config, spectrum, noise) for noise in noises]
         assert first == second
         assert first == chunked
 
@@ -369,17 +372,26 @@ class TestSimulateRun:
         assert simulate_run(config, spectrum, noise) == \
             simulate_run(config, spectrum, noise)
 
-    @pytest.mark.parametrize("steps", [4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
-    def test_random_walk_blocks_leave_the_bits(self, steps):
-        """The walk drawn _CHUNK steps at a time is the walk drawn in one
-        block_uniforms call, bit for bit, on both sides of a chunk edge."""
-        noise = NoiseModel(drift=DriftModel(linear=2e-21, random_walk=1e-19))
-        key, t = derive_keys(29, 2)[1], 0.01 * np.arange(steps + 1)
-        whole = block_uniforms(key, 0, steps)[:, 0]
-        walk = np.cumsum(noise.drift.random_walk * math.sqrt(0.01) * ndtri(whole))
-        want = (1.294e-15 + noise.drift.deterministic(t)) + np.concatenate([[0.0], walk])
-        got = _delay_track(t, 1.294e-15, noise, key, 0.01)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    @pytest.mark.parametrize("bins", [4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1])
+    def test_random_walk_blocks_leave_the_bits(self, spectrum, bins):
+        """The walk and the counts drawn _CHUNK bins at a time are those drawn
+        in one block_uniforms call, one cumsum and one _draw_counts call, bit
+        for bit, on both sides of a chunk edge."""
+        noise = NoiseModel(dark_rate_1=25.0, dark_rate_2=25.0, pump_rel_sigma=0.01,
+                           drift=DriftModel(linear=2e-21, random_walk=1e-19))
+        config = RunConfig(rate_total=RATE, integration_time=0.01, duration=0.01 * bins,
+                           tau0=1.294e-15, seed=29)
+        key_counts, key_drift = derive_keys(29, 2)
+        steps = noise.drift.random_walk * math.sqrt(0.01) * ndtri(
+            block_uniforms(key_drift, 0, bins - 1)[:, 0])
+        tau = ((1.294e-15 + noise.drift.deterministic(0.01 * np.arange(bins)))
+               + np.concatenate([[0.0], np.cumsum(steps)]))
+        want = _draw_counts(0, key_counts, *click_probabilities(tau, spectrum), RATE * 0.01,
+                            (25.0 * 0.01, 25.0 * 0.01), 0.01)
+        got = simulate_run(config, spectrum, noise)
+        assert len(got) == bins
+        np.testing.assert_array_equal(got.c1, want[0])
+        np.testing.assert_array_equal(got.c2, want[1])
 
     def test_invalid_config(self):
         with pytest.raises(ParameterError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fogsim import (
     AllanCurve,
+    DelayFlags,
     DelaySeries,
     check_bin_times,
     crb_curve,
@@ -20,7 +21,7 @@ from fogsim import (
 )
 from fogsim.errors import DataError, ParameterError
 from fogsim import stability
-from fogsim.stability import ORIGINS, _TERM_BLOCK, _pairwise_sum
+from fogsim.stability import ORIGINS, _TERM_BLOCK, _pairwise_sum, series_from_delay_table
 
 
 def oadev_brute_force(x: np.ndarray, m: int) -> float:
@@ -467,6 +468,15 @@ class TestCheckBinTimes:
 
 
 class TestDelaySeries:
+    def test_from_delay_table(self):
+        """Degenerate and non-finite bins become nan in place and are counted;
+        a window flag keeps its bin."""
+        flags = DelayFlags(np.array([0, 1, 2, 0, 0], dtype=np.uint8))
+        tau = np.array([1.0, 2.0, 3.0, np.inf, 5.0])
+        series, dropped = series_from_delay_table(tau, flags, 2.0)
+        np.testing.assert_array_equal(series.values, [1.0, np.nan, 3.0, np.inf, 5.0])
+        assert (dropped, series.t0, series.origin) == (2, 2.0, "raw")
+
     def test_drop_nonfinite(self):
         values = np.array([1.0, np.nan, 2.0, np.inf, 3.0])
         series = DelaySeries(1.0, values).drop_nonfinite()
