@@ -1,25 +1,28 @@
 """Experiment configuration: JSON schema, defaults and validation.
 
-One nested JSON document drives the whole pipeline.  Missing keys fall back
-to the default parameter set of the reference instrument (telecom-band,
-2 km coil); unknown keys are rejected so typos cannot silently change a
-run, and every value must have the JSON type of its default.
-``pump_rel_sigma`` defaults to 0.01, a modeling choice: the source's
-pump instability is qualitative in origin and only its common-mode
-character matters, since count normalization cancels it.
+One nested JSON document drives the whole pipeline.  ``_KEYS`` spells each of
+its keys once, with its default and the field it sets; the defaults are the
+reference instrument's (telecom-band, 2 km coil).  Unknown keys are rejected
+so typos cannot silently change a run, every value must have the JSON type of
+its default, and a range error names the keys it is about.
+``pump_rel_sigma`` defaults to 0.01, a modeling choice: the source's pump
+instability is qualitative in origin and only its common-mode character
+matters, since count normalization cancels it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
+import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .calibration import FringeParams
 from .errors import ParameterError
 from .geometry import GyroGeometry
+from .io_formats import is_count, is_finite_number
 from .model import ModulatorMap, Spectrum
 from .simulate import (BrightSourceSettings, CalibrationProtocol, DriftModel, NoiseModel,
                        RunConfig, overnight_drift)
@@ -28,62 +31,50 @@ __all__ = ["ExperimentConfig", "default_config_dict", "load_config", "config_fro
 
 SCHEMA_VERSION = 5
 
+# key -> (default, the field of its section's class it sets), or a section's
+# table of them.  A field of None marks a key read by hand: the section's
+# builder in config_from_dict takes its value, in table order, before the fields.
+_KEYS = {
+    "schema_version": (SCHEMA_VERSION, None),
+    "spectrum": {"lambda0_m": (1550e-9, "lambda0"), "sigma_omega": (0.25e12, "sigma_omega")},
+    "geometry": {"fiber_length_m": (2000.0, "fiber_length"),
+                 "coil_radius_m": (0.125, "coil_radius"),
+                 "refractive_index": (1.471, "refractive_index")},
+    "modulator": {"v0i_volt": (3.8596, None)},
+    "run": {"rate_total_hz": (631.6e3, "rate_total"),
+            "integration_time_s": (1.0, "integration_time"), "duration_s": (7200.0, "duration"),
+            "v0_volt": (3.86, None), "seed": (20250808, "seed")},
+    "noise": {"dark_rate_1_hz": (25.0, "dark_rate_1"), "dark_rate_2_hz": (25.0, "dark_rate_2"),
+              "pump_rel_sigma": (0.01, "pump_rel_sigma"),
+              "drift": {"preset": ("none", None), "linear_s_per_s": (0.0, "linear"),
+                        "sine_amplitude_s": (0.0, "sine_amplitude"),
+                        "sine_period_s": (0.0, "sine_period"),
+                        "random_walk_s_per_sqrt_s": (0.0, "random_walk")}},
+    "bright_source": {
+        # ch2's scan is noisier by the same 3:1 ratio as the reference
+        # instrument's per-channel inflection errors, so the weighted
+        # combination reproduces its behavior.
+        "power_noise_ch1_w": (1e-9, None), "power_noise_ch2_w": (3e-9, None),
+        "scan_v_min": (0.0, "scan_v_min"), "scan_v_max": (16.0, "scan_v_max"),
+        "scan_points": (200, "scan_points"),
+        "ch1": {"f0_w": (482e-9, "f0"), "a_w": (364e-9, "a"), "w_volt": (7.84, "w"),
+                "v0i_volt": (3.85, "v0i")},
+        "ch2": {"f0_w": (334e-9, "f0"), "a_w": (327e-9, "a"), "w_volt": (7.79, "w"),
+                "v0i_volt": (3.93, "v0i")}},
+    "calibration_protocol": {"v_a_volt": (3.6, "v_a_volt"), "v_b_volt": (4.4, "v_b_volt"),
+                             "n_steps": (100, "n_steps"), "repeats": (10, "repeats"),
+                             "integration_time_s": (0.1, "integration_time_s")},
+}
+
+
+def _defaults(table: dict) -> dict:
+    return {key: _defaults(row) if isinstance(row, dict) else row[0]
+            for key, row in table.items()}
+
 
 def default_config_dict() -> dict:
     """Built-in defaults mirroring the reference instrument parameters."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spectrum": {
-            "lambda0_m": 1550e-9,
-            "sigma_omega": 0.25e12,
-        },
-        "geometry": {
-            "fiber_length_m": 2000.0,
-            "coil_radius_m": 0.125,
-            "refractive_index": 1.471,
-        },
-        "modulator": {
-            "v0i_volt": 3.8596,
-        },
-        "run": {
-            "rate_total_hz": 631.6e3,
-            "integration_time_s": 1.0,
-            "duration_s": 7200.0,
-            "v0_volt": 3.86,
-            "seed": 20250808,
-        },
-        "noise": {
-            "dark_rate_1_hz": 25.0,
-            "dark_rate_2_hz": 25.0,
-            "pump_rel_sigma": 0.01,
-            "drift": {
-                "preset": "none",
-                "linear_s_per_s": 0.0,
-                "sine_amplitude_s": 0.0,
-                "sine_period_s": 0.0,
-                "random_walk_s_per_sqrt_s": 0.0,
-            },
-        },
-        "bright_source": {
-            # ch2's scan is noisier by the same 3:1 ratio as the reference
-            # instrument's per-channel inflection errors, so the weighted
-            # combination reproduces its behavior.
-            "power_noise_ch1_w": 1e-9,
-            "power_noise_ch2_w": 3e-9,
-            "scan_v_min": 0.0,
-            "scan_v_max": 16.0,
-            "scan_points": 200,
-            "ch1": {"f0_w": 482e-9, "a_w": 364e-9, "w_volt": 7.84, "v0i_volt": 3.85},
-            "ch2": {"f0_w": 334e-9, "a_w": 327e-9, "w_volt": 7.79, "v0i_volt": 3.93},
-        },
-        "calibration_protocol": {
-            "v_a_volt": 3.6,
-            "v_b_volt": 4.4,
-            "n_steps": 100,
-            "repeats": 10,
-            "integration_time_s": 0.1,
-        },
-    }
+    return _defaults(_KEYS)
 
 
 def _checked(default, value, where: str = ""):
@@ -109,11 +100,10 @@ def _checked(default, value, where: str = ""):
             return value
         expected = "a string"
     elif isinstance(default, int):
-        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        if is_count(value):
             return value
         expected = "an integer >= 0"
-    elif isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and abs(value) <= sys.float_info.max:
+    elif is_finite_number(value):
         return float(value)
     else:
         expected = "a finite number"
@@ -140,68 +130,76 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# drift config key -> DriftModel field
-_DRIFT_TERMS = {"linear_s_per_s": "linear", "sine_amplitude_s": "sine_amplitude",
-                "sine_period_s": "sine_period", "random_walk_s_per_sqrt_s": "random_walk"}
+def _leaves(table: dict, prefix: str = ""):
+    """(key path, field path or None) of each key under ``table``."""
+    for key, row in table.items():
+        if isinstance(row, dict):
+            yield from _leaves(row, f"{prefix}{key}.")
+        else:
+            yield prefix + key, row[1] and prefix + row[1]
 
 
-def _build_drift(node: dict) -> DriftModel:
+def _build(document: dict, make, section: str, *sources: str, **given):
+    """``make`` called with the values of the section's keys read by hand, in
+    table order, then each other key's value as its field, and ``given``.  A
+    ParameterError it raises gets in front the key paths its message names by
+    key or field, in its order, or else the keys read by hand in ``sources``
+    and the section."""
+    table, node = _KEYS, document
+    for key in section.split("."):
+        table, node = table[key], node[key]
+    rows = [(key, row[1]) for key, row in table.items() if not isinstance(row, dict)]
+    try:
+        return make(*[node[key] for key, field in rows if field is None],
+                    **{field: node[key] for key, field in rows if field}, **given)
+    except ParameterError as exc:
+        named = {}
+        for key, field in _leaves(table):
+            names = "|".join(re.escape(name) for name in (key, field) if name)
+            hit = re.search(rf"\b(?:{names})\b", str(exc))
+            if hit:
+                named[f"{section}.{key}"] = hit.start()
+        keys = sorted(named, key=named.get) or [
+            path for path, field in _leaves(_KEYS)
+            if field is None and path.rpartition(".")[0] in (section, *sources)]
+        if not keys:
+            raise
+        raise ParameterError(f"{', '.join(keys)}: {exc}") from exc
+
+
+def _drift(preset: str, **terms) -> DriftModel:
     """A drift preset, or the four drift terms under preset "custom"."""
-    preset = node["preset"]
     if preset == "custom":
-        return DriftModel(**{field: node[key] for key, field in _DRIFT_TERMS.items()})
+        return DriftModel(**terms)
     if preset not in ("none", "overnight"):
-        raise ParameterError(f"noise.drift.preset must be 'none', 'overnight' or 'custom', "
-                             f"got {preset!r}")
-    nonzero = [key for key in _DRIFT_TERMS if node[key]]
+        raise ParameterError(f"preset must be 'none', 'overnight' or 'custom', got {preset!r}")
+    nonzero = [field for field, value in terms.items() if value]
     if nonzero:
-        raise ParameterError(f"noise.drift terms {nonzero} apply only with preset "
-                             f"'custom', got preset {preset!r}")
+        raise ParameterError(f"drift terms {nonzero} apply only with preset 'custom', "
+                             f"got preset {preset!r}")
     return overnight_drift() if preset == "overnight" else DriftModel()
-
-
-def _fringe_params(node: dict) -> FringeParams:
-    return FringeParams(f0=node["f0_w"], a=node["a_w"], w=node["w_volt"], v0i=node["v0i_volt"])
 
 
 def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     """Validate a config document (or None for pure defaults) and construct it."""
     document = _checked(default_config_dict(), user or {})
     if document["schema_version"] != SCHEMA_VERSION:
-        raise ParameterError(
-            f"unsupported schema_version {document['schema_version']!r}; "
-            f"this build reads version {SCHEMA_VERSION}")
-
-    spec_node = document["spectrum"]
-    spectrum = Spectrum(spec_node["lambda0_m"], spec_node["sigma_omega"])
-
-    geo_node = document["geometry"]
-    geometry = GyroGeometry(geo_node["fiber_length_m"], geo_node["coil_radius_m"],
-                            geo_node["refractive_index"])
-
+        raise ParameterError(f"unsupported schema_version {document['schema_version']!r}; "
+                             f"this build reads version {SCHEMA_VERSION}")
+    build = partial(_build, document)
+    spectrum = build(Spectrum, "spectrum")
+    geometry = build(GyroGeometry, "geometry")
     # The working point only; alpha's uncertainty is measured by calibrate.
-    modulator = ModulatorMap.from_inflection(document["modulator"]["v0i_volt"], 0.0,
-                                             spectrum)
-    run_node = document["run"]
-    run = RunConfig(rate_total=run_node["rate_total_hz"],
-                    integration_time=run_node["integration_time_s"],
-                    duration=run_node["duration_s"],
-                    tau0=modulator.alpha * run_node["v0_volt"], seed=run_node["seed"])
-
-    noise_node = document["noise"]
-    noise = NoiseModel(dark_rate_1=noise_node["dark_rate_1_hz"],
-                       dark_rate_2=noise_node["dark_rate_2_hz"],
-                       pump_rel_sigma=noise_node["pump_rel_sigma"],
-                       drift=_build_drift(noise_node["drift"]))
-    bright_node = document["bright_source"]
-    bright = BrightSourceSettings(
-        (bright_node["power_noise_ch1_w"], bright_node["power_noise_ch2_w"]),
-        bright_node["scan_v_min"], bright_node["scan_v_max"], bright_node["scan_points"],
-        _fringe_params(bright_node["ch1"]), _fringe_params(bright_node["ch2"]))
-    protocol = CalibrationProtocol(**document["calibration_protocol"])
-
-    return ExperimentConfig(spectrum, geometry, modulator, run, noise, bright, protocol,
-                            document)
+    modulator = build(partial(ModulatorMap.from_inflection, v0i_err=0.0, spectrum=spectrum),
+                      "modulator")
+    run = build(lambda v0, **fields: RunConfig(tau0=modulator.alpha * v0, **fields), "run",
+                "modulator")
+    noise = build(NoiseModel, "noise", drift=build(_drift, "noise.drift"))
+    bright = build(lambda *power_noise, **fields: BrightSourceSettings(power_noise, **fields),
+                   "bright_source", ch1=build(FringeParams, "bright_source.ch1"),
+                   ch2=build(FringeParams, "bright_source.ch2"))
+    return ExperimentConfig(spectrum, geometry, modulator, run, noise, bright,
+                            build(CalibrationProtocol, "calibration_protocol"), document)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -34,12 +34,14 @@ class GyroGeometry:
     refractive_index: float
 
     def __post_init__(self):
-        if not (self.fiber_length > 0 and self.coil_radius > 0 and self.refractive_index > 0):
-            raise ParameterError("fiber_length, coil_radius and refractive_index must be positive")
+        for name in ("fiber_length", "coil_radius", "refractive_index"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if not math.isfinite(self.fiber_length / self.coil_radius):
             raise ParameterError("fiber_length / coil_radius must be finite")
         if self.n_coils < 1:
-            raise ParameterError("fiber shorter than a single coil circumference")
+            raise ParameterError("fiber_length shorter than a single coil circumference, "
+                                 "2 pi coil_radius")
 
     @property
     def n_coils(self) -> int:

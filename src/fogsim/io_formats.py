@@ -485,18 +485,30 @@ def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
 # calibration set JSON
 # ---------------------------------------------------------------------------
 
+def is_finite_number(value) -> bool:
+    """A JSON number in the float range: an int or a float, not a bool, nan,
+    an infinity or an integer past the float range.  The config's float keys
+    and a calibration file's numbers follow this rule."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def is_count(value) -> bool:
+    """A JSON integer >= 0, not a bool: the rule of the config's integer keys
+    and of a calibration file's counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _num(value, where: str):
-    """A finite JSON number, unchanged, under the config's float rule (which
-    also refuses an integer past the float range); TypeError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
+    """A finite JSON number, unchanged; TypeError for anything else."""
+    if not is_finite_number(value):
         raise TypeError(f"{where} must be a finite number, got {value!r}")
     return value
 
 
 def _count(value, where: str):
     """A non-negative JSON integer, unchanged; TypeError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not is_count(value):
         raise TypeError(f"{where} must be a non-negative integer, got {value!r}")
     return value
 

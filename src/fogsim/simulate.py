@@ -155,8 +155,9 @@ class NoiseModel:
     drift: DriftModel = field(default_factory=DriftModel)
 
     def __post_init__(self):
-        if self.dark_rate_1 < 0 or self.dark_rate_2 < 0:
-            raise ParameterError("dark rates must be non-negative")
+        for name in ("dark_rate_1", "dark_rate_2"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.pump_rel_sigma <= 0.5:
             raise ParameterError("pump_rel_sigma must lie in [0, 0.5]")
 
@@ -503,8 +504,9 @@ class BrightSourceSettings:
     ch2: FringeParams
 
     def __post_init__(self):
-        if self.ch1.w == 0 or self.ch2.w == 0:
-            raise ParameterError("a bright-source fringe needs w_volt != 0")
+        for name, fringe in (("ch1", self.ch1), ("ch2", self.ch2)):
+            if fringe.w == 0:
+                raise ParameterError(f"a bright-source fringe needs {name}.w_volt != 0")
         if not self.scan_v_min < self.scan_v_max:
             raise ParameterError("scan_v_min must be below scan_v_max, got "
                                  f"{self.scan_v_min} >= {self.scan_v_max}")

@@ -1086,6 +1086,84 @@ def test_calibration_rule_fails_every_command(case, tmp_path, small_tables):
         assert key in err, command
 
 
+# A broken range check of a domain class -> (the config that breaks it, the
+# key paths that must open its message).  RunConfig's duration check cannot
+# fail on a config, whose numbers are finite, so it has no case.
+CONFIG_RANGE_ERRORS = {
+    "lambda0_zero": ({"spectrum.lambda0_m": 0.0}, "spectrum.lambda0_m"),
+    "lambda0_omega0_squared_overflows": ({"spectrum.lambda0_m": 1e-200}, "spectrum.lambda0_m"),
+    "sigma_omega_zero": ({"spectrum.sigma_omega": 0.0}, "spectrum.sigma_omega"),
+    "sigma_omega_past_omega0": ({"spectrum.sigma_omega": 1e16}, "spectrum.sigma_omega"),
+    "fiber_length_zero": ({"geometry.fiber_length_m": 0.0}, "geometry.fiber_length_m"),
+    "coil_radius_zero": ({"geometry.coil_radius_m": 0}, "geometry.coil_radius_m"),
+    "refractive_index_zero": ({"geometry.refractive_index": 0.0}, "geometry.refractive_index"),
+    "coil_count_overflows": ({"geometry.coil_radius_m": 5e-324},
+                             "geometry.fiber_length_m, geometry.coil_radius_m"),
+    "fiber_shorter_than_a_turn": ({"geometry.fiber_length_m": 0.3},
+                                  "geometry.fiber_length_m, geometry.coil_radius_m"),
+    "v0i_negative": ({"modulator.v0i_volt": -1.0}, "modulator.v0i_volt"),
+    "alpha_underflows": ({"spectrum.lambda0_m": 1e-100, "modulator.v0i_volt": 1e308},
+                         "modulator.v0i_volt"),
+    "tau0_overflows": ({"modulator.v0i_volt": 5e-324}, "modulator.v0i_volt, run.v0_volt"),
+    "rate_total_negative": ({"run.rate_total_hz": -1.0}, "run.rate_total_hz"),
+    "integration_time_zero": ({"run.integration_time_s": 0.0}, "run.integration_time_s"),
+    "duration_below_one_bin": ({"run.duration_s": 0.5}, "run.duration_s"),
+    "bins_over_cap": ({"run.integration_time_s": 1e-9, "run.duration_s": 10.0},
+                      "run.duration_s, run.integration_time_s"),
+    "seed_2_pow_64": ({"run.seed": 2**64}, "run.seed"),
+    "dark_rate_1_negative": ({"noise.dark_rate_1_hz": -1.0}, "noise.dark_rate_1_hz"),
+    "dark_rate_2_negative": ({"noise.dark_rate_2_hz": -1.0}, "noise.dark_rate_2_hz"),
+    "pump_rel_sigma_0_6": ({"noise.pump_rel_sigma": 0.6}, "noise.pump_rel_sigma"),
+    "drift_sine_without_period": (
+        {"noise.drift.preset": "custom", "noise.drift.sine_amplitude_s": 1e-18},
+        "noise.drift.sine_period_s, noise.drift.sine_amplitude_s"),
+    "drift_random_walk_negative": (
+        {"noise.drift.preset": "custom", "noise.drift.random_walk_s_per_sqrt_s": -1e-19},
+        "noise.drift.random_walk_s_per_sqrt_s"),
+    "ch1_w_zero": ({"bright_source.ch1.w_volt": 0.0}, "bright_source.ch1.w_volt"),
+    "ch2_w_zero": ({"bright_source.ch2.w_volt": 0.0}, "bright_source.ch2.w_volt"),
+    "scan_window_empty": ({"bright_source.scan_v_min": 16.0},
+                          "bright_source.scan_v_min, bright_source.scan_v_max"),
+    "scan_narrower_than_ch1": (
+        {"bright_source.scan_v_max": 3.0},
+        "bright_source.scan_v_min, bright_source.scan_v_max, bright_source.ch1.w_volt"),
+    "scan_narrower_than_ch2": (
+        {"bright_source.ch2.w_volt": -16.5},
+        "bright_source.scan_v_min, bright_source.scan_v_max, bright_source.ch2.w_volt"),
+    "scan_points_5": ({"bright_source.scan_points": 5}, "bright_source.scan_points"),
+    "scan_points_over_bin_cap": ({"bright_source.scan_points": 10**9 + 1},
+                                 "bright_source.scan_points"),
+    "power_noise_ch1_negative": ({"bright_source.power_noise_ch1_w": -1e-9},
+                                 "bright_source.power_noise_ch1_w, "
+                                 "bright_source.power_noise_ch2_w"),
+    "power_noise_ch2_negative": ({"bright_source.power_noise_ch2_w": -1e-9},
+                                 "bright_source.power_noise_ch1_w, "
+                                 "bright_source.power_noise_ch2_w"),
+    "v_b_below_v_a": ({"calibration_protocol.v_b_volt": 3.0},
+                      "calibration_protocol.v_a_volt, calibration_protocol.v_b_volt"),
+    "n_steps_2": ({"calibration_protocol.n_steps": 2}, "calibration_protocol.n_steps"),
+    "repeats_1": ({"calibration_protocol.repeats": 1}, "calibration_protocol.repeats"),
+    "protocol_integration_time_zero": ({"calibration_protocol.integration_time_s": 0.0},
+                                       "calibration_protocol.integration_time_s"),
+    "protocol_bins_over_cap": ({"calibration_protocol.n_steps": 10**5,
+                                "calibration_protocol.repeats": 10**5},
+                               "calibration_protocol.n_steps, calibration_protocol.repeats"),
+    "protocol_length_overflows": ({"calibration_protocol.integration_time_s": 1e308},
+                                  "calibration_protocol.n_steps, calibration_protocol.repeats, "
+                                  "calibration_protocol.integration_time_s"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_RANGE_ERRORS))
+def test_range_error_names_its_keys(case, tmp_path):
+    """A range error of a config section opens with the key paths of the
+    fields its message is about, in front of the domain class's text."""
+    changes, keys = CONFIG_RANGE_ERRORS[case]
+    code, err = _run_quietly(_fisher_case("--n-points", 1, **changes)(tmp_path, None))
+    assert code == 2
+    assert err.startswith(f"fogsim: error: {keys}: ")
+
+
 def _leaves(node, path: tuple = ()):
     """The paths of a JSON document's values that are neither objects nor lists."""
     for key, value in node.items() if isinstance(node, dict) else enumerate(node):
@@ -1688,3 +1766,23 @@ class TestConfigHandling:
         as_float = config_from_dict({"run": {"duration_s": 32400.0}})
         assert type(as_int.document["run"]["duration_s"]) is float
         assert as_int.hash == as_float.hash
+
+    def test_defaults_are_pinned(self):
+        """The defaults, their key order and the default config hash, which
+        the manifests of every reference chain carry."""
+        assert json.dumps(default_config_dict()) == (
+            '{"schema_version": 5, "spectrum": {"lambda0_m": 1.55e-06, "sigma_omega": '
+            '250000000000.0}, "geometry": {"fiber_length_m": 2000.0, "coil_radius_m": 0.125, '
+            '"refractive_index": 1.471}, "modulator": {"v0i_volt": 3.8596}, "run": '
+            '{"rate_total_hz": 631600.0, "integration_time_s": 1.0, "duration_s": 7200.0, '
+            '"v0_volt": 3.86, "seed": 20250808}, "noise": {"dark_rate_1_hz": 25.0, '
+            '"dark_rate_2_hz": 25.0, "pump_rel_sigma": 0.01, "drift": {"preset": "none", '
+            '"linear_s_per_s": 0.0, "sine_amplitude_s": 0.0, "sine_period_s": 0.0, '
+            '"random_walk_s_per_sqrt_s": 0.0}}, "bright_source": {"power_noise_ch1_w": 1e-09, '
+            '"power_noise_ch2_w": 3e-09, "scan_v_min": 0.0, "scan_v_max": 16.0, '
+            '"scan_points": 200, "ch1": {"f0_w": 4.82e-07, "a_w": 3.64e-07, "w_volt": 7.84, '
+            '"v0i_volt": 3.85}, "ch2": {"f0_w": 3.34e-07, "a_w": 3.27e-07, "w_volt": 7.79, '
+            '"v0i_volt": 3.93}}, "calibration_protocol": {"v_a_volt": 3.6, "v_b_volt": 4.4, '
+            '"n_steps": 100, "repeats": 10, "integration_time_s": 0.1}}')
+        assert config_from_dict(None).hash == \
+            "58e0437567cdf87d4964d0de7ea165030e808960bd67c9aa45234c775baccf33"
