@@ -7,21 +7,20 @@ and wrote (every path ``_out_path`` named).  Exit codes: 0 success; 2 usage
 or configuration error (ParameterError), among them an output that would
 overwrite the config, an input or an output the same command named before,
 refused before the command reads, computes or writes anything; 3 data or
-fit error (DataError).  An arithmetic error (a
-floating-point overflow, invalid operation or division by zero) stops a
-command with exit 3, where numpy would warn and go on with
-inf or nan, and names the function it came from.  One rule, ``_computing``,
-makes it a usage error that names the computation and its keys where the
-computation's only inputs are the arguments and the config: fisher's curve,
-simulate's run, and calibrate's simulated bright scan, its fringe fits and
-the counting scan drawn from them under --simulate-bright.  A file that
-cannot be read or written, or runs out of memory, is named by its path
-(io_formats.about_file); a computation that runs out of memory by itself
-and its keys; anything else by the command; all exit 3.  That holds once
-this module has loaded: running out at start-up, while numpy and its
-OpenBLAS load, ends in the interpreter's own error with exit 1.  With
---json-errors failures are also emitted as a machine-readable JSON object
-on stderr.
+fit error (DataError).  An arithmetic error (a floating-point overflow,
+invalid operation or division by zero) stops a command with exit 3, where
+numpy would warn and go on with inf or nan, and names the function it came
+from.  One rule, ``_computing``, names a computation and the inputs it
+declares, its flags, config keys and data files: with a data file among
+them every error is a data error that opens with the file; else an
+arithmetic error is a usage error, and running out of memory a data error.
+It covers fisher's curve, simulate's run and calibrate's computations.  A
+file that cannot be read or written, or runs out of memory, is named by its
+path (io_formats.about_file); anything else by the command; all exit 3.
+That holds once this module has loaded: running out at start-up, while
+numpy and its OpenBLAS load, ends in the interpreter's own error with exit
+1.  With --json-errors failures are also emitted as a machine-readable JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 
 from .calibration import (CalibrationSet, combine_inflection, contrast_points_from_scan,
                           estimate_delays, fit_fringe, fit_linear_calibration)
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, key_paths, load_config
 from .errors import DataError, FogsimError, ParameterError
 from .io_formats import (file_digest, read_bright_scan,
                          read_calibration_scan, read_calibration_set, read_count_series,
@@ -66,22 +65,29 @@ _INPUTS = ("counts", "calibration", "delays", "bright_scan", "calibration_scan")
 
 
 @contextmanager
-def _computing(what: str, from_config: bool = True, check: str = ""):
-    """Name the failing computation ``what``: a FogsimError keeps its class and
-    gains the prefix ``what: ``; an arithmetic error becomes a usage error if the
-    arguments and the config are its only inputs (``from_config``), else a data
-    error, and names where it was raised; running out of memory is a data
-    error.  Both then name the keys to ``check``."""
-    keys = f"; check {check}" if check else ""
+def _computing(what: str, *inputs):
+    """Name the failing computation ``what`` and its ``inputs``: its flags
+    ("--n-points"), config sections and key paths, and data files (Paths).
+    With a data file among them every error inside is a DataError that opens
+    with the files; else a FogsimError keeps its class, an arithmetic error is
+    a usage error and running out of memory a data error.  Each gains the
+    prefix ``what: `` and ends with the other inputs to check, each section
+    spelled as its keys in config._KEYS."""
     try:
         yield
-    except FogsimError as exc:
-        raise type(exc)(f"{what}: {exc}") from exc
-    except ArithmeticError as exc:
-        error = ParameterError if from_config else DataError
-        raise error(f"{what}: {_error_text(exc)}{keys}") from exc
-    except MemoryError as exc:
-        raise DataError(f"{what}: ran out of memory{keys}") from exc
+    except (FogsimError, ArithmeticError, MemoryError) as exc:
+        files = ", ".join(str(x) for x in inputs if isinstance(x, Path))
+        names = list(dict.fromkeys(name for x in inputs if not isinstance(x, Path)
+                                   for name in ([x] if x.startswith("--") else key_paths(x))))
+        text = "ran out of memory" if isinstance(exc, MemoryError) else _error_text(exc)
+        if names:
+            *rest, last = names
+            text += f"; check {', '.join(rest)} and {last}" if rest else f"; check {last}"
+        if files:
+            raise DataError(f"{files}: {what}: {text}") from exc
+        error = (ParameterError if isinstance(exc, ArithmeticError)
+                 else DataError if isinstance(exc, MemoryError) else type(exc))
+        raise error(f"{what}: {text}") from exc
 
 
 def _manifest_path(path: Path) -> Path:
@@ -134,8 +140,8 @@ def _cmd_fisher(args, config: ExperimentConfig) -> None:
     if args.n_points > 1 and not args.tau_max > args.tau_min:
         raise ParameterError("tau-max must exceed tau-min")
     out = _out_path(args, args.out)
-    with _computing("the Fisher information failed", check="--n-points, --tau-min, "
-                    "--tau-max, spectrum.lambda0_m and spectrum.sigma_omega"):
+    with _computing("the Fisher information failed", "--n-points", "--tau-min", "--tau-max",
+                    "spectrum"):
         grid = np.linspace(args.tau_min, args.tau_max, args.n_points)
         values = fisher_information(grid, config.spectrum)
     write_fisher_curve(out, grid, values)
@@ -144,8 +150,7 @@ def _cmd_fisher(args, config: ExperimentConfig) -> None:
 
 def _cmd_simulate(args, config: ExperimentConfig) -> None:
     out = _out_path(args, args.out)
-    with _computing("the run could not be drawn",
-                    check="the run, noise, spectrum and modulator keys"):
+    with _computing("the run could not be drawn", "run", "noise", "spectrum", "modulator"):
         series = simulate_run(config.run, config.spectrum, config.noise)
     write_count_series(out, series)
     print(f"wrote {out} ({len(series)} bins)")
@@ -158,12 +163,15 @@ def _cmd_calibrate(args, config: ExperimentConfig) -> None:
     scan_out = (_out_path(args, "calibration_scan.csv")
                 if args.keep_intermediate and args.simulate_counts else None)
     out = _out_path(args, args.out)
+    # each stage's inputs: its file, or the config keys it is drawn from.  A
+    # bright-scan file sets alpha, so stage two reads it as well
+    bright_file = (Path(args.bright_scan),) if args.bright_scan else ()
+    stage_one = bright_file or ("bright_source",)
+    stage_two = bright_file + ((Path(args.calibration_scan),) if args.calibration_scan else
+                               ("run.rate_total_hz", "calibration_protocol", "noise", "spectrum"))
 
     if args.simulate_bright:
-        with _computing("the bright scan could not be drawn", check=(
-                "bright_source.power_noise_ch1_w, bright_source.power_noise_ch2_w, "
-                "bright_source.scan_points, bright_source.scan_v_min, "
-                "bright_source.scan_v_max, bright_source.ch1 and bright_source.ch2")):
+        with _computing("the bright scan could not be drawn", *stage_one):
             bright = simulate_bright_scan(config.bright_source, config.run.seed)
         if bright_out:
             write_bright_scan(bright_out, bright)
@@ -174,29 +182,30 @@ def _cmd_calibrate(args, config: ExperimentConfig) -> None:
     for name, power, sigma in zip(("ch1", "ch2"), (bright.power1, bright.power2),
                                   config.bright_source.power_noise):
         if args.channels in ("both", name):
-            with _computing(f"fringe fit failed on {name}, weighted by bright_source."
-                            f"power_noise_{name}_w = {sigma!r} W", args.simulate_bright):
+            key, = key_paths(f"bright_source.power_noise_{name}_w")
+            with _computing(f"fringe fit failed on {name}, weighted by {key} = {sigma!r} W",
+                            *stage_one):
                 fits[name] = fit_fringe(np.column_stack([bright.v0, power]), sigma)
-    v0i, v0i_err = combine_inflection([(f.v0i, f.v0i_err) for f in fits.values()])
-    modulator = ModulatorMap.from_inflection(v0i, v0i_err, config.spectrum)
+    with _computing("the inflection voltage gives no modulator map", *stage_one, "spectrum"):
+        v0i, v0i_err = combine_inflection([(f.v0i, f.v0i_err) for f in fits.values()])
+        modulator = ModulatorMap.from_inflection(v0i, v0i_err, config.spectrum)
 
     if args.simulate_counts:
-        # stage one's alpha comes from the config alone only under --simulate-bright
-        with _computing("the calibration scan could not be drawn", args.simulate_bright,
-                        check="run.rate_total_hz and the calibration_protocol, noise "
-                        "and spectrum keys"):
+        with _computing("the calibration scan could not be drawn", *stage_two):
             scan = simulate_calibration_scan(protocol, config.run, config.spectrum,
                                              modulator, config.noise)
         if scan_out:
             write_calibration_scan(scan_out, scan)
     else:
         scan = read_calibration_scan(args.calibration_scan, protocol.integration_time_s,
-                                     "calibration_protocol.integration_time_s")
+                                     *key_paths("calibration_protocol.integration_time_s"))
 
     dark = (config.noise.dark_rate_1, config.noise.dark_rate_2)
-    points = contrast_points_from_scan(scan, modulator, dark)
-    linear = fit_linear_calibration(points, window_volt=(float(scan.v0.min()),
-                                                         float(scan.v0.max())))
+    with _computing("the linear calibration failed", *stage_two, "noise.dark_rate_1_hz",
+                    "noise.dark_rate_2_hz"):
+        points = contrast_points_from_scan(scan, modulator, dark)
+        linear = fit_linear_calibration(points, window_volt=(float(scan.v0.min()),
+                                                             float(scan.v0.max())))
     write_calibration_set(out, CalibrationSet(fits, v0i, v0i_err, linear, dark))
     print(f"wrote {out}: alpha = {modulator.alpha:.4e} s/V, "
           f"k1 = {linear.k1:.4f} /fs, k2 = {linear.k2:.4f}, "
@@ -207,7 +216,7 @@ def _cmd_estimate(args, config: ExperimentConfig) -> None:
     out = _out_path(args, args.out)
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time,
-                               "run.integration_time_s")
+                               *key_paths("run.integration_time_s"))
     # t, c1 and c2 are views of one table of 24 B per row, held to the end:
     # tau and sigma are written over c1 and c2 (estimate_delays' out), a
     # block at a time, so the results add only the flag codes' 1 B per bin
@@ -221,7 +230,7 @@ def _cmd_stability(args, config: ExperimentConfig) -> None:
     allan_path = _out_path(args, args.out_prefix + "_allan.csv")
     report_path = _out_path(args, args.out_prefix + "_report.json")
     t, tau, sigma, flags = read_delay_series(args.delays, config.run.integration_time,
-                                             "run.integration_time_s")
+                                             *key_paths("run.integration_time_s"))
     # four columns of 25 B per row in all; t and sigma are freed before raw, a
     # copy, is made, and tau and the flag codes before the Allan kernel's
     # prefix sums (16 B per sample).  The even, odd and differential series

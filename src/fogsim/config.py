@@ -27,7 +27,8 @@ from .model import ModulatorMap, Spectrum
 from .simulate import (BrightSourceSettings, CalibrationProtocol, DriftModel, NoiseModel,
                        RunConfig, overnight_drift)
 
-__all__ = ["ExperimentConfig", "default_config_dict", "load_config", "config_from_dict"]
+__all__ = ["ExperimentConfig", "default_config_dict", "load_config", "config_from_dict",
+           "key_paths"]
 
 SCHEMA_VERSION = 5
 
@@ -137,6 +138,18 @@ def _leaves(table: dict, prefix: str = ""):
             yield from _leaves(row, f"{prefix}{key}.")
         else:
             yield prefix + key, row[1] and prefix + row[1]
+
+
+def key_paths(name: str) -> list[str]:
+    """The key paths that ``name`` stands for: a key path itself, a section
+    each of its keys in table order, a subsection by its path.  KeyError for
+    a name that is not in _KEYS."""
+    table = _KEYS
+    for key in name.split("."):
+        if not isinstance(table, dict):
+            raise KeyError(name)
+        table = table[key]
+    return [f"{name}.{key}" for key in table] if isinstance(table, dict) else [name]
 
 
 def _build(document: dict, make, section: str, *sources: str, **given):

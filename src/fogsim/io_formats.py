@@ -61,6 +61,10 @@ _SHORT_MIN, _SHORT_END = np.array([1e-4, 2.0**48]).view(np.uint64)
 _REPR_WIDTH = len(repr(-2.2250738585072014e-308))  # the longest repr of a float64
 _READ_ROWS = 4096  # rows of a delay table parsed at a time, 143 KB of table
 
+# the bytes fields of the label columns, one past the longest label (_read_table)
+_FLAG_FIELD, _ORIGIN_FIELD = (f"S{max(map(len, labels)) + 1}"
+                              for labels in (DELAY_FLAGS, ORIGINS))
+
 
 @contextmanager
 def _created(path, mode: str, **kwargs):
@@ -431,7 +435,7 @@ def read_delay_series(path, step: float, key: str):
         with open(path) as fh:
             _check_header(fh, DELAY_HEADER)
             while True:  # loadtxt leaves a handle after max_rows rows
-                block = _parsed(fh, "f8,f8,f8,S11", first_row=rows, max_rows=_READ_ROWS)
+                block = _parsed(fh, f"f8,f8,f8,{_FLAG_FIELD}", first_row=rows, max_rows=_READ_ROWS)
                 stop = rows + len(block)
                 t[rows:stop], tau[rows:stop] = block["f0"], block["f1"]
                 sigma[rows:stop] = block["f2"]
@@ -472,7 +476,7 @@ def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
 
 def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
     with about_file(path):
-        labels, *columns = _read_table(path, ALLAN_HEADER, "S13,i8,f8,f8,f8,i8")
+        labels, *columns = _read_table(path, ALLAN_HEADER, f"{_ORIGIN_FIELD},i8,f8,f8,f8,i8")
         origin = _label_codes(labels, ORIGINS)
         _check_codes(path, 0, "origin", origin, ORIGINS)
     codes, first = np.unique(origin, return_index=True)

@@ -74,8 +74,8 @@ class ModulatorMap:
     alpha_err: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if self.alpha_err < 0.0:
             raise ParameterError(f"alpha_err must be non-negative, got {self.alpha_err}")
 

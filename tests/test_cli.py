@@ -621,6 +621,21 @@ def _bright_scan_case(token):
     return argv
 
 
+def _noiseless_bright_scan(v_min, v_max):
+    """calibrate on a measured bright scan of 50 noiseless points from v_min
+    to v_max V, on the default fringes of both channels."""
+    def argv(tmp_path, calibrated):
+        bright = tmp_path / "bright.csv"
+        source = config_from_dict(None).bright_source
+        v = np.linspace(v_min, v_max, 50)
+        rows = zip(v.tolist(), source.ch1.evaluate(v).tolist(), source.ch2.evaluate(v).tolist())
+        bright.write_text("v0_volt,power1_w,power2_w\n" +
+                          "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        return ["calibrate", "--bright", bright, "--simulate-counts",
+                "--out", tmp_path / "cal.json"]
+    return argv
+
+
 def _odd_bins_degenerate(tmp_path, calibrated):
     """stability on 16 delays whose odd bins are all degenerate."""
     delays = tmp_path / "delays.csv"
@@ -778,7 +793,8 @@ BAD_INPUTS = {
     "negative_counts": (_negative_counts, 3, "counts.csv: line 3: counts must be non-negative"),
     "negative_scan_counts": (_negative_scan_counts, 3,
                              "scan.csv: line 3: counts must be non-negative"),
-    "identical_scan_repeats": (_identical_scan_repeats, 3, "dx_err"),
+    "identical_scan_repeats": (_identical_scan_repeats, 3, "scan.csv: the linear calibration "
+                               "failed: all dx_err must be positive"),
     "counts_bin_step": (_counts_times_case([0.01 * i for i in range(4)]), 3,
                         "run.integration_time_s"),
     "scan_bin_step": (_scan_step_case, 3, "calibration_protocol.integration_time_s"),
@@ -882,6 +898,15 @@ BAD_INPUTS = {
         "spans 16.0 V, less than half of ch2's fringe period, |ch2.w_volt| = 16.5 V"),
     "bright_scan_short": (_short_bright_scan, 3, "bright_scan.csv: 5 scan points, fewer "
                           "than the 8 a fringe fit takes"),
+    # a measured scan that no fit or modulator map can use is a data error
+    # that names the file
+    "bright_file_narrow": (_noiseless_bright_scan(2.0, 5.0), 3,
+                           "bright.csv: fringe fit failed on ch1, weighted by "
+                           "bright_source.power_noise_ch1_w = 1e-09 W: scan span 3 V covers "
+                           "less than half a fringe period (w = 7.84 V)"),
+    "bright_file_negative_inflection": (_noiseless_bright_scan(-16.0, 0.0), 3,
+                                        "bright.csv: the inflection voltage gives no "
+                                        "modulator map: v0i must be positive, got -11.8"),
     "odd_bins_degenerate": (_odd_bins_degenerate, 2,
                             "the odd series has 0 samples; an Allan curve needs at least 3"),
     "coil_radius_subnormal": (_config_case("geometry.coil_radius_m", 5e-324), 2,
@@ -1104,7 +1129,7 @@ CONFIG_RANGE_ERRORS = {
     "v0i_negative": ({"modulator.v0i_volt": -1.0}, "modulator.v0i_volt"),
     "alpha_underflows": ({"spectrum.lambda0_m": 1e-100, "modulator.v0i_volt": 1e308},
                          "modulator.v0i_volt"),
-    "tau0_overflows": ({"modulator.v0i_volt": 5e-324}, "modulator.v0i_volt, run.v0_volt"),
+    "tau0_overflows": ({"modulator.v0i_volt": 5e-324}, "modulator.v0i_volt"),
     "rate_total_negative": ({"run.rate_total_hz": -1.0}, "run.rate_total_hz"),
     "integration_time_zero": ({"run.integration_time_s": 0.0}, "run.integration_time_s"),
     "duration_below_one_bin": ({"run.duration_s": 0.5}, "run.duration_s"),
@@ -1431,11 +1456,14 @@ def test_fresh_process_workers_write_same_bytes(tmp_path):
 
 
 # case -> (config, arguments, the line that names where it ran out): each runs
-# out inside the draw that _computing names, with the keys that size it
+# out inside the draw that _computing names, with the config keys it reads
 OUT_OF_MEMORY = {
     "simulate": ({"run.duration_s": 2e6, "run.integration_time_s": 0.01}, ["simulate"],
-                 "the run could not be drawn: ran out of memory; check the run, noise, "
-                 "spectrum and modulator keys"),
+                 "the run could not be drawn: ran out of memory; check run.rate_total_hz, "
+                 "run.integration_time_s, run.duration_s, run.v0_volt, run.seed, "
+                 "noise.dark_rate_1_hz, noise.dark_rate_2_hz, noise.pump_rel_sigma, "
+                 "noise.drift, spectrum.lambda0_m, spectrum.sigma_omega and "
+                 "modulator.v0i_volt"),
     "fisher": ({}, ["fisher", "--n-points", 10**9],
                "the Fisher information failed: ran out of memory; check --n-points, "
                "--tau-min, --tau-max, spectrum.lambda0_m and spectrum.sigma_omega"),
@@ -1443,13 +1471,17 @@ OUT_OF_MEMORY = {
                    "calibration_protocol.repeats": 10_000},
                   ["calibrate", "--simulate-bright", "--simulate-counts"],
                   "the calibration scan could not be drawn: ran out of memory; check "
-                  "run.rate_total_hz and the calibration_protocol, noise and spectrum keys"),
+                  "run.rate_total_hz, calibration_protocol.v_a_volt, "
+                  "calibration_protocol.v_b_volt, calibration_protocol.n_steps, "
+                  "calibration_protocol.repeats, calibration_protocol.integration_time_s, "
+                  "noise.dark_rate_1_hz, noise.dark_rate_2_hz, noise.pump_rel_sigma, "
+                  "noise.drift, spectrum.lambda0_m and spectrum.sigma_omega"),
     "calibrate_bright_scan": ({"bright_source.scan_points": 10**9},
                               ["calibrate", "--simulate-bright", "--simulate-counts"],
                               "the bright scan could not be drawn: ran out of memory; check "
                               "bright_source.power_noise_ch1_w, "
-                              "bright_source.power_noise_ch2_w, bright_source.scan_points, "
-                              "bright_source.scan_v_min, bright_source.scan_v_max, "
+                              "bright_source.power_noise_ch2_w, bright_source.scan_v_min, "
+                              "bright_source.scan_v_max, bright_source.scan_points, "
                               "bright_source.ch1 and bright_source.ch2"),
 }
 
@@ -1471,7 +1503,8 @@ def test_out_of_memory_exits_3_without_traceback(command, tmp_path):
 @pytest.mark.parametrize("stage", ["bright", "counts"])
 def test_calibrate_out_of_memory_names_the_stage_that_ran_out(stage, tmp_path, small_tables):
     """calibrate names the stage that draws its scan and runs out, and not
-    the other stage, which reads its table."""
+    the other stage, which reads its table; a scan drawn at the alpha of a
+    bright-scan file names that file first, as one of the draw's inputs."""
     tables = small_tables[0]
     if stage == "bright":
         config = {"bright_source.scan_points": 10**9}
@@ -1481,7 +1514,7 @@ def test_calibrate_out_of_memory_names_the_stage_that_ran_out(stage, tmp_path, s
         config = {"calibration_protocol.n_steps": 100_000,
                   "calibration_protocol.repeats": 10_000}
         argv = ["--bright", tables / "bright_scan.csv", "--simulate-counts"]
-        line = OUT_OF_MEMORY["calibrate"][2]
+        line = f"{tables / 'bright_scan.csv'}: {OUT_OF_MEMORY['calibrate'][2]}"
     cap = 1_500_000_000
     result = _fresh_run(_MAIN, "--config", write_config(tmp_path, **config),
                         "--out-dir", tmp_path, "calibrate", *argv,

@@ -220,3 +220,9 @@ class TestModulatorMap:
             ModulatorMap(alpha=-1e-16)
         with pytest.raises(ParameterError):
             ModulatorMap.from_inflection(0.0, 0.0, spectrum)
+
+    def test_infinite_alpha(self, spectrum):
+        """An inflection voltage so small that alpha overflows is refused
+        where the map is made, not later where alpha is used."""
+        with pytest.raises(ParameterError, match="alpha must be positive and finite, got inf"):
+            ModulatorMap.from_inflection(5e-324, 0.0, spectrum)
