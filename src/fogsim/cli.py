@@ -3,7 +3,8 @@
 Subcommands: fisher, simulate, calibrate, estimate, stability.  ``main``
 loads the config, runs the subcommand and writes ``<last output>.manifest.json``
 with its arguments and the digests of the files it read (its input flags)
-and wrote (every path ``_out_path`` named).  Exit codes: 0 success; 2 usage
+and wrote (every path ``_out_path`` named, by its path from the manifest's
+directory).  Exit codes: 0 success; 2 usage
 or configuration error (ParameterError), among them an output that would
 overwrite the config, an input or an output the same command named before,
 refused before the command reads, computes or writes anything; 3 data or
@@ -340,10 +341,11 @@ def main(argv=None) -> int:
                 args.func(args, config)
             except MemoryError as exc:  # outside every file and computation named
                 raise DataError(f"{args.command} ran out of memory") from exc
-            write_manifest(_manifest_path(args.outputs[-1]), config.hash,
-                           config.run.seed, argv,
+            manifest = _manifest_path(args.outputs[-1])
+            write_manifest(manifest, config.hash, config.run.seed, argv,
                            {name: file_digest(path) for name, path in args.inputs.items()},
-                           {path.name: file_digest(path) for path in args.outputs})
+                           {os.path.relpath(path, manifest.parent): file_digest(path)
+                            for path in args.outputs})
         return 0
     except ParameterError as exc:
         _report_error(json_errors, exc)

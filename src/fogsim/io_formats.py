@@ -3,9 +3,11 @@
 CSV files carry a header row, dot-decimal floats rendered with shortest
 round-trip precision, LF line endings and seconds as the only time unit.
 A table is written in blocks of bytes spelled by numpy (_write_table), with
-the bytes of formatting each cell on its own.  A writer makes its file's
-directory.  JSON documents carry a schema_version field.  Reading back a
-written file reproduces every floating value bit for bit.
+the bytes of formatting each cell on its own, and read by one parser in
+blocks of rows into its columns (_read_table), its lines ending in LF, CRLF
+or CR.  A writer makes its file's directory.  JSON documents carry a
+schema_version field.  Reading back a written file reproduces every
+floating value bit for bit.
 """
 
 from __future__ import annotations
@@ -59,11 +61,7 @@ _GATHER_ROWS = 8192  # rows gathered, joined and compacted at a time
 _PLACES = 6
 _SHORT_MIN, _SHORT_END = np.array([1e-4, 2.0**48]).view(np.uint64)
 _REPR_WIDTH = len(repr(-2.2250738585072014e-308))  # the longest repr of a float64
-_READ_ROWS = 4096  # rows of a delay table parsed at a time, 143 KB of table
-
-# the bytes fields of the label columns, one past the longest label (_read_table)
-_FLAG_FIELD, _ORIGIN_FIELD = (f"S{max(map(len, labels)) + 1}"
-                              for labels in (DELAY_FLAGS, ORIGINS))
+_READ_ROWS = 4096  # rows of a table parsed at a time, 143 KB of a delay table
 
 
 @contextmanager
@@ -216,22 +214,61 @@ def _write_json(path, doc: dict, version: int = SCHEMA_VERSION) -> None:
         fh.write("\n")
 
 
-def _read_table(path, header: str, dtype: str) -> list[np.ndarray]:
-    """The columns of a CSV table, typed by ``dtype`` (e.g. "f8,i8,i8").
+def _read_table(path, header: str, *fields) -> list[np.ndarray]:
+    """The columns of a CSV table, one per field: a numpy type ("f8", "i8")
+    or, for a label column, the tuple of its labels, read as their uint8
+    codes (_label_codes).
 
-    The table needs at least one row.  Integer cells must be plain integers
-    and no line is a comment.  Label fields are bytes sized one character
-    past the longest valid label, because loadtxt truncates longer cells to
-    the field size: none is cut to a valid label.  A bad row raises DataError carrying its data row
-    (_parsed); read inside about_file, which names the file.
+    The table needs at least one row; integer cells are plain integers and
+    no line is a comment.  It is parsed _READ_ROWS rows at a time into the
+    columns, sized once by its line ends.  A label is parsed as bytes one
+    past its column's longest label, because loadtxt cuts a longer cell to
+    the field size: none is cut to a valid label.  A bad cell, a wrong cell
+    count or bytes that are not text come first (_parsed), then a bad label
+    (_check_codes); each raises DataError carrying its data row.  Read
+    inside about_file, which names the file.
     """
+    labels = {index: field for index, field in enumerate(fields) if isinstance(field, tuple)}
+    dtype = np.dtype(",".join(f"S{max(map(len, labels[index])) + 1}" if index in labels
+                              else field for index, field in enumerate(fields)))
+    size = _line_ends(path)  # the header's covers a last row without one
+    columns = [np.empty(size, np.uint8 if index in labels else field)
+               for index, field in enumerate(fields)]
+    rows = 0
     with open(path) as fh:
         _check_header(fh, header)
-    # loadtxt reads a path in blocks, a handle line by line
-    table = _parsed(path, dtype, skiprows=1)
-    if len(table) == 0:
+        while True:  # loadtxt leaves a handle after max_rows rows
+            block = _parsed(fh, dtype, first_row=rows)
+            stop = rows + len(block)
+            for index, column in enumerate(columns):
+                cells = block[f"f{index}"]
+                if index in labels:
+                    cells = _label_codes(cells, labels[index])
+                column[rows:stop] = cells
+            rows = stop
+            if len(block) < _READ_ROWS:
+                break
+    if rows == 0:
         raise DataError("no data rows")
-    return [table[name] for name in table.dtype.names]
+    columns = [column[:rows] for column in columns]
+    for index, allowed in labels.items():
+        _check_codes(path, index, header.split(",")[index], columns[index], allowed)
+    return columns
+
+
+def _line_ends(path) -> int:
+    """The count of line ends, LF, CR or CRLF, in a file: at least the number
+    of lines after its first, as a text-mode file splits them."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):  # freeing 1 MiB raised glibc's mmap threshold
+            count += block.count(b"\n")
+            if b"\r" in block:  # a search, where a count is a slower loop
+                count += block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):  # a CRLF split by the blocks
+                count -= 1
+            last = block[-1:]
+    return count
 
 
 def _check_header(fh, header: str) -> None:
@@ -244,20 +281,18 @@ def _check_header(fh, header: str) -> None:
         raise DataError(f"expected header {header!r}, got {found!r}")
 
 
-def _parsed(source, dtype: str, first_row: int = 0, skiprows: int = 0,
-            max_rows: int | None = None) -> np.ndarray:
-    """The rows of ``source``, a path or an open text file, as a structured
-    array of ``dtype``: after ``skiprows`` lines, at most ``max_rows`` rows;
-    empty lines are skipped and not counted.  A bad cell, a wrong cell count
-    or bytes that are not text raise DataError carrying the data row of the
-    table that loadtxt names (_loadtxt_reason), the rows of ``source``
-    counted from ``first_row``.
+def _parsed(fh, dtype: np.dtype, first_row: int) -> np.ndarray:
+    """The next rows of the open table ``fh`` as a structured array of
+    ``dtype``, at most _READ_ROWS of them; empty lines are skipped and not
+    counted.  A bad cell, a wrong cell count or bytes that are not text
+    raise DataError carrying the data row of the table that loadtxt names
+    (_loadtxt_reason), the rows of this block counted from ``first_row``.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
-            return np.loadtxt(source, delimiter=",", dtype=np.dtype(dtype), comments=None,
-                              skiprows=skiprows, max_rows=max_rows, ndmin=1)
+            return np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None,
+                              max_rows=_READ_ROWS, ndmin=1)
     except ValueError as exc:
         message, row = _loadtxt_reason(str(exc))
         raise DataError(message, row=None if row is None else first_row + row) from exc
@@ -271,8 +306,8 @@ def _loadtxt_reason(message: str) -> tuple[str, int | None]:
     """loadtxt's error message without its row number and its advice on
     ``usecols``, and the data row (from 0) that it names, if any.
 
-    loadtxt counts the rows it reads after the header from 0 in a bad-value
-    message but from 1 in a column-count message.
+    loadtxt counts the rows of one call from 0 in a bad-value message but
+    from 1 in a column-count message.
     """
     message = message.replace(_LOADTXT_ADVICE, "")
     match = _LOADTXT_ROW.search(message)
@@ -357,7 +392,7 @@ def read_count_series(path, step: float, key: str) -> CountSeries:
     """A count table of bins ``step`` seconds long, the value of the config
     key ``key``; its bin times must lie on the grid of check_bin_times."""
     with about_file(path):
-        t, c1, c2 = _read_table(path, COUNT_HEADER, "f8,i8,i8")
+        t, c1, c2 = _read_table(path, COUNT_HEADER, "f8", "i8", "i8")
         series = CountSeries(t, c1, c2, step)
         check_bin_times(t, step, key)
     return series
@@ -370,7 +405,7 @@ def write_bright_scan(path, scan: BrightScan) -> None:
 def read_bright_scan(path) -> BrightScan:
     """A bright scan of finite cells and at least MIN_SCAN_POINTS rows."""
     with about_file(path):
-        v0, power1, power2 = _read_table(path, BRIGHT_HEADER, "f8,f8,f8")
+        v0, power1, power2 = _read_table(path, BRIGHT_HEADER, "f8", "f8", "f8")
         bad = np.flatnonzero(~np.isfinite(np.column_stack([v0, power1, power2])).all(axis=1))
         if len(bad):
             raise DataError("bright-scan cells must be finite", row=int(bad[0]))
@@ -391,7 +426,7 @@ def read_calibration_scan(path, step: float, key: str) -> CalibrationScan:
     finite voltage, and the bins of all steps read as one count table, as
     read_count_series reads it."""
     with about_file(path):
-        v, t, c1, c2 = _read_table(path, CAL_SCAN_HEADER, "f8,f8,i8,i8")
+        v, t, c1, c2 = _read_table(path, CAL_SCAN_HEADER, "f8", "f8", "i8", "i8")
         nonfinite = np.flatnonzero(~np.isfinite(v))
         starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
         sizes = np.diff(np.append(starts, len(v)))
@@ -420,50 +455,14 @@ def read_delay_series(path, step: float, key: str):
     estimate_delays gives them, the flags as DelayFlags.
 
     The bin times must lie on the grid of check_bin_times with step
-    ``step``, the value of the config key ``key``.  The table is parsed
-    _READ_ROWS rows at a time into the four columns, 25 B per row, sized
-    once by the file's line ends; one parse of the whole table would hold its
-    35 B rows (11 of them the flag's bytes) as well.  The checks and messages
-    are _read_table's and _check_codes', in the same order: a bad cell first,
-    then a bad flag, then a bin time off the grid.
+    ``step``, the value of the config key ``key``.  The four columns take
+    25 B per row; a bad cell is found first, then a bad flag (_read_table),
+    then a bin time off the grid.
     """
     with about_file(path):
-        size = _line_ends(path)  # the header's covers a last row without one
-        t, tau, sigma = np.empty(size), np.empty(size), np.empty(size)
-        flags = np.empty(size, np.uint8)
-        rows = 0
-        with open(path) as fh:
-            _check_header(fh, DELAY_HEADER)
-            while True:  # loadtxt leaves a handle after max_rows rows
-                block = _parsed(fh, f"f8,f8,f8,{_FLAG_FIELD}", first_row=rows, max_rows=_READ_ROWS)
-                stop = rows + len(block)
-                t[rows:stop], tau[rows:stop] = block["f0"], block["f1"]
-                sigma[rows:stop] = block["f2"]
-                flags[rows:stop] = _label_codes(block["f3"], DELAY_FLAGS)
-                rows = stop
-                if len(block) < _READ_ROWS:
-                    break
-        if rows == 0:
-            raise DataError("no data rows")
-        t, tau, sigma, flags = t[:rows], tau[:rows], sigma[:rows], flags[:rows]
-        _check_codes(path, 3, "flag", flags, DELAY_FLAGS)
+        t, tau, sigma, flags = _read_table(path, DELAY_HEADER, "f8", "f8", "f8", DELAY_FLAGS)
         check_bin_times(t, step, key)
     return t, tau, sigma, DelayFlags(flags)
-
-
-def _line_ends(path) -> int:
-    """The count of line ends, LF, CR or CRLF, in a file: at least the number
-    of lines after its first, as a text-mode file splits them."""
-    count, last = 0, b""
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            count += block.count(b"\n")
-            if b"\r" in block:  # a search, where a count is a slower loop
-                count += block.count(b"\r") - block.count(b"\r\n")
-            if last == b"\r" and block.startswith(b"\n"):  # a CRLF split by the blocks
-                count -= 1
-            last = block[-1:]
-    return count
 
 
 def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
@@ -476,9 +475,7 @@ def write_allan_curves(path, curves: dict[str, AllanCurve]) -> None:
 
 def read_allan_curves(path) -> dict[str, dict[str, np.ndarray]]:
     with about_file(path):
-        labels, *columns = _read_table(path, ALLAN_HEADER, f"{_ORIGIN_FIELD},i8,f8,f8,f8,i8")
-        origin = _label_codes(labels, ORIGINS)
-        _check_codes(path, 0, "origin", origin, ORIGINS)
+        origin, *columns = _read_table(path, ALLAN_HEADER, ORIGINS, "i8", "f8", "f8", "f8", "i8")
     codes, first = np.unique(origin, return_index=True)
     return {ORIGINS[code]: {key: column[origin == code] for key, column in
                             zip(("m", "t", "adev", "ci", "n_terms"), columns)}

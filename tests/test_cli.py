@@ -250,6 +250,19 @@ class TestCalibrateCommand:
         assert ch2["arguments"] == ["calibrate", "--simulate-bright", "--simulate-counts",
                                     "--channels", "ch2", "--out", str(out)]
 
+    def test_manifest_keeps_outputs_that_share_a_name(self, tmp_path):
+        """An --out named like a kept scan, in another directory: the
+        manifest names each output by its path from the manifest's
+        directory, so it lists all three."""
+        assert run("--out-dir", tmp_path, "calibrate", "--simulate-bright",
+                   "--simulate-counts", "--keep-intermediate",
+                   "--out", Path("sub", "bright_scan.csv")) == 0
+        manifest = json.loads((tmp_path / "sub" / "bright_scan.csv.manifest.json").read_text())
+        assert manifest["outputs"] == {
+            "../bright_scan.csv": file_digest(tmp_path / "bright_scan.csv"),
+            "../calibration_scan.csv": file_digest(tmp_path / "calibration_scan.csv"),
+            "bright_scan.csv": file_digest(tmp_path / "sub" / "bright_scan.csv")}
+
     def test_missing_inputs_usage_error(self, tmp_path):
         assert run("calibrate", "--out", tmp_path / "cal.json") == 2
 

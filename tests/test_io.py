@@ -103,24 +103,25 @@ class TestDelaySeriesRoundTrip:
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_line_ends(self, tmp_path, monkeypatch, newline):
-        """The reader sizes its columns from the count of line ends, a CRLF
-        counting once; each kind of line end reads back the same table, in one
-        block or in blocks of two rows, into columns of the same size."""
-        t, tau = np.arange(200) * STEP, np.resize(NASTY, 200)
-        flags = ["ok", "degenerate", "window", "ok"] * 50
-        path = tmp_path / "delays.csv"
-        write_delay_series(path, t, tau, tau / 7.0, flags)
-        _held_by_read(path)  # one-off allocations of a first call
-        lf_held = _held_by_read(path)
-        path.write_bytes(path.read_bytes().replace(b"\n", newline))
-        assert _held_by_read(path) == lf_held
-        for read_rows in (io_formats._READ_ROWS, 2):
-            monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
-            assert_same_bits(_delays_read(path), [t, tau, tau / 7.0, np.array(flags)])
+        """Every table kind of TABLES, the delay table among them: the reader
+        sizes its columns from the count of line ends, a CRLF counting once;
+        each kind of line end reads back the same table, in one block or in
+        blocks of two rows, into columns of the same size."""
+        for kind, (_, write, read, _) in TABLES.items():
+            columns = _line_end_columns(kind)
+            path = tmp_path / f"{kind}.csv"
+            write(path, columns)
+            lf_held = _held_by_read(read, path)
+            path.write_bytes(path.read_bytes().replace(b"\n", newline))
+            assert _held_by_read(read, path) == lf_held, kind
+            for read_rows in (io_formats._READ_ROWS, 2):
+                monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
+                assert_same_bits(read(path), columns)
+            monkeypatch.undo()
 
     def test_crlf_across_read_blocks(self, tmp_path):
-        """A CR that ends one 1 MiB block and the LF that starts the next are
-        one line end."""
+        """A CR that ends one read block (of 64 KiB, and so of 1 MiB) and the
+        LF that starts the next are one line end."""
         path = tmp_path / "lines.txt"
         path.write_bytes(b"x" * ((1 << 20) - 1) + b"\r\n" + b"y\r\n" + b"z\r")
         assert io_formats._line_ends(path) == 3
@@ -263,16 +264,19 @@ def _scan_read(path):
     return [scan.v0, scan.counts.t, scan.counts.c1, scan.counts.c2]
 
 
-def _held_by_read(path) -> int:
-    """The traced bytes that read_delay_series's result holds."""
+def _held_by_read(read, path) -> int:
+    """The bytes of the numpy buffers that the result of ``read(path)``
+    holds, as traced; Python's own objects, some of them one-off allocations
+    of the first few calls, are left out."""
     tracemalloc.start()
     try:
-        table = read_delay_series(path, STEP, RUN_KEY)
-        held = tracemalloc.get_traced_memory()[0]
+        table = read(path)
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     del table
-    return held
+    buffers = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(trace.size for trace in buffers.traces)
 
 
 def _delays_read(path):
@@ -288,7 +292,7 @@ def _allan_read(path):
 # kind -> (columns drawn, writer, reader, column types in file order)
 TABLES = {
     "fisher": (_fisher, lambda path, c: write_fisher_curve(path, *c),
-               lambda path: _read_table(path, FISHER_HEADER, "f8,f8"), "ff"),
+               lambda path: _read_table(path, FISHER_HEADER, "f8", "f8"), "ff"),
     "counts": (_counts, lambda path, c: write_count_series(path, CountSeries(*c, STEP)),
                _counts_read, "fii"),
     "bright": (_bright, lambda path, c: write_bright_scan(path, BrightScan(*c)),
@@ -298,6 +302,26 @@ TABLES = {
                _delays_read, "fffs"),
     "allan": (_allan, write_allan_curves, _allan_read, "sifffi"),
 }
+
+
+def _line_end_columns(kind: str) -> list | dict:
+    """200 rows of a table of ``kind`` (every Allan curve 50 rows long), as
+    the draws of TABLES give them: bin times STEP apart, NASTY floats, counts
+    and every label."""
+    n = 200
+    t, x, count = np.arange(n) * STEP, np.resize(NASTY, n), np.arange(n) * 7919
+    return {
+        "fisher": [x, x / 7.0],
+        "counts": [t, count, count[::-1]],
+        "bright": [t, x, x / 7.0],
+        "calibration_scan": [np.arange(n // 4) * 0.5, t, count, count[::-1]],
+        "delays": [t, x, x / 7.0, np.resize(DELAY_FLAGS, n)],
+        "allan": {origin: SimpleNamespace(m=count[:50], t=t[:50], adev=x[:50],
+                                          ci=x[:50] / 7.0, n_terms=count[::-4])
+                  for origin in ORIGINS},
+    }[kind]
+
+
 BAD_CELLS = {"f": ["", "x", "1..5", "0x10"], "i": ["", "x", "1.5", "1e3"],
              "s": ["", "bogus", "OK", "degenerates", "differentials"]}
 
@@ -391,7 +415,7 @@ READ_KINDS = {"counts": READERS[COUNT_HEADER], "bright": read_bright_scan,
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_table_is_data_error(tmp_path, monkeypatch, case):
-    """Also with the delay table read two rows at a time."""
+    """Also with the table read two rows at a time."""
     header, rows = MALFORMED[case]
     path = tmp_path / "table.csv"
     path.write_bytes(("\n".join([header, *rows]) + "\n").encode("utf-8", "surrogateescape"))
@@ -464,17 +488,20 @@ def test_calibration_set_not_an_object(tmp_path):
     ("2.0,5", "the dtype passed requires 3 columns but 2 were found"),
 ])
 @pytest.mark.parametrize("blank_lines", [0, 2])
-def test_bad_row_named_by_file_line(tmp_path, third_row, reason, blank_lines):
+def test_bad_row_named_by_file_line(tmp_path, monkeypatch, third_row, reason, blank_lines):
     """A bad value and a wrong cell count both name the file and the row's
     line in it (the header is line 1), counting the empty lines loadtxt
     skips, and nothing else: neither numpy's row number nor its advice
-    follows."""
+    follows.  Also with the table read two rows at a time, so that the row
+    lies in a later block and the empty lines straddle a block's end."""
     path = tmp_path / "counts.csv"
     rows = [COUNT_HEADER, "0.0,1,2"] + [""] * blank_lines + ["1.0,3,4", third_row]
     path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(DataError) as info:
-        read_count_series(path, 1.0, RUN_KEY)
-    assert str(info.value) == f"{path}: line {4 + blank_lines}: {reason}"
+    for read_rows in (io_formats._READ_ROWS, 2):
+        monkeypatch.setattr(io_formats, "_READ_ROWS", read_rows)
+        with pytest.raises(DataError) as info:
+            read_count_series(path, 1.0, RUN_KEY)
+        assert str(info.value) == f"{path}: line {4 + blank_lines}: {reason}"
 
 
 def _off_grid(time: str) -> str:
