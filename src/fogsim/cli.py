@@ -218,7 +218,7 @@ def _cmd_estimate(args, config: ExperimentConfig) -> None:
     calset = read_calibration_set(args.calibration)
     series = read_count_series(args.counts, config.run.integration_time,
                                *key_paths("run.integration_time_s"))
-    # t, c1 and c2 are views of one table of 24 B per row, held to the end:
+    # t, c1 and c2 are the table's three columns, 24 B per row, held to the end:
     # tau and sigma are written over c1 and c2 (estimate_delays' out), a
     # block at a time, so the results add only the flag codes' 1 B per bin
     tau, sigma, flags = estimate_delays(

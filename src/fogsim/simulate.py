@@ -91,9 +91,10 @@ class CountSeries:
         self.integration_time = float(integration_time)
         if not (len(self.t) == len(self.c1) == len(self.c2)):
             raise ParameterError("t, c1, c2 must have equal length")
-        negative = np.flatnonzero((self.c1 < 0) | (self.c2 < 0))
-        if len(negative):
-            raise DataError("counts must be non-negative", row=int(negative[0]))
+        # a full-length mask only for a column that has a negative count
+        negative = [int(np.argmax(c < 0)) for c in (self.c1, self.c2) if c.min(initial=0) < 0]
+        if negative:
+            raise DataError("counts must be non-negative", row=min(negative))
         if not self.integration_time > 0:
             raise ParameterError("integration_time must be positive")
 

@@ -11,7 +11,6 @@ counts and confidence half-widths are derived from that, each in one place.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,12 +39,11 @@ ORIGINS = ("raw", "even", "odd", "differential")
 # The fewest samples of an Allan curve: m = 1 is under the cap floor((N - 1) / 2) from N = 3
 MIN_SAMPLES = 3
 # Terms per leaf of the Allan kernel's sums, and bin times per block of
-# check_bin_times; blocks of 2,048 to 8,192 terms ran about twice as slow at
-# two workers in the kernel, 32,768 and more did not.
+# check_bin_times.  It must be at least 128, numpy's pairwise leaf (the most
+# values np.sum adds in one loop of eight partial sums), for the leaves to
+# give the bits of one np.sum; blocks of 2,048 to 8,192 terms ran about twice
+# as slow at two workers in the kernel, 32,768 and more did not.
 _TERM_BLOCK = 65536
-# numpy's pairwise summation adds at most this many values in one loop of
-# eight partial sums; longer runs it splits in two
-_PAIRWISE_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,9 @@ def _pairwise_sum(leaf, start: int, stop: int, most: int) -> float:
     summation, which np.sum applies to a contiguous float64 array: a run of
     more than 128 values is split after half of them, less that half's
     remainder mod 8, and the two halves' sums are added.  Runs of at most
-    ``most`` values (at least 128) are summed by ``leaf(start, stop)`` with
-    np.sum, so the result has the bits of one np.sum over all the values.
+    ``most`` values (at least 128: see _TERM_BLOCK) are summed by
+    ``leaf(start, stop)`` with np.sum, so the result has the bits of one
+    np.sum over all the values.
 
     A module-level function, not one nested in its caller: a nested function
     that calls itself is a reference cycle, which would keep the caller's
@@ -200,11 +199,11 @@ def overlapping_allan_deviation(series: DelaySeries,
     & Oishi 2005).  In basic float64 operations, whose bytes depend neither
     on the SIMD level nor on the platform's long double, that puts adev
     within 2 ulp of the rounded exact value on offset and drifting series.
-    Each worker thread sums an m's squared terms in leaves of at most
-    _TERM_BLOCK of them, split and added back as _pairwise_sum says, which
-    gives the bits of one np.sum over all N - 2m + 1 terms; so it holds two
-    leaf-sized buffers, not one of N samples, and the leaf size leaves adev's
-    bits alone.  Fewer than MIN_SAMPLES samples, or non-finite ones, raise
+    Each m's squared terms are summed in leaves of at most _TERM_BLOCK of
+    them, split and added back as _pairwise_sum says, which gives the bits
+    of one np.sum over all N - 2m + 1 terms; so each m holds two leaf-sized
+    buffers, not one of N samples, and the leaf size leaves adev's bits
+    alone.  Fewer than MIN_SAMPLES samples, or non-finite ones, raise
     ParameterError naming the series' origin; see DelaySeries.drop_nonfinite.
     """
     x = series.values
@@ -236,16 +235,12 @@ def overlapping_allan_deviation(series: DelaySeries,
         b = this - prev
         err[:] = (prev - (this - b)) + (err - b)
     np.cumsum(lo[1:], out=lo[1:])
-    leaf = max(_TERM_BLOCK, _PAIRWISE_LEAF)  # the most terms summed in one np.sum
-    adev = np.empty(len(m_arr))
-    buffers = threading.local()
 
-    def compute(m: int, start: int, stop: int) -> float:
-        """The sum of the squared terms start to stop - 1 at this m."""
-        if not hasattr(buffers, "d"):
-            buffers.d, buffers.e = np.empty(min(n, leaf)), np.empty(min(n, leaf))
+    def compute(m: int, d: np.ndarray, e: np.ndarray, start: int, stop: int) -> float:
+        """The sum of the squared terms start to stop - 1 at this m, worked
+        out in the leaf buffers d and e."""
         s0, s1, s2 = (slice(start + shift, stop + shift) for shift in (0, m, 2 * m))
-        d, e = buffers.d[:stop - start], buffers.e[:stop - start]
+        d, e = d[:stop - start], e[:stop - start]
         # hi as (S[j+2m] - S[j+m]) - (S[j+m] - S[j]): each difference is
         # exact where its two prefix sums agree to a factor 2 (Sterbenz)
         np.subtract(hi[s2], hi[s1], out=d)
@@ -258,25 +253,24 @@ def overlapping_allan_deviation(series: DelaySeries,
         np.square(d, out=d)
         return float(np.sum(d))
 
-    def curve(i: int) -> None:
-        m = int(m_arr[i])
+    def curve(m: int) -> float:
         k = n - 2 * m + 1  # the overlapping terms at this m
-        total = _pairwise_sum(partial(compute, m), 0, k, leaf)
-        adev[i] = math.sqrt(total / (2.0 * m * m * k))
+        d, e = np.empty(min(k, _TERM_BLOCK)), np.empty(min(k, _TERM_BLOCK))
+        total = _pairwise_sum(partial(compute, m, d, e), 0, k, _TERM_BLOCK)
+        return math.sqrt(total / (2.0 * m * m * k))
 
     if workers == 1:
         # no thread, so no thread's memory arena kept, and no concurrent.futures
         # import (with logging and queue, about 5 ms a process)
-        for i in range(len(m_arr)):
-            curve(i)
+        adev = [curve(m) for m in m_arr.tolist()]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         # Pool threads start under numpy's default error handling; each takes the caller's.
         with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
-            list(pool.map(curve, range(len(m_arr))))
+            adev = list(pool.map(curve, m_arr.tolist()))
 
-    return AllanCurve(m=m_arr, adev=adev, n_samples=n, t0=series.t0)
+    return AllanCurve(m=m_arr, adev=np.array(adev), n_samples=n, t0=series.t0)
 
 
 def even_odd_split(series: DelaySeries) -> tuple[DelaySeries, DelaySeries, DelaySeries]:

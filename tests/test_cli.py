@@ -576,6 +576,12 @@ def _negative_counts(tmp_path, calibrated):
             "--out", tmp_path / "delays.csv"]
 
 
+def _negative_c2_first(tmp_path, calibrated):
+    counts = _counts_csv(tmp_path / "counts.csv", [(500, 400), (500, -2), (-3, 400)])
+    return ["estimate", "--counts", counts, "--calibration", calibrated,
+            "--out", tmp_path / "delays.csv"]
+
+
 def _negative_scan_counts(tmp_path, calibrated):
     scan = tmp_path / "scan.csv"
     rows = ["v0_volt,t_s,c1,c2"]
@@ -804,6 +810,9 @@ BAD_INPUTS = {
         _window_case("window_volt", lambda lo, hi: [lo, lo]), 3,
         "missing or ill-typed field: window_volt must have its first entry below its second"),
     "negative_counts": (_negative_counts, 3, "counts.csv: line 3: counts must be non-negative"),
+    # the first negative row over both columns, here c2's
+    "negative_c2_first": (_negative_c2_first, 3,
+                          "counts.csv: line 3: counts must be non-negative"),
     "negative_scan_counts": (_negative_scan_counts, 3,
                              "scan.csv: line 3: counts must be non-negative"),
     "identical_scan_repeats": (_identical_scan_repeats, 3, "scan.csv: the linear calibration "

@@ -166,8 +166,8 @@ class TestOverlappingAllanDeviation:
             overlapping_allan_deviation(series, np.array([1, 50]))
 
     def test_workers_equivalent(self, rng):
-        """Each pool thread reuses its buffers for many m of different
-        lengths; every adev equals that of its m computed alone."""
+        """Each m sums its terms in its own leaf buffers, on whichever pool
+        thread runs it; every adev equals that of its m computed alone."""
         series = DelaySeries(1.0, rng.standard_normal(5000) + 1e3 * np.arange(5000))
         curves = [overlapping_allan_deviation(series, workers=w) for w in (1, 2, 4)]
         for curve in curves[1:]:
@@ -218,11 +218,11 @@ def test_pairwise_sum_has_the_bits_of_np_sum(rng, n):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_small_leaves_leave_the_bits(rng, monkeypatch, workers):
-    """With _TERM_BLOCK at 64 (numpy's leaves of 128 values then set the
-    kernel's), a drifting series of 10^4 samples has the default's bits."""
+    """With _TERM_BLOCK at 128, the smallest leaf that keeps numpy's pairwise
+    order, a drifting series of 10^4 samples has the default's bits."""
     x = 1.3e-15 + 1e-18 * rng.standard_normal(10_000) + 1e-21 * np.arange(10_000)
     want = overlapping_allan_deviation(DelaySeries(0.01, x)).adev
-    monkeypatch.setattr(stability, "_TERM_BLOCK", 64)
+    monkeypatch.setattr(stability, "_TERM_BLOCK", 128)
     got = overlapping_allan_deviation(DelaySeries(0.01, x), workers=workers).adev
     assert got.tobytes() == want.tobytes()
 
